@@ -52,6 +52,13 @@ def _print_error_report(instance) -> None:
     print(f"epsilon = {_frac_dec(report.epsilon)}")
 
 
+def _integer_k(family: str, k: Fraction) -> int:
+    """The game families take an integer k; fail early with a clear message."""
+    if k.denominator != 1:
+        raise WmstError(f"family {family} needs an integer k, got {k}")
+    return int(k)
+
+
 def _sidecar(out: Path, tag: str) -> Path:
     stem = out.name[: -len(out.suffix)] if out.suffix else out.name
     return out.with_name(f"{stem}.{tag}")
@@ -69,22 +76,24 @@ def cmd_gen(args) -> int:
         instance = adversaries.gen_ro_lb(args.k, args.delta, args.l)
         config = f"gen ro-lb k={args.k} delta={args.delta} l={args.l}"
     elif args.family == "general-lb":
-        game = adversaries.gen_general_lb_game(args.k, args.l, _alg_factory(args.alg)())
+        k = _integer_k(args.family, args.k)
+        game = adversaries.gen_general_lb_game(k, args.l, _alg_factory(args.alg)())
         instance = game.instance
         io.save_order(game.order, _sidecar(out, "order.json"))
         io.save_trace(game.trace, _sidecar(out, "trace.txt"))
         extras.append((_sidecar(out, "order.json"), "game order"))
         extras.append((_sidecar(out, "trace.txt"), "game trace"))
-        config = f"gen general-lb k={args.k} l={args.l} alg={args.alg}"
+        config = f"gen general-lb k={k} l={args.l} alg={args.alg}"
     elif args.family == "eta2":
-        big_k = args.big_k if args.big_k is not None else 10 * args.k
-        game = adversaries.gen_eta2_game(args.k, big_k, _alg_factory(args.alg)())
+        k = _integer_k(args.family, args.k)
+        big_k = args.big_k if args.big_k is not None else 10 * k
+        game = adversaries.gen_eta2_game(k, big_k, _alg_factory(args.alg)())
         instance = game.instance
         io.save_order(game.order, _sidecar(out, "order.json"))
         io.save_trace(game.trace, _sidecar(out, "trace.txt"))
         extras.append((_sidecar(out, "order.json"), "game order"))
         extras.append((_sidecar(out, "trace.txt"), "game trace"))
-        config = f"gen eta2 k={args.k} big-k={big_k} alg={args.alg}"
+        config = f"gen eta2 k={k} big-k={big_k} alg={args.alg}"
     elif args.family == "random":
         instance = adversaries.random_instance(
             args.n, args.edge_prob, args.noise, args.seed
@@ -108,7 +117,11 @@ def _resolve_order(selector: str, m: int) -> ArrivalOrder:
     if selector == "id":
         return ArrivalOrder.identity(m)
     if selector.startswith("seed:"):
-        return ArrivalOrder.shuffled(m, int(selector[len("seed:"):]))
+        try:
+            seed = int(selector[len("seed:"):])
+        except ValueError:
+            raise WmstError(f"order seed must be an integer, got {selector!r}") from None
+        return ArrivalOrder.shuffled(m, seed)
     if selector.startswith("given:"):
         return io.load_order(selector[len("given:"):])
     raise WmstError(
@@ -233,7 +246,10 @@ def cmd_ro(args) -> int:
 
 
 def _parse_grid(text: str, kind) -> list:
-    values = [kind(part) for part in text.split(",") if part.strip()]
+    try:
+        values = [kind(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise WmstError(f"bad parameter grid {text!r}") from None
     if not values:
         raise WmstError("empty parameter grid")
     return values
@@ -248,9 +264,7 @@ def cmd_sweep(args) -> int:
     ks = _parse_grid(args.k, parse_fraction)
     ls = _parse_grid(args.l, int)
     if args.family in ("general-lb", "eta2"):
-        if any(k.denominator != 1 for k in ks):
-            raise WmstError(f"family {args.family} needs integer k values")
-        ks = [int(k) for k in ks]
+        ks = [_integer_k(args.family, k) for k in ks]
     rows: list[str] = []
     flagged = False
     index = 0
@@ -440,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--noise", type=parse_fraction, default=Fraction(1, 4))
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default=None)
-    gen.set_defaults(func=_wrap_int_params(cmd_gen))
+    gen.set_defaults(func=cmd_gen)
 
     runp = sub.add_parser("run", help="replay one arrival order")
     runp.add_argument("alg", choices=sorted(ALGORITHMS))
@@ -476,18 +490,6 @@ def _build_parser() -> argparse.ArgumentParser:
     selftest = sub.add_parser("selftest", help="run the quick invariant suites")
     selftest.set_defaults(func=cmd_selftest)
     return parser
-
-
-def _wrap_int_params(func):
-    def wrapped(args):
-        # game families take integer k; fail early with a clear message
-        if args.family in ("general-lb", "eta2"):
-            if args.k.denominator != 1:
-                raise WmstError(f"family {args.family} needs an integer k, got {args.k}")
-            args.k = int(args.k)
-        return func(args)
-
-    return wrapped
 
 
 def main(argv=None) -> int:

@@ -17,7 +17,17 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .exceptions import BadParameter, InvariantViolation, NotSpanning
-from .graphs import Edge, Graph, Weights, WmstInstance, _UnionFind, mst
+from .graphs import (
+    Edge,
+    Graph,
+    SpanningTree,
+    Weights,
+    WmstInstance,
+    _UnionFind,
+    is_plain_int,
+    mst,
+    tree_path_ids,
+)
 from .rationals import format_fraction
 
 
@@ -48,8 +58,9 @@ class ArrivalOrder:
     edge_ids: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "edge_ids", tuple(self.edge_ids))
-        if sorted(self.edge_ids) != list(range(len(self.edge_ids))):
+        ids = tuple(self.edge_ids)
+        object.__setattr__(self, "edge_ids", ids)
+        if not all(map(is_plain_int, ids)) or sorted(ids) != list(range(len(ids))):
             raise BadParameter("arrival order must be a permutation of all edge ids")
 
     @classmethod
@@ -165,15 +176,10 @@ class GreedyFollowPredictions(OnlineAlgorithm):
     def initialize(self, graph: Graph, predicted: Weights) -> None:
         self._graph = graph
         self._pred = predicted
-        tree = mst(graph, predicted).edge_ids
-        self._initial = tree
-        self._tree = set(tree)
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
-        for eid in tree:
-            edge = graph.edges[eid]
-            adj[edge.u].append((edge.v, eid))
-            adj[edge.v].append((edge.u, eid))
-        self._adj = adj
+        tree = mst(graph, predicted)
+        self._initial = tree.edge_ids
+        self._tree = set(tree.edge_ids)
+        self._adj = list(tree.adjacency)
         self._unseen = bytearray([1] * graph.m)
         self._unseen_in_tree = graph.n - 1
 
@@ -196,24 +202,11 @@ class GreedyFollowPredictions(OnlineAlgorithm):
         Returns -1 when every edge on the path has been seen.  Ties go to
         the smallest edge id.
         """
-        adj = self._adj
-        parent: dict[int, tuple[int, int]] = {a: (-1, -1)}
-        stack = [a]
-        while stack:
-            x = stack.pop()
-            if x == b:
-                break
-            for y, eid in adj[x]:
-                if y not in parent:
-                    parent[y] = (x, eid)
-                    stack.append(y)
         unseen = self._unseen
         pred = self._pred
         best = -1
         best_pred = None
-        x = b
-        while x != a:
-            x, eid = parent[x]
+        for eid in tree_path_ids(self._adj, a, b):
             if unseen[eid]:
                 p = pred[eid]
                 if best < 0 or p > best_pred or (p == best_pred and eid < best):
@@ -223,11 +216,13 @@ class GreedyFollowPredictions(OnlineAlgorithm):
     def _swap(self, evict: int, incoming: Edge) -> None:
         self._tree.discard(evict)
         self._tree.add(incoming.id)
+        # Entries start as the tree's shared tuples: replace them, never mutate.
+        adj = self._adj
         gone = self._graph.edges[evict]
-        self._adj[gone.u] = [t for t in self._adj[gone.u] if t[1] != evict]
-        self._adj[gone.v] = [t for t in self._adj[gone.v] if t[1] != evict]
-        self._adj[incoming.u].append((incoming.v, incoming.id))
-        self._adj[incoming.v].append((incoming.u, incoming.id))
+        adj[gone.u] = [t for t in adj[gone.u] if t[1] != evict]
+        adj[gone.v] = [t for t in adj[gone.v] if t[1] != evict]
+        adj[incoming.u] = [*adj[incoming.u], (incoming.v, incoming.id)]
+        adj[incoming.v] = [*adj[incoming.v], (incoming.u, incoming.id)]
         self._unseen_in_tree -= 1  # the evicted edge was unseen by construction
 
     def working_tree_ids(self) -> frozenset[int]:
@@ -328,35 +323,9 @@ def run_cost(alg: OnlineAlgorithm, instance: WmstInstance, order_ids: Sequence[i
     return cost
 
 
-def _path_edge_ids(graph: Graph, tree_ids: frozenset[int], a: int, b: int) -> list[int]:
-    """Edge ids on the a-b path inside an ad-hoc tree edge set."""
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for eid in tree_ids:
-        edge = graph.edges[eid]
-        adj.setdefault(edge.u, []).append((edge.v, eid))
-        adj.setdefault(edge.v, []).append((edge.u, eid))
-    parent: dict[int, tuple[int, int]] = {a: (-1, -1)}
-    stack = [a]
-    while stack:
-        x = stack.pop()
-        if x == b:
-            break
-        for y, eid in adj.get(x, ()):
-            if y not in parent:
-                parent[y] = (x, eid)
-                stack.append(y)
-    out: list[int] = []
-    x = b
-    while x != a:
-        x, eid = parent[x]
-        out.append(eid)
-    return out
-
-
 def check_cycle_dominance(
-    graph: Graph,
     predicted: Weights,
-    working_tree: frozenset[int],
+    working_tree: SpanningTree,
     initial_tree: frozenset[int],
     unseen: frozenset[int],
     revealed: Edge,
@@ -365,9 +334,10 @@ def check_cycle_dominance(
     predicts heavier than the revealed edge itself.
 
     Applies when a non-tree edge is revealed; a violation means the swap
-    bookkeeping is broken, not that the input is bad.
+    bookkeeping is broken, not that the input is bad.  The cycle is scanned
+    from the ``v`` end, so the violation reported is the one nearest ``v``.
     """
-    for eid in _path_edge_ids(graph, working_tree, revealed.u, revealed.v):
+    for eid in tree_path_ids(working_tree.adjacency, revealed.v, revealed.u):
         if eid in unseen and eid in initial_tree:
             if predicted[eid] > predicted[revealed.id]:
                 raise InvariantViolation(
@@ -377,9 +347,8 @@ def check_cycle_dominance(
 
 
 def check_post_rejection_dominance(
-    graph: Graph,
     predicted: Weights,
-    working_tree: frozenset[int],
+    working_tree: SpanningTree,
     unseen: frozenset[int],
     rejected: Edge,
     rejected_weight: Fraction,
@@ -388,8 +357,9 @@ def check_post_rejection_dominance(
     strictly below the rejected true weight.
 
     Must hold at every step after the rejection for swap-based players.
+    The cycle is scanned from the ``v`` end, as in ``check_cycle_dominance``.
     """
-    for eid in _path_edge_ids(graph, working_tree, rejected.u, rejected.v):
+    for eid in tree_path_ids(working_tree.adjacency, rejected.v, rejected.u):
         if eid in unseen and not predicted[eid] < rejected_weight:
             raise InvariantViolation(
                 f"unseen tree edge {eid} predicts {predicted[eid]}, not below "
@@ -398,23 +368,34 @@ def check_post_rejection_dominance(
 
 
 class _InvariantChecker:
-    """Runs the structural checks around each reveal in checked mode."""
+    """Runs the structural checks around each reveal in checked mode.
+
+    After every reveal the player's working tree is validated as a spanning
+    tree (``NotSpanning`` otherwise); that one tree, and its adjacency,
+    serve every check until the working tree next changes.
+    """
 
     def __init__(self, alg: OnlineAlgorithm, instance: WmstInstance):
         self._alg = alg
         self._instance = instance
         self._unseen = set(range(instance.m))
         self._rejections: list[tuple[Edge, Fraction]] = []
-        self._initial: frozenset[int] | None = None
+        self._initial = alg.initial_tree_ids() or frozenset()
+        self._tree: SpanningTree | None = None
+        self._refresh_tree()
+
+    def _refresh_tree(self) -> None:
+        ids = self._alg.working_tree_ids()
+        if ids is None:
+            self._tree = None
+        elif self._tree is None or ids != self._tree.edge_ids:
+            self._tree = SpanningTree(self._instance.graph, ids)
 
     def before_reveal(self, edge: Edge) -> None:
-        if self._initial is None:
-            self._initial = self._alg.initial_tree_ids() or frozenset()
-        tree = self._alg.working_tree_ids()
+        tree = self._tree
         if tree is None or edge.id in tree:
             return
         check_cycle_dominance(
-            self._instance.graph,
             self._instance.predicted,
             tree,
             self._initial,
@@ -424,17 +405,17 @@ class _InvariantChecker:
 
     def after_reveal(self, edge: Edge, weight: Fraction, decision: Decision) -> None:
         self._unseen.discard(edge.id)
+        self._refresh_tree()
         if not self._alg.tracks_swaps:
             return
         if not decision.accepted:
             self._rejections.append((edge, weight))
-        tree = self._alg.working_tree_ids()
+        tree = self._tree
         if tree is None:
             return
         unseen = frozenset(self._unseen)
         for rejected, rejected_weight in self._rejections:
             check_post_rejection_dominance(
-                self._instance.graph,
                 self._instance.predicted,
                 tree,
                 unseen,

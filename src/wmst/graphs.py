@@ -34,6 +34,11 @@ Weights = Sequence[Fraction]
 BRUTE_FORCE_EDGE_LIMIT = 24
 
 
+def is_plain_int(value) -> bool:
+    """True for an ``int`` that is not a ``bool``: a valid vertex or edge id type."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Edge:
     """An undirected edge with a dense id and two distinct endpoints."""
@@ -77,6 +82,10 @@ class Graph:
     def __post_init__(self):
         if self.n < 2:
             raise InstanceError(f"need at least 2 vertices, got {self.n}")
+        if len(self.edges) < self.n - 1:
+            raise DisconnectedGraph(
+                f"{len(self.edges)} edges cannot connect {self.n} vertices"
+            )
         seen_pairs = set()
         uf = _UnionFind(self.n)
         components = self.n
@@ -85,6 +94,8 @@ class Graph:
                 raise InstanceError(
                     f"edge ids must be dense and in order: position {position} has id {edge.id}"
                 )
+            if not (is_plain_int(edge.u) and is_plain_int(edge.v)):
+                raise InstanceError(f"edge {edge.id} endpoints must be integers")
             if not (0 <= edge.u < self.n and 0 <= edge.v < self.n):
                 raise InstanceError(f"edge {edge.id} endpoint out of range")
             if edge.u == edge.v:
@@ -105,15 +116,6 @@ class Graph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per-vertex tuples of ``(neighbor, edge_id)``."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for edge in self.edges:
-            adj[edge.u].append((edge.v, edge.id))
-            adj[edge.v].append((edge.u, edge.id))
-        return tuple(tuple(entries) for entries in adj)
 
     def check_weights(self, weights: Weights) -> None:
         if len(weights) != self.m:
@@ -147,36 +149,46 @@ class SpanningTree:
         return iter(sorted(self.edge_ids))
 
     @cached_property
-    def adjacency(self) -> dict[int, list[tuple[int, int]]]:
-        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(self.graph.n)}
+    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per-vertex tuples of ``(neighbor, edge_id)`` over the tree edges."""
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.graph.n)]
         for eid in self.edge_ids:
             edge = self.graph.edges[eid]
             adj[edge.u].append((edge.v, eid))
             adj[edge.v].append((edge.u, eid))
-        return adj
+        return tuple(map(tuple, adj))
 
     def tree_path(self, a: int, b: int) -> list[Edge]:
         """The edges of the unique a-b path, ordered from a to b."""
-        if a == b:
-            return []
-        parent: dict[int, tuple[int, int]] = {a: (-1, -1)}
-        stack = [a]
-        adj = self.adjacency
-        while stack:
-            x = stack.pop()
-            if x == b:
-                break
-            for y, eid in adj[x]:
-                if y not in parent:
-                    parent[y] = (x, eid)
-                    stack.append(y)
-        path: list[Edge] = []
-        x = b
-        while x != a:
-            x, eid = parent[x]
-            path.append(self.graph.edges[eid])
-        path.reverse()
-        return path
+        edges = self.graph.edges
+        return [edges[eid] for eid in tree_path_ids(self.adjacency, a, b)]
+
+
+def tree_path_ids(adj: Sequence[Sequence[tuple[int, int]]], a: int, b: int) -> list[int]:
+    """Edge ids of the unique a-b path in a tree, ordered from a to b.
+
+    ``adj[x]`` lists the ``(neighbor, edge_id)`` pairs of vertex ``x`` over
+    the tree edges only.  Every tree walk of the package goes through here:
+    cycle queries, the swap rule, the checked-mode invariants and the
+    exchange witness.
+    """
+    # Search from b, so that following parents back from a lists the path in order.
+    parent: dict[int, tuple[int, int]] = {b: (-1, -1)}
+    stack = [b]
+    while stack:
+        x = stack.pop()
+        if x == a:
+            break
+        for y, eid in adj[x]:
+            if y not in parent:
+                parent[y] = (x, eid)
+                stack.append(y)
+    path: list[int] = []
+    x = a
+    while x != b:
+        x, eid = parent[x]
+        path.append(eid)
+    return path
 
 
 @dataclass(frozen=True)
@@ -226,7 +238,7 @@ def validate_instance(raw) -> WmstInstance:
         entries = raw["edges"]
     except KeyError as exc:
         raise InstanceError(f"instance payload missing key {exc}") from None
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not is_plain_int(n):
         raise InstanceError("vertex count must be an integer")
     if not isinstance(entries, list):
         raise InstanceError("edges must be a list")
@@ -290,22 +302,13 @@ def exchange_witness(t1: SpanningTree, t2: SpanningTree, e1: Edge) -> Edge:
 
     Given ``e1 in t1`` but not in ``t2``, returns some ``e2`` of ``t2``
     such that each edge lies on the cycle the other closes in the
-    opposite tree.  Found by cutting ``t1`` at ``e1`` and scanning the
-    ``t2``-path between its endpoints for an edge crossing the cut.
+    opposite tree: the first edge on the ``t2``-path between the
+    endpoints of ``e1`` whose own ``t1``-path runs through ``e1``.
     """
     if e1.id not in t1 or e1.id in t2:
         raise BadParameter("witness requires an edge of t1 that is absent from t2")
-    side = {e1.u}
-    stack = [e1.u]
-    adj = t1.adjacency
-    while stack:
-        x = stack.pop()
-        for y, eid in adj[x]:
-            if eid != e1.id and y not in side:
-                side.add(y)
-                stack.append(y)
     for candidate in t2.tree_path(e1.u, e1.v):
-        if (candidate.u in side) != (candidate.v in side):
+        if e1.id in tree_path_ids(t1.adjacency, candidate.u, candidate.v):
             return candidate
     raise AssertionError("spanning tree must cross every cut")
 

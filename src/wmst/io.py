@@ -62,8 +62,8 @@ def load_order(path: str | Path) -> ArrivalOrder:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InstanceError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict) or "order" not in payload:
-        raise InstanceError(f"{path}: expected an object with an 'order' key")
+    if not isinstance(payload, dict) or not isinstance(payload.get("order"), list):
+        raise InstanceError(f"{path}: expected an object with an 'order' list")
     return ArrivalOrder(tuple(payload["order"]))
 
 

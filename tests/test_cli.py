@@ -2,9 +2,13 @@
 
 import csv
 import io as stdio
+import json
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
+from wmst import InstanceError, validate_instance
 from wmst.cli import CSV_COLUMNS, main
 from wmst.io import load_instance, load_order, save_instance
 
@@ -170,6 +174,60 @@ def test_sweep_empty_grid_fails(capsys):
 def test_unknown_family_weight_param(capsys):
     code = main(["gen", "eta2", "--k", "5/2"])
     assert code == 2  # game families need integer k
+
+
+def test_sweep_game_family_needs_integer_k(capsys):
+    code = main(["sweep", "general-lb", "--k", "5/2", "--l", "1"])
+    assert code == 2
+
+
+def _triangle_payload(**endpoint):
+    edges = [
+        {"u": 0, "v": 1, "predicted": "2/1", "actual": "1/1"},
+        {"u": 1, "v": 2, "predicted": "3/1", "actual": "1/1"},
+        {"u": 0, "v": 2, "predicted": "2/1", "actual": "2/1"},
+    ]
+    edges[0].update(endpoint)
+    return {"n": 3, "edges": edges}
+
+
+@pytest.mark.parametrize(
+    "endpoint",
+    [{"u": 0.0}, {"v": True}, {"u": "0"}, {"v": None}],
+    ids=repr,
+)
+def test_bad_endpoint_is_an_instance_error(tmp_path, capsys, endpoint):
+    payload = _triangle_payload(**endpoint)
+    with pytest.raises(InstanceError):
+        validate_instance(payload)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main(["run", "ftp", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def _order_file(tmp_path, order) -> str:
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps({"order": order}))
+    return f"given:{path}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp, inst: ["run", "ftp", inst, "--order", _order_file(tmp, [0, "a", 2])],
+        lambda tmp, inst: ["run", "ftp", inst, "--order", _order_file(tmp, [True, 0, 2])],
+        lambda tmp, inst: ["run", "ftp", inst, "--order", _order_file(tmp, 3)],
+        lambda tmp, inst: ["run", "ftp", inst, "--order", "seed:x"],
+        lambda tmp, inst: ["sweep", "ftp-lb", "--k", "2", "--l", "x"],
+    ],
+    ids=["order-str", "order-bool", "order-not-list", "seed-not-int", "sweep-l-not-int"],
+)
+def test_bad_order_or_parameter_exits_two(tmp_path, capsys, argv):
+    inst = tmp_path / "tri.json"
+    inst.write_text(json.dumps(_triangle_payload()))
+    assert main(argv(tmp_path, str(inst))) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_selftest_passes(capsys):

@@ -9,13 +9,16 @@ from wmst import (
     ArrivalOrder,
     BadParameter,
     Decision,
+    FollowPredictions,
     Graph,
     GreedyFollowPredictions,
+    InvariantViolation,
     NotSpanning,
     OnlineAlgorithm,
     WmstInstance,
     error_report,
     ftp,
+    gen_ftp_lb,
     gen_ro_lb,
     gftp,
     mst,
@@ -39,10 +42,9 @@ class TestArrivalOrder:
         assert sorted(a.edge_ids) == list(range(10))
 
     def test_non_permutation_rejected(self):
-        with pytest.raises(BadParameter):
-            ArrivalOrder((0, 0, 1))
-        with pytest.raises(BadParameter):
-            ArrivalOrder((1, 2, 3))
+        for ids in ((0, 0, 1), (1, 2, 3), (True, 0), (0, 1.0), (0, "1")):
+            with pytest.raises(BadParameter):
+                ArrivalOrder(ids)
 
     def test_wrong_length_rejected_by_run(self):
         inst = triangle()
@@ -257,6 +259,55 @@ class TestCheckedMode:
                 for oseed in range(10):
                     order = ArrivalOrder.shuffled(inst.m, oseed)
                     run(gftp(), inst, order, checked=True)
+
+
+class SwaplessTracker(FollowPredictions):
+    """Claims the swap rule but never swaps: rejections stop being dominated."""
+
+    tracks_swaps = True
+
+
+class MaxTreeFollower(FollowPredictions):
+    """Follows the maximum predicted tree, whose cycles hold heavier edges."""
+
+    def initialize(self, graph, predicted):
+        self._tree = mst(graph, [-p for p in predicted]).edge_ids
+
+
+class EmptyTreeFollower(FollowPredictions):
+    """Reports a working tree that spans nothing."""
+
+    def working_tree_ids(self):
+        return frozenset()
+
+
+def _ftp_lb_reversed():
+    inst, _, _ = gen_ftp_lb(3, 3)
+    return inst, ArrivalOrder(tuple(reversed(range(inst.m))))
+
+
+def _triangle_chord_first():
+    return triangle(), ArrivalOrder((2, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "player, case, error, message",
+    [
+        (SwaplessTracker, _ftp_lb_reversed, InvariantViolation,
+         "unseen tree edge 5 predicts 4, not below rejected weight 1 of edge 6"),
+        (MaxTreeFollower, _triangle_chord_first, InvariantViolation,
+         "unseen tree edge 1 predicts 3 above revealed edge 2 at 2"),
+        (EmptyTreeFollower, _triangle_chord_first, NotSpanning,
+         "0 edges cannot span 3 vertices"),
+    ],
+    ids=["post-rejection-dominance", "cycle-dominance", "working-tree-spans"],
+)
+def test_checked_mode_catches_broken_players(player, case, error, message):
+    inst, order = case()
+    run(player(), inst, order)  # the accepted set itself is a valid tree
+    with pytest.raises(error) as excinfo:
+        run(player(), inst, order, checked=True)
+    assert str(excinfo.value) == message
 
 
 class TestCostBounds:

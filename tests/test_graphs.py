@@ -1,5 +1,7 @@
 """Core graph types, MST routines and the brute-force oracle."""
 
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -28,6 +30,7 @@ from wmst import (
     validate_instance,
 )
 from wmst.exceptions import InstanceError
+from wmst.graphs import tree_path_ids
 
 from conftest import triangle
 
@@ -106,6 +109,20 @@ class TestValidateInstance:
         inst = validate_instance(payload)
         assert inst.predicted[0] == F(1, 2)
 
+    def test_sparse_huge_vertex_count_fails_before_allocating(self):
+        payload = {
+            "n": 2_000_000,
+            "edges": [{"u": 0, "v": 1, "predicted": "1/1", "actual": "1/1"}],
+        }
+        tracemalloc.start()
+        try:
+            with pytest.raises(DisconnectedGraph):
+                validate_instance(payload)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 class TestMst:
     def test_triangle_under_predictions(self):
@@ -170,6 +187,52 @@ class TestSpanningTree:
         assert [e.id for e in tree.tree_path(0, 3)] == [0, 1, 2]
         assert [e.id for e in tree.tree_path(3, 0)] == [2, 1, 0]
         assert tree.tree_path(2, 2) == []
+
+
+def _random_tree(rng: random.Random, n: int):
+    """A uniform-ish labelled tree as shuffled ``(u, v)`` pairs."""
+    labels = list(range(n))
+    rng.shuffle(labels)
+    pairs = [(labels[i], labels[rng.randrange(i)]) for i in range(1, n)]
+    rng.shuffle(pairs)
+    return pairs
+
+
+def _separated_without(pairs, skip: int, a: int, b: int, n: int) -> bool:
+    """Union-find oracle: are a and b disconnected once edge ``skip`` is cut?"""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for eid, (u, v) in enumerate(pairs):
+        if eid != skip:
+            parent[find(u)] = find(v)
+    return find(a) != find(b)
+
+
+class TestTreePathIds:
+    def test_matches_cut_oracle_and_is_contiguous(self):
+        rng = random.Random(2302)
+        for _ in range(300):
+            n = rng.randint(2, 14)
+            pairs = _random_tree(rng, n)
+            adj = SpanningTree(Graph.from_pairs(n, pairs), range(n - 1)).adjacency
+            for _ in range(6):
+                a, b = rng.randrange(n), rng.randrange(n)
+                path = tree_path_ids(adj, a, b)
+                on_path = {
+                    eid for eid in range(n - 1) if _separated_without(pairs, eid, a, b, n)
+                }
+                assert sorted(path) == sorted(on_path)
+                x = a
+                for eid in path:
+                    u, v = pairs[eid]
+                    assert x in (u, v)
+                    x = v if x == u else u
+                assert x == b
 
 
 class TestTreeCycle:
