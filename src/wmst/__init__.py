@@ -25,7 +25,6 @@ from .engine import (
     OnlineAlgorithm,
     RunTrace,
     TraceStep,
-    build_trace,
     check_cycle_dominance,
     check_post_rejection_dominance,
     ftp,

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import ArrivalOrder, OnlineAlgorithm, RunTrace, TraceStep, build_trace
+from .engine import ArrivalOrder, OnlineAlgorithm, RunTrace, TraceStep, _play
 from .exceptions import BadParameter
 from .graphs import Graph, WmstInstance, _UnionFind, mst
 from .rationals import ensure_fraction
@@ -103,30 +103,21 @@ def gen_ro_lb(k, delta, spokes: int) -> WmstInstance:
     return _hub_spoke_instance(k, spokes, delta)
 
 
-class _GameTape:
-    """Drives an opponent while the true weights are being decided."""
-
-    def __init__(self, graph: Graph, predicted: tuple[Fraction, ...], alg: OnlineAlgorithm):
-        self._graph = graph
-        self._predicted = predicted
-        self._alg = alg
-        self._steps: list[TraceStep] = []
-        self._order: list[int] = []
-        alg.initialize(graph, predicted)
-
-    def reveal(self, edge_id: int, weight: Fraction) -> bool:
-        decision = self._alg.reveal(self._graph.edges[edge_id], weight)
-        self._steps.append(TraceStep(edge_id, weight, decision))
-        self._order.append(edge_id)
-        return decision.accepted
-
-    def finish(self, actual: list[Fraction]) -> AdversarialGame:
-        instance = WmstInstance(self._graph, self._predicted, tuple(actual))
-        return AdversarialGame(
-            instance=instance,
-            order=ArrivalOrder(tuple(self._order)),
-            trace=build_trace(instance, self._steps),
-        )
+def _play_game(
+    graph: Graph,
+    predicted: tuple[Fraction, ...],
+    actual: list[Fraction | None],
+    alg: OnlineAlgorithm,
+    arrivals,
+) -> AdversarialGame:
+    """Play ``alg`` on ``arrivals(steps)``, which sets ``actual[eid]`` before it yields ``eid``."""
+    steps: list[TraceStep] = []
+    accepted, cost = _play(alg, graph, predicted, actual, arrivals(steps), steps)
+    return AdversarialGame(
+        instance=WmstInstance(graph, predicted, tuple(actual)),
+        order=ArrivalOrder(tuple(step.edge_id for step in steps)),
+        trace=RunTrace(tuple(steps), frozenset(accepted), cost),
+    )
 
 
 def gen_eta2_game(k: int, big_k: int, alg: OnlineAlgorithm) -> AdversarialGame:
@@ -143,12 +134,15 @@ def gen_eta2_game(k: int, big_k: int, alg: OnlineAlgorithm) -> AdversarialGame:
         raise BadParameter(f"big_k must exceed k, got {big_k}")
     graph = Graph.from_pairs(3, [(0, 1), (0, 2), (1, 2)])
     predicted = (Fraction(1), Fraction(1), Fraction(1))
-    tape = _GameTape(graph, predicted, alg)
-    accepted_first = tape.reveal(0, Fraction(k))
-    last = Fraction(1) if accepted_first else Fraction(big_k)
-    tape.reveal(1, Fraction(1))
-    tape.reveal(2, last)
-    return tape.finish([Fraction(k), Fraction(1), last])
+    actual: list[Fraction | None] = [Fraction(k), Fraction(1), None]
+
+    def arrivals(steps):
+        yield 0
+        actual[2] = Fraction(1) if steps[-1].decision.accepted else Fraction(big_k)
+        yield 1
+        yield 2
+
+    return _play_game(graph, predicted, actual, alg, arrivals)
 
 
 def gen_general_lb_game(k: int, stars: int, alg: OnlineAlgorithm) -> AdversarialGame:
@@ -180,20 +174,17 @@ def gen_general_lb_game(k: int, stars: int, alg: OnlineAlgorithm) -> Adversarial
             predicted.append(Fraction(k + i))
     graph = Graph.from_pairs(path_len + stars, pairs)
 
-    actual: list[Fraction | None] = [None] * graph.m
-    tape = _GameTape(graph, tuple(predicted), alg)
-    for i in range(path_len - 1):
-        actual[i] = Fraction(1)
-        tape.reveal(i, Fraction(1))
-    for j in range(stars):
-        actual[star_edge[j, 0]] = Fraction(2 * k)
-        for i in range(path_len - 1):
-            eid = star_edge[j, i]
-            accepted = tape.reveal(eid, actual[eid])
-            actual[star_edge[j, i + 1]] = Fraction(i + 1 if accepted else 2 * k + i + 1)
-        eid = star_edge[j, path_len - 1]
-        tape.reveal(eid, actual[eid])
-    return tape.finish(actual)
+    actual: list[Fraction | None] = [Fraction(1)] * (path_len - 1) + [None] * (stars * path_len)
+
+    def arrivals(steps):
+        yield from range(path_len - 1)
+        for j in range(stars):
+            for i in range(path_len):
+                cheap = i > 0 and steps[-1].decision.accepted
+                actual[star_edge[j, i]] = Fraction(i if cheap else 2 * k + i)
+                yield star_edge[j, i]
+
+    return _play_game(graph, tuple(predicted), actual, alg, arrivals)
 
 
 def random_instance(n: int, edge_prob, noise_scale, seed: int) -> WmstInstance:

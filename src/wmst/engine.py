@@ -1,11 +1,12 @@
 """Online weight-arrival execution.
 
 The engine replays an instance against an online algorithm: true weights
-arrive one edge at a time in a given order, the algorithm answers with an
-irrevocable accept or reject, and the engine records the trace and verifies
-that the accepted set is a spanning tree.  Two players are provided: one
-that commits to the predicted-weight tree, and a greedy variant that swaps
-revealed bargains in for unseen tree edges.
+arrive one edge at a time, the algorithm answers each with an irrevocable
+accept or reject, and the accepted set must end as a spanning tree.  Every
+execution (``run``, ``run_cost`` and the adaptive games) goes through one
+reveal loop, which raises ``NotSpanning`` at the offending reveal.  Two
+players are provided: one that commits to the predicted-weight tree, and a
+greedy variant that swaps revealed bargains in for unseen tree edges.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .exceptions import BadParameter, InvariantViolation, NotSpanning
 from .graphs import (
@@ -245,24 +246,47 @@ def gftp() -> OnlineAlgorithm:
 ALGORITHMS: dict[str, Callable[[], OnlineAlgorithm]] = {"ftp": ftp, "gftp": gftp}
 
 
-def build_trace(instance: WmstInstance, steps: Sequence[TraceStep]) -> RunTrace:
-    """Assemble and validate the trace of a completed execution."""
-    accepted = frozenset(s.edge_id for s in steps if s.decision.accepted)
-    _require_spanning(instance.graph, accepted)
-    cost = sum((instance.actual[eid] for eid in accepted), Fraction(0))
-    return RunTrace(tuple(steps), accepted, cost)
+def _play(
+    alg: OnlineAlgorithm,
+    graph: Graph,
+    predicted: Weights,
+    actual: Sequence[Fraction],
+    edge_ids: Iterable[int],
+    steps: list[TraceStep] | None = None,
+    checked: bool = False,
+) -> tuple[list[int], Fraction]:
+    """The one reveal loop: every online execution goes through it.
 
-
-def _require_spanning(graph: Graph, accepted: frozenset[int]) -> None:
-    if len(accepted) != graph.n - 1:
-        raise NotSpanning(
-            f"accepted {len(accepted)} edges, a spanning tree needs {graph.n - 1}"
-        )
+    Reads ``actual[eid]`` only once ``eid`` has been drawn from ``edge_ids``,
+    so an adaptive opponent may fix weights as the loop runs.  Records to
+    ``steps`` if given and runs the invariant checks if ``checked``.  Returns
+    the accepted ids in arrival order and their exact total weight.
+    """
+    alg.initialize(graph, predicted)
+    checker = _InvariantChecker(alg, graph, predicted) if checked else None
+    edges = graph.edges
+    reveal = alg.reveal
     uf = _UnionFind(graph.n)
-    for eid in accepted:
-        edge = graph.edges[eid]
-        if not uf.union(edge.u, edge.v):
-            raise NotSpanning("accepted edges contain a cycle")
+    accepted: list[int] = []
+    cost = Fraction(0)
+    for eid in edge_ids:
+        edge = edges[eid]
+        weight = actual[eid]
+        if checker is not None:
+            checker.before_reveal(edge)
+        decision = reveal(edge, weight)
+        if steps is not None:
+            steps.append(TraceStep(eid, weight, decision))
+        if checker is not None:
+            checker.after_reveal(edge, weight, decision)
+        if decision.accepted:
+            if not uf.union(edge.u, edge.v):
+                raise NotSpanning("accepted edges contain a cycle")
+            accepted.append(eid)
+            cost += weight
+    if len(accepted) != graph.n - 1:
+        raise NotSpanning(f"accepted {len(accepted)} edges, a spanning tree needs {graph.n - 1}")
+    return accepted, cost
 
 
 def run(
@@ -274,53 +298,29 @@ def run(
 ) -> RunTrace:
     """Reveal true weights in order and record every decision.
 
-    Raises ``NotSpanning`` if the algorithm's accepted set fails to form a
-    spanning tree.  With ``checked=True`` the structural invariants of the
-    swap rule are asserted after every step (see ``check_cycle_dominance``
-    and ``check_post_rejection_dominance``).
+    Shares its reveal loop with :func:`run_cost` and the adaptive games, and
+    raises ``NotSpanning`` at the accept that closes a cycle, or at the end
+    if too few edges were accepted.  ``checked=True`` asserts the swap rule's
+    invariants around every reveal (``check_cycle_dominance`` and
+    ``check_post_rejection_dominance``).
     """
     graph = instance.graph
     if len(order) != graph.m:
         raise BadParameter(f"order covers {len(order)} of {graph.m} edges")
-    alg.initialize(graph, instance.predicted)
-    checker = _InvariantChecker(alg, instance) if checked else None
     steps: list[TraceStep] = []
-    for eid in order.edge_ids:
-        edge = graph.edges[eid]
-        weight = instance.actual[eid]
-        if checker is not None:
-            checker.before_reveal(edge)
-        decision = alg.reveal(edge, weight)
-        steps.append(TraceStep(eid, weight, decision))
-        if checker is not None:
-            checker.after_reveal(edge, weight, decision)
-    return build_trace(instance, steps)
+    accepted, cost = _play(
+        alg, graph, instance.predicted, instance.actual, order.edge_ids, steps, checked
+    )
+    return RunTrace(tuple(steps), frozenset(accepted), cost)
 
 
 def run_cost(alg: OnlineAlgorithm, instance: WmstInstance, order_ids: Sequence[int]) -> Fraction:
-    """Cost-only fast path of :func:`run` for bulk experiments.
+    """Cost-only form of :func:`run` for bulk experiments.
 
-    Trusts ``order_ids`` to be a permutation of the edge ids; the final
-    spanning check still applies.
+    The same reveal loop with no trace and no checks, raising the same
+    ``NotSpanning``; trusts ``order_ids`` to be a permutation of the edge ids.
     """
-    graph = instance.graph
-    edges = graph.edges
-    actual = instance.actual
-    alg.initialize(graph, instance.predicted)
-    reveal = alg.reveal
-    cost = Fraction(0)
-    count = 0
-    uf = _UnionFind(graph.n)
-    for eid in order_ids:
-        if reveal(edges[eid], actual[eid]).accepted:
-            edge = edges[eid]
-            if not uf.union(edge.u, edge.v):
-                raise NotSpanning("accepted edges contain a cycle")
-            cost += actual[eid]
-            count += 1
-    if count != graph.n - 1:
-        raise NotSpanning(f"accepted {count} edges, need {graph.n - 1}")
-    return cost
+    return _play(alg, instance.graph, instance.predicted, instance.actual, order_ids)[1]
 
 
 def check_cycle_dominance(
@@ -375,10 +375,11 @@ class _InvariantChecker:
     serve every check until the working tree next changes.
     """
 
-    def __init__(self, alg: OnlineAlgorithm, instance: WmstInstance):
+    def __init__(self, alg: OnlineAlgorithm, graph: Graph, predicted: Weights):
         self._alg = alg
-        self._instance = instance
-        self._unseen = set(range(instance.m))
+        self._graph = graph
+        self._predicted = predicted
+        self._unseen = set(range(graph.m))
         self._rejections: list[tuple[Edge, Fraction]] = []
         self._initial = alg.initial_tree_ids() or frozenset()
         self._tree: SpanningTree | None = None
@@ -389,14 +390,14 @@ class _InvariantChecker:
         if ids is None:
             self._tree = None
         elif self._tree is None or ids != self._tree.edge_ids:
-            self._tree = SpanningTree(self._instance.graph, ids)
+            self._tree = SpanningTree(self._graph, ids)
 
     def before_reveal(self, edge: Edge) -> None:
         tree = self._tree
         if tree is None or edge.id in tree:
             return
         check_cycle_dominance(
-            self._instance.predicted,
+            self._predicted,
             tree,
             self._initial,
             frozenset(self._unseen),
@@ -416,7 +417,7 @@ class _InvariantChecker:
         unseen = frozenset(self._unseen)
         for rejected, rejected_weight in self._rejections:
             check_post_rejection_dominance(
-                self._instance.predicted,
+                self._predicted,
                 tree,
                 unseen,
                 rejected,

@@ -41,12 +41,16 @@ def save_instance(instance: WmstInstance, path: str | Path) -> None:
     Path(path).write_text(dumps_instance(instance), encoding="utf-8")
 
 
-def load_instance(path: str | Path) -> WmstInstance:
+def _read_json(path: str | Path):
+    """Parse a UTF-8 JSON file; any decoding failure is an ``InstanceError``."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InstanceError(f"{path}: not valid JSON ({exc})") from exc
-    return validate_instance(payload)
+
+
+def load_instance(path: str | Path) -> WmstInstance:
+    return validate_instance(_read_json(path))
 
 
 def dumps_order(order: ArrivalOrder) -> str:
@@ -58,10 +62,7 @@ def save_order(order: ArrivalOrder, path: str | Path) -> None:
 
 
 def load_order(path: str | Path) -> ArrivalOrder:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"{path}: not valid JSON ({exc})") from exc
+    payload = _read_json(path)
     if not isinstance(payload, dict) or not isinstance(payload.get("order"), list):
         raise InstanceError(f"{path}: expected an object with an 'order' list")
     return ArrivalOrder(tuple(payload["order"]))

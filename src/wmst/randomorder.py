@@ -94,7 +94,11 @@ def _worker_seed(seed: int, worker: int) -> int:
 
 def resolve_workers(workers: int | None) -> int:
     if workers is None:
-        workers = int(os.environ.get("WMST_THREADS", "1"))
+        raw = os.environ.get("WMST_THREADS", "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise BadParameter(f"WMST_THREADS must be an integer, got {raw!r}") from None
     if workers < 1:
         raise BadParameter(f"worker count must be positive, got {workers}")
     return workers

@@ -1,6 +1,8 @@
 """Command-line workflows, file round-trips, CSV schema."""
 
+import contextlib
 import csv
+import hashlib
 import io as stdio
 import json
 from fractions import Fraction
@@ -8,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from wmst import InstanceError, validate_instance
+from wmst import BadParameter, InstanceError, validate_instance
 from wmst.cli import CSV_COLUMNS, main
 from wmst.io import load_instance, load_order, save_instance
+from wmst.randomorder import resolve_workers
 
 F = Fraction
 
@@ -230,7 +233,144 @@ def test_bad_order_or_parameter_exits_two(tmp_path, capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [b"\xff", b"[" * 100_000], ids=["not-utf8", "too-deep"])
+@pytest.mark.parametrize("target", ["instance", "order"])
+def test_undecodable_json_exits_two(tmp_path, capsys, content, target):
+    inst = tmp_path / "tri.json"
+    inst.write_text(json.dumps(_triangle_payload()))
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    if target == "instance":
+        argv = ["run", "ftp", str(bad)]
+    else:
+        argv = ["run", "ftp", str(inst), "--order", f"given:{bad}"]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_malformed_wmst_threads_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("WMST_THREADS", "x")
+    with pytest.raises(BadParameter, match="WMST_THREADS"):
+        resolve_workers(None)
+    path = tmp_path / "ro.json"
+    run_cli(capsys, "gen", "ro-lb", "--k", "2", "--delta", "1/2", "--l", "1",
+            "--out", str(path))
+    assert main(["ro", "ftp", str(path), "--trials", "10"]) == 2
+    assert "error: WMST_THREADS" in capsys.readouterr().err
+
+
 def test_selftest_passes(capsys):
     code, text = run_cli(capsys, "selftest")
     assert code == 0
     assert "all good" in text
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_commands() -> list[str]:
+    """Every ``wmst gen|run|ro|sweep`` line of the README, ``--trials`` cut to 200."""
+    commands = []
+    for line in README.read_text(encoding="utf-8").splitlines():
+        words = line.split("#", 1)[0].split()
+        if words[:1] == ["wmst"] and words[1:2] in (["gen"], ["run"], ["ro"], ["sweep"]):
+            if "--trials" in words:
+                at = words.index("--trials") + 1
+                words[at] = str(min(int(words[at]), 200))
+            commands.append(" ".join(words[1:]))
+    return commands
+
+
+README_COMMANDS = _readme_commands()
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_readme_commands(work: Path) -> dict[str, tuple[int, dict[str, str]]]:
+    """Run the README commands in order inside ``work``.
+
+    Returns, per command, its exit code and the SHA-256 of its stdout and of
+    every file it wrote.
+    """
+    outputs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(work)
+        mp.delenv("WMST_THREADS", raising=False)
+        files: dict[str, str] = {}
+        for command in README_COMMANDS:
+            stdout = stdio.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main(command.split())
+            now = {p.name: _sha256(p.read_bytes()) for p in work.iterdir()}
+            hashes = {"stdout": _sha256(stdout.getvalue().encode())}
+            hashes.update((name, h) for name, h in now.items() if files.get(name) != h)
+            files = now
+            outputs[command] = (code, hashes)
+    return outputs
+
+
+# Digests recorded before the three reveal loops became one; outputs must stay byte-identical.
+README_GOLDEN: dict[str, dict[str, str]] = {
+    "gen ftp-lb --k 3 --l 3 --out fam.json": {
+        "stdout": "c3fd6b49d90aac6d894ba2599bdc91beef03cf2e8e8f8274d2353560925a5642",
+        "fam.json": "91fbfc0616dbe63a6e3c8443d9250a3a7fee3d668f0c1fbd582067da7afd1f13",
+        "fam.defeat-order.json": "7f491633d48c6f8eea0b1bc318b6cbdc3a615764878adcad08455b881590773a",
+    },
+    "gen ro-lb --k 2 --delta 1/2 --l 1 --out ro.json": {
+        "stdout": "2210daa6e8fcf268c00fe34dfbab69566a9b144046ab5098a1ad6f68c8282335",
+        "ro.json": "6d2d4028883f15fe1241f6ad755d799d4989f1a9f1de0788d01655bb777f835a",
+    },
+    "gen general-lb --k 3 --l 2 --alg gftp --out game.json": {
+        "stdout": "bf4910aa812d07b3b15a09e7166bc7af68b56ec23f0c95d533dbbcfdd3a903ec",
+        "game.json": "fe3dd383cc3083c686746f80aed4e7bee2a79b31db8f558f35b5c98c913a9f36",
+        "game.order.json": "036d9afa98545cfea4c230f8b6274c14fdcfbb60a416fbc8641642c78c57c994",
+        "game.trace.txt": "7467a5b9e2e71cacebf892d781ef71268b8e7688ccc2f525377d217f3c031b1c",
+    },
+    "gen eta2 --k 5 --alg ftp --out tri.json": {
+        "stdout": "5d45a7bbfca0bcf226cded9bdd96aed651ef6a2401edf0a7caed00fc5a038e13",
+        "tri.order.json": "386af51206f45cfeeed094041cbc848c9b08d39807760ed7f48e85a9eba984dd",
+        "tri.json": "08be8a051d9a41ba4d0cade2cb7b0b565d09911ef776fe691050793c9d052bd7",
+        "tri.trace.txt": "2e92a7fff175853d90ad621ed0201d8191aac7d0a35ddbc3e646353150922625",
+    },
+    "gen random --n 6 --edge-prob 1/2 --noise 1/4 --seed 7 --out rnd.json": {
+        "stdout": "bf23aca29179e2887a46a4743851b664d776a5622079dea59d72b2c08447c0c7",
+        "rnd.json": "9db5ee70a7ac2b38469b70927fcaf539a2b576b4fb4e99e284e9d90e6636e7f1",
+    },
+    "run ftp fam.json": {
+        "stdout": "1f6764269ff154ffdb94b24677db087ed20c3e9492c4b8ed31d45187008dec8f",
+    },
+    "run gftp fam.json --order given:fam.defeat-order.json --checked": {
+        "stdout": "56ecd0625e1169777de637e4ee98c691664e73374284bc1f7b45e533eeb864f0",
+    },
+    "run gftp rnd.json --order seed:42 --trace-out trace.txt": {
+        "stdout": "df2535db7ce63c57acb2c9bf92a7a385f3f198d888375be44b8ae61f5ba6e947",
+        "trace.txt": "b8473209a9a37743efa6b88f81377a0dd1f9208531b17c07ce01c2272937ed89",
+    },
+    "ro gftp ro.json --exact": {
+        "stdout": "a8f0c5c58c986326ff3af1ffd7e5a8fb8b6a256fbbe78ef6a83c0f655383b97c",
+    },
+    "ro gftp ro.json --trials 200 --seed 1": {
+        "stdout": "bfaed9b8ae71692887aa86cafb4c6b7c4904856b0318655c010b9e2db7fb914e",
+    },
+    "sweep ftp-lb --k 2,3,4 --l 1,2,4,8 --algs ftp --trials 100 --out table.csv": {
+        "stdout": "b24b61f661caa398c623a70ecd45be1dcbc4dcfec4d555d188da4496a5ef920b",
+        "table.csv": "8b4a73d4759dfb0f456fb1213498d8569c7279bea367082c71a578fb9d23fb52",
+    },
+    "sweep ro-lb --k 4 --l 1,5,20 --delta 1/2 --algs ftp,gftp --trials 200": {
+        "stdout": "2d6d840188fde9fc86b83fa0d52ed47f1c0e1dad648c74e3d795283ad681feff",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def readme_outputs(tmp_path_factory):
+    return run_readme_commands(tmp_path_factory.mktemp("readme"))
+
+
+@pytest.mark.parametrize("command", README_COMMANDS)
+def test_readme_command_outputs_are_unchanged(readme_outputs, command):
+    code, hashes = readme_outputs[command]
+    assert code == 0
+    assert hashes == README_GOLDEN[command]

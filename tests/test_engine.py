@@ -1,6 +1,7 @@
 """Online execution: the two players, the replay engine, checked mode."""
 
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
 
 import pytest
@@ -211,28 +212,53 @@ class TestRunEngine:
                 ).cost
 
     def test_rejecting_everything_is_caught(self):
-        class RejectAll(OnlineAlgorithm):
-            def initialize(self, graph, predicted):
-                pass
-
-            def reveal(self, edge, weight):
-                return Decision.reject()
-
-        inst = triangle()
-        with pytest.raises(NotSpanning):
-            run(RejectAll(), inst, ArrivalOrder.identity(3))
+        message = "accepted 0 edges, a spanning tree needs 2"
+        assert _not_spanning_messages(RejectAll) == [message, message]
 
     def test_cycle_accepts_are_caught(self):
-        class AcceptAll(OnlineAlgorithm):
-            def initialize(self, graph, predicted):
-                pass
+        message = "accepted edges contain a cycle"
+        assert _not_spanning_messages(AcceptAll) == [message, message]
 
-            def reveal(self, edge, weight):
-                return Decision.accept()
+    def test_over_acceptance_stops_at_the_cycle(self):
+        # a triangle 0-1-2 plus a pendant edge 2-3: the third accept closes the
+        # cycle, so the pendant edge is never revealed
+        graph = Graph.from_pairs(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        ones = (F(1),) * 4
+        inst = WmstInstance(graph, ones, ones)
+        for execute in (run, partial(run, checked=True), run_cost):
+            player = AcceptAll()
+            with pytest.raises(NotSpanning, match="accepted edges contain a cycle"):
+                execute(player, inst, ArrivalOrder.identity(4))
+            assert player.revealed == [0, 1, 2]
 
-        inst = triangle()
-        with pytest.raises(NotSpanning):
-            run(AcceptAll(), inst, ArrivalOrder.identity(3))
+
+def _not_spanning_messages(player) -> list[str]:
+    """The ``NotSpanning`` messages of ``run`` and ``run_cost`` on the triangle."""
+    messages = []
+    for execute in (run, run_cost):
+        with pytest.raises(NotSpanning) as excinfo:
+            execute(player(), triangle(), ArrivalOrder.identity(3))
+        messages.append(str(excinfo.value))
+    return messages
+
+
+class AcceptAll(OnlineAlgorithm):
+    """Accepts every edge; remembers which ones it was shown."""
+
+    def initialize(self, graph, predicted):
+        self.revealed = []
+
+    def reveal(self, edge, weight):
+        self.revealed.append(edge.id)
+        return Decision.accept()
+
+
+class RejectAll(OnlineAlgorithm):
+    def initialize(self, graph, predicted):
+        pass
+
+    def reveal(self, edge, weight):
+        return Decision.reject()
 
 
 class TestCheckedMode:
