@@ -9,6 +9,7 @@ random-order experiment harness.
 """
 
 from .adversaries import (
+    RANDOM_VERTEX_LIMIT,
     AdversarialGame,
     gen_eta2_game,
     gen_ftp_lb,

@@ -14,13 +14,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import ArrivalOrder, OnlineAlgorithm, RunTrace, TraceStep, _play
-from .exceptions import BadParameter
+from .exceptions import BadParameter, TooLarge
 from .graphs import Graph, WmstInstance, _UnionFind, mst
 from .rationals import ensure_fraction
 
 # Random weights land on this grid so denominators stay small and exact
 # arithmetic stays fast.
 WEIGHT_GRID = 1 << 16
+
+# Each connection attempt draws all C(n, 2) candidate pairs: about 2e6 here.
+RANDOM_VERTEX_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -197,6 +200,11 @@ def random_instance(n: int, edge_prob, noise_scale, seed: int) -> WmstInstance:
     """
     if n < 2:
         raise BadParameter(f"need at least 2 vertices, got {n}")
+    if n > RANDOM_VERTEX_LIMIT:
+        raise TooLarge(
+            f"{n} vertices means {n * (n - 1) // 2} candidate pairs; "
+            f"the limit is {RANDOM_VERTEX_LIMIT} vertices"
+        )
     edge_prob = ensure_fraction(edge_prob, "edge_prob")
     noise_scale = ensure_fraction(noise_scale, "noise_scale")
     if not 0 < edge_prob <= 1:

@@ -13,7 +13,10 @@ import argparse
 import math
 import sys
 from fractions import Fraction
+from functools import partial
+from itertools import product
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import adversaries, io, metrics, randomorder
 from .engine import ALGORITHMS, ArrivalOrder, run
@@ -64,48 +67,80 @@ def _sidecar(out: Path, tag: str) -> Path:
     return out.with_name(f"{stem}.{tag}")
 
 
+class Family(NamedTuple):
+    """A family's parameter names, in label order, and its builder.
+
+    ``build(**params)`` returns the instance, the game if the family is one,
+    and the sidecar files ``gen`` writes as ``(tag, label, write(path))``.
+    """
+
+    params: tuple[str, ...]
+    build: Callable
+
+
+def _ftp_lb(k, l):
+    instance, _, defeating = adversaries.gen_ftp_lb(k, l)
+    return instance, None, [
+        ("defeat-order.json", "defeating order", partial(io.save_order, defeating))
+    ]
+
+
+def _game(game: adversaries.AdversarialGame):
+    return game.instance, game, [
+        ("order.json", "game order", partial(io.save_order, game.order)),
+        ("trace.txt", "game trace", partial(io.save_trace, game.trace)),
+    ]
+
+
+FAMILIES = {
+    "ftp-lb": Family(("k", "l"), _ftp_lb),
+    "ro-lb": Family(
+        ("k", "delta", "l"), lambda k, delta, l: (adversaries.gen_ro_lb(k, delta, l), None, [])
+    ),
+    "general-lb": Family(
+        ("k", "l", "alg"),
+        lambda k, l, alg: _game(adversaries.gen_general_lb_game(k, l, _alg_factory(alg)())),
+    ),
+    "eta2": Family(
+        ("k", "big_k", "alg"),
+        lambda k, big_k, alg: _game(adversaries.gen_eta2_game(k, big_k, _alg_factory(alg)())),
+    ),
+    "random": Family(
+        ("n", "edge_prob", "noise", "seed"),
+        lambda n, edge_prob, noise, seed: (
+            adversaries.random_instance(n, edge_prob, noise, seed), None, []
+        ),
+    ),
+}
+SWEEP_FAMILIES = [name for name in FAMILIES if name != "random"]
+
+
+def _family_params(family: str, values: dict) -> dict:
+    """The family's parameters, in label order, taken from ``values``.
+
+    The games, the families played against an ``alg``, take an integer
+    ``k``; an unset ``big_k`` is ``10 * k``.
+    """
+    params = {name: values[name] for name in FAMILIES[family].params}
+    if "alg" in params:
+        params["k"] = _integer_k(family, params["k"])
+    if "big_k" in params and params["big_k"] is None:
+        params["big_k"] = 10 * params["k"]
+    return params
+
+
 def cmd_gen(args) -> int:
     out = Path(args.out if args.out else f"{args.family}.json")
+    params = _family_params(args.family, vars(args))
+    instance, _, sidecars = FAMILIES[args.family].build(**params)
     extras: list[tuple[Path, str]] = []
-    if args.family == "ftp-lb":
-        instance, _, defeating = adversaries.gen_ftp_lb(args.k, args.l)
-        io.save_order(defeating, _sidecar(out, "defeat-order.json"))
-        extras.append((_sidecar(out, "defeat-order.json"), "defeating order"))
-        config = f"gen ftp-lb k={args.k} l={args.l}"
-    elif args.family == "ro-lb":
-        instance = adversaries.gen_ro_lb(args.k, args.delta, args.l)
-        config = f"gen ro-lb k={args.k} delta={args.delta} l={args.l}"
-    elif args.family == "general-lb":
-        k = _integer_k(args.family, args.k)
-        game = adversaries.gen_general_lb_game(k, args.l, _alg_factory(args.alg)())
-        instance = game.instance
-        io.save_order(game.order, _sidecar(out, "order.json"))
-        io.save_trace(game.trace, _sidecar(out, "trace.txt"))
-        extras.append((_sidecar(out, "order.json"), "game order"))
-        extras.append((_sidecar(out, "trace.txt"), "game trace"))
-        config = f"gen general-lb k={k} l={args.l} alg={args.alg}"
-    elif args.family == "eta2":
-        k = _integer_k(args.family, args.k)
-        big_k = args.big_k if args.big_k is not None else 10 * k
-        game = adversaries.gen_eta2_game(k, big_k, _alg_factory(args.alg)())
-        instance = game.instance
-        io.save_order(game.order, _sidecar(out, "order.json"))
-        io.save_trace(game.trace, _sidecar(out, "trace.txt"))
-        extras.append((_sidecar(out, "order.json"), "game order"))
-        extras.append((_sidecar(out, "trace.txt"), "game trace"))
-        config = f"gen eta2 k={k} big-k={big_k} alg={args.alg}"
-    elif args.family == "random":
-        instance = adversaries.random_instance(
-            args.n, args.edge_prob, args.noise, args.seed
-        )
-        config = (
-            f"gen random n={args.n} edge-prob={args.edge_prob} "
-            f"noise={args.noise} seed={args.seed}"
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise WmstError(f"unknown family {args.family!r}")
+    for tag, label, write in sidecars:
+        path = _sidecar(out, tag)
+        write(path)
+        extras.append((path, label))
     io.save_instance(instance, out)
-    print(f"# config: {config} out={out}")
+    config = " ".join(f"{name.replace('_', '-')}={value}" for name, value in params.items())
+    print(f"# config: gen {args.family} {config} out={out}")
     print(f"wrote instance to {out}")
     for path, label in extras:
         print(f"wrote {label} to {path}")
@@ -153,47 +188,25 @@ def cmd_run(args) -> int:
     return 0 if bound_holds else 1
 
 
-def _csv_row_mc(instance_id: str, algorithm: str, seed: int, est) -> str:
+def _csv_row(instance_id: str, algorithm: str, seed: int, est) -> str:
+    def number(x) -> str:
+        return format_fraction(x) if isinstance(x, Fraction) else _dec(x)
+
     return ",".join(
         [
             instance_id,
             algorithm,
             str(est.trials),
             str(seed),
-            _dec(est.mean_cost),
-            _dec(est.std_error),
+            number(est.mean_cost),
+            number(est.std_error),
             format_fraction(est.opt),
             format_fraction(est.eta),
             format_fraction(est.epsilon),
-            _dec(est.ratio),
+            number(est.ratio),
             _dec(est.bound_1e),
             _dec(est.bound_ln2),
             _dec(est.bound_2e),
-        ]
-    )
-
-
-def _csv_row_exact(
-    instance_id: str, algorithm: str, instance, value: Fraction, trials: int
-) -> str:
-    opt, err, eps = randomorder._instance_stats(instance)
-    b1, bln, b2 = randomorder._bounds(eps)
-    ratio = value / opt
-    return ",".join(
-        [
-            instance_id,
-            algorithm,
-            str(trials),
-            "0",
-            format_fraction(value),
-            "0",
-            format_fraction(opt),
-            format_fraction(err),
-            format_fraction(eps),
-            format_fraction(ratio),
-            _dec(b1),
-            _dec(bln),
-            _dec(b2),
         ]
     )
 
@@ -202,44 +215,35 @@ def _emit_csv(lines: list[str], out: str | None, comments: list[str]) -> None:
     body = "\n".join([CSV_COLUMNS, *lines]) + "\n"
     if out:
         Path(out).write_text(body, encoding="utf-8")
-        for comment in comments:
-            print(comment)
-        print(f"wrote {len(lines)} row(s) to {out}")
-    else:
-        for comment in comments:
-            print(comment)
-        print(body, end="")
+        body = f"wrote {len(lines)} row(s) to {out}\n"
+    for comment in comments:
+        print(comment)
+    print(body, end="")
 
 
 def cmd_ro(args) -> int:
     instance = io.load_instance(args.instance)
     factory = _alg_factory(args.alg)
-    instance_id = args.id or Path(args.instance).name
-    flagged = False
     if args.exact:
         value = randomorder.exact_expectation(factory, instance)
+        est = randomorder.estimate(instance, value, math.factorial(instance.m))
+        seed = 0
         comments = [
             f"# config: ro alg={args.alg} instance={args.instance} exact",
             f"# exact mean = {format_fraction(value)}",
         ]
-        row = _csv_row_exact(
-            instance_id, args.alg, instance, value, math.factorial(instance.m)
-        )
-        opt, _, eps = randomorder._instance_stats(instance)
-        if args.alg == "gftp":
-            flagged = float(value / opt) > randomorder._bounds(eps)[1]
     else:
         est = randomorder.mc_estimate(
             factory, instance, args.trials, args.seed, workers=args.workers
         )
-        rep = randomorder.ratio_report(est, args.alg)
-        flagged = rep.exceeds_ln2_bound
+        seed = args.seed
         comments = [
             f"# config: ro alg={args.alg} instance={args.instance} "
             f"trials={args.trials} seed={args.seed}"
         ]
-        row = _csv_row_mc(instance_id, args.alg, args.seed, est)
-    _emit_csv([row], args.out, comments)
+    instance_id = args.id or Path(args.instance).name
+    _emit_csv([_csv_row(instance_id, args.alg, seed, est)], args.out, comments)
+    flagged = randomorder.ratio_report(est, args.alg).exceeds_ln2_bound
     if flagged:
         print("FLAG: measured ratio exceeds 1+(1+ln2)*epsilon beyond 3 std errors")
     return 1 if flagged else 0
@@ -261,64 +265,38 @@ def cmd_sweep(args) -> int:
         raise WmstError("empty algorithm list")
     for name in algs:
         _alg_factory(name)
-    ks = _parse_grid(args.k, parse_fraction)
-    ls = _parse_grid(args.l, int)
-    if args.family in ("general-lb", "eta2"):
-        ks = [_integer_k(args.family, k) for k in ks]
+    grid = {
+        "k": _parse_grid(args.k, parse_fraction),
+        "l": _parse_grid(args.l, int),
+        "delta": [args.delta],
+        "big_k": [None],
+        "alg": algs,
+    }
+    # one row per value of the family's own parameters, times the players
+    family = FAMILIES[args.family]
+    axes = family.params if "alg" in family.params else (*family.params, "alg")
+    points = [dict(zip(axes, values)) for values in product(*(grid[a] for a in axes))]
+    jobs = [(point["alg"], _family_params(args.family, point)) for point in points]
     rows: list[str] = []
     flagged = False
-    index = 0
-    for k in ks:
-        for l in ls:
-            for alg_name in algs:
-                if args.family == "ftp-lb":
-                    instance, _, _ = adversaries.gen_ftp_lb(k, l)
-                    seed = args.seed + index
-                    est = randomorder.mc_estimate(
-                        _alg_factory(alg_name), instance, args.trials, seed,
-                        workers=args.workers,
-                    )
-                    rep = randomorder.ratio_report(est, alg_name)
-                    flagged = flagged or rep.exceeds_ln2_bound
-                    rows.append(
-                        _csv_row_mc(f"ftp-lb(k={k};l={l})", alg_name, seed, est)
-                    )
-                elif args.family == "ro-lb":
-                    instance = adversaries.gen_ro_lb(k, args.delta, l)
-                    seed = args.seed + index
-                    est = randomorder.mc_estimate(
-                        _alg_factory(alg_name), instance, args.trials, seed,
-                        workers=args.workers,
-                    )
-                    rep = randomorder.ratio_report(est, alg_name)
-                    flagged = flagged or rep.exceeds_ln2_bound
-                    rows.append(
-                        _csv_row_mc(
-                            f"ro-lb(k={k};delta={args.delta};l={l})",
-                            alg_name, seed, est,
-                        )
-                    )
-                elif args.family == "general-lb":
-                    game = adversaries.gen_general_lb_game(
-                        k, l, _alg_factory(alg_name)()
-                    )
-                    rows.append(
-                        _csv_row_exact(
-                            f"general-lb(k={k};l={l};alg={alg_name})",
-                            alg_name, game.instance, game.trace.cost, 1,
-                        )
-                    )
-                else:  # eta2: l is ignored by the triangle game
-                    game = adversaries.gen_eta2_game(
-                        k, 10 * k, _alg_factory(alg_name)()
-                    )
-                    rows.append(
-                        _csv_row_exact(
-                            f"eta2(k={k};bigK={10 * k};alg={alg_name})",
-                            alg_name, game.instance, game.trace.cost, 1,
-                        )
-                    )
-                index += 1
+    for index, (alg_name, params) in enumerate(jobs):
+        instance, game, _ = family.build(**params)
+        labels = ";".join(
+            f"{'bigK' if name == 'big_k' else name}={value}"
+            for name, value in params.items()
+        )
+        instance_id = f"{args.family}({labels})"
+        if game is None:
+            seed = args.seed + index
+            est = randomorder.mc_estimate(
+                _alg_factory(alg_name), instance, args.trials, seed,
+                workers=args.workers,
+            )
+            flagged = flagged or randomorder.ratio_report(est, alg_name).exceeds_ln2_bound
+        else:  # one adversarial order: its exact cost, never flagged
+            seed = 0
+            est = randomorder.estimate(instance, game.trace.cost, 1)
+        rows.append(_csv_row(instance_id, alg_name, seed, est))
     comments = [
         f"# config: sweep family={args.family} k={args.k} l={args.l} "
         f"delta={args.delta} algs={args.algs} trials={args.trials} seed={args.seed}"
@@ -441,9 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate an instance family")
-    gen.add_argument(
-        "family", choices=["ftp-lb", "general-lb", "ro-lb", "eta2", "random"]
-    )
+    gen.add_argument("family", choices=list(FAMILIES))
     gen.add_argument("--k", type=parse_fraction, default=Fraction(2))
     gen.add_argument("--l", type=int, default=1, help="spoke or star count")
     gen.add_argument("--delta", type=parse_fraction, default=Fraction(1, 2))
@@ -476,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ro.set_defaults(func=cmd_ro)
 
     sweep = sub.add_parser("sweep", help="CSV table over a parameter grid")
-    sweep.add_argument("family", choices=["ftp-lb", "ro-lb", "general-lb", "eta2"])
+    sweep.add_argument("family", choices=SWEEP_FAMILIES)
     sweep.add_argument("--k", required=True, help="comma list, e.g. 2,3,4")
     sweep.add_argument("--l", required=True, help="comma list, e.g. 1,2,4")
     sweep.add_argument("--delta", type=parse_fraction, default=Fraction(1, 2))

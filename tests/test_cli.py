@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from wmst import BadParameter, InstanceError, validate_instance
+from wmst import BadParameter, InstanceError, randomorder, validate_instance
 from wmst.cli import CSV_COLUMNS, main
 from wmst.io import load_instance, load_order, save_instance
 from wmst.randomorder import resolve_workers
@@ -169,6 +169,52 @@ def test_sweep_shows_separation(tmp_path, capsys):
         assert by_key[(instance_id, "gftp")] < by_key[(instance_id, "ftp")]
 
 
+def test_sweep_eta2_prints_one_row_per_k_and_player(capsys):
+    code, text = run_cli(capsys, "sweep", "eta2", "--k", "2", "--l", "1,2,3", "--algs", "ftp")
+    assert code == 0
+    rows = _parse_csv(text)
+    assert [r["instance_id"] for r in rows] == ["eta2(k=2;bigK=20;alg=ftp)"]
+    assert (rows[0]["trials"], rows[0]["seed"], rows[0]["stderr"]) == ("1", "0", "0")
+    assert (rows[0]["mean"], rows[0]["ratio"]) == ("3/1", "3/2")
+
+
+def _above_ln2_curve(instance, trials):
+    """An estimate of ``instance`` whose ratio lies one unit above ``1+(1+ln2)e``."""
+    ref = randomorder.estimate(instance, 0.0, trials)
+    return randomorder.estimate(instance, (ref.bound_ln2 + 1) * float(ref.opt), trials)
+
+
+@pytest.mark.parametrize("mode", ["monte-carlo", "exact"])
+def test_ro_flags_gftp_above_the_ln2_curve(tmp_path, capsys, monkeypatch, mode):
+    path = tmp_path / "ro.json"
+    run_cli(capsys, "gen", "ro-lb", "--k", "2", "--delta", "1/2", "--l", "1",
+            "--out", str(path))
+    instance = load_instance(path)
+    high = _above_ln2_curve(instance, 6)
+    if mode == "exact":
+        monkeypatch.setattr(randomorder, "exact_expectation",
+                            lambda factory, inst: Fraction(high.mean_cost))
+        argv = ["--exact"]
+    else:
+        monkeypatch.setattr(randomorder, "mc_estimate", lambda *args, **kwargs: high)
+        argv = ["--trials", "6"]
+    for alg, flagged in (("gftp", True), ("ftp", False)):
+        code, text = run_cli(capsys, "ro", alg, str(path), *argv)
+        assert code == (1 if flagged else 0)
+        assert text.endswith(
+            "FLAG: measured ratio exceeds 1+(1+ln2)*epsilon beyond 3 std errors\n"
+        ) == flagged
+        assert Fraction(_parse_csv(text)[0]["ratio"]) > high.bound_ln2
+
+
+def test_gen_random_refuses_too_many_vertices(tmp_path, capsys):
+    out = tmp_path / "big.json"
+    code = main(["gen", "random", "--n", "100000", "--out", str(out)])
+    assert code == 2
+    assert "candidate pairs; the limit is" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_empty_grid_fails(capsys):
     code = main(["sweep", "ftp-lb", "--k", "", "--l", "1"])
     assert code == 2
@@ -311,7 +357,9 @@ def run_readme_commands(work: Path) -> dict[str, tuple[int, dict[str, str]]]:
     return outputs
 
 
-# Digests recorded before the three reveal loops became one; outputs must stay byte-identical.
+# Digests of the README commands' outputs. They are fixed: a change to the code
+# must leave every one byte-identical, and only editing a README command calls
+# for recording its digests again.
 README_GOLDEN: dict[str, dict[str, str]] = {
     "gen ftp-lb --k 3 --l 3 --out fam.json": {
         "stdout": "c3fd6b49d90aac6d894ba2599bdc91beef03cf2e8e8f8274d2353560925a5642",
@@ -360,6 +408,12 @@ README_GOLDEN: dict[str, dict[str, str]] = {
     },
     "sweep ro-lb --k 4 --l 1,5,20 --delta 1/2 --algs ftp,gftp --trials 200": {
         "stdout": "2d6d840188fde9fc86b83fa0d52ed47f1c0e1dad648c74e3d795283ad681feff",
+    },
+    "sweep general-lb --k 2,3 --l 1,2 --algs ftp,gftp": {
+        "stdout": "ae3e2d8fbee0afa534d5264582f0173b6fc528d09c6e74025cb48ec704c8d378",
+    },
+    "sweep eta2 --k 2,4 --l 1 --algs ftp,gftp": {
+        "stdout": "638299dc4d60bcd89c3c2b16ee892d5029880780dd6ec2e60284db16565c35d6",
     },
 }
 

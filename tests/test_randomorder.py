@@ -25,6 +25,7 @@ from wmst import (
     tree_cost,
     mst,
 )
+from wmst.randomorder import estimate
 
 F = Fraction
 
@@ -166,6 +167,18 @@ class TestRatioReport:
     def test_follower_is_never_flagged(self):
         est = self._estimate(ratio=4.9, std_error=0.001)
         assert not ratio_report(est, "ftp").exceeds_ln2_bound
+
+    def test_exact_ratio_is_flagged_as_a_float(self):
+        inst = gen_ro_lb(2, F(1, 2), 1)
+        ref = estimate(inst, F(0), 6)
+        at_bound = ref.opt * F(ref.bound_ln2)
+        # above the curve by less than a float can show, then by a visible step
+        for excess in (F(0), F(1, 10**30), F(1, 10**6)):
+            est = estimate(inst, at_bound + excess, 6)
+            assert isinstance(est.ratio, Fraction) and est.ratio == est.mean_cost / est.opt
+            flagged = ratio_report(est, "gftp").exceeds_ln2_bound
+            assert flagged == (float(est.ratio) > est.bound_ln2)
+            assert flagged == (excess == F(1, 10**6))
 
     def test_real_sweep_sits_between_curves(self):
         k, delta, spokes = 4, F(1, 2), 5
