@@ -9,6 +9,7 @@ decisions an arbitrary online algorithm makes.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +25,9 @@ WEIGHT_GRID = 1 << 16
 
 # Each connection attempt draws all C(n, 2) candidate pairs: about 2e6 here.
 RANDOM_VERTEX_LIMIT = 2000
+
+# Draws of a random graph before random_instance gives up on connecting it.
+RANDOM_ATTEMPTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -211,9 +215,17 @@ def random_instance(n: int, edge_prob, noise_scale, seed: int) -> WmstInstance:
         raise BadParameter(f"edge_prob must lie in (0, 1], got {edge_prob}")
     if noise_scale < 0:
         raise BadParameter(f"noise_scale must be nonnegative, got {noise_scale}")
-    rng = random.Random(seed)
     num, den = edge_prob.numerator, edge_prob.denominator
-    for _ in range(100_000):
+    # Refuse when a union bound on any attempt drawing the n - 1 edges that a
+    # connected graph needs, attempts * C(N, n-1) * p**(n-1) with N = C(n, 2),
+    # is below 2**-64.
+    candidates = n * (n - 1) // 2
+    log_comb = math.lgamma(candidates + 1) - math.lgamma(n) - math.lgamma(candidates - n + 2)
+    log2_p = math.log2(num) - math.log2(den)
+    if math.log2(RANDOM_ATTEMPTS) + log_comb / math.log(2) + (n - 1) * log2_p < -64:
+        raise BadParameter(f"edge_prob {edge_prob} is too small to connect {n} vertices")
+    rng = random.Random(seed)
+    for _ in range(RANDOM_ATTEMPTS):
         pairs = [
             (u, v)
             for u in range(n)

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 from . import adversaries, io, metrics, randomorder
 from .engine import ALGORITHMS, ArrivalOrder, run
 from .exceptions import WmstError
-from .graphs import brute_force_mst, exchange_witness, mst, tree_cost
+from .graphs import mst
 from .rationals import format_fraction, parse_fraction
 
 CSV_COLUMNS = (
@@ -305,108 +305,52 @@ def cmd_sweep(args) -> int:
     return 1 if flagged else 0
 
 
-def _selftest_checks():
-    from .adversaries import gen_ftp_lb, random_instance
-    from .engine import ftp, gftp, run_cost
+def _random_instances(count: int, base: int, sizes: int, prob: Fraction, noise: Fraction):
+    """Random instances for seeds ``0..count-1``, with ``base + seed % sizes`` vertices."""
+    for seed in range(count):
+        yield adversaries.random_instance(base + seed % sizes, prob, noise, seed)
 
-    def mst_matches_oracle() -> bool:
-        for seed in range(200):
-            inst = random_instance(3 + seed % 5, Fraction(3, 5), Fraction(1, 4), seed)
-            tree = mst(inst.graph, inst.actual)
-            cost, _ = brute_force_mst(inst.graph, inst.actual)
-            if tree_cost(tree, inst.actual) != cost:
-                return False
-        return True
 
-    def witness_pairs_cycles() -> bool:
-        for seed in range(30):
-            inst = random_instance(3 + seed % 4, Fraction(7, 10), Fraction(1, 2), seed)
-            t1 = mst(inst.graph, inst.actual)
-            t2 = mst(inst.graph, inst.predicted)
-            for eid in t1.edge_ids - t2.edge_ids:
-                e1 = inst.graph.edges[eid]
-                e2 = exchange_witness(t1, t2, e1)
-                cycle1 = {e.id for e in t1.tree_path(e2.u, e2.v)}
-                cycle2 = {e.id for e in t2.tree_path(e1.u, e1.v)}
-                if e1.id not in cycle1 or e2.id not in cycle2:
-                    return False
-        return True
+def _selftests() -> list[tuple[str, Callable[[], object]]]:
+    """The selftest's ``(name, check)`` rows; only they import the check library."""
+    from . import checks
 
-    def online_bounds_hold() -> bool:
-        for seed in range(200):
-            inst = random_instance(4 + seed % 4, Fraction(3, 5), Fraction(1, 2), seed)
-            order = ArrivalOrder.shuffled(inst.m, seed)
-            opt = tree_cost(mst(inst.graph, inst.actual), inst.actual)
-            err = metrics.eta(inst)
-            for factory in (ftp, gftp):
-                trace = run(factory(), inst, order, checked=True)
-                if trace.cost > opt + 2 * err:
-                    return False
-            pred_tree = mst(inst.graph, inst.predicted)
-            pred_cost = tree_cost(pred_tree, inst.predicted)
-            if run_cost(gftp(), inst, order.edge_ids) > pred_cost + err:
-                return False
-        return True
-
-    def family_ratio_identity() -> bool:
-        for k, l in ((2, 1), (3, 3), (5, 4)):
-            inst, natural, _ = gen_ftp_lb(k, l)
-            cost = run_cost(ftp(), inst, natural.edge_ids)
-            report = metrics.error_report(inst)
-            closed = 1 + (2 - Fraction(2, l + 1)) * report.epsilon
-            if cost / report.opt_actual != closed:
-                return False
-        return True
-
-    def files_round_trip() -> bool:
-        import tempfile
-
-        inst = random_instance(6, Fraction(1, 2), Fraction(1, 4), 7)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "inst.json"
-            io.save_instance(inst, path)
-            first = path.read_bytes()
-            io.save_instance(io.load_instance(path), path)
-            return first == path.read_bytes()
-
-    def harmonic_values() -> bool:
-        f2 = randomorder.harmonic_bound(2)
-        f3 = randomorder.harmonic_bound(3)
-        if f2 != Fraction(3, 2) or f3 != Fraction(19, 12):
-            return False
-        prev = f2
-        for n in range(3, 200):
-            cur = randomorder.harmonic_bound(n)
-            if not prev < cur < Fraction(1_693_147, 1_000_000) + 1:
-                return False
-            prev = cur
-        return True
+    def online() -> None:
+        instances = _random_instances(200, 4, 4, Fraction(3, 5), Fraction(1, 2))
+        cases = [
+            (inst, ArrivalOrder.shuffled(inst.m, seed).edge_ids)
+            for seed, inst in enumerate(instances)
+        ]
+        checks.cost_bounds(cases)
+        checks.checked_runs_agree(cases)
 
     return [
-        ("mst matches brute-force oracle", mst_matches_oracle),
-        ("exchange witness pairs cycles", witness_pairs_cycles),
-        ("online cost bounds and checked invariants", online_bounds_hold),
-        ("hub-spoke ratio identity", family_ratio_identity),
-        ("instance files round-trip byte-identically", files_round_trip),
-        ("harmonic bound values and growth", harmonic_values),
+        ("mst matches brute-force oracle", lambda: checks.mst_matches_oracle(
+            _random_instances(200, 3, 5, Fraction(3, 5), Fraction(1, 4))
+        )),
+        ("exchange witness pairs cycles", lambda: checks.exchange_witnesses_pair_cycles(
+            (mst(inst.graph, inst.actual), mst(inst.graph, inst.predicted))
+            for inst in _random_instances(30, 3, 4, Fraction(7, 10), Fraction(1, 2))
+        )),
+        ("online cost bounds and checked invariants", online),
+        ("hub-spoke ratio identity", partial(checks.hub_spoke_identity, [(2, 1), (3, 3), (5, 4)])),
+        ("instance files round-trip byte-identically", lambda: checks.instances_round_trip(
+            [adversaries.random_instance(6, Fraction(1, 2), Fraction(1, 4), 7)]
+        )),
+        ("harmonic bound values and growth", partial(checks.harmonic_growth, range(3, 200))),
     ]
 
 
 def cmd_selftest(args) -> int:
     failures = 0
-    for name, check in _selftest_checks():
+    for name, check in _selftests():
         try:
-            good = check()
+            check()
         except WmstError as exc:
-            good = False
+            failures += 1
             print(f"FAIL - {name}: {exc}")
-            failures += 1
-            continue
-        if good:
-            print(f"ok - {name}")
         else:
-            failures += 1
-            print(f"FAIL - {name}")
+            print(f"ok - {name}")
     print(f"selftest: {'all good' if failures == 0 else f'{failures} failure(s)'}")
     return 0 if failures == 0 else 1
 
@@ -469,8 +413,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)  # a bad rational flag raises here
         return args.func(args)
     except (WmstError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

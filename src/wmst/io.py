@@ -45,7 +45,8 @@ def _read_json(path: str | Path):
     """Parse a UTF-8 JSON file; any decoding failure is an ``InstanceError``."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    # ValueError: malformed JSON, bytes that are not UTF-8, or an over-long integer
+    except (ValueError, RecursionError) as exc:
         raise InstanceError(f"{path}: not valid JSON ({exc})") from exc
 
 

@@ -13,17 +13,35 @@ from fractions import Fraction
 
 from .exceptions import BadParameter
 
+# Python's default limit on converting an integer to or from text
+# (sys.get_int_max_str_digits): a longer numerator or denominator could not be
+# written out again.
+MAX_DIGITS = 4300
+_TOO_LARGE = 10**MAX_DIGITS
+
 
 def parse_fraction(text: str | int | Fraction) -> Fraction:
-    """Parse ``"a/b"``, an integer literal, or a decimal literal, exactly."""
+    """Parse ``"a/b"``, an integer literal, or a decimal literal, exactly.
+
+    A numerator or denominator of more than ``MAX_DIGITS`` digits is refused.
+    """
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
         return Fraction(text)
     try:
-        return Fraction(str(text).strip())
+        literal = str(text).strip()
+        exponent = literal.lower().partition("e")[2]
+        # a nonzero mantissa, at most 2 * MAX_DIGITS digits long, has too many
+        # digits with a larger exponent: refuse before Fraction computes it
+        if exponent and abs(int(exponent)) > 3 * MAX_DIGITS:
+            raise BadParameter(f"{text!r} has more than {MAX_DIGITS} digits")
+        value = Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
         raise BadParameter(f"not an exact rational: {text!r}") from exc
+    if max(abs(value.numerator), value.denominator) >= _TOO_LARGE:
+        raise BadParameter(f"{text!r} has more than {MAX_DIGITS} digits")
+    return value
 
 
 def format_fraction(value: Fraction) -> str:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import product
 
-from wmst import Decision, Graph, OnlineAlgorithm, WmstInstance, random_instance
+from wmst import Decision, Graph, OnlineAlgorithm, WmstInstance, mst, random_instance
 
 
 def triangle() -> WmstInstance:
@@ -17,12 +19,20 @@ def triangle() -> WmstInstance:
     )
 
 
-def fuzz_instance(index: int, max_n: int = 7) -> WmstInstance:
-    """Deterministic rotation through sizes, densities and noise levels."""
-    n = 4 + index % (max_n - 3)
-    prob = (Fraction(3, 5), Fraction(4, 5))[index % 2]
-    noise = (Fraction(0), Fraction(1, 4), Fraction(1), Fraction(3))[index % 4]
-    return random_instance(n, prob, noise, seed=index)
+def mst_pairs(count: int, top: int):
+    """Every ordered pair among four MSTs of each of ``count`` random graphs.
+
+    The trees are taken under the predictions, the true weights and two
+    random integer weightings in ``1..top``.
+    """
+    for seed in range(count):
+        inst = random_instance(3 + seed % 5, Fraction(7, 10), Fraction(1, 2), seed=seed)
+        graph = inst.graph
+        rng = random.Random(seed)
+        trees = [mst(graph, inst.predicted), mst(graph, inst.actual)]
+        for _ in range(2):
+            trees.append(mst(graph, tuple(Fraction(rng.randint(1, top)) for _ in range(graph.m))))
+        yield from product(trees, repeat=2)
 
 
 class RejectFirstThenGreedy(OnlineAlgorithm):

@@ -16,16 +16,13 @@ from wmst import (
     brute_force_mst,
     error_report,
     eta,
-    eta2,
     exact_expectation,
-    exchange_witness,
     ftp,
     gen_eta2_game,
     gen_ftp_lb,
     gen_general_lb_game,
     gen_ro_lb,
     gftp,
-    harmonic_bound,
     mc_estimate,
     mst,
     random_instance,
@@ -33,8 +30,9 @@ from wmst import (
     run_cost,
     tree_cost,
 )
+from wmst import checks
 
-from conftest import RejectFirstThenGreedy, fuzz_instance
+from conftest import RejectFirstThenGreedy, mst_pairs
 
 F = Fraction
 
@@ -47,13 +45,7 @@ def _report(num: int, label: str) -> None:
 
 def test_01_hub_spoke_exact_ratio_identity():
     started = time.perf_counter()
-    for k, l in FTP_GRID:
-        inst, natural, _ = gen_ftp_lb(k, l)
-        rep = error_report(inst)
-        assert rep.eta == (l + 1) * k
-        assert rep.epsilon == k
-        cost = run_cost(ftp(), inst, natural.edge_ids)
-        assert cost / rep.opt_actual == 1 + (2 - F(2, l + 1)) * rep.epsilon
+    checks.hub_spoke_identity(FTP_GRID)
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
     _report(1, "prediction-follower ratio identity on the full grid")
@@ -81,8 +73,7 @@ def test_03_adaptive_game_gap_and_error():
                 assert gap == stars * (2 * k - 1)
                 assert eta(inst) == (2 * k + stars - 1) * k
                 if inst.m <= 24:
-                    oracle_cost, _ = brute_force_mst(inst.graph, inst.actual)
-                    assert oracle_cost == opt
+                    checks.mst_matches_oracle([inst])
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
     _report(3, "adaptive path-star game gap and error values")
@@ -160,25 +151,8 @@ def test_07_expected_cost_within_ln2_budget():
     _report(7, "exact expectations stay within the ln2 budget (500 instances)")
 
 
-def _fuzz_pairs(count: int, orders_per_instance: int = 4):
-    for index in range(count):
-        if index % orders_per_instance == 0:
-            instance = fuzz_instance(index // orders_per_instance)
-        ids = list(range(instance.m))
-        pyrandom.Random(index).shuffle(ids)
-        yield instance, ids
-
-
 def test_08_cost_bounds_on_fuzzed_pairs():
-    for inst, ids in _fuzz_pairs(10_000):
-        rep_opt = tree_cost(mst(inst.graph, inst.actual), inst.actual)
-        err = eta(inst)
-        follower = run_cost(ftp(), inst, ids)
-        swapper = run_cost(gftp(), inst, ids)
-        assert follower <= rep_opt + 2 * err
-        assert swapper <= rep_opt + 2 * err
-        pred_tree = mst(inst.graph, inst.predicted)
-        assert swapper <= tree_cost(pred_tree, inst.predicted) + err
+    checks.cost_bounds(checks.fuzz_pairs(10_000))
     _report(8, "cost bounds hold on 10^4 fuzzed (instance, order) pairs")
 
 
@@ -214,62 +188,24 @@ def test_09_error_measure_monotone_and_lipschitz():
 
 
 def test_10_harmonic_bound_growth_and_limit():
-    # 0.693147 < ln 2, so staying under 1 + 693147/1000000 implies staying
-    # under 1 + ln 2
-    limit = 1 + F(693_147, 1_000_000)
     checkpoints = set(range(2, 65)) | {100, 128, 256, 1000, 1024, 4096, 8192, 10_000}
-    value = harmonic_bound(2)
-    assert value == F(3, 2)
-    assert value < limit
-    for n in range(2, 10_000):
-        # the sum's window shifts by dropping 1/n and gaining the two
-        # half-terms; verify the telescoped increment exactly, per n
-        step = F(1, 2 * n) + F(1, 2 * n - 1) - F(1, n)
-        assert step == F(1, 2 * n * (2 * n - 1))
-        following = value + step
-        assert value < following < limit
-        if n + 1 in checkpoints:
-            assert following == harmonic_bound(n + 1)
-        value = following
-    assert value == harmonic_bound(10_000)
+    value = checks.harmonic_growth(checkpoints)
     assert value > F(16_925, 10_000)
     _report(10, "harmonic budget grows strictly and stays below 1+ln2")
 
 
 def test_11_oracle_equivalence_and_exchange_checks():
-    for seed in range(1000):
-        inst = random_instance(3 + seed % 5, F(3, 5), F(1, 2), seed=seed)
-        cost, _ = brute_force_mst(inst.graph, inst.actual)
-        assert tree_cost(mst(inst.graph, inst.actual), inst.actual) == cost
-
-    for seed in range(100):
-        inst = random_instance(3 + seed % 5, F(7, 10), F(1, 2), seed=seed)
-        graph = inst.graph
-        rng = pyrandom.Random(seed)
-        trees = [mst(graph, inst.predicted), mst(graph, inst.actual)]
-        for _ in range(2):
-            weights = tuple(F(rng.randint(1, 64)) for _ in range(graph.m))
-            trees.append(mst(graph, weights))
-        for t1 in trees:
-            for t2 in trees:
-                for eid in t1.edge_ids - t2.edge_ids:
-                    e1 = graph.edges[eid]
-                    e2 = exchange_witness(t1, t2, e1)
-                    assert e2.id in t2.edge_ids and e2.id not in t1.edge_ids
-                    assert e1.id in {e.id for e in t1.tree_path(e2.u, e2.v)}
-                    assert e2.id in {e.id for e in t2.tree_path(e1.u, e1.v)}
+    checks.mst_matches_oracle(
+        random_instance(3 + seed % 5, F(3, 5), F(1, 2), seed=seed) for seed in range(1000)
+    )
+    checks.exchange_witnesses_pair_cycles(mst_pairs(100, top=64))
     _report(11, "oracle equivalence and exchange-witness cycle checks")
 
 
 def test_12_checked_mode_fuzz_campaign():
     # the criterion-8 campaign again, with the runtime invariant checks on;
     # any violation raises InvariantViolation and fails the test
-    for inst, ids in _fuzz_pairs(10_000):
-        order = ArrivalOrder(tuple(ids))
-        follower = run(ftp(), inst, order, checked=True)
-        swapper = run(gftp(), inst, order, checked=True)
-        assert follower.cost == run_cost(ftp(), inst, ids)
-        assert swapper.cost == run_cost(gftp(), inst, ids)
+    checks.checked_runs_agree(checks.fuzz_pairs(10_000))
 
     # exhaustive micro-campaign on the random-order family
     inst = gen_ro_lb(2, F(1, 2), 1)

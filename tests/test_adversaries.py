@@ -7,7 +7,6 @@ import pytest
 from wmst import (
     ArrivalOrder,
     BadParameter,
-    brute_force_mst,
     error_report,
     eta,
     eta2,
@@ -22,9 +21,8 @@ from wmst import (
     run,
     run_cost,
     tree_cost,
-    validate_instance,
 )
-from wmst.io import instance_to_payload
+from wmst import checks
 
 from conftest import RejectFirstThenGreedy
 
@@ -42,12 +40,7 @@ class TestHubSpokeFamily:
 
     @pytest.mark.parametrize("k,l", [(2, 1), (2, 4), (3, 2), (5, 8), (F(7, 2), 3)])
     def test_closed_form_ratio(self, k, l):
-        inst, natural, _ = gen_ftp_lb(k, l)
-        report = error_report(inst)
-        assert report.epsilon == k
-        assert report.eta == (l + 1) * F(k)
-        cost = run_cost(ftp(), inst, natural.edge_ids)
-        assert cost / report.opt_actual == 1 + (2 - F(2, l + 1)) * report.epsilon
+        checks.hub_spoke_identity([(k, l)])
 
     def test_small_ratio_value(self):
         inst, natural, _ = gen_ftp_lb(2, 1)
@@ -162,10 +155,7 @@ class TestPathStarGame:
             assert gap == (0 if eid < path_edges else k)
 
     def test_opt_against_oracle(self):
-        game = gen_general_lb_game(2, 2, ftp())
-        inst = game.instance
-        cost, _ = brute_force_mst(inst.graph, inst.actual)
-        assert cost == tree_cost(mst(inst.graph, inst.actual), inst.actual)
+        checks.mst_matches_oracle([gen_general_lb_game(2, 2, ftp()).instance])
 
     def test_replay_reproduces_trace(self):
         for opponent in (ftp, gftp):
@@ -198,10 +188,9 @@ class TestRandomInstance:
         assert eta(inst) == 0
 
     def test_generated_instances_validate(self):
-        for seed in range(50):
-            inst = random_instance(4 + seed % 4, F(3, 5), F(1, 2), seed=seed)
-            again = validate_instance(instance_to_payload(inst))
-            assert again == inst
+        checks.instances_round_trip(
+            random_instance(4 + seed % 4, F(3, 5), F(1, 2), seed=seed) for seed in range(50)
+        )
 
     def test_weights_live_on_the_grid(self):
         inst = random_instance(6, F(1, 2), F(1, 4), seed=5)
@@ -216,6 +205,8 @@ class TestRandomInstance:
             random_instance(4, F(0), F(0), seed=0)
         with pytest.raises(BadParameter):
             random_instance(4, F(1, 2), F(-1), seed=0)
+        with pytest.raises(BadParameter, match="too small to connect 30 vertices"):
+            random_instance(30, F(1, 10**6), F(0), seed=0)  # refused before any draw
 
 
 class TestGameOrdersReplayWithEngine:
@@ -233,5 +224,4 @@ def test_every_family_emits_valid_instances():
         gen_general_lb_game(2, 2, gftp()).instance,
         random_instance(6, F(1, 2), F(1, 2), seed=0),
     ]
-    for inst in produced:
-        assert validate_instance(instance_to_payload(inst)) == inst
+    checks.instances_round_trip(produced)

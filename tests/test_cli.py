@@ -5,12 +5,17 @@ import csv
 import hashlib
 import io as stdio
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from wmst import BadParameter, InstanceError, randomorder, validate_instance
+from wmst import BadParameter, InstanceError, WmstError, checks, randomorder, validate_instance
 from wmst.cli import CSV_COLUMNS, main
 from wmst.io import load_instance, load_order, save_instance
 from wmst.randomorder import resolve_workers
@@ -269,8 +274,14 @@ def _order_file(tmp_path, order) -> str:
         lambda tmp, inst: ["run", "ftp", inst, "--order", _order_file(tmp, 3)],
         lambda tmp, inst: ["run", "ftp", inst, "--order", "seed:x"],
         lambda tmp, inst: ["sweep", "ftp-lb", "--k", "2", "--l", "x"],
+        lambda tmp, inst: ["gen", "ftp-lb", "--k", "abc", "--out", f"{tmp}/g.json"],
+        lambda tmp, inst: ["gen", "random", "--edge-prob", "1/0", "--out", f"{tmp}/g.json"],
+        lambda tmp, inst: ["gen", "random", "--noise", "x", "--out", f"{tmp}/g.json"],
+        lambda tmp, inst: ["sweep", "ro-lb", "--k", "2", "--l", "1", "--delta", "1/0"],
+        lambda tmp, inst: ["gen", "ftp-lb", "--k", "1e5000", "--out", f"{tmp}/g.json"],
     ],
-    ids=["order-str", "order-bool", "order-not-list", "seed-not-int", "sweep-l-not-int"],
+    ids=["order-str", "order-bool", "order-not-list", "seed-not-int", "sweep-l-not-int",
+         "gen-k", "gen-edge-prob", "gen-noise", "sweep-delta", "gen-k-1e5000"],
 )
 def test_bad_order_or_parameter_exits_two(tmp_path, capsys, argv):
     inst = tmp_path / "tri.json"
@@ -294,6 +305,38 @@ def test_undecodable_json_exits_two(tmp_path, capsys, content, target):
     assert "error:" in capsys.readouterr().err
 
 
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8,
+)
+payloads = (
+    json_values
+    | st.builds(lambda key, value: {**_triangle_payload(), key: value},
+                st.sampled_from(["n", "edges"]), json_values)
+    | st.builds(lambda key, value: _triangle_payload(**{key: value}),
+                st.sampled_from(["u", "v", "predicted", "actual"]), json_values)
+    | st.builds(lambda value: {"order": [2, value, 0]}, json_values)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=payloads.map(json.dumps))
+@example(text="[" + "7" * 4301 + "]")
+@example(text=json.dumps(_triangle_payload(actual="1e5000")))
+@example(text=json.dumps(_triangle_payload(predicted="1e10000000")))
+def test_json_boundary_returns_or_raises_wmst_error(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(text, encoding="utf-8")
+    for load in (load_instance, load_order):
+        try:
+            loaded = load(path)
+        except WmstError:
+            continue
+        if load is load_instance:
+            checks.instances_round_trip([loaded])
+
+
 def test_malformed_wmst_threads_exits_two(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("WMST_THREADS", "x")
     with pytest.raises(BadParameter, match="WMST_THREADS"):
@@ -305,10 +348,23 @@ def test_malformed_wmst_threads_exits_two(tmp_path, capsys, monkeypatch):
     assert "error: WMST_THREADS" in capsys.readouterr().err
 
 
-def test_selftest_passes(capsys):
+def test_selftest_passes():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-O", "-m", "wmst.cli", "selftest"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert "all good" in done.stdout
+
+
+def test_selftest_reports_a_failing_check(capsys, monkeypatch):
+    monkeypatch.setattr(checks, "exchange_witness", lambda t1, t2, e1: e1)
     code, text = run_cli(capsys, "selftest")
-    assert code == 0
-    assert "all good" in text
+    lines = text.splitlines()
+    assert code == 1
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL - exchange witness pairs cycles: case 2: witness 2 for edge 2 does not pair the cycles"
+    ]
+    assert lines[-1] == "selftest: 1 failure(s)"
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -28,6 +28,7 @@ from wmst import (
     run_cost,
     tree_cost,
 )
+from wmst import checks
 
 from conftest import triangle
 
@@ -261,13 +262,16 @@ class RejectAll(OnlineAlgorithm):
         return Decision.reject()
 
 
+def _shuffled_cases(count: int, noise: Fraction):
+    """Random instances on 4..7 vertices, each with an order shuffled by its seed."""
+    for seed in range(count):
+        inst = random_instance(4 + seed % 4, F(3, 5), noise, seed=seed)
+        yield inst, ArrivalOrder.shuffled(inst.m, seed).edge_ids
+
+
 class TestCheckedMode:
     def test_fuzz_campaign_has_no_violations(self):
-        for seed in range(150):
-            inst = random_instance(4 + seed % 4, F(3, 5), F(1), seed=seed)
-            order = ArrivalOrder.shuffled(inst.m, seed)
-            for factory in (ftp, gftp):
-                run(factory(), inst, order, checked=True)  # raises on violation
+        checks.checked_runs_agree(_shuffled_cases(150, F(1)))
 
     def test_perfect_predictions_hold_vacuously(self):
         inst = random_instance(6, F(1, 2), F(0), seed=9)
@@ -338,20 +342,12 @@ def test_checked_mode_catches_broken_players(player, case, error, message):
 
 class TestCostBounds:
     def test_both_players_within_two_eta(self):
-        for seed in range(100):
-            inst = random_instance(4 + seed % 4, F(3, 5), F(2), seed=seed)
-            report = error_report(inst)
-            bound = report.opt_actual + 2 * report.eta
-            order = ArrivalOrder.shuffled(inst.m, seed)
-            for factory in (ftp, gftp):
-                assert run(factory(), inst, order).cost <= bound
+        checks.cost_bounds(_shuffled_cases(100, F(2)))
 
     def test_swapper_never_beats_predicted_budget(self):
         # the swap rule only replaces an edge when the newcomer's true
         # weight undercuts the replaced prediction
-        for seed in range(100):
-            inst = random_instance(4 + seed % 4, F(3, 5), F(2), seed=seed)
+        for inst, ids in _shuffled_cases(100, F(2)):
             tree = mst(inst.graph, inst.predicted)
             budget = tree_cost(tree, inst.predicted) + error_report(inst).eta
-            order = ArrivalOrder.shuffled(inst.m, seed)
-            assert run(gftp(), inst, order).cost <= budget
+            assert run_cost(gftp(), inst, ids) <= budget

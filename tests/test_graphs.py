@@ -29,10 +29,11 @@ from wmst import (
     tree_cycle,
     validate_instance,
 )
+from wmst import checks
 from wmst.exceptions import InstanceError
 from wmst.graphs import tree_path_ids
 
-from conftest import triangle
+from conftest import mst_pairs, triangle
 
 F = Fraction
 
@@ -158,11 +159,9 @@ class TestMst:
             assert mst(inst.graph, inst.predicted).edge_ids == first
 
     def test_agrees_with_oracle_on_random_graphs(self):
-        for seed in range(300):
-            inst = random_instance(3 + seed % 5, F(3, 5), F(1, 2), seed=seed)
-            tree = mst(inst.graph, inst.actual)
-            cost, _ = brute_force_mst(inst.graph, inst.actual)
-            assert tree_cost(tree, inst.actual) == cost
+        checks.mst_matches_oracle(
+            random_instance(3 + seed % 5, F(3, 5), F(1, 2), seed=seed) for seed in range(300)
+        )
 
     def test_short_weight_map_rejected(self):
         inst = triangle()
@@ -261,20 +260,13 @@ class TestTreeCycle:
             tree_cycle(tree, inst.graph.edges[0])
 
 
-def _both_cycle_conditions(t1, t2, e1, e2) -> bool:
-    on_t1_cycle = e1.id in {e.id for e in t1.tree_path(e2.u, e2.v)}
-    on_t2_cycle = e2.id in {e.id for e in t2.tree_path(e1.u, e1.v)}
-    return e2.id in t2.edge_ids and e2.id not in t1.edge_ids and on_t1_cycle and on_t2_cycle
-
-
 class TestExchangeWitness:
     def test_triangle_witness(self):
         graph = triangle().graph
         t1 = SpanningTree(graph, frozenset({0, 1}))
         t2 = SpanningTree(graph, frozenset({1, 2}))
-        e2 = exchange_witness(t1, t2, graph.edges[0])
-        assert e2.id == 2
-        assert _both_cycle_conditions(t1, t2, graph.edges[0], e2)
+        assert exchange_witness(t1, t2, graph.edges[0]).id == 2
+        checks.exchange_witnesses_pair_cycles([(t1, t2)])
 
     def test_precondition_enforced(self):
         graph = triangle().graph
@@ -284,22 +276,7 @@ class TestExchangeWitness:
             exchange_witness(t1, t2, graph.edges[0])  # shared edge
 
     def test_random_tree_pairs(self):
-        import random as pyrandom
-
-        for seed in range(100):
-            inst = random_instance(3 + seed % 5, F(7, 10), F(1, 2), seed=seed)
-            graph = inst.graph
-            rng = pyrandom.Random(seed)
-            trees = [mst(graph, inst.predicted), mst(graph, inst.actual)]
-            for _ in range(2):
-                weights = tuple(F(rng.randint(1, 100)) for _ in range(graph.m))
-                trees.append(mst(graph, weights))
-            for t1 in trees:
-                for t2 in trees:
-                    for eid in t1.edge_ids - t2.edge_ids:
-                        e1 = graph.edges[eid]
-                        e2 = exchange_witness(t1, t2, e1)
-                        assert _both_cycle_conditions(t1, t2, e1, e2)
+        checks.exchange_witnesses_pair_cycles(mst_pairs(100, top=100))
 
 
 class TestBruteForce:

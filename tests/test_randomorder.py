@@ -25,6 +25,7 @@ from wmst import (
     tree_cost,
     mst,
 )
+from wmst import checks
 from wmst.randomorder import estimate
 
 F = Fraction
@@ -126,12 +127,7 @@ class TestHarmonicBound:
             harmonic_bound(1)
 
     def test_increasing_and_bounded_sample(self):
-        limit = 1 + F(693_148, 1_000_000)  # just above ln 2
-        previous = harmonic_bound(2)
-        for n in range(3, 400):
-            current = harmonic_bound(n)
-            assert previous < current < limit
-            previous = current
+        checks.harmonic_growth(range(2, 401))
 
     def test_increment_identity(self):
         # consecutive values differ by exactly 1/(2n(2n-1))
