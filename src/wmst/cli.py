@@ -172,16 +172,19 @@ def cmd_run(args) -> int:
     report = metrics.error_report(instance)
     ratio = trace.cost / report.opt_actual
     bound_holds = trace.cost <= report.opt_actual + 2 * report.eta
-    print(
+    # every line is formatted before any is printed: a value too large to
+    # write out stops the command without a partial report
+    lines = [
         f"# config: run alg={args.alg} instance={args.instance} "
-        f"order={args.order} checked={args.checked}"
-    )
-    print(f"cost = {_frac_dec(trace.cost)}")
-    print(f"opt = {_frac_dec(report.opt_actual)}")
-    print(f"eta = {_frac_dec(report.eta)}")
-    print(f"epsilon = {_frac_dec(report.epsilon)}")
-    print(f"ratio = {_frac_dec(ratio)}")
-    print(f"cost <= opt + 2*eta: {'yes' if bound_holds else 'NO'}")
+        f"order={args.order} checked={args.checked}",
+        f"cost = {_frac_dec(trace.cost)}",
+        f"opt = {_frac_dec(report.opt_actual)}",
+        f"eta = {_frac_dec(report.eta)}",
+        f"epsilon = {_frac_dec(report.epsilon)}",
+        f"ratio = {_frac_dec(ratio)}",
+        f"cost <= opt + 2*eta: {'yes' if bound_holds else 'NO'}",
+    ]
+    print("\n".join(lines))
     if args.trace_out:
         io.save_trace(trace, args.trace_out)
         print(f"wrote trace to {args.trace_out}")

@@ -33,6 +33,13 @@ Weights = Sequence[Fraction]
 # Subset enumeration cap for the brute-force oracle: C(24, 12) ~ 2.7M.
 BRUTE_FORCE_EDGE_LIMIT = 24
 
+# A weight whose numerator and denominator differ in length by more than this
+# many bits is refused: that refuses every weight outside (2^-257, 2^257) and
+# none inside [2^-256, 2^256].  The bound keeps every float the program derives
+# from weights finite and nonzero: sums over fewer than 2^250 edges, their
+# ratios, and the Monte Carlo variance.  Bit lengths cost less than Fractions.
+WEIGHT_BITS = 256
+
 
 def is_plain_int(value) -> bool:
     """True for an ``int`` that is not a ``bool``: a valid vertex or edge id type."""
@@ -209,6 +216,12 @@ class WmstInstance:
             for eid, value in enumerate(values):
                 if value <= 0:
                     raise NonpositiveWeight(f"{name} weight of edge {eid} is {value}")
+                bits = value.numerator.bit_length() - value.denominator.bit_length()
+                if abs(bits) > WEIGHT_BITS:
+                    raise InstanceError(
+                        f"{name} weight of edge {eid} lies outside "
+                        f"[2^-{WEIGHT_BITS}, 2^{WEIGHT_BITS}]"
+                    )
             object.__setattr__(self, name, values)
 
     @property

@@ -15,7 +15,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, pairwise, permutations
 from typing import Callable
 
 from .engine import OnlineAlgorithm, run_cost
@@ -91,24 +91,34 @@ def estimate(
     )
 
 
-def _mc_chunk(args) -> tuple[float, float]:
-    factory, instance, trials, seed = args
+def _cost_sums(factory: AlgFactory, instance: WmstInstance, orders) -> tuple[int, int, int]:
+    """``d`` and the sums of ``d * cost`` and of its square over ``orders``.
+
+    ``d``, the lcm of the true weights' denominators, makes every sum an int.
+    """
+    d = math.lcm(*(w.denominator for w in instance.actual))
+    total = total_sq = 0
+    for order in orders:
+        cost = run_cost(factory(), instance, order)
+        scaled = cost.numerator * (d // cost.denominator)
+        total += scaled
+        total_sq += scaled * scaled
+    return d, total, total_sq
+
+
+def _shuffles(m: int, seed: int):
+    """The one order stream: in-place shuffles of one id list by ``Random(seed)``."""
     rng = random.Random(seed)
-    ids = list(range(instance.m))
-    total = 0.0
-    total_sq = 0.0
-    for _ in range(trials):
+    ids = list(range(m))
+    while True:
         rng.shuffle(ids)
-        cost = float(run_cost(factory(), instance, ids))
-        total += cost
-        total_sq += cost * cost
-    return total, total_sq
+        yield ids
 
 
-def _worker_seed(seed: int, worker: int) -> int:
-    # splitmix-style stream derivation; worker 0 with a single worker keeps
-    # the original seed so the serial case matches the documented generator
-    return (seed + (worker * 0x9E3779B97F4A7C15)) % (1 << 64)
+def _mc_chunk(args) -> tuple[int, int, int]:
+    factory, instance, seed, start, stop = args
+    # the shuffles before trial ``start`` are replayed without being played
+    return _cost_sums(factory, instance, islice(_shuffles(instance.m, seed), start, stop))
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -132,34 +142,28 @@ def mc_estimate(
 ) -> RoEstimate:
     """Monte Carlo estimate over uniform arrival orders.
 
-    Permutations come from Fisher-Yates shuffles of a seeded 64-bit
-    generator; every trial runs a fresh algorithm instance.  Individual run
-    costs are exact rationals, aggregation is floating point.  With more
-    than one worker the trials split into per-worker seed streams whose
-    partial sums combine deterministically (given seed and worker count).
+    Trial ``t`` runs a fresh algorithm instance on the ``t``-th Fisher-Yates
+    shuffle of one seeded stream, and run costs are summed exactly.  The
+    workers, at most one per CPU, take contiguous runs of trials from that
+    stream, so their number sets the speed, never the estimate.
     """
     if trials < 1:
         raise BadParameter(f"need at least one trial, got {trials}")
-    workers = min(resolve_workers(workers), trials)
-    share, extra = divmod(trials, workers)
-    jobs = [
-        (alg_factory, instance, share + (1 if w < extra else 0), _worker_seed(seed, w))
-        for w in range(workers)
-    ]
+    workers = min(resolve_workers(workers), trials, os.cpu_count() or 1)
+    bounds = [trials * w // workers for w in range(workers + 1)]
+    jobs = [(alg_factory, instance, seed, start, stop) for start, stop in pairwise(bounds)]
     if workers == 1:
         chunks = [_mc_chunk(jobs[0])]
     else:
         with multiprocessing.get_context("fork").Pool(workers) as pool:
             chunks = pool.map(_mc_chunk, jobs)
-    total = sum(c[0] for c in chunks)
-    total_sq = sum(c[1] for c in chunks)
-    mean = total / trials
-    if trials > 1:
-        variance = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
-        std_error = math.sqrt(variance / trials)
-    else:
-        std_error = 0.0
-    return estimate(instance, mean, trials, std_error)
+    d = chunks[0][0]
+    total = sum(c[1] for c in chunks)
+    total_sq = sum(c[2] for c in chunks)
+    # the sample variance, whose numerator is 0 for a single trial
+    variance = Fraction(trials * total_sq - total * total, trials * max(trials - 1, 1) * d * d)
+    mean = float(Fraction(total, trials * d))
+    return estimate(instance, mean, trials, math.sqrt(variance / trials))
 
 
 def exact_expectation(alg_factory: AlgFactory, instance: WmstInstance) -> Fraction:
@@ -167,12 +171,8 @@ def exact_expectation(alg_factory: AlgFactory, instance: WmstInstance) -> Fracti
     m = instance.m
     if m > EXACT_EDGE_LIMIT:
         raise TooLarge(f"{m} edges means {m}! orders; the limit is {EXACT_EDGE_LIMIT}")
-    total = Fraction(0)
-    count = 0
-    for order in permutations(range(m)):
-        total += run_cost(alg_factory(), instance, order)
-        count += 1
-    return total / count
+    d, total, _ = _cost_sums(alg_factory, instance, permutations(range(m)))
+    return Fraction(total, math.factorial(m) * d)
 
 
 def harmonic_bound(n: int) -> Fraction:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exceptions import BadParameter
+from .exceptions import BadParameter, TooLarge
 
 # Python's default limit on converting an integer to or from text
 # (sys.get_int_max_str_digits): a longer numerator or denominator could not be
@@ -45,7 +45,14 @@ def parse_fraction(text: str | int | Fraction) -> Fraction:
 
 
 def format_fraction(value: Fraction) -> str:
-    """Canonical ``num/den`` form (always includes the denominator)."""
+    """Canonical ``num/den`` form (always includes the denominator).
+
+    A value computed from valid weights, such as a sum, can outgrow what
+    Python converts to text: more than ``MAX_DIGITS`` digits raises
+    ``TooLarge``.
+    """
+    if max(abs(value.numerator), value.denominator) >= _TOO_LARGE:
+        raise TooLarge(f"a value of more than {MAX_DIGITS} digits cannot be written out")
     return f"{value.numerator}/{value.denominator}"
 
 

@@ -305,6 +305,47 @@ def test_undecodable_json_exits_two(tmp_path, capsys, content, target):
     assert "error:" in capsys.readouterr().err
 
 
+def _weights_file(tmp_path, cheap: list[str], heavy: str) -> str:
+    """The triangle with two cheap edges of the given weights and a heavy one."""
+    payload = _triangle_payload()
+    for edge, weight in zip(payload["edges"], [*cheap, heavy]):
+        edge["predicted"] = edge["actual"] = weight
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [["run", "ftp"], ["ro", "gftp", "--trials", "5"],
+                                  ["ro", "gftp", "--exact"]], ids=" ".join)
+def test_value_too_long_to_write_exits_two(tmp_path, capsys, argv):
+    # each weight has 2501-digit terms; the optimum's denominator, a * b, has 5002
+    a, b = int("3" * 2500 + "1"), int("7" * 2500 + "3")
+    path = _weights_file(tmp_path, [f"{a + 1}/{a}", f"{b + 1}/{b}"], "3/1")
+    code = main([*argv[:2], path, *argv[2:]])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "error: a value of more than 4300 digits cannot be written out\n"
+
+
+@pytest.mark.parametrize(
+    "weight, refused",
+    [("1e400", True), ("1e-400", True), (str(2**257), True), (f"1/{2**257}", True),
+     (str(2**256), False), (f"1/{2**256}", False)],
+    ids=["1e400", "1e-400", "2^257", "2^-257", "2^256", "2^-256"],
+)
+@pytest.mark.parametrize("argv", [["run", "ftp"], ["ro", "ftp", "--trials", "3"],
+                                  ["ro", "gftp", "--exact"]], ids=" ".join)
+def test_weights_are_refused_outside_float_range(tmp_path, capsys, argv, weight, refused):
+    path = _weights_file(tmp_path, [weight, weight], weight)
+    code = main([*argv[:2], path, *argv[2:]])
+    out, err = capsys.readouterr()
+    if refused:
+        assert (code, out) == (2, "")
+        assert err == "error: predicted weight of edge 0 lies outside [2^-256, 2^256]\n"
+    else:
+        assert (code, err) == (0, "") and out
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
@@ -390,9 +431,11 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_readme_commands(work: Path) -> dict[str, tuple[int, dict[str, str]]]:
+def run_readme_commands(work: Path, threads: int = 0) -> dict[str, tuple[int, dict[str, str]]]:
     """Run the README commands in order inside ``work``.
 
+    With ``threads``, ``WMST_THREADS`` is set to it and the CPU count pinned
+    to it, so Monte Carlo trials really split; otherwise the run is serial.
     Returns, per command, its exit code and the SHA-256 of its stdout and of
     every file it wrote.
     """
@@ -400,6 +443,9 @@ def run_readme_commands(work: Path) -> dict[str, tuple[int, dict[str, str]]]:
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(work)
         mp.delenv("WMST_THREADS", raising=False)
+        if threads:
+            mp.setenv("WMST_THREADS", str(threads))
+            mp.setattr(os, "cpu_count", lambda: threads)
         files: dict[str, str] = {}
         for command in README_COMMANDS:
             stdout = stdio.StringIO()
@@ -482,5 +528,17 @@ def readme_outputs(tmp_path_factory):
 @pytest.mark.parametrize("command", README_COMMANDS)
 def test_readme_command_outputs_are_unchanged(readme_outputs, command):
     code, hashes = readme_outputs[command]
+    assert code == 0
+    assert hashes == README_GOLDEN[command]
+
+
+@pytest.fixture(scope="module")
+def readme_outputs_two_workers(tmp_path_factory):
+    return run_readme_commands(tmp_path_factory.mktemp("readme2"), threads=2)
+
+
+@pytest.mark.parametrize("command", README_COMMANDS)
+def test_readme_command_outputs_do_not_depend_on_workers(readme_outputs_two_workers, command):
+    code, hashes = readme_outputs_two_workers[command]
     assert code == 0
     assert hashes == README_GOLDEN[command]

@@ -1,9 +1,11 @@
 """Random-order lab: exact enumeration, Monte Carlo, harmonic bound."""
 
 import math
+import os
 import random as pyrandom
 from fractions import Fraction
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,10 +27,35 @@ from wmst import (
     tree_cost,
     mst,
 )
-from wmst import checks
+from wmst import checks, randomorder
 from wmst.randomorder import estimate
 
 F = Fraction
+
+
+def serial_pools(monkeypatch) -> list[int]:
+    """Make ``mc_estimate``'s process pools map serially in this process.
+
+    Returns the list that records the size each pool was asked for.
+    """
+    sizes: list[int] = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, function, jobs):
+            return list(map(function, jobs))
+
+    monkeypatch.setattr(randomorder.multiprocessing, "get_context",
+                        lambda method: SimpleNamespace(Pool=SerialPool))
+    return sizes
 
 
 class TestExactExpectation:
@@ -104,12 +131,41 @@ class TestMonteCarlo:
         b = mc_estimate(gftp, inst, trials=500, seed=9)
         assert a == b
 
-    def test_worker_split_is_deterministic(self):
+    def test_estimate_does_not_depend_on_the_worker_count(self, monkeypatch):
         inst = gen_ro_lb(2, F(1, 2), 4)
-        a = mc_estimate(gftp, inst, trials=400, seed=9, workers=2)
-        b = mc_estimate(gftp, inst, trials=400, seed=9, workers=2)
-        assert a == b
-        assert a.trials == 400
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        one, two = (mc_estimate(gftp, inst, trials=401, seed=9, workers=w) for w in (1, 2))
+        sizes = serial_pools(monkeypatch)  # three chunks, without three processes
+        three = mc_estimate(gftp, inst, trials=401, seed=9, workers=3)
+        assert sizes == [3]
+        assert one == two == three
+        assert one.trials == 401
+
+    @pytest.mark.parametrize("cpus, pools", [(2, [2]), (None, [])])
+    def test_workers_are_capped_at_the_cpu_count(self, monkeypatch, cpus, pools):
+        inst = gen_ro_lb(2, F(1, 2), 2)
+        serial = mc_estimate(gftp, inst, trials=50, seed=3, workers=1)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sizes = serial_pools(monkeypatch)
+        monkeypatch.setenv("WMST_THREADS", "5000")
+        assert mc_estimate(gftp, inst, trials=50, seed=3) == serial
+        assert sizes == pools
+
+    def test_mean_and_std_error_are_those_of_the_exact_sample(self):
+        inst = gen_ro_lb(3, F(1, 3), 3)
+        trials, seed = 300, 21
+        rng = pyrandom.Random(seed)
+        ids = list(range(inst.m))
+        costs = []
+        for _ in range(trials):
+            rng.shuffle(ids)
+            costs.append(run_cost(gftp(), inst, ids))
+        mean = sum(costs, F(0)) / trials
+        variance = sum(((c - mean) ** 2 for c in costs), F(0)) / (trials - 1)
+        assert variance > 0
+        est = mc_estimate(gftp, inst, trials=trials, seed=seed)
+        assert est.mean_cost == float(mean)
+        assert est.std_error == math.sqrt(variance / trials)
 
     def test_trials_guard(self):
         inst = gen_ro_lb(2, F(1, 2), 1)
