@@ -36,20 +36,23 @@ HARMONIC_LIMIT = 1 + Fraction(693_147, 1_000_000)
 # A run to check: an instance and the order of its edge ids.
 Run = tuple[WmstInstance, Sequence[int]]
 
+FUZZ_MAX_N = 7
+ORDERS_PER_INSTANCE = 4
 
-def fuzz_instance(index: int, max_n: int = 7) -> WmstInstance:
+
+def fuzz_instance(index: int) -> WmstInstance:
     """Deterministic rotation through sizes, densities and noise levels."""
-    n = 4 + index % (max_n - 3)
+    n = 4 + index % (FUZZ_MAX_N - 3)
     prob = (Fraction(3, 5), Fraction(4, 5))[index % 2]
     noise = (Fraction(0), Fraction(1, 4), Fraction(1), Fraction(3))[index % 4]
     return random_instance(n, prob, noise, seed=index)
 
 
-def fuzz_pairs(count: int, orders_per_instance: int = 4) -> Iterator[Run]:
-    """``count`` (instance, order ids) pairs, a few shuffled orders per instance."""
+def fuzz_pairs(count: int) -> Iterator[Run]:
+    """``count`` (instance, order ids) pairs, ``ORDERS_PER_INSTANCE`` shuffled orders each."""
     for index in range(count):
-        if index % orders_per_instance == 0:
-            instance = fuzz_instance(index // orders_per_instance)
+        if index % ORDERS_PER_INSTANCE == 0:
+            instance = fuzz_instance(index // ORDERS_PER_INSTANCE)
         ids = list(range(instance.m))
         random.Random(index).shuffle(ids)
         yield instance, ids

@@ -172,8 +172,8 @@ def cmd_run(args) -> int:
     report = metrics.error_report(instance)
     ratio = trace.cost / report.opt_actual
     bound_holds = trace.cost <= report.opt_actual + 2 * report.eta
-    # every line is formatted before any is printed: a value too large to
-    # write out stops the command without a partial report
+    # every line is formatted, and the trace written, before any is printed:
+    # a value too large to write out or a failed write leaves no partial report
     lines = [
         f"# config: run alg={args.alg} instance={args.instance} "
         f"order={args.order} checked={args.checked}",
@@ -184,11 +184,18 @@ def cmd_run(args) -> int:
         f"ratio = {_frac_dec(ratio)}",
         f"cost <= opt + 2*eta: {'yes' if bound_holds else 'NO'}",
     ]
-    print("\n".join(lines))
     if args.trace_out:
         io.save_trace(trace, args.trace_out)
-        print(f"wrote trace to {args.trace_out}")
+        lines.append(f"wrote trace to {args.trace_out}")
+    print("\n".join(lines))
     return 0 if bound_holds else 1
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as an RFC 4180 field, quoted only if it holds ``,``, ``"``, CR or LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _csv_row(instance_id: str, algorithm: str, seed: int, est) -> str:
@@ -197,7 +204,7 @@ def _csv_row(instance_id: str, algorithm: str, seed: int, est) -> str:
 
     return ",".join(
         [
-            instance_id,
+            _csv_field(instance_id),
             algorithm,
             str(est.trials),
             str(seed),
@@ -236,9 +243,7 @@ def cmd_ro(args) -> int:
             f"# exact mean = {format_fraction(value)}",
         ]
     else:
-        est = randomorder.mc_estimate(
-            factory, instance, args.trials, args.seed, workers=args.workers
-        )
+        est = randomorder.mc_estimate(factory, instance, args.trials, args.seed)
         seed = args.seed
         comments = [
             f"# config: ro alg={args.alg} instance={args.instance} "
@@ -291,10 +296,7 @@ def cmd_sweep(args) -> int:
         instance_id = f"{args.family}({labels})"
         if game is None:
             seed = args.seed + index
-            est = randomorder.mc_estimate(
-                _alg_factory(alg_name), instance, args.trials, seed,
-                workers=args.workers,
-            )
+            est = randomorder.mc_estimate(_alg_factory(alg_name), instance, args.trials, seed)
             flagged = flagged or randomorder.ratio_report(est, alg_name).exceeds_ln2_bound
         else:  # one adversarial order: its exact cost, never flagged
             seed = 0
@@ -393,7 +395,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ro.add_argument("--trials", type=int, default=10_000)
     ro.add_argument("--seed", type=int, default=0)
     ro.add_argument("--exact", action="store_true")
-    ro.add_argument("--workers", type=int, default=None)
     ro.add_argument("--id", default=None, help="instance id for the CSV row")
     ro.add_argument("--out", default=None)
     ro.set_defaults(func=cmd_ro)
@@ -406,7 +407,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--algs", default="ftp,gftp")
     sweep.add_argument("--trials", type=int, default=10_000)
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--workers", type=int, default=None)
     sweep.add_argument("--out", default=None)
     sweep.set_defaults(func=cmd_sweep)
 

@@ -54,9 +54,6 @@ class Edge:
     u: int
     v: int
 
-    def other(self, vertex: int) -> int:
-        return self.v if vertex == self.u else self.u
-
 
 class _UnionFind:
     __slots__ = ("parent",)
@@ -151,9 +148,6 @@ class SpanningTree:
 
     def __contains__(self, edge_id: int) -> bool:
         return edge_id in self.edge_ids
-
-    def __iter__(self):
-        return iter(sorted(self.edge_ids))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:

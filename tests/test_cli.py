@@ -15,10 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wmst import BadParameter, InstanceError, WmstError, checks, randomorder, validate_instance
+from wmst import InstanceError, WmstError, checks, randomorder, validate_instance
 from wmst.cli import CSV_COLUMNS, main
 from wmst.io import load_instance, load_order, save_instance
-from wmst.randomorder import resolve_workers
 
 F = Fraction
 
@@ -81,6 +80,16 @@ def test_run_reports_and_exits_zero(tmp_path, capsys):
     assert trace_path.read_text().count("\n") == 7  # one line per edge
 
 
+def test_unwritable_trace_path_exits_two_before_any_output(tmp_path, capsys):
+    inst = tmp_path / "tri.json"
+    inst.write_text(json.dumps(_triangle_payload()))
+    code = main(["run", "ftp", str(inst), "--trace-out", str(tmp_path / "nodir" / "t.txt")])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "No such file or directory" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["tri.json"]
+
+
 def test_run_with_given_defeating_order(tmp_path, capsys):
     out = tmp_path / "fam.json"
     run_cli(capsys, "gen", "ftp-lb", "--k", "3", "--l", "3", "--out", str(out))
@@ -135,6 +144,19 @@ def test_ro_monte_carlo_row_and_zero_stderr_for_follower(tmp_path, capsys):
     row = _parse_csv(text)[0]
     assert row["stderr"] == "0"
     assert float(row["mean"]) == 10.5  # delta + 2*(2k+1)
+
+
+@pytest.mark.parametrize("name, instance_id", [("my,ro.json", None), ("ro.json", "a\nb"),
+                                               ("ro.json", 'say "hi",\r\nbye')])
+def test_ro_row_quotes_an_instance_id_that_needs_it(tmp_path, capsys, name, instance_id):
+    path = tmp_path / name
+    path.write_text(json.dumps(_triangle_payload()))
+    id_flag = ["--id", instance_id] if instance_id else []
+    code, text = run_cli(capsys, "ro", "ftp", str(path), "--trials", "10", *id_flag)
+    assert code == 0
+    header, row = csv.reader(stdio.StringIO(text.split("\n", 1)[1], newline=""))
+    assert header == CSV_COLUMNS.split(",")
+    assert len(row) == 13 and row[0] == (instance_id or name)
 
 
 def test_sweep_closed_form_rows(tmp_path, capsys):
@@ -378,17 +400,6 @@ def test_json_boundary_returns_or_raises_wmst_error(tmp_path_factory, text):
             checks.instances_round_trip([loaded])
 
 
-def test_malformed_wmst_threads_exits_two(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("WMST_THREADS", "x")
-    with pytest.raises(BadParameter, match="WMST_THREADS"):
-        resolve_workers(None)
-    path = tmp_path / "ro.json"
-    run_cli(capsys, "gen", "ro-lb", "--k", "2", "--delta", "1/2", "--l", "1",
-            "--out", str(path))
-    assert main(["ro", "ftp", str(path), "--trials", "10"]) == 2
-    assert "error: WMST_THREADS" in capsys.readouterr().err
-
-
 def test_selftest_passes():
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     done = subprocess.run([sys.executable, "-O", "-m", "wmst.cli", "selftest"],
@@ -431,21 +442,21 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_readme_commands(work: Path, threads: int = 0) -> dict[str, tuple[int, dict[str, str]]]:
+def run_readme_commands(work: Path, split: bool = False) -> dict[str, tuple[int, dict[str, str]]]:
     """Run the README commands in order inside ``work``.
 
-    With ``threads``, ``WMST_THREADS`` is set to it and the CPU count pinned
-    to it, so Monte Carlo trials really split; otherwise the run is serial.
+    With ``split``, the CPU set is pinned at two and every Monte Carlo job is
+    large enough for two workers, so its trials really split; otherwise the
+    worker count is the one ``mc_estimate`` picks, serial at these sizes.
     Returns, per command, its exit code and the SHA-256 of its stdout and of
     every file it wrote.
     """
     outputs = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(work)
-        mp.delenv("WMST_THREADS", raising=False)
-        if threads:
-            mp.setenv("WMST_THREADS", str(threads))
-            mp.setattr(os, "cpu_count", lambda: threads)
+        if split:
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            mp.setattr(randomorder, "REVEALS_PER_WORKER", 1)
         files: dict[str, str] = {}
         for command in README_COMMANDS:
             stdout = stdio.StringIO()
@@ -534,7 +545,7 @@ def test_readme_command_outputs_are_unchanged(readme_outputs, command):
 
 @pytest.fixture(scope="module")
 def readme_outputs_two_workers(tmp_path_factory):
-    return run_readme_commands(tmp_path_factory.mktemp("readme2"), threads=2)
+    return run_readme_commands(tmp_path_factory.mktemp("readme2"), split=True)
 
 
 @pytest.mark.parametrize("command", README_COMMANDS)

@@ -58,6 +58,15 @@ def serial_pools(monkeypatch) -> list[int]:
     return sizes
 
 
+def pin_cpus(monkeypatch, cpus: int | None) -> None:
+    """Let this process run on ``cpus`` CPUs; ``None`` hides the CPU set and count."""
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 class TestExactExpectation:
     def test_swapper_on_smallest_family(self):
         inst = gen_ro_lb(2, F(1, 2), 1)
@@ -133,7 +142,7 @@ class TestMonteCarlo:
 
     def test_estimate_does_not_depend_on_the_worker_count(self, monkeypatch):
         inst = gen_ro_lb(2, F(1, 2), 4)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        pin_cpus(monkeypatch, 3)
         one, two = (mc_estimate(gftp, inst, trials=401, seed=9, workers=w) for w in (1, 2))
         sizes = serial_pools(monkeypatch)  # three chunks, without three processes
         three = mc_estimate(gftp, inst, trials=401, seed=9, workers=3)
@@ -145,10 +154,30 @@ class TestMonteCarlo:
     def test_workers_are_capped_at_the_cpu_count(self, monkeypatch, cpus, pools):
         inst = gen_ro_lb(2, F(1, 2), 2)
         serial = mc_estimate(gftp, inst, trials=50, seed=3, workers=1)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        pin_cpus(monkeypatch, cpus)
         sizes = serial_pools(monkeypatch)
-        monkeypatch.setenv("WMST_THREADS", "5000")
-        assert mc_estimate(gftp, inst, trials=50, seed=3) == serial
+        assert mc_estimate(gftp, inst, trials=50, seed=3, workers=64) == serial
+        assert sizes == pools
+
+    @pytest.mark.parametrize(
+        "per_worker, cpus, fork, pools",
+        [
+            (randomorder.REVEALS_PER_WORKER, 2, True, []),  # below the reveal floor
+            (100, 2, True, [2]),  # 350 reveals: three workers' worth, two CPUs
+            (100, 8, True, [3]),
+            (100, 1, True, []),
+            (100, 8, False, []),
+        ],
+    )
+    def test_automatic_worker_count(self, monkeypatch, per_worker, cpus, fork, pools):
+        inst = gen_ro_lb(2, F(1, 2), 2)  # m = 5
+        serial = mc_estimate(gftp, inst, trials=70, seed=3, workers=1)
+        monkeypatch.setattr(randomorder, "REVEALS_PER_WORKER", per_worker)
+        methods = ["fork", "spawn"] if fork else ["spawn"]
+        monkeypatch.setattr(randomorder.multiprocessing, "get_all_start_methods", lambda: methods)
+        pin_cpus(monkeypatch, cpus)
+        sizes = serial_pools(monkeypatch)
+        assert mc_estimate(gftp, inst, trials=70, seed=3) == serial
         assert sizes == pools
 
     def test_mean_and_std_error_are_those_of_the_exact_sample(self):
