@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .engine import ArrivalOrder, OnlineAlgorithm, RunTrace, TraceStep, _play
 from .exceptions import BadParameter, TooLarge
-from .graphs import Graph, WmstInstance, _UnionFind, mst
+from .graphs import Graph, PreparedInstance, WmstInstance, _UnionFind, mst
 from .rationals import ensure_fraction
 
 # Random weights land on this grid so denominators stay small and exact
@@ -119,7 +119,8 @@ def _play_game(
 ) -> AdversarialGame:
     """Play ``alg`` on ``arrivals(steps)``, which sets ``actual[eid]`` before it yields ``eid``."""
     steps: list[TraceStep] = []
-    accepted, cost = _play(alg, graph, predicted, actual, arrivals(steps), steps)
+    # no true weights up front, so the preparation keeps scale 1 and Fractions
+    accepted, cost = _play(alg, PreparedInstance(graph, predicted), actual, arrivals(steps), steps)
     return AdversarialGame(
         instance=WmstInstance(graph, predicted, tuple(actual)),
         order=ArrivalOrder(tuple(step.edge_id for step in steps)),

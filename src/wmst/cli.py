@@ -62,6 +62,15 @@ def _integer_k(family: str, k: Fraction) -> int:
     return int(k)
 
 
+def _config(fields: str) -> str:
+    """The ``# config:`` comment line, with CR and LF in values written as ``\\r`` and ``\\n``.
+
+    A path or a parameter may hold a line break; left as it is, it would end
+    the comment and put the rest of the line above a CSV header.
+    """
+    return "# config: " + fields.replace("\r", "\\r").replace("\n", "\\n")
+
+
 def _sidecar(out: Path, tag: str) -> Path:
     stem = out.name[: -len(out.suffix)] if out.suffix else out.name
     return out.with_name(f"{stem}.{tag}")
@@ -140,7 +149,7 @@ def cmd_gen(args) -> int:
         extras.append((path, label))
     io.save_instance(instance, out)
     config = " ".join(f"{name.replace('_', '-')}={value}" for name, value in params.items())
-    print(f"# config: gen {args.family} {config} out={out}")
+    print(_config(f"gen {args.family} {config} out={out}"))
     print(f"wrote instance to {out}")
     for path, label in extras:
         print(f"wrote {label} to {path}")
@@ -175,8 +184,10 @@ def cmd_run(args) -> int:
     # every line is formatted, and the trace written, before any is printed:
     # a value too large to write out or a failed write leaves no partial report
     lines = [
-        f"# config: run alg={args.alg} instance={args.instance} "
-        f"order={args.order} checked={args.checked}",
+        _config(
+            f"run alg={args.alg} instance={args.instance} "
+            f"order={args.order} checked={args.checked}"
+        ),
         f"cost = {_frac_dec(trace.cost)}",
         f"opt = {_frac_dec(report.opt_actual)}",
         f"eta = {_frac_dec(report.eta)}",
@@ -239,15 +250,15 @@ def cmd_ro(args) -> int:
         est = randomorder.estimate(instance, value, math.factorial(instance.m))
         seed = 0
         comments = [
-            f"# config: ro alg={args.alg} instance={args.instance} exact",
+            _config(f"ro alg={args.alg} instance={args.instance} exact"),
             f"# exact mean = {format_fraction(value)}",
         ]
     else:
         est = randomorder.mc_estimate(factory, instance, args.trials, args.seed)
         seed = args.seed
         comments = [
-            f"# config: ro alg={args.alg} instance={args.instance} "
-            f"trials={args.trials} seed={args.seed}"
+            _config(f"ro alg={args.alg} instance={args.instance} "
+                    f"trials={args.trials} seed={args.seed}")
         ]
     instance_id = args.id or Path(args.instance).name
     _emit_csv([_csv_row(instance_id, args.alg, seed, est)], args.out, comments)
@@ -303,8 +314,8 @@ def cmd_sweep(args) -> int:
             est = randomorder.estimate(instance, game.trace.cost, 1)
         rows.append(_csv_row(instance_id, alg_name, seed, est))
     comments = [
-        f"# config: sweep family={args.family} k={args.k} l={args.l} "
-        f"delta={args.delta} algs={args.algs} trials={args.trials} seed={args.seed}"
+        _config(f"sweep family={args.family} k={args.k} l={args.l} delta={args.delta} "
+                f"algs={args.algs} trials={args.trials} seed={args.seed}")
     ]
     _emit_csv(rows, args.out, comments)
     return 1 if flagged else 0

@@ -21,12 +21,12 @@ from .exceptions import BadParameter, InvariantViolation, NotSpanning
 from .graphs import (
     Edge,
     Graph,
+    PreparedInstance,
     SpanningTree,
     Weights,
     WmstInstance,
     _UnionFind,
     is_plain_int,
-    mst,
     tree_path_ids,
 )
 from .rationals import format_fraction
@@ -116,6 +116,12 @@ class OnlineAlgorithm(ABC):
     the true weight.  Decisions are irrevocable and must be deterministic.
     Implementations may consult anything revealed so far, but never a weight
     that has not arrived yet.
+
+    The reveal loop passes a ``PreparedInstance`` as ``predicted``; it reads
+    as the predicted Fractions.  A player that returns True from
+    ``initialize`` declares that it set itself up from that preparation, and
+    then gets each true weight on the preparation's scale
+    (``actual_scaled``), not as a Fraction.
     """
 
     name = "online"
@@ -123,7 +129,7 @@ class OnlineAlgorithm(ABC):
     tracks_swaps = False
 
     @abstractmethod
-    def initialize(self, graph: Graph, predicted: Weights) -> None: ...
+    def initialize(self, graph: Graph, predicted: Weights) -> bool | None: ...
 
     @abstractmethod
     def reveal(self, edge: Edge, weight: Fraction) -> Decision: ...
@@ -136,6 +142,13 @@ class OnlineAlgorithm(ABC):
         return None
 
 
+def _prepared(graph: Graph, predicted: Weights) -> PreparedInstance:
+    """``predicted`` itself if the reveal loop passed a preparation, else a new one."""
+    if isinstance(predicted, PreparedInstance):
+        return predicted
+    return PreparedInstance(graph, predicted)
+
+
 class FollowPredictions(OnlineAlgorithm):
     """Commit to the predicted-weight MST and accept exactly its edges."""
 
@@ -144,8 +157,10 @@ class FollowPredictions(OnlineAlgorithm):
     def __init__(self):
         self._tree: frozenset[int] | None = None
 
-    def initialize(self, graph: Graph, predicted: Weights) -> None:
-        self._tree = mst(graph, predicted).edge_ids
+    def initialize(self, graph: Graph, predicted: Weights) -> bool:
+        prepared = _prepared(graph, predicted)
+        self._tree = prepared.tree
+        return prepared is predicted
 
     def reveal(self, edge: Edge, weight: Fraction) -> Decision:
         return _ACCEPT if edge.id in self._tree else _REJECT
@@ -166,68 +181,88 @@ class GreedyFollowPredictions(OnlineAlgorithm):
     ``e_max`` carry the largest predicted weight (ties evict the smallest
     id).  If the revealed true weight is at most that prediction, the edge
     is accepted and ``e_max`` leaves the tree; otherwise it is rejected.
+
+    The start state is copied in O(n) from a ``PreparedInstance``: the
+    predicted MST rooted at vertex 0, as parent and parent-edge arrays, and
+    the predictions on the preparation's scale, which ``reveal``'s weights
+    share.  The cycle query marks the ancestors of one endpoint and climbs
+    from the other to their lowest common ancestor.  A swap reverses the
+    parent pointers from the revealed edge's endpoint on the cut-off side up
+    to the evicted edge, so vertex 0 stays the root.
     """
 
     name = "gftp"
     tracks_swaps = True
 
     def __init__(self):
-        self._graph: Graph | None = None
+        self._parent: list[int] | None = None
 
-    def initialize(self, graph: Graph, predicted: Weights) -> None:
-        self._graph = graph
-        self._pred = predicted
-        tree = mst(graph, predicted)
-        self._initial = tree.edge_ids
-        self._tree = set(tree.edge_ids)
-        self._adj = list(tree.adjacency)
-        self._unseen = bytearray([1] * graph.m)
+    def initialize(self, graph: Graph, predicted: Weights) -> bool:
+        prepared = _prepared(graph, predicted)
+        parent, parent_edge = prepared.rooted
+        self._parent = parent.copy()
+        self._parent_edge = parent_edge.copy()
+        self._mark = [-1] * graph.n
+        self._pred = prepared.predicted_scaled
+        self._initial = prepared.tree
+        self._unseen = bytearray(b"\x01") * graph.m
         self._unseen_in_tree = graph.n - 1
+        return prepared is predicted
 
     def reveal(self, edge: Edge, weight: Fraction) -> Decision:
-        self._unseen[edge.id] = 0
-        if edge.id in self._tree:
+        eid, a, b = edge.id, edge.u, edge.v
+        self._unseen[eid] = 0
+        parent_edge = self._parent_edge
+        if parent_edge[a] == eid or parent_edge[b] == eid:
             self._unseen_in_tree -= 1
             return _ACCEPT
         if self._unseen_in_tree == 0:
             return _REJECT  # every cycle edge already seen
-        evict = self._heaviest_unseen_on_cycle(edge.u, edge.v)
-        if evict < 0 or weight > self._pred[evict]:
-            return _REJECT
-        self._swap(evict, edge)
-        return Decision.accept(swapped_out=evict)
-
-    def _heaviest_unseen_on_cycle(self, a: int, b: int) -> int:
-        """Unseen tree edge with maximal prediction on the a-b tree path.
-
-        Returns -1 when every edge on the path has been seen.  Ties go to
-        the smallest edge id.
-        """
-        unseen = self._unseen
-        pred = self._pred
-        best = -1
+        parent, mark, unseen, pred = self._parent, self._mark, self._unseen, self._pred
+        # each edge is revealed once, so its id marks this query's ancestors
+        x = a
+        while x >= 0:
+            mark[x] = eid
+            x = parent[x]
+        # the unseen cycle edge of largest prediction, ties to the smaller id,
+        # and the endpoint of the revealed edge on the same side of the cycle
+        best = cut = -1
         best_pred = None
-        for eid in tree_path_ids(self._adj, a, b):
-            if unseen[eid]:
-                p = pred[eid]
-                if best < 0 or p > best_pred or (p == best_pred and eid < best):
-                    best, best_pred = eid, p
-        return best
-
-    def _swap(self, evict: int, incoming: Edge) -> None:
-        self._tree.discard(evict)
-        self._tree.add(incoming.id)
-        # Entries start as the tree's shared tuples: replace them, never mutate.
-        adj = self._adj
-        gone = self._graph.edges[evict]
-        adj[gone.u] = [t for t in adj[gone.u] if t[1] != evict]
-        adj[gone.v] = [t for t in adj[gone.v] if t[1] != evict]
-        adj[incoming.u] = [*adj[incoming.u], (incoming.v, incoming.id)]
-        adj[incoming.v] = [*adj[incoming.v], (incoming.u, incoming.id)]
+        x = b
+        while mark[x] != eid:
+            e = parent_edge[x]
+            if unseen[e]:
+                p = pred[e]
+                if best < 0 or p > best_pred or (p == best_pred and e < best):
+                    best, best_pred, cut = e, p, x
+            x = parent[x]
+        lca, below_b = x, best >= 0
+        x = a
+        while x != lca:
+            e = parent_edge[x]
+            if unseen[e]:
+                p = pred[e]
+                if best < 0 or p > best_pred or (p == best_pred and e < best):
+                    best, best_pred, cut = e, p, x
+                    below_b = False
+            x = parent[x]
+        if best < 0 or weight > best_pred:
+            return _REJECT
+        # cutting ``best`` detaches the subtree under ``cut``; re-root it at the
+        # revealed edge's endpoint inside it and hang it from the other endpoint
+        x, up, up_edge = (b, a, eid) if below_b else (a, b, eid)
+        while True:
+            old_up, old_edge = parent[x], parent_edge[x]
+            parent[x], parent_edge[x] = up, up_edge
+            if x == cut:
+                break
+            x, up, up_edge = old_up, x, old_edge
         self._unseen_in_tree -= 1  # the evicted edge was unseen by construction
+        return Decision.accept(swapped_out=best)
 
     def working_tree_ids(self) -> frozenset[int]:
-        return frozenset(self._tree)
+        # vertex 0 stays the root, and every other vertex has its tree edge
+        return frozenset(self._parent_edge[1:])
 
     def initial_tree_ids(self) -> frozenset[int]:
         return self._initial
@@ -248,45 +283,49 @@ ALGORITHMS: dict[str, Callable[[], OnlineAlgorithm]] = {"ftp": ftp, "gftp": gftp
 
 def _play(
     alg: OnlineAlgorithm,
-    graph: Graph,
-    predicted: Weights,
+    prepared: PreparedInstance,
     actual: Sequence[Fraction],
     edge_ids: Iterable[int],
     steps: list[TraceStep] | None = None,
     checked: bool = False,
-) -> tuple[list[int], Fraction]:
+) -> tuple[list[int], int | Fraction]:
     """The one reveal loop: every online execution goes through it.
 
     Reads ``actual[eid]`` only once ``eid`` has been drawn from ``edge_ids``,
-    so an adaptive opponent may fix weights as the loop runs.  Records to
-    ``steps`` if given and runs the invariant checks if ``checked``.  Returns
-    the accepted ids in arrival order and their exact total weight.
+    so an adaptive opponent may fix weights as the loop runs (its
+    ``prepared`` then has no true weights).  Records to ``steps`` if given
+    and runs the invariant checks if ``checked``.  Returns the accepted ids
+    in arrival order and their total weight on ``prepared.scale``: an int
+    sum where the true weights are scaled ints, which the caller divides by
+    the scale once.
     """
-    alg.initialize(graph, predicted)
-    checker = _InvariantChecker(alg, graph, predicted) if checked else None
+    graph = prepared.graph
+    summed = actual if prepared.actual_scaled is None else prepared.actual_scaled
+    # a player set up from ``prepared`` reads the weights on its scale
+    shown = summed if alg.initialize(graph, prepared) is True else actual
+    checker = _InvariantChecker(alg, graph, prepared.predicted) if checked else None
     edges = graph.edges
     reveal = alg.reveal
-    uf = _UnionFind(graph.n)
+    union = _UnionFind(graph.n).union
     accepted: list[int] = []
-    cost = Fraction(0)
+    total = 0
     for eid in edge_ids:
         edge = edges[eid]
-        weight = actual[eid]
         if checker is not None:
             checker.before_reveal(edge)
-        decision = reveal(edge, weight)
+        decision = reveal(edge, shown[eid])
         if steps is not None:
-            steps.append(TraceStep(eid, weight, decision))
+            steps.append(TraceStep(eid, actual[eid], decision))
         if checker is not None:
-            checker.after_reveal(edge, weight, decision)
+            checker.after_reveal(edge, actual[eid], decision)
         if decision.accepted:
-            if not uf.union(edge.u, edge.v):
+            if not union(edge.u, edge.v):
                 raise NotSpanning("accepted edges contain a cycle")
             accepted.append(eid)
-            cost += weight
+            total += summed[eid]
     if len(accepted) != graph.n - 1:
         raise NotSpanning(f"accepted {len(accepted)} edges, a spanning tree needs {graph.n - 1}")
-    return accepted, cost
+    return accepted, total
 
 
 def run(
@@ -304,14 +343,12 @@ def run(
     invariants around every reveal (``check_cycle_dominance`` and
     ``check_post_rejection_dominance``).
     """
-    graph = instance.graph
-    if len(order) != graph.m:
-        raise BadParameter(f"order covers {len(order)} of {graph.m} edges")
+    if len(order) != instance.m:
+        raise BadParameter(f"order covers {len(order)} of {instance.m} edges")
+    prepared = PreparedInstance.of(instance)
     steps: list[TraceStep] = []
-    accepted, cost = _play(
-        alg, graph, instance.predicted, instance.actual, order.edge_ids, steps, checked
-    )
-    return RunTrace(tuple(steps), frozenset(accepted), cost)
+    accepted, total = _play(alg, prepared, instance.actual, order.edge_ids, steps, checked)
+    return RunTrace(tuple(steps), frozenset(accepted), Fraction(total, prepared.scale))
 
 
 def run_cost(alg: OnlineAlgorithm, instance: WmstInstance, order_ids: Sequence[int]) -> Fraction:
@@ -320,7 +357,8 @@ def run_cost(alg: OnlineAlgorithm, instance: WmstInstance, order_ids: Sequence[i
     The same reveal loop with no trace and no checks, raising the same
     ``NotSpanning``; trusts ``order_ids`` to be a permutation of the edge ids.
     """
-    return _play(alg, instance.graph, instance.predicted, instance.actual, order_ids)[1]
+    prepared = PreparedInstance.of(instance)
+    return Fraction(_play(alg, prepared, instance.actual, order_ids)[1], prepared.scale)
 
 
 def check_cycle_dominance(

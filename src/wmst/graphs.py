@@ -8,11 +8,12 @@ all arithmetic is exact; floating point never enters the picture.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
 
 from .exceptions import (
     BadParameter,
@@ -39,6 +40,12 @@ BRUTE_FORCE_EDGE_LIMIT = 24
 # from weights finite and nonzero: sums over fewer than 2^250 edges, their
 # ratios, and the Monte Carlo variance.  Bit lengths cost less than Fractions.
 WEIGHT_BITS = 256
+
+# Scaled weights are ints only while their common scale has at most this many
+# bits.  Each scaled weight is about as long as the scale, and 2m pairwise
+# coprime denominators of 2500 digits would make the scale 2m * 8300 bits long,
+# so past the bound the weights stay Fractions: memory stays linear in the input.
+SCALE_BITS = 1024
 
 
 def is_plain_int(value) -> bool:
@@ -169,9 +176,11 @@ def tree_path_ids(adj: Sequence[Sequence[tuple[int, int]]], a: int, b: int) -> l
     """Edge ids of the unique a-b path in a tree, ordered from a to b.
 
     ``adj[x]`` lists the ``(neighbor, edge_id)`` pairs of vertex ``x`` over
-    the tree edges only.  Every tree walk of the package goes through here:
-    cycle queries, the swap rule, the checked-mode invariants and the
-    exchange witness.
+    the tree edges only.  The walks that take a tree by its edge set come
+    through here: ``SpanningTree.tree_path``, the checked-mode invariants,
+    ``exchange_witness`` and the checks in ``wmst.checks``.  The greedy
+    player's own cycle query climbs the parent pointers of a rooted tree
+    instead (see ``PreparedInstance``).
     """
     # Search from b, so that following parents back from a lists the path in order.
     parent: dict[int, tuple[int, int]] = {b: (-1, -1)}
@@ -274,23 +283,127 @@ def mst(graph: Graph, weights: Weights) -> SpanningTree:
     resolve toward the smaller id and the result is deterministic.
     """
     graph.check_weights(weights)
-    order = sorted(range(graph.m), key=lambda eid: (weights[eid], eid))
-    uf = _UnionFind(graph.n)
+    edges = graph.edges
+    picked = _kruskal(graph.n, [e.u for e in edges], [e.v for e in edges], weights)
+    return SpanningTree(graph, frozenset(picked))
+
+
+def _kruskal(n: int, us: Sequence[int], vs: Sequence[int], weights: Sequence) -> list[int]:
+    """Edge ids of a minimum spanning tree, in the order Kruskal picks them.
+
+    The sort is stable over ascending ids, so edges are scanned by
+    ``(weight, edge id)``: ties resolve toward the smaller id.  ``weights``
+    may be Fractions or the integers of a common scale; the tree is the same.
+    """
+    uf = _UnionFind(n)
     picked: list[int] = []
-    need = graph.n - 1
-    for eid in order:
-        edge = graph.edges[eid]
-        if uf.union(edge.u, edge.v):
+    need = n - 1
+    for eid in sorted(range(len(us)), key=weights.__getitem__):
+        if uf.union(us[eid], vs[eid]):
             picked.append(eid)
             if len(picked) == need:
                 break
-    return SpanningTree(graph, frozenset(picked))
+    return picked
 
 
 def tree_cost(tree: SpanningTree, weights: Weights) -> Fraction:
     """Exact sum of the tree's edge weights."""
     tree.graph.check_weights(weights)
     return sum((weights[eid] for eid in tree.edge_ids), Fraction(0))
+
+
+class PreparedInstance(Sequence):
+    """An instance's start state, computed once and shared by every game on it.
+
+    - ``scale``: a common denominator ``D`` of all predicted and true weights;
+      ``predicted_scaled`` and ``actual_scaled`` are the weights times ``D``,
+      as ints.  Without true weights (a player set up through ``initialize``
+      alone, or a game that fixes them as it runs), or when ``D`` would take
+      more than ``SCALE_BITS`` bits, ``D`` is 1 and the scaled weights are the
+      Fractions themselves.  Either way, comparisons and sums of scaled weights
+      are exact, and a sum divided by ``scale`` is the Fraction it stands for.
+    - ``us`` and ``vs``: the edge endpoints, as flat lists.
+    - ``tree``: the predicted-weight MST, the edge set of ``mst(graph, predicted)``.
+    - ``rooted``: that tree rooted at vertex 0.
+    - ``opt`` and ``eta``: the optimum under the true weights and the error.
+
+    It also reads as the sequence of its predicted Fractions, so any player
+    can be initialised from it; the built-in players copy their start state
+    from it instead of building it.
+    """
+
+    def __init__(self, graph: Graph, predicted: Weights, actual: Weights | None = None):
+        graph.check_weights(predicted)
+        self.graph = graph
+        self.predicted = predicted
+        self.actual = actual
+        scale = None if actual is None else _common_scale(predicted, actual)
+        if scale is None:
+            self.scale = 1
+            self.predicted_scaled, self.actual_scaled = predicted, actual
+        else:
+            self.scale = scale
+            self.predicted_scaled = [w.numerator * (scale // w.denominator) for w in predicted]
+            self.actual_scaled = [w.numerator * (scale // w.denominator) for w in actual]
+        self.us = [e.u for e in graph.edges]
+        self.vs = [e.v for e in graph.edges]
+        self.tree = frozenset(_kruskal(graph.n, self.us, self.vs, self.predicted_scaled))
+
+    @classmethod
+    def of(cls, instance: WmstInstance) -> "PreparedInstance":
+        return cls(instance.graph, instance.predicted, instance.actual)
+
+    def __len__(self) -> int:
+        return len(self.predicted)
+
+    def __getitem__(self, eid):
+        return self.predicted[eid]
+
+    @cached_property
+    def rooted(self) -> tuple[list[int], list[int]]:
+        """``(parent, parent_edge)`` of the tree rooted at vertex 0, -1 at the root."""
+        n = self.graph.n
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for eid in self.tree:
+            u, v = self.us[eid], self.vs[eid]
+            adj[u].append((v, eid))
+            adj[v].append((u, eid))
+        parent = [-1] * n
+        parent_edge = [-1] * n
+        stack = [0]
+        while stack:
+            x = stack.pop()
+            for y, eid in adj[x]:
+                if eid != parent_edge[x]:
+                    parent[y], parent_edge[y] = x, eid
+                    stack.append(y)
+        return parent, parent_edge
+
+    @cached_property
+    def opt(self) -> Fraction:
+        """Exact cost of a minimum spanning tree under the true weights."""
+        weights = self.actual_scaled
+        picked = _kruskal(self.graph.n, self.us, self.vs, weights)
+        return Fraction(sum(weights[eid] for eid in picked), self.scale)
+
+    @cached_property
+    def eta(self) -> Fraction:
+        """Exact sum of the ``n-1`` largest per-edge discrepancies (``metrics.eta``)."""
+        gaps = sorted(
+            (abs(p - a) for p, a in zip(self.predicted_scaled, self.actual_scaled)),
+            reverse=True,
+        )
+        return Fraction(sum(gaps[: self.graph.n - 1]), self.scale)
+
+
+def _common_scale(*weight_maps: Weights) -> int | None:
+    """The lcm of every weight's denominator, or None once it passes ``SCALE_BITS`` bits."""
+    scale = 1
+    for denominator in {w.denominator for weights in weight_maps for w in weights}:
+        scale = math.lcm(scale, denominator)
+        if scale.bit_length() > SCALE_BITS:
+            return None
+    return scale
 
 
 def tree_cycle(tree: SpanningTree, edge: Edge) -> list[Edge]:

@@ -18,10 +18,9 @@ from fractions import Fraction
 from itertools import islice, pairwise, permutations
 from typing import Callable
 
-from .engine import OnlineAlgorithm, run_cost
+from .engine import OnlineAlgorithm, _play
 from .exceptions import BadParameter, TooLarge
-from .graphs import WmstInstance, mst, tree_cost
-from .metrics import eta
+from .graphs import PreparedInstance, WmstInstance
 
 AlgFactory = Callable[[], OnlineAlgorithm]
 
@@ -78,8 +77,14 @@ def estimate(
     the three reference curves.  A ``Fraction`` mean, such as an exact
     expectation or the cost of one order, gives an exact ratio.
     """
-    opt = tree_cost(mst(instance.graph, instance.actual), instance.actual)
-    err = eta(instance)
+    return _estimate(PreparedInstance.of(instance), mean, trials, std_error)
+
+
+def _estimate(
+    prepared: PreparedInstance, mean: float | Fraction, trials: int, std_error: float
+) -> RoEstimate:
+    opt = prepared.opt
+    err = prepared.eta
     epsilon = err / opt
     eps = float(epsilon)
     return RoEstimate(
@@ -96,19 +101,20 @@ def estimate(
     )
 
 
-def _cost_sums(factory: AlgFactory, instance: WmstInstance, orders) -> tuple[int, int, int]:
-    """``d`` and the sums of ``d * cost`` and of its square over ``orders``.
+def _cost_sums(factory: AlgFactory, prepared: PreparedInstance, orders) -> tuple[int, int]:
+    """The sums of ``D * cost`` and of its square over ``orders``, ``D = prepared.scale``.
 
-    ``d``, the lcm of the true weights' denominators, makes every sum an int.
+    Every trial starts its player from the one ``prepared``, and ``_play``
+    returns the cost on that scale, so both sums are exact: ints, or
+    Fractions where the scale is 1 and the weights stayed Fractions.
     """
-    d = math.lcm(*(w.denominator for w in instance.actual))
+    actual = prepared.actual
     total = total_sq = 0
     for order in orders:
-        cost = run_cost(factory(), instance, order)
-        scaled = cost.numerator * (d // cost.denominator)
-        total += scaled
-        total_sq += scaled * scaled
-    return d, total, total_sq
+        cost = _play(factory(), prepared, actual, order)[1]
+        total += cost
+        total_sq += cost * cost
+    return total, total_sq
 
 
 def _shuffles(m: int, seed: int):
@@ -120,10 +126,10 @@ def _shuffles(m: int, seed: int):
         yield ids
 
 
-def _mc_chunk(args) -> tuple[int, int, int]:
-    factory, instance, seed, start, stop = args
+def _mc_chunk(args) -> tuple[int, int]:
+    factory, prepared, seed, start, stop = args
     # the shuffles before trial ``start`` are replayed without being played
-    return _cost_sums(factory, instance, islice(_shuffles(instance.m, seed), start, stop))
+    return _cost_sums(factory, prepared, islice(_shuffles(prepared.graph.m, seed), start, stop))
 
 
 def mc_estimate(
@@ -136,12 +142,15 @@ def mc_estimate(
     """Monte Carlo estimate over uniform arrival orders.
 
     Trial ``t`` runs a fresh algorithm instance on the ``t``-th Fisher-Yates
-    shuffle of one seeded stream, and run costs are summed exactly.  The
-    workers, forked processes, take contiguous runs of trials from that
-    stream, so their number sets the speed, never the estimate.  With
-    ``workers=None`` there is one per ``REVEALS_PER_WORKER`` reveals
-    (``trials * m``), at least one.  Any count is capped at ``trials`` and at
-    the CPUs this process may use, and is 1 where ``fork`` is unavailable.
+    shuffle of one seeded stream.  The instance is prepared once: every
+    trial copies its player's start state from one ``PreparedInstance`` and
+    adds up integer weights on its scale, and the optimum and the error come
+    from the same preparation.  Run costs are summed exactly.  The workers,
+    forked processes, take contiguous runs of trials from that stream, so
+    their number sets the speed, never the estimate.  With ``workers=None``
+    there is one per ``REVEALS_PER_WORKER`` reveals (``trials * m``), at
+    least one.  Any count is capped at ``trials`` and at the CPUs this
+    process may use, and is 1 where ``fork`` is unavailable.
     """
     if trials < 1:
         raise BadParameter(f"need at least one trial, got {trials}")
@@ -154,29 +163,35 @@ def mc_estimate(
     # the CPUs this process may run on, which can be fewer than the host has
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = max(1, min(workers, trials, cpus or 1))
+    prepared = PreparedInstance.of(instance)
     bounds = [trials * w // workers for w in range(workers + 1)]
-    jobs = [(alg_factory, instance, seed, start, stop) for start, stop in pairwise(bounds)]
+    jobs = [(alg_factory, prepared, seed, start, stop) for start, stop in pairwise(bounds)]
     if workers == 1:
         chunks = [_mc_chunk(jobs[0])]
     else:
         with multiprocessing.get_context("fork").Pool(workers) as pool:
             chunks = pool.map(_mc_chunk, jobs)
-    d = chunks[0][0]
-    total = sum(c[1] for c in chunks)
-    total_sq = sum(c[2] for c in chunks)
+    total = sum(c[0] for c in chunks)
+    total_sq = sum(c[1] for c in chunks)
+    d = prepared.scale
     # the sample variance, whose numerator is 0 for a single trial
     variance = Fraction(trials * total_sq - total * total, trials * max(trials - 1, 1) * d * d)
     mean = float(Fraction(total, trials * d))
-    return estimate(instance, mean, trials, math.sqrt(variance / trials))
+    return _estimate(prepared, mean, trials, math.sqrt(variance / trials))
 
 
 def exact_expectation(alg_factory: AlgFactory, instance: WmstInstance) -> Fraction:
-    """Exact expected cost over all arrival orders, by full enumeration."""
+    """Exact expected cost over all arrival orders, by full enumeration.
+
+    Every order's player starts from one ``PreparedInstance``, and the costs
+    are added up as integers on its scale.
+    """
     m = instance.m
     if m > EXACT_EDGE_LIMIT:
         raise TooLarge(f"{m} edges means {m}! orders; the limit is {EXACT_EDGE_LIMIT}")
-    d, total, _ = _cost_sums(alg_factory, instance, permutations(range(m)))
-    return Fraction(total, math.factorial(m) * d)
+    prepared = PreparedInstance.of(instance)
+    total, _ = _cost_sums(alg_factory, prepared, permutations(range(m)))
+    return Fraction(total, math.factorial(m) * prepared.scale)
 
 
 def harmonic_bound(n: int) -> Fraction:

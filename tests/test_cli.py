@@ -159,6 +159,21 @@ def test_ro_row_quotes_an_instance_id_that_needs_it(tmp_path, capsys, name, inst
     assert len(row) == 13 and row[0] == (instance_id or name)
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+@pytest.mark.parametrize("argv", [["ro", "ftp", "{path}", "--trials", "10"],
+                                  ["ro", "gftp", "{path}", "--exact"],
+                                  ["sweep", "ro-lb", "--k", "2", "--l", "1", "--trials", "5",
+                                   "--algs", "ftp,{brk}gftp"]], ids=lambda a: " ".join(a[:2]))
+def test_config_line_escapes_line_breaks(tmp_path, capsys, brk, argv):
+    path = tmp_path / f"x{brk}y.json"
+    path.write_text(json.dumps(_triangle_payload()))
+    code, text = run_cli(capsys, *(arg.format(path=path, brk=brk) for arg in argv))
+    assert code == 0
+    lines = text.splitlines()  # breaks at CR as well as LF
+    header = lines.index(CSV_COLUMNS)
+    assert header > 0 and all(line.startswith("#") for line in lines[:header])
+
+
 def test_sweep_closed_form_rows(tmp_path, capsys):
     csv_path = tmp_path / "sweep.csv"
     code, _ = run_cli(

@@ -2,11 +2,12 @@
 
 from fractions import Fraction
 from functools import partial
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 
 from wmst import (
+    ALGORITHMS,
     ArrivalOrder,
     BadParameter,
     Decision,
@@ -19,7 +20,9 @@ from wmst import (
     WmstInstance,
     error_report,
     ftp,
+    gen_eta2_game,
     gen_ftp_lb,
+    gen_general_lb_game,
     gen_ro_lb,
     gftp,
     mst,
@@ -29,8 +32,10 @@ from wmst import (
     tree_cost,
 )
 from wmst import checks
+from wmst.cli import FAMILIES
 
 from conftest import triangle
+from reference_gftp import GreedyFollowPredictions as ReferenceGreedy
 
 F = Fraction
 
@@ -351,3 +356,73 @@ class TestCostBounds:
             tree = mst(inst.graph, inst.predicted)
             budget = tree_cost(tree, inst.predicted) + error_report(inst).eta
             assert run_cost(gftp(), inst, ids) <= budget
+
+
+def _family_instances():
+    """Every ``cli.FAMILIES`` family at a few sizes, games played by both players."""
+    grids = {
+        "ftp-lb": [dict(k=F(2), l=1), dict(k=F(3), l=4), dict(k=F(5, 2), l=7)],
+        "ro-lb": [dict(k=F(2), delta=F(1, 2), l=1), dict(k=F(4), delta=F(1, 3), l=6)],
+        "general-lb": [dict(k=k, l=l, alg=a) for k, l in ((2, 1), (3, 2)) for a in ALGORITHMS],
+        "eta2": [dict(k=k, big_k=10 * k, alg=a) for k in (2, 5) for a in ALGORITHMS],
+        "random": [dict(n=n, edge_prob=F(1, 3), noise=F(1, 2), seed=s)
+                   for n, s in ((8, 1), (20, 2), (40, 3))],
+    }
+    assert set(grids) == set(FAMILIES)
+    for family, grid in grids.items():
+        for params in grid:
+            yield FAMILIES[family].build(**params)[0]
+
+
+def _orders(inst, count: int):
+    yield ArrivalOrder.identity(inst.m)
+    yield ArrivalOrder(tuple(reversed(range(inst.m))))
+    for seed in range(count):
+        yield ArrivalOrder.shuffled(inst.m, seed)
+
+
+def _deep_cases():
+    """Instances shaped like the benchmark's mc-random ones: deep trees, many swaps."""
+    for seed in (1, 2, 3):
+        inst = random_instance(60, F(1, 5), F(1, 4), seed)
+        for order in _orders(inst, 4):
+            yield inst, order.edge_ids
+
+
+class TestAgainstReference:
+    """The prepared-instance ``gftp`` plays exactly like the reference player."""
+
+    def test_traces_on_the_fuzz_corpus(self):
+        for inst, ids in checks.fuzz_pairs(10_000):
+            order = ArrivalOrder(tuple(ids))
+            assert run(gftp(), inst, order) == run(ReferenceGreedy(), inst, order)
+
+    def test_traces_on_every_family_and_deep_trees(self):
+        cases = [(inst, order.edge_ids) for inst in _family_instances()
+                 for order in _orders(inst, 6)]
+        for inst, ids in cases + list(_deep_cases()):
+            order = ArrivalOrder(tuple(ids))
+            assert run(gftp(), inst, order) == run(ReferenceGreedy(), inst, order)
+
+    def test_games_play_and_replay_alike(self):
+        games = [(gen_general_lb_game, k, l) for k, l in ((2, 1), (3, 3), (5, 2))]
+        games += [(gen_eta2_game, k, 10 * k) for k in (2, 3, 7)]
+        for play, *params in games:
+            game = play(*params, gftp())
+            reference = play(*params, ReferenceGreedy())
+            assert game == reference
+            assert run(gftp(), game.instance, game.order) == game.trace
+
+    def test_public_contract_keeps_the_working_tree(self):
+        # as bench/run.py drives it: initialize, then reveal with Fraction weights
+        cases = list(islice(checks.fuzz_pairs(2_000), 0, None, 5)) + list(_deep_cases())
+        for inst, ids in cases:
+            players = [gftp(), ReferenceGreedy()]
+            for player in players:
+                player.initialize(inst.graph, inst.predicted)
+            assert players[0].initial_tree_ids() == players[1].initial_tree_ids()
+            for eid in ids:
+                edge, weight = inst.graph.edges[eid], inst.actual[eid]
+                fast, slow = (player.reveal(edge, weight) for player in players)
+                assert fast == slow
+                assert players[0].working_tree_ids() == players[1].working_tree_ids()

@@ -22,7 +22,10 @@ from wmst import (
     TooLarge,
     WmstInstance,
     brute_force_mst,
+    eta,
     exchange_witness,
+    gen_ftp_lb,
+    gen_ro_lb,
     mst,
     random_instance,
     tree_cost,
@@ -31,7 +34,7 @@ from wmst import (
 )
 from wmst import checks
 from wmst.exceptions import InstanceError
-from wmst.graphs import tree_path_ids
+from wmst.graphs import SCALE_BITS, PreparedInstance, tree_path_ids
 
 from conftest import mst_pairs, triangle
 
@@ -210,6 +213,74 @@ def _separated_without(pairs, skip: int, a: int, b: int, n: int) -> bool:
         if eid != skip:
             parent[find(u)] = find(v)
     return find(a) != find(b)
+
+
+def _complete_graph(n: int) -> Graph:
+    return Graph.from_pairs(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def _tie_heavy_instances():
+    """Hub-spoke families, whose spoke predictions all tie, and all-equal weights."""
+    for k, l in ((2, 1), (3, 4), (F(5, 2), 9)):
+        yield gen_ftp_lb(k, l)[0]
+        yield gen_ro_lb(k, F(1, 3), l)
+    for n in (2, 5, 9):
+        graph = _complete_graph(n)
+        yield WmstInstance(graph, (F(1),) * graph.m, (F(1),) * graph.m)
+        yield WmstInstance(graph, (F(3, 7),) * graph.m, (F(5, 2),) * graph.m)
+
+
+class TestPreparedInstance:
+    @staticmethod
+    def assert_exact(inst: WmstInstance, prepared: PreparedInstance) -> None:
+        """The preparation agrees with the Fraction computations it replaces."""
+        graph = inst.graph
+        assert prepared.tree == mst(graph, inst.predicted).edge_ids
+        assert prepared.opt == tree_cost(mst(graph, inst.actual), inst.actual)
+        assert prepared.eta == eta(inst)
+        for scaled, weights in ((prepared.predicted_scaled, inst.predicted),
+                                (prepared.actual_scaled, inst.actual)):
+            assert [F(w, prepared.scale) for w in scaled] == list(weights)
+        parent, parent_edge = prepared.rooted
+        assert parent[0] == parent_edge[0] == -1
+        assert sorted(parent_edge[1:]) == sorted(prepared.tree)
+        for x in range(1, graph.n):
+            edge = graph.edges[parent_edge[x]]
+            assert {edge.u, edge.v} == {x, parent[x]}
+            for _ in range(graph.n):  # the parent pointers reach the root
+                x = parent[x]
+                if x == 0:
+                    break
+            assert x == 0
+
+    def test_matches_fractions_on_fuzz_and_tie_heavy_instances(self):
+        corpus = [checks.fuzz_instance(index) for index in range(300)]
+        for inst in corpus + list(_tie_heavy_instances()):
+            prepared = PreparedInstance.of(inst)
+            assert all(isinstance(w, int) for w in prepared.predicted_scaled)
+            self.assert_exact(inst, prepared)
+
+    def test_a_scale_past_the_bound_keeps_the_fractions(self):
+        # 2^600 + 1 and 2^600 + 3 are odd and differ by 2, so coprime: the lcm
+        # of the denominators needs 1201 bits
+        a, b = 2**600 + 1, 2**600 + 3
+        graph = _complete_graph(4)
+        predicted = tuple(F(a + e, a) for e in range(graph.m))
+        actual = tuple(F(b + 7 - e, b) for e in range(graph.m))
+        inst = WmstInstance(graph, predicted, actual)
+        prepared = PreparedInstance.of(inst)
+        assert (a * b).bit_length() > SCALE_BITS
+        assert prepared.scale == 1 and prepared.predicted_scaled is inst.predicted
+        self.assert_exact(inst, prepared)
+        # one of the two denominators alone fits
+        assert PreparedInstance.of(WmstInstance(graph, predicted, predicted)).scale == a
+
+    def test_without_true_weights_the_scale_is_one(self):
+        inst = random_instance(9, F(1, 2), F(1, 4), seed=4)
+        prepared = PreparedInstance(inst.graph, inst.predicted)
+        assert prepared.scale == 1 and prepared.actual_scaled is None
+        assert prepared.tree == mst(inst.graph, inst.predicted).edge_ids
+        assert list(prepared) == list(inst.predicted) and len(prepared) == inst.m
 
 
 class TestTreePathIds:

@@ -3,6 +3,7 @@
 import math
 import os
 import random as pyrandom
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ import pytest
 from wmst import (
     ArrivalOrder,
     BadParameter,
+    Graph,
     RoEstimate,
     TooLarge,
     exact_expectation,
@@ -26,9 +28,12 @@ from wmst import (
     run_cost,
     tree_cost,
     mst,
+    WmstInstance,
 )
 from wmst import checks, randomorder
 from wmst.randomorder import estimate
+
+from reference_gftp import GreedyFollowPredictions as ReferenceGreedy
 
 F = Fraction
 
@@ -281,3 +286,59 @@ class TestExpectationOnSpokes:
         est = mc_estimate(gftp, inst, trials=20_000, seed=29)
         expected = 0.5 + 20 * 3.0
         assert abs(est.mean_cost - expected) <= 3 * est.std_error
+
+
+def _coprime_denominators(count: int) -> list[int]:
+    """``count`` pairwise coprime denominators of 2568 digits: ``k * 1000! + 1``.
+
+    A common divisor of two of them divides their difference, a multiple of
+    1000! by at most ``count - 1 < 1000``, so it divides 1000! and then 1.
+    """
+    assert count < 1000
+    base = math.factorial(1000)
+    return [k * base + 1 for k in range(1, count + 1)]
+
+
+def _wide_coprime_instance(n: int) -> WmstInstance:
+    """The complete graph on ``n`` vertices, each of its 2m weights over its own denominator."""
+    graph = Graph.from_pairs(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    dens = _coprime_denominators(2 * graph.m)
+    rng = pyrandom.Random(n)
+    predicted = tuple(rng.randint(1, 5) + F(1, d) for d in dens[: graph.m])
+    actual = tuple(rng.randint(1, 5) + F(1, d) for d in dens[graph.m :])
+    return WmstInstance(graph, predicted, actual)
+
+
+def _large_denominator_instances():
+    # the 2501-digit triangle of test_cli: the optimum's denominator has 5002 digits
+    a, b = int("3" * 2500 + "1"), int("7" * 2500 + "3")
+    weights = (F(a + 1, a), F(b + 1, b), F(3))
+    yield Graph.from_pairs(3, [(0, 1), (1, 2), (0, 2)]), weights, weights
+    wide = _wide_coprime_instance(6)  # m = 15: 30 denominators, 256,000 bits together
+    yield wide.graph, wide.predicted, wide.actual
+
+
+@pytest.mark.parametrize("case", list(_large_denominator_instances()), ids=["triangle", "k6"])
+def test_large_coprime_denominators_keep_memory_small_and_results_exact(case):
+    inst = WmstInstance(*case)
+    trials, seed = 6, 8
+    for factory, reference in ((gftp, ReferenceGreedy), (ftp, ftp)):
+        tracemalloc.start()
+        try:
+            est = mc_estimate(factory, inst, trials=trials, seed=seed, workers=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # k6 peaks near 0.33 MB; scaling its 30 weights to ints on one common
+        # denominator of 256,000 bits would peak above 2 MB
+        assert peak < 1_000_000
+        rng = pyrandom.Random(seed)
+        ids = list(range(inst.m))
+        costs = []
+        for _ in range(trials):
+            rng.shuffle(ids)
+            costs.append(run(reference(), inst, ArrivalOrder(tuple(ids))).cost)
+        mean = sum(costs, F(0)) / trials
+        variance = sum(((c - mean) ** 2 for c in costs), F(0)) / (trials - 1)
+        assert est.mean_cost == float(mean)
+        assert est.std_error == math.sqrt(variance / trials)
