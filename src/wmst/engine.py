@@ -117,11 +117,12 @@ class OnlineAlgorithm(ABC):
     Implementations may consult anything revealed so far, but never a weight
     that has not arrived yet.
 
-    The reveal loop passes a ``PreparedInstance`` as ``predicted``; it reads
-    as the predicted Fractions.  A player that returns True from
-    ``initialize`` declares that it set itself up from that preparation, and
-    then gets each true weight on the preparation's scale
-    (``actual_scaled``), not as a Fraction.
+    The reveal loop sets a player up with ``initialize_prepared``, whose
+    default calls ``initialize`` with the predicted Fractions.  A player that
+    overrides it may copy its start state from the ``PreparedInstance``.  The
+    loop then asks ``weight_scale``: a player whose state reads weights on
+    the preparation's scale gets each true weight as ``actual_scaled[eid]``;
+    every other player gets the Fraction.
     """
 
     name = "online"
@@ -129,10 +130,18 @@ class OnlineAlgorithm(ABC):
     tracks_swaps = False
 
     @abstractmethod
-    def initialize(self, graph: Graph, predicted: Weights) -> bool | None: ...
+    def initialize(self, graph: Graph, predicted: Weights) -> None: ...
 
     @abstractmethod
     def reveal(self, edge: Edge, weight: Fraction) -> Decision: ...
+
+    def initialize_prepared(self, prepared: PreparedInstance) -> None:
+        """Set up from a preparation of the instance; the reveal loop calls this."""
+        self.initialize(prepared.graph, prepared.predicted)
+
+    def weight_scale(self) -> int | None:
+        """The scale of the weights ``reveal`` compares against, None for Fractions."""
+        return None
 
     def working_tree_ids(self) -> frozenset[int] | None:
         """Current intended tree, if the player maintains one (checked mode)."""
@@ -140,13 +149,6 @@ class OnlineAlgorithm(ABC):
 
     def initial_tree_ids(self) -> frozenset[int] | None:
         return None
-
-
-def _prepared(graph: Graph, predicted: Weights) -> PreparedInstance:
-    """``predicted`` itself if the reveal loop passed a preparation, else a new one."""
-    if isinstance(predicted, PreparedInstance):
-        return predicted
-    return PreparedInstance(graph, predicted)
 
 
 class FollowPredictions(OnlineAlgorithm):
@@ -157,10 +159,13 @@ class FollowPredictions(OnlineAlgorithm):
     def __init__(self):
         self._tree: frozenset[int] | None = None
 
-    def initialize(self, graph: Graph, predicted: Weights) -> bool:
-        prepared = _prepared(graph, predicted)
+    def initialize(self, graph: Graph, predicted: Weights) -> None:
+        self._tree = PreparedInstance(graph, predicted).tree
+
+    def initialize_prepared(self, prepared: PreparedInstance) -> None:
+        if type(self).initialize is not FollowPredictions.initialize:
+            return super().initialize_prepared(prepared)  # a subclass's own set-up
         self._tree = prepared.tree
-        return prepared is predicted
 
     def reveal(self, edge: Edge, weight: Fraction) -> Decision:
         return _ACCEPT if edge.id in self._tree else _REJECT
@@ -184,9 +189,13 @@ class GreedyFollowPredictions(OnlineAlgorithm):
 
     The start state is copied in O(n) from a ``PreparedInstance``: the
     predicted MST rooted at vertex 0, as parent and parent-edge arrays, and
-    the predictions on the preparation's scale, which ``reveal``'s weights
-    share.  The cycle query marks the ancestors of one endpoint and climbs
-    from the other to their lowest common ancestor.  A swap reverses the
+    the predictions on the preparation's scale, which ``weight_scale``
+    reports and ``reveal``'s weights share.  The reveal loop passes its own
+    preparation; ``initialize`` builds one without true weights, so its
+    scale is 1 and the predictions stay Fractions, and a subclass that
+    overrides ``initialize`` is set up through it.  The cycle query marks
+    the ancestors of one endpoint and climbs from the other to their lowest
+    common ancestor.  A swap reverses the
     parent pointers from the revealed edge's endpoint on the cut-off side up
     to the evicted edge, so vertex 0 stays the root.
     """
@@ -197,17 +206,28 @@ class GreedyFollowPredictions(OnlineAlgorithm):
     def __init__(self):
         self._parent: list[int] | None = None
 
-    def initialize(self, graph: Graph, predicted: Weights) -> bool:
-        prepared = _prepared(graph, predicted)
+    def initialize(self, graph: Graph, predicted: Weights) -> None:
+        self._start(PreparedInstance(graph, predicted))
+
+    def initialize_prepared(self, prepared: PreparedInstance) -> None:
+        if type(self).initialize is not GreedyFollowPredictions.initialize:
+            return super().initialize_prepared(prepared)  # a subclass's own set-up
+        self._start(prepared)
+
+    def _start(self, prepared: PreparedInstance) -> None:
+        graph = prepared.graph
         parent, parent_edge = prepared.rooted
         self._parent = parent.copy()
         self._parent_edge = parent_edge.copy()
         self._mark = [-1] * graph.n
         self._pred = prepared.predicted_scaled
+        self._scale = prepared.scale
         self._initial = prepared.tree
         self._unseen = bytearray(b"\x01") * graph.m
         self._unseen_in_tree = graph.n - 1
-        return prepared is predicted
+
+    def weight_scale(self) -> int:
+        return self._scale
 
     def reveal(self, edge: Edge, weight: Fraction) -> Decision:
         eid, a, b = edge.id, edge.u, edge.v
@@ -301,8 +321,9 @@ def _play(
     """
     graph = prepared.graph
     summed = actual if prepared.actual_scaled is None else prepared.actual_scaled
-    # a player set up from ``prepared`` reads the weights on its scale
-    shown = summed if alg.initialize(graph, prepared) is True else actual
+    alg.initialize_prepared(prepared)
+    # the player's state says which weights its comparisons are exact against
+    shown = summed if alg.weight_scale() == prepared.scale else actual
     checker = _InvariantChecker(alg, graph, prepared.predicted) if checked else None
     edges = graph.edges
     reveal = alg.reveal

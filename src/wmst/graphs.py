@@ -312,7 +312,7 @@ def tree_cost(tree: SpanningTree, weights: Weights) -> Fraction:
     return sum((weights[eid] for eid in tree.edge_ids), Fraction(0))
 
 
-class PreparedInstance(Sequence):
+class PreparedInstance:
     """An instance's start state, computed once and shared by every game on it.
 
     - ``scale``: a common denominator ``D`` of all predicted and true weights;
@@ -325,11 +325,10 @@ class PreparedInstance(Sequence):
     - ``us`` and ``vs``: the edge endpoints, as flat lists.
     - ``tree``: the predicted-weight MST, the edge set of ``mst(graph, predicted)``.
     - ``rooted``: that tree rooted at vertex 0.
-    - ``opt`` and ``eta``: the optimum under the true weights and the error.
+    - ``opt`` and ``eta``: the optimum under the true weights and the error;
+      ``metrics`` reads both from here.
 
-    It also reads as the sequence of its predicted Fractions, so any player
-    can be initialised from it; the built-in players copy their start state
-    from it instead of building it.
+    The built-in players copy their start state from it instead of building it.
     """
 
     def __init__(self, graph: Graph, predicted: Weights, actual: Weights | None = None):
@@ -347,17 +346,14 @@ class PreparedInstance(Sequence):
             self.actual_scaled = [w.numerator * (scale // w.denominator) for w in actual]
         self.us = [e.u for e in graph.edges]
         self.vs = [e.v for e in graph.edges]
-        self.tree = frozenset(_kruskal(graph.n, self.us, self.vs, self.predicted_scaled))
 
     @classmethod
     def of(cls, instance: WmstInstance) -> "PreparedInstance":
         return cls(instance.graph, instance.predicted, instance.actual)
 
-    def __len__(self) -> int:
-        return len(self.predicted)
-
-    def __getitem__(self, eid):
-        return self.predicted[eid]
+    @cached_property
+    def tree(self) -> frozenset[int]:
+        return frozenset(_kruskal(self.graph.n, self.us, self.vs, self.predicted_scaled))
 
     @cached_property
     def rooted(self) -> tuple[list[int], list[int]]:
@@ -382,9 +378,12 @@ class PreparedInstance(Sequence):
     @cached_property
     def opt(self) -> Fraction:
         """Exact cost of a minimum spanning tree under the true weights."""
-        weights = self.actual_scaled
-        picked = _kruskal(self.graph.n, self.us, self.vs, weights)
-        return Fraction(sum(weights[eid] for eid in picked), self.scale)
+        return self.mst_cost(self.actual_scaled)
+
+    def mst_cost(self, scaled: Sequence) -> Fraction:
+        """Exact cost of a minimum spanning tree under weights on this scale."""
+        picked = _kruskal(self.graph.n, self.us, self.vs, scaled)
+        return Fraction(sum(scaled[eid] for eid in picked), self.scale)
 
     @cached_property
     def eta(self) -> Fraction:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import WmstInstance, mst, tree_cost
+from .graphs import PreparedInstance, WmstInstance
 
 
 def eta1(instance: WmstInstance) -> Fraction:
@@ -30,24 +30,24 @@ def eta2(instance: WmstInstance) -> Fraction:
     difference of the two minimum spanning tree costs (never negative).
     Only the costs matter, so tie-breaking inside ``mst`` cannot affect it.
     """
-    upper = tuple(max(p, a) for p, a in zip(instance.predicted, instance.actual))
-    lower = tuple(min(p, a) for p, a in zip(instance.predicted, instance.actual))
-    graph = instance.graph
-    return tree_cost(mst(graph, upper), upper) - tree_cost(mst(graph, lower), lower)
+    return _eta2(PreparedInstance.of(instance))
+
+
+def _eta2(prepared: PreparedInstance) -> Fraction:
+    pairs = list(zip(prepared.predicted_scaled, prepared.actual_scaled))
+    upper = [max(p, a) for p, a in pairs]
+    lower = [min(p, a) for p, a in pairs]
+    return prepared.mst_cost(upper) - prepared.mst_cost(lower)
 
 
 def eta(instance: WmstInstance) -> Fraction:
     """Sum of the ``n-1`` largest per-edge discrepancies.
 
     ``n-1`` is the size of any spanning tree, which caps the damage dense
-    graphs can accumulate.  Ties in the descending sort are irrelevant to
-    the sum.
+    graphs can accumulate.  Computed by ``PreparedInstance.eta`` on integer
+    weights of one common scale.
     """
-    gaps = sorted(
-        (abs(p - a) for p, a in zip(instance.predicted, instance.actual)),
-        reverse=True,
-    )
-    return sum(gaps[: instance.n - 1], Fraction(0))
+    return PreparedInstance.of(instance).eta
 
 
 @dataclass(frozen=True)
@@ -66,17 +66,15 @@ def error_report(instance: WmstInstance) -> ErrorReport:
     """Bundle every measure with OPT under both weight maps.
 
     ``epsilon`` is the headline error normalized by the true optimum,
-    reported as an exact rational.
+    reported as an exact rational.  Both optima, ``eta`` and ``eta2`` come
+    from one ``PreparedInstance``.
     """
-    graph = instance.graph
-    opt_actual = tree_cost(mst(graph, instance.actual), instance.actual)
-    opt_predicted = tree_cost(mst(graph, instance.predicted), instance.predicted)
-    headline = eta(instance)
+    prepared = PreparedInstance.of(instance)
     return ErrorReport(
         eta1=eta1(instance),
-        eta2=eta2(instance),
-        eta=headline,
-        opt_actual=opt_actual,
-        opt_predicted=opt_predicted,
-        epsilon=headline / opt_actual,
+        eta2=_eta2(prepared),
+        eta=prepared.eta,
+        opt_actual=prepared.opt,
+        opt_predicted=prepared.mst_cost(prepared.predicted_scaled),
+        epsilon=prepared.eta / prepared.opt,
     )

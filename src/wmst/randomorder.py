@@ -101,20 +101,26 @@ def _estimate(
     )
 
 
-def _cost_sums(factory: AlgFactory, prepared: PreparedInstance, orders) -> tuple[int, int]:
-    """The sums of ``D * cost`` and of its square over ``orders``, ``D = prepared.scale``.
+def _cost_sums(factory: AlgFactory, prepared: PreparedInstance, orders) -> tuple[int, int, int]:
+    """``d`` and the sums of ``d * cost`` and of its square over ``orders``, as ints.
 
     Every trial starts its player from the one ``prepared``, and ``_play``
-    returns the cost on that scale, so both sums are exact: ints, or
-    Fractions where the scale is 1 and the weights stayed Fractions.
+    returns the cost as an int on ``d = prepared.scale``.  Past
+    ``SCALE_BITS`` the weights stay Fractions; each cost is then put on
+    ``d``, the lcm of the true weights' denominators alone, which is no
+    longer than the input.
     """
     actual = prepared.actual
+    fractions = prepared.actual_scaled is actual  # the preparation kept the Fractions
+    d = math.lcm(*(w.denominator for w in actual)) if fractions else prepared.scale
     total = total_sq = 0
     for order in orders:
         cost = _play(factory(), prepared, actual, order)[1]
+        if fractions:
+            cost = cost.numerator * (d // cost.denominator)
         total += cost
         total_sq += cost * cost
-    return total, total_sq
+    return d, total, total_sq
 
 
 def _shuffles(m: int, seed: int):
@@ -126,7 +132,7 @@ def _shuffles(m: int, seed: int):
         yield ids
 
 
-def _mc_chunk(args) -> tuple[int, int]:
+def _mc_chunk(args) -> tuple[int, int, int]:
     factory, prepared, seed, start, stop = args
     # the shuffles before trial ``start`` are replayed without being played
     return _cost_sums(factory, prepared, islice(_shuffles(prepared.graph.m, seed), start, stop))
@@ -171,9 +177,9 @@ def mc_estimate(
     else:
         with multiprocessing.get_context("fork").Pool(workers) as pool:
             chunks = pool.map(_mc_chunk, jobs)
-    total = sum(c[0] for c in chunks)
-    total_sq = sum(c[1] for c in chunks)
-    d = prepared.scale
+    d = chunks[0][0]
+    total = sum(c[1] for c in chunks)
+    total_sq = sum(c[2] for c in chunks)
     # the sample variance, whose numerator is 0 for a single trial
     variance = Fraction(trials * total_sq - total * total, trials * max(trials - 1, 1) * d * d)
     mean = float(Fraction(total, trials * d))
@@ -190,8 +196,8 @@ def exact_expectation(alg_factory: AlgFactory, instance: WmstInstance) -> Fracti
     if m > EXACT_EDGE_LIMIT:
         raise TooLarge(f"{m} edges means {m}! orders; the limit is {EXACT_EDGE_LIMIT}")
     prepared = PreparedInstance.of(instance)
-    total, _ = _cost_sums(alg_factory, prepared, permutations(range(m)))
-    return Fraction(total, math.factorial(m) * prepared.scale)
+    d, total, _ = _cost_sums(alg_factory, prepared, permutations(range(m)))
+    return Fraction(total, math.factorial(m) * d)
 
 
 def harmonic_bound(n: int) -> Fraction:

@@ -25,6 +25,7 @@ from wmst import (
     gen_general_lb_game,
     gen_ro_lb,
     gftp,
+    mc_estimate,
     mst,
     random_instance,
     run,
@@ -33,6 +34,7 @@ from wmst import (
 )
 from wmst import checks
 from wmst.cli import FAMILIES
+from wmst.graphs import PreparedInstance
 
 from conftest import triangle
 from reference_gftp import GreedyFollowPredictions as ReferenceGreedy
@@ -389,6 +391,22 @@ def _deep_cases():
             yield inst, order.edge_ids
 
 
+class _InitializeSubclass(GreedyFollowPredictions):
+    """Extends ``initialize`` the ordinary way, through ``super()``."""
+
+    def initialize(self, graph, predicted):
+        super().initialize(graph, predicted)
+        self.set_up = True
+
+
+class _PreparedSubclass(GreedyFollowPredictions):
+    """Extends the reveal loop's set-up, also through ``super()``."""
+
+    def initialize_prepared(self, prepared):
+        super().initialize_prepared(prepared)
+        self.set_up = True
+
+
 class TestAgainstReference:
     """The prepared-instance ``gftp`` plays exactly like the reference player."""
 
@@ -426,3 +444,15 @@ class TestAgainstReference:
                 fast, slow = (player.reveal(edge, weight) for player in players)
                 assert fast == slow
                 assert players[0].working_tree_ids() == players[1].working_tree_ids()
+
+    @pytest.mark.parametrize("subclass", [_InitializeSubclass, _PreparedSubclass])
+    def test_subclasses_set_up_their_way_and_play_alike(self, subclass):
+        cases = list(islice(checks.fuzz_pairs(1_000), 0, None, 5)) + list(_deep_cases())
+        assert any(PreparedInstance.of(inst).scale > 1 for inst, _ in cases)
+        for inst, ids in cases:
+            order = ArrivalOrder(tuple(ids))
+            player = subclass()
+            assert run(player, inst, order) == run(ReferenceGreedy(), inst, order)
+            assert player.set_up
+        inst = random_instance(30, F(1, 4), F(1, 3), 5)
+        assert mc_estimate(subclass, inst, 40, 7) == mc_estimate(gftp, inst, 40, 7)

@@ -23,6 +23,7 @@ from wmst import (
     WmstInstance,
     brute_force_mst,
     eta,
+    eta2,
     exchange_witness,
     gen_ftp_lb,
     gen_ro_lb,
@@ -237,7 +238,16 @@ class TestPreparedInstance:
         graph = inst.graph
         assert prepared.tree == mst(graph, inst.predicted).edge_ids
         assert prepared.opt == tree_cost(mst(graph, inst.actual), inst.actual)
-        assert prepared.eta == eta(inst)
+        assert prepared.mst_cost(prepared.predicted_scaled) == tree_cost(
+            mst(graph, inst.predicted), inst.predicted
+        )
+        gaps = sorted((abs(p - a) for p, a in zip(inst.predicted, inst.actual)), reverse=True)
+        assert prepared.eta == eta(inst) == sum(gaps[: graph.n - 1], F(0))
+        upper = [max(p, a) for p, a in zip(inst.predicted, inst.actual)]
+        lower = [min(p, a) for p, a in zip(inst.predicted, inst.actual)]
+        assert eta2(inst) == (
+            tree_cost(mst(graph, upper), upper) - tree_cost(mst(graph, lower), lower)
+        )
         for scaled, weights in ((prepared.predicted_scaled, inst.predicted),
                                 (prepared.actual_scaled, inst.actual)):
             assert [F(w, prepared.scale) for w in scaled] == list(weights)
@@ -280,7 +290,6 @@ class TestPreparedInstance:
         prepared = PreparedInstance(inst.graph, inst.predicted)
         assert prepared.scale == 1 and prepared.actual_scaled is None
         assert prepared.tree == mst(inst.graph, inst.predicted).edge_ids
-        assert list(prepared) == list(inst.predicted) and len(prepared) == inst.m
 
 
 class TestTreePathIds:
