@@ -3,10 +3,12 @@
 The engine replays an instance against an online algorithm: true weights
 arrive one edge at a time, the algorithm answers each with an irrevocable
 accept or reject, and the accepted set must end as a spanning tree.  Every
-execution (``run``, ``run_cost`` and the adaptive games) goes through one
-reveal loop, which raises ``NotSpanning`` at the offending reveal.  Two
-players are provided: one that commits to the predicted-weight tree, and a
-greedy variant that swaps revealed bargains in for unseen tree edges.
+execution of one order (``run``, ``run_cost`` and the adaptive games) goes
+through one reveal loop, which raises ``NotSpanning`` at the offending
+reveal; the memoised exact expectation in ``randomorder`` walks all orders
+at once on branched players and raises it at the same faults.  Two players
+are provided: one that commits to the predicted-weight tree, and a greedy
+variant that swaps revealed bargains in for unseen tree edges.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .exceptions import BadParameter, InvariantViolation, NotSpanning
 from .graphs import (
@@ -123,6 +125,12 @@ class OnlineAlgorithm(ABC):
     loop then asks ``weight_scale``: a player whose state reads weights on
     the preparation's scale gets each true weight as ``actual_scaled[eid]``;
     every other player gets the Fraction.
+
+    A player may also opt in to the memoised exact expectation.  Its
+    ``state_key`` then names everything its later decisions depend on besides
+    which edges are still unseen, and ``branch`` copies it so that the copy
+    can play on alone.  The default key, None, leaves the player to the
+    enumeration of every order.
     """
 
     name = "online"
@@ -142,6 +150,14 @@ class OnlineAlgorithm(ABC):
     def weight_scale(self) -> int | None:
         """The scale of the weights ``reveal`` compares against, None for Fractions."""
         return None
+
+    def state_key(self) -> Hashable | None:
+        """A key of the state later decisions depend on, besides the unseen edges."""
+        return None
+
+    def branch(self) -> "OnlineAlgorithm":
+        """A copy in this state whose reveals leave this player as it is."""
+        raise NotImplementedError(f"{type(self).__name__} has no state_key to branch on")
 
     def working_tree_ids(self) -> frozenset[int] | None:
         """Current intended tree, if the player maintains one (checked mode)."""
@@ -170,6 +186,14 @@ class FollowPredictions(OnlineAlgorithm):
     def reveal(self, edge: Edge, weight: Fraction) -> Decision:
         return _ACCEPT if edge.id in self._tree else _REJECT
 
+    def state_key(self) -> tuple | None:
+        if type(self).reveal is not FollowPredictions.reveal:
+            return None  # a subclass's own decisions
+        return ()  # the tree never changes
+
+    def branch(self) -> "FollowPredictions":
+        return self  # reveal changes nothing
+
     def working_tree_ids(self) -> frozenset[int]:
         return self._tree
 
@@ -197,7 +221,8 @@ class GreedyFollowPredictions(OnlineAlgorithm):
     the ancestors of one endpoint and climbs from the other to their lowest
     common ancestor.  A swap reverses the
     parent pointers from the revealed edge's endpoint on the cut-off side up
-    to the evicted edge, so vertex 0 stays the root.
+    to the evicted edge, so vertex 0 stays the root.  The parent-edge array
+    is then the tree's canonical name, and ``state_key`` returns it.
     """
 
     name = "gftp"
@@ -280,6 +305,24 @@ class GreedyFollowPredictions(OnlineAlgorithm):
         self._unseen_in_tree -= 1  # the evicted edge was unseen by construction
         return Decision.accept(swapped_out=best)
 
+    def state_key(self) -> tuple[int, ...] | None:
+        if type(self).reveal is not GreedyFollowPredictions.reveal:
+            return None  # a subclass's own decisions
+        return tuple(self._parent_edge)
+
+    def branch(self) -> "GreedyFollowPredictions":
+        twin = object.__new__(type(self))
+        # reveal stamps marks with the edge's id, so a stamp left by a sibling
+        # branch, which revealed that id on another tree, must not be seen
+        twin.__dict__.update(
+            self.__dict__,
+            _parent=self._parent.copy(),
+            _parent_edge=self._parent_edge.copy(),
+            _unseen=self._unseen.copy(),
+            _mark=[-1] * len(self._mark),
+        )
+        return twin
+
     def working_tree_ids(self) -> frozenset[int]:
         # vertex 0 stays the root, and every other vertex has its tree edge
         return frozenset(self._parent_edge[1:])
@@ -309,7 +352,7 @@ def _play(
     steps: list[TraceStep] | None = None,
     checked: bool = False,
 ) -> tuple[list[int], int | Fraction]:
-    """The one reveal loop: every online execution goes through it.
+    """The one reveal loop: every execution of one order goes through it.
 
     Reads ``actual[eid]`` only once ``eid`` has been drawn from ``edge_ids``,
     so an adaptive opponent may fix weights as the loop runs (its

@@ -16,10 +16,12 @@ from .graphs import PreparedInstance, WmstInstance
 
 def eta1(instance: WmstInstance) -> Fraction:
     """Total absolute discrepancy over all edges."""
-    return sum(
-        (abs(p - a) for p, a in zip(instance.predicted, instance.actual)),
-        Fraction(0),
-    )
+    return _eta1(PreparedInstance.of(instance))
+
+
+def _eta1(prepared: PreparedInstance) -> Fraction:
+    gaps = (abs(p - a) for p, a in zip(prepared.predicted_scaled, prepared.actual_scaled))
+    return Fraction(sum(gaps), prepared.scale)
 
 
 def eta2(instance: WmstInstance) -> Fraction:
@@ -66,12 +68,12 @@ def error_report(instance: WmstInstance) -> ErrorReport:
     """Bundle every measure with OPT under both weight maps.
 
     ``epsilon`` is the headline error normalized by the true optimum,
-    reported as an exact rational.  Both optima, ``eta`` and ``eta2`` come
+    reported as an exact rational.  Both optima and all three measures come
     from one ``PreparedInstance``.
     """
     prepared = PreparedInstance.of(instance)
     return ErrorReport(
-        eta1=eta1(instance),
+        eta1=_eta1(prepared),
         eta2=_eta2(prepared),
         eta=prepared.eta,
         opt_actual=prepared.opt,

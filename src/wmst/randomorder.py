@@ -1,10 +1,13 @@
 """Random-order experiments.
 
 Estimates the expected cost of an online player over uniformly random
-arrival orders, either by Monte Carlo sampling or, for small instances, by
-exact enumeration of all permutations.  Reports compare the measured ratio
-against three reference curves in the normalized error: ``1 + e``,
-``1 + (1 + ln 2) e`` and ``1 + 2e``.
+arrival orders, either by Monte Carlo sampling or, for instances of at most
+``EXACT_EDGE_LIMIT`` edges, exactly.  The exact expectation of a player
+that keys its state (``ftp`` and ``gftp``) is a memoised recursion over the
+states orders pass through: the rest of a uniform order is uniform over
+the unseen edges.  Any other player plays all ``m!`` orders.  Reports
+compare the measured ratio against three reference curves in the
+normalized error: ``1 + e``, ``1 + (1 + ln 2) e`` and ``1 + 2e``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from itertools import islice, pairwise, permutations
 from typing import Callable
 
 from .engine import OnlineAlgorithm, _play
-from .exceptions import BadParameter, TooLarge
+from .exceptions import BadParameter, NotSpanning, TooLarge
 from .graphs import PreparedInstance, WmstInstance
 
 AlgFactory = Callable[[], OnlineAlgorithm]
@@ -112,7 +115,7 @@ def _cost_sums(factory: AlgFactory, prepared: PreparedInstance, orders) -> tuple
     """
     actual = prepared.actual
     fractions = prepared.actual_scaled is actual  # the preparation kept the Fractions
-    d = math.lcm(*(w.denominator for w in actual)) if fractions else prepared.scale
+    d = _cost_scale(prepared)
     total = total_sq = 0
     for order in orders:
         cost = _play(factory(), prepared, actual, order)[1]
@@ -121,6 +124,13 @@ def _cost_sums(factory: AlgFactory, prepared: PreparedInstance, orders) -> tuple
         total += cost
         total_sq += cost * cost
     return d, total, total_sq
+
+
+def _cost_scale(prepared: PreparedInstance) -> int:
+    """The ``d`` of ``_cost_sums``, which ``_completion_sum`` shares."""
+    if prepared.actual_scaled is prepared.actual:  # the preparation kept the Fractions
+        return math.lcm(*(w.denominator for w in prepared.actual))
+    return prepared.scale
 
 
 def _shuffles(m: int, seed: int):
@@ -187,17 +197,86 @@ def mc_estimate(
 
 
 def exact_expectation(alg_factory: AlgFactory, instance: WmstInstance) -> Fraction:
-    """Exact expected cost over all arrival orders, by full enumeration.
+    """Exact expected cost over all arrival orders.
 
-    Every order's player starts from one ``PreparedInstance``, and the costs
-    are added up as integers on its scale.
+    A player whose ``state_key`` is not None is played through the memoised
+    recursion of ``_completion_sum``; any other player plays every one of the
+    ``m!`` orders.  Either way every player starts from one
+    ``PreparedInstance`` and the costs are added up as integers on the scale
+    ``_cost_sums`` uses.  An instance of more than ``EXACT_EDGE_LIMIT`` edges
+    is refused for every player.
     """
     m = instance.m
     if m > EXACT_EDGE_LIMIT:
         raise TooLarge(f"{m} edges means {m}! orders; the limit is {EXACT_EDGE_LIMIT}")
     prepared = PreparedInstance.of(instance)
-    d, total, _ = _cost_sums(alg_factory, prepared, permutations(range(m)))
+    alg = alg_factory()
+    alg.initialize_prepared(prepared)
+    if alg.state_key() is None:
+        d, total, _ = _cost_sums(alg_factory, prepared, permutations(range(m)))
+    else:
+        d, total = _completion_sum(alg, prepared)
     return Fraction(total, math.factorial(m) * d)
+
+
+def _completion_sum(alg: OnlineAlgorithm, prepared: PreparedInstance) -> tuple[int, int]:
+    """``d`` and the sum of ``d * cost`` over all orders, for a set-up player with a key.
+
+    Once a set of edges is unseen, every order of them is equally likely,
+    so the orders are walked as a tree of states, each held once.  A state
+    is the unseen and the accepted edges and the player's key.  With ``k``
+    edges unseen, its sum ``S`` over the ``k!`` orders of the rest is, over
+    each unseen ``e`` revealed next, the weight of ``e`` if accepted times
+    ``(k-1)!``, plus ``S`` of the state that follows.  Each reveal goes to a
+    ``branch`` of the player, with the weights ``_play`` would show it, and
+    faults as in ``_play``: ``NotSpanning`` at an accept that closes a
+    cycle and at the end with fewer than ``n - 1`` accepts.
+    """
+    graph = prepared.graph
+    n, m, edges = graph.n, graph.m, graph.edges
+    d = _cost_scale(prepared)
+    summed = [w.numerator * (d // w.denominator) for w in prepared.actual]
+    # the weights ``_play`` shows the player, on the scale its state compares against
+    shown = prepared.actual_scaled if alg.weight_scale() == prepared.scale else prepared.actual
+    factorials = [math.factorial(k) for k in range(m)]
+    memo: dict = {}
+
+    def completions(player, unseen: int, accepted: int, component: list[int]) -> int:
+        """``S`` of this state; ``component`` labels the accepted forest's trees."""
+        if not unseen:
+            if accepted.bit_count() != n - 1:
+                raise NotSpanning(
+                    f"accepted {accepted.bit_count()} edges, a spanning tree needs {n - 1}"
+                )
+            return 0
+        later = factorials[unseen.bit_count() - 1]  # orders of the edges after the next
+        total = 0
+        for eid in range(m):
+            bit = 1 << eid
+            if not unseen & bit:
+                continue
+            child = player.branch()
+            edge = edges[eid]
+            after, joined = accepted, component
+            if child.reveal(edge, shown[eid]).accepted:
+                a, b = component[edge.u], component[edge.v]
+                if a == b:
+                    raise NotSpanning("accepted edges contain a cycle")
+                total += summed[eid] * later
+                after |= bit
+                joined = [a if c == b else c for c in component]
+            key = (unseen ^ bit, after, child.state_key())
+            rest = memo.get(key)
+            if rest is None:
+                rest = memo[key] = completions(child, unseen ^ bit, after, joined)
+            total += rest
+        return total
+
+    total = completions(alg, (1 << m) - 1, 0, list(range(n)))
+    # the closure refers to itself; unlinked, it and the memo are freed now,
+    # not left to the cyclic garbage collector
+    del completions
+    return d, total
 
 
 def harmonic_bound(n: int) -> Fraction:

@@ -6,7 +6,8 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from wmst import Decision, Graph, OnlineAlgorithm, WmstInstance, mst, random_instance
+from wmst import Decision, Graph, OnlineAlgorithm, WmstInstance, mst, random_instance, tree_cycle
+from wmst.graphs import SpanningTree
 
 
 def triangle() -> WmstInstance:
@@ -33,6 +34,22 @@ def mst_pairs(count: int, top: int):
         for _ in range(2):
             trees.append(mst(graph, tuple(Fraction(rng.randint(1, top)) for _ in range(graph.m))))
         yield from product(trees, repeat=2)
+
+
+def small_exact_instances(count: int):
+    """The first ``count`` random instances with at most 7 edges, over a rotation of sizes."""
+    produced = 0
+    seed = 0
+    while produced < count:
+        n = (3, 4, 5)[seed % 3]
+        prob = (Fraction(1), Fraction(7, 10), Fraction(1, 2))[seed % 3]
+        noise = (Fraction(1, 4), Fraction(1), Fraction(3))[seed % 3]
+        inst = random_instance(n, prob, noise, seed=seed)
+        seed += 1
+        if inst.m > 7:  # keep enumeration desk-scale; limit is 9
+            continue
+        produced += 1
+        yield inst
 
 
 class RejectFirstThenGreedy(OnlineAlgorithm):
@@ -63,3 +80,35 @@ class RejectFirstThenGreedy(OnlineAlgorithm):
             return Decision.reject()
         self._parent[rv] = ru
         return Decision.accept()
+
+
+class SlowSwapPlayer(OnlineAlgorithm):
+    """Reference swapper rebuilt from the public tree queries each step.
+
+    No incremental bookkeeping: the cycle, the unseen filter and the
+    eviction choice are recomputed from scratch, so any divergence from the
+    production player points at its caching.
+    """
+
+    def initialize(self, graph, predicted):
+        self._graph = graph
+        self._pred = predicted
+        self._tree = set(mst(graph, predicted).edge_ids)
+        self._seen = set()
+
+    def reveal(self, edge, weight):
+        self._seen.add(edge.id)
+        if edge.id in self._tree:
+            return Decision.accept()
+        snapshot = SpanningTree(self._graph, frozenset(self._tree))
+        unseen_cycle = [
+            e.id for e in tree_cycle(snapshot, edge) if e.id not in self._seen
+        ]
+        if not unseen_cycle:
+            return Decision.reject()
+        evict = max(unseen_cycle, key=lambda eid: (self._pred[eid], -eid))
+        if weight > self._pred[evict]:
+            return Decision.reject()
+        self._tree.discard(evict)
+        self._tree.add(edge.id)
+        return Decision.accept(swapped_out=evict)

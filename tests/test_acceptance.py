@@ -32,7 +32,7 @@ from wmst import (
 )
 from wmst import checks
 
-from conftest import RejectFirstThenGreedy, mst_pairs
+from conftest import RejectFirstThenGreedy, mst_pairs, small_exact_instances
 
 F = Fraction
 
@@ -125,26 +125,11 @@ def test_06_monte_carlo_separation():
     _report(6, "Monte Carlo mean and ratio separation at 1e5 trials")
 
 
-def _small_exact_instances(count: int):
-    produced = 0
-    seed = 0
-    while produced < count:
-        n = (3, 4, 5)[seed % 3]
-        prob = (F(1), F(7, 10), F(1, 2))[seed % 3]
-        noise = (F(1, 4), F(1), F(3))[seed % 3]
-        inst = random_instance(n, prob, noise, seed=seed)
-        seed += 1
-        if inst.m > 7:  # keep enumeration desk-scale; limit is 9
-            continue
-        produced += 1
-        yield inst
-
-
 def test_07_expected_cost_within_ln2_budget():
     # ln 2 is replaced by the safe over-approximation 0.6932 so the bound
     # stays a rational
     factor = 1 + F(6_932, 10_000)
-    for inst in _small_exact_instances(500):
+    for inst in small_exact_instances(500):
         opt = tree_cost(mst(inst.graph, inst.actual), inst.actual)
         mean = exact_expectation(gftp, inst)
         assert mean <= opt + factor * eta(inst)

@@ -36,7 +36,7 @@ from wmst import checks
 from wmst.cli import FAMILIES
 from wmst.graphs import PreparedInstance
 
-from conftest import triangle
+from conftest import SlowSwapPlayer, triangle
 from reference_gftp import GreedyFollowPredictions as ReferenceGreedy
 
 F = Fraction
@@ -145,43 +145,6 @@ class TestGreedyFollowPredictions:
                     accepted.add(eid)
                 SpanningTree(inst.graph, alg.working_tree_ids())  # raises if broken
             assert accepted == set(alg.working_tree_ids())
-
-
-class SlowSwapPlayer(OnlineAlgorithm):
-    """Reference swapper rebuilt from the public tree queries each step.
-
-    No incremental bookkeeping: the cycle, the unseen filter and the
-    eviction choice are recomputed from scratch, so any divergence from the
-    production player points at its caching.
-    """
-
-    def initialize(self, graph, predicted):
-        from wmst import mst as mst_fn
-
-        self._graph = graph
-        self._pred = predicted
-        self._tree = set(mst_fn(graph, predicted).edge_ids)
-        self._seen = set()
-
-    def reveal(self, edge, weight):
-        from wmst import tree_cycle
-        from wmst.graphs import SpanningTree
-
-        self._seen.add(edge.id)
-        if edge.id in self._tree:
-            return Decision.accept()
-        snapshot = SpanningTree(self._graph, frozenset(self._tree))
-        unseen_cycle = [
-            e.id for e in tree_cycle(snapshot, edge) if e.id not in self._seen
-        ]
-        if not unseen_cycle:
-            return Decision.reject()
-        evict = max(unseen_cycle, key=lambda eid: (self._pred[eid], -eid))
-        if weight > self._pred[evict]:
-            return Decision.reject()
-        self._tree.discard(evict)
-        self._tree.add(edge.id)
-        return Decision.accept(swapped_out=evict)
 
 
 def test_swapper_matches_slow_reference():

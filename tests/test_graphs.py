@@ -22,7 +22,9 @@ from wmst import (
     TooLarge,
     WmstInstance,
     brute_force_mst,
+    error_report,
     eta,
+    eta1,
     eta2,
     exchange_witness,
     gen_ftp_lb,
@@ -243,6 +245,7 @@ class TestPreparedInstance:
         )
         gaps = sorted((abs(p - a) for p, a in zip(inst.predicted, inst.actual)), reverse=True)
         assert prepared.eta == eta(inst) == sum(gaps[: graph.n - 1], F(0))
+        assert eta1(inst) == error_report(inst).eta1 == sum(gaps, F(0))
         upper = [max(p, a) for p, a in zip(inst.predicted, inst.actual)]
         lower = [min(p, a) for p, a in zip(inst.predicted, inst.actual)]
         assert eta2(inst) == (

@@ -30,9 +30,13 @@ from wmst import (
     mst,
     WmstInstance,
 )
+from wmst import Decision, GreedyFollowPredictions, NotSpanning, OnlineAlgorithm
 from wmst import checks, randomorder
+from wmst.cli import FAMILIES
+from wmst.graphs import PreparedInstance
 from wmst.randomorder import estimate
 
+from conftest import RejectFirstThenGreedy, SlowSwapPlayer, small_exact_instances, triangle
 from reference_gftp import GreedyFollowPredictions as ReferenceGreedy
 
 F = Fraction
@@ -115,6 +119,168 @@ class TestExactExpectation:
         k, delta, spokes = 3, F(1, 2), 2
         inst = gen_ro_lb(k, delta, spokes)
         assert exact_expectation(gftp, inst) == delta + spokes * (k + 1)
+
+
+def enumerated(factory, inst: WmstInstance) -> Fraction:
+    """The expectation from playing every one of the ``m!`` orders."""
+    prepared = PreparedInstance.of(inst)
+    d, total, _ = randomorder._cost_sums(factory, prepared, permutations(range(inst.m)))
+    return F(total, math.factorial(inst.m) * d)
+
+
+@pytest.fixture
+def enumerations(monkeypatch) -> list[int]:
+    """The edge counts ``exact_expectation`` enumerated every order of, one per call."""
+    calls: list[int] = []
+
+    def counted(ids):
+        calls.append(len(ids))
+        return permutations(ids)
+
+    monkeypatch.setattr(randomorder, "permutations", counted)
+    return calls
+
+
+def _family_instances():
+    """``cli.FAMILIES`` instances with at most 9 edges, both games against both players.
+
+    Of the two hub-spoke families at 9 edges only ``ro-lb`` is here: each
+    instance at 9 edges takes about 8 s to enumerate for the two players.
+    """
+    build = {name: family.build for name, family in FAMILIES.items()}
+    for l in (1, 2, 3):
+        yield build["ftp-lb"](k=F(2), l=l)[0]
+        yield build["ftp-lb"](k=F(7, 2), l=l)[0]
+    for l in (1, 2, 3, 4):
+        yield build["ro-lb"](k=F(2), delta=F(1, 2), l=l)[0]
+    yield build["ro-lb"](k=F(3), delta=F(1, 3), l=2)[0]
+    for alg in ("ftp", "gftp"):
+        yield build["general-lb"](k=2, l=1, alg=alg)[0]
+        for k in (2, 5):
+            yield build["eta2"](k=k, big_k=10 * k, alg=alg)[0]
+    for n, seed in ((2, 0), (3, 1), (4, 2), (5, 3)):
+        yield build["random"](n=n, edge_prob=F(1, 2), noise=F(1, 4), seed=seed)[0]
+
+
+def _edge_cases():
+    """A tree graph, where every edge must be accepted, and a single edge."""
+    path = Graph.from_pairs(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
+    yield WmstInstance(path, (F(4), F(1), F(9), F(2)), (F(2), F(3, 2), F(2), F(7)))
+    edge = Graph.from_pairs(2, [(0, 1)])
+    yield WmstInstance(edge, (F(3),), (F(5, 3),))
+
+
+class SwapsAfterAnEvenStart(GreedyFollowPredictions):
+    """``gftp`` that takes bargains at face value only if its first edge had an even id.
+
+    Its decisions depend on which edge came first, which its tree does not
+    show, so it must not be keyed by the tree.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._first = None
+
+    def reveal(self, edge, weight):
+        if self._first is None:
+            self._first = edge.id
+        return super().reveal(edge, weight if self._first % 2 == 0 else 4 * weight)
+
+
+class KeyedEvenStart(SwapsAfterAnEvenStart):
+    """The same player opted back in, with the first id's parity in its key."""
+
+    def state_key(self):
+        return tuple(self._parent_edge), None if self._first is None else self._first % 2
+
+    def branch(self):
+        return GreedyFollowPredictions.branch(self)
+
+
+class FixedAccepts(OnlineAlgorithm):
+    """Accepts the edges of a fixed set, with a key, whether or not they span."""
+
+    def __init__(self, accepts):
+        self._accepts = frozenset(accepts)
+
+    def initialize(self, graph, predicted):
+        pass
+
+    def reveal(self, edge, weight):
+        return Decision.accept() if edge.id in self._accepts else Decision.reject()
+
+    def state_key(self):
+        return ()
+
+    def branch(self):
+        return self
+
+
+class TestMemoisedExpectation:
+    """ftp and gftp take the memoised recursion and match enumeration exactly."""
+
+    @staticmethod
+    def assert_memo_matches(instances, enumerations) -> None:
+        for inst in instances:
+            for factory in (gftp, ftp):
+                assert exact_expectation(factory, inst) == enumerated(factory, inst)
+        assert enumerations == []
+
+    def test_acceptance_seven_instances(self, enumerations):
+        self.assert_memo_matches(small_exact_instances(500), enumerations)
+
+    def test_fuzz_instances_up_to_eight_edges(self, enumerations):
+        # the instances of checks.fuzz_pairs(200), four orders each
+        corpus = (checks.fuzz_instance(index) for index in range(50))
+        self.assert_memo_matches((inst for inst in corpus if inst.m <= 8), enumerations)
+
+    def test_family_instances_up_to_nine_edges(self, enumerations):
+        instances = list(_family_instances())
+        assert max(inst.m for inst in instances) == randomorder.EXACT_EDGE_LIMIT
+        self.assert_memo_matches(instances, enumerations)
+
+    def test_tree_graph_and_single_edge(self, enumerations):
+        for inst in _edge_cases():
+            opt = tree_cost(mst(inst.graph, inst.actual), inst.actual)
+            assert exact_expectation(gftp, inst) == exact_expectation(ftp, inst) == opt
+        self.assert_memo_matches(_edge_cases(), enumerations)
+
+    def test_common_denominator_past_scale_bits(self, enumerations):
+        # m = 6: twelve pairwise coprime denominators of 65 digits, 2600 bits together
+        inst = _wide_coprime_instance(4, base=50)
+        assert PreparedInstance.of(inst).scale == 1
+        self.assert_memo_matches([inst], enumerations)
+
+    @pytest.mark.parametrize(
+        "factory",
+        [RejectFirstThenGreedy, SlowSwapPlayer, SwapsAfterAnEvenStart],
+        ids=["reject-first", "slow-swap", "gftp-subclass"],
+    )
+    def test_players_without_a_key_enumerate(self, enumerations, factory):
+        inst = random_instance(4, F(1), F(3), seed=5)  # K4: rejecting one edge still spans
+        assert exact_expectation(factory, inst) == enumerated(factory, inst)
+        assert enumerations == [inst.m]
+
+    def test_subclass_with_its_own_key_takes_the_memo(self, enumerations):
+        k4 = random_instance(4, F(1), F(3), seed=5)
+        assert enumerated(SwapsAfterAnEvenStart, k4) != exact_expectation(gftp, k4)
+        for inst in [k4, *small_exact_instances(60)]:
+            expected = enumerated(SwapsAfterAnEvenStart, inst)
+            assert exact_expectation(KeyedEvenStart, inst) == expected
+        assert enumerations == []
+
+    @pytest.mark.parametrize(
+        "accepts, message",
+        [({0, 1, 2}, "accepted edges contain a cycle"), ({0}, "accepted 1 edges")],
+        ids=["cycle", "short"],
+    )
+    def test_keyed_player_faults_as_in_a_run(self, enumerations, accepts, message):
+        inst = triangle()
+        with pytest.raises(NotSpanning, match=message):
+            run_cost(FixedAccepts(accepts), inst, range(inst.m))
+        with pytest.raises(NotSpanning, match=message):
+            exact_expectation(lambda: FixedAccepts(accepts), inst)
+        assert enumerations == []
 
 
 class TestMonteCarlo:
@@ -288,21 +454,21 @@ class TestExpectationOnSpokes:
         assert abs(est.mean_cost - expected) <= 3 * est.std_error
 
 
-def _coprime_denominators(count: int) -> list[int]:
-    """``count`` pairwise coprime denominators of 2568 digits: ``k * 1000! + 1``.
+def _coprime_denominators(count: int, base: int = 1000) -> list[int]:
+    """``count`` pairwise coprime denominators ``k * base! + 1``, of 2568 digits by default.
 
     A common divisor of two of them divides their difference, a multiple of
-    1000! by at most ``count - 1 < 1000``, so it divides 1000! and then 1.
+    base! by at most ``count - 1 < base``, so it divides base! and then 1.
     """
-    assert count < 1000
-    base = math.factorial(1000)
-    return [k * base + 1 for k in range(1, count + 1)]
+    assert count < base
+    factorial = math.factorial(base)
+    return [k * factorial + 1 for k in range(1, count + 1)]
 
 
-def _wide_coprime_instance(n: int) -> WmstInstance:
+def _wide_coprime_instance(n: int, base: int = 1000) -> WmstInstance:
     """The complete graph on ``n`` vertices, each of its 2m weights over its own denominator."""
     graph = Graph.from_pairs(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-    dens = _coprime_denominators(2 * graph.m)
+    dens = _coprime_denominators(2 * graph.m, base)
     rng = pyrandom.Random(n)
     predicted = tuple(rng.randint(1, 5) + F(1, d) for d in dens[: graph.m])
     actual = tuple(rng.randint(1, 5) + F(1, d) for d in dens[graph.m :])
