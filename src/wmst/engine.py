@@ -212,17 +212,25 @@ class GreedyFollowPredictions(OnlineAlgorithm):
     is accepted and ``e_max`` leaves the tree; otherwise it is rejected.
 
     The start state is copied in O(n) from a ``PreparedInstance``: the
-    predicted MST rooted at vertex 0, as parent and parent-edge arrays, and
-    the predictions on the preparation's scale, which ``weight_scale``
-    reports and ``reveal``'s weights share.  The reveal loop passes its own
-    preparation; ``initialize`` builds one without true weights, so its
-    scale is 1 and the predictions stay Fractions, and a subclass that
-    overrides ``initialize`` is set up through it.  The cycle query marks
-    the ancestors of one endpoint and climbs from the other to their lowest
-    common ancestor.  A swap reverses the
-    parent pointers from the revealed edge's endpoint on the cut-off side up
-    to the evicted edge, so vertex 0 stays the root.  The parent-edge array
-    is then the tree's canonical name, and ``state_key`` returns it.
+    predicted MST rooted at vertex 0, as parent and parent-edge arrays, its
+    edges heaviest prediction first, and the predictions on the
+    preparation's scale, which ``weight_scale`` reports and ``reveal``'s
+    weights share.  The reveal loop passes its own preparation;
+    ``initialize`` builds one without true weights, so its scale is 1 and
+    the predictions stay Fractions, and a subclass that overrides
+    ``initialize`` is set up through it.
+
+    The unseen edges of the working tree are the predicted tree's edges
+    that are neither revealed nor evicted.  A pointer into the heaviest-first
+    list skips the others, so it names the largest prediction any unseen
+    cycle edge can carry, and a revealed weight above it is rejected in
+    O(1), without a cycle query.  Otherwise the cycle query marks the
+    ancestors of one endpoint and climbs from the other to their lowest
+    common ancestor.  A swap reverses the parent pointers from the revealed
+    edge's endpoint on the cut-off side up to the evicted edge, so vertex 0
+    stays the root.  The parent-edge array is then the tree's canonical
+    name, and ``state_key`` returns it: with the unseen edges it fixes the
+    unseen edges of the working tree, and so every later decision.
     """
 
     name = "gftp"
@@ -248,22 +256,32 @@ class GreedyFollowPredictions(OnlineAlgorithm):
         self._pred = prepared.predicted_scaled
         self._scale = prepared.scale
         self._initial = prepared.tree
-        self._unseen = bytearray(b"\x01") * graph.m
-        self._unseen_in_tree = graph.n - 1
+        self._heaviest = prepared.tree_by_prediction
+        self._head = 0  # no edge before it in ``_heaviest`` is a candidate
+        # 1 until the edge is revealed or evicted; on the working tree's
+        # edges, 1 marks the unseen ones, which a swap may evict
+        self._candidate = bytearray(b"\x01") * graph.m
 
     def weight_scale(self) -> int:
         return self._scale
 
     def reveal(self, edge: Edge, weight: Fraction) -> Decision:
         eid, a, b = edge.id, edge.u, edge.v
-        self._unseen[eid] = 0
+        candidate = self._candidate
+        candidate[eid] = 0
         parent_edge = self._parent_edge
         if parent_edge[a] == eid or parent_edge[b] == eid:
-            self._unseen_in_tree -= 1
             return _ACCEPT
-        if self._unseen_in_tree == 0:
-            return _REJECT  # every cycle edge already seen
-        parent, mark, unseen, pred = self._parent, self._mark, self._unseen, self._pred
+        # the heaviest unseen tree edge predicts at least as much as any
+        # unseen edge on the cycle, so a weight above it is rejected unclimbed
+        heaviest, head, pred = self._heaviest, self._head, self._pred
+        end = len(heaviest)
+        while head < end and not candidate[heaviest[head]]:
+            head += 1
+        self._head = head
+        if head == end or weight > pred[heaviest[head]]:
+            return _REJECT
+        parent, mark = self._parent, self._mark
         # each edge is revealed once, so its id marks this query's ancestors
         x = a
         while x >= 0:
@@ -276,7 +294,7 @@ class GreedyFollowPredictions(OnlineAlgorithm):
         x = b
         while mark[x] != eid:
             e = parent_edge[x]
-            if unseen[e]:
+            if candidate[e]:
                 p = pred[e]
                 if best < 0 or p > best_pred or (p == best_pred and e < best):
                     best, best_pred, cut = e, p, x
@@ -285,7 +303,7 @@ class GreedyFollowPredictions(OnlineAlgorithm):
         x = a
         while x != lca:
             e = parent_edge[x]
-            if unseen[e]:
+            if candidate[e]:
                 p = pred[e]
                 if best < 0 or p > best_pred or (p == best_pred and e < best):
                     best, best_pred, cut = e, p, x
@@ -302,7 +320,7 @@ class GreedyFollowPredictions(OnlineAlgorithm):
             if x == cut:
                 break
             x, up, up_edge = old_up, x, old_edge
-        self._unseen_in_tree -= 1  # the evicted edge was unseen by construction
+        candidate[best] = 0  # evicted: the pointer may now pass it
         return Decision.accept(swapped_out=best)
 
     def state_key(self) -> tuple[int, ...] | None:
@@ -318,7 +336,7 @@ class GreedyFollowPredictions(OnlineAlgorithm):
             self.__dict__,
             _parent=self._parent.copy(),
             _parent_edge=self._parent_edge.copy(),
-            _unseen=self._unseen.copy(),
+            _candidate=self._candidate.copy(),
             _mark=[-1] * len(self._mark),
         )
         return twin

@@ -324,6 +324,7 @@ class PreparedInstance:
       are exact, and a sum divided by ``scale`` is the Fraction it stands for.
     - ``us`` and ``vs``: the edge endpoints, as flat lists.
     - ``tree``: the predicted-weight MST, the edge set of ``mst(graph, predicted)``.
+    - ``tree_by_prediction``: its ids, heaviest prediction first, ties by larger id.
     - ``rooted``: that tree rooted at vertex 0.
     - ``opt`` and ``eta``: the optimum under the true weights and the error;
       ``metrics`` reads both from here.
@@ -353,7 +354,12 @@ class PreparedInstance:
 
     @cached_property
     def tree(self) -> frozenset[int]:
-        return frozenset(_kruskal(self.graph.n, self.us, self.vs, self.predicted_scaled))
+        return frozenset(self.tree_by_prediction)
+
+    @cached_property
+    def tree_by_prediction(self) -> tuple[int, ...]:
+        """The ids of ``tree``, heaviest prediction first: Kruskal's picks, reversed."""
+        return tuple(reversed(_kruskal(self.graph.n, self.us, self.vs, self.predicted_scaled)))
 
     @cached_property
     def rooted(self) -> tuple[list[int], list[int]]:

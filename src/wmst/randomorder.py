@@ -16,6 +16,7 @@ import math
 import multiprocessing
 import os
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, pairwise, permutations
@@ -134,11 +135,24 @@ def _cost_scale(prepared: PreparedInstance) -> int:
 
 
 def _shuffles(m: int, seed: int):
-    """The one order stream: in-place shuffles of one id list by ``Random(seed)``."""
-    rng = random.Random(seed)
+    """The one order stream: in-place shuffles of one id list by ``Random(seed)``.
+
+    Each shuffle is ``Random.shuffle``'s Fisher-Yates, inlined: from the top
+    down, position ``i`` swaps with ``j``, drawn as ``getrandbits(k)`` for
+    the bit length ``k`` of ``i + 1`` and drawn again while above ``i``.
+    These are the draws ``Random(seed).shuffle`` makes, so the stream is the
+    one repeated ``Random(seed).shuffle`` calls give; what is saved is the
+    method call and the bit length that ``shuffle`` pays per position.
+    """
+    getrandbits = random.Random(seed).getrandbits
     ids = list(range(m))
+    steps = [(i, (i + 1).bit_length()) for i in range(m - 1, 0, -1)]
     while True:
-        rng.shuffle(ids)
+        for i, k in steps:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            ids[i], ids[j] = ids[j], ids[i]
         yield ids
 
 
@@ -158,18 +172,22 @@ def mc_estimate(
     """Monte Carlo estimate over uniform arrival orders.
 
     Trial ``t`` runs a fresh algorithm instance on the ``t``-th Fisher-Yates
-    shuffle of one seeded stream.  The instance is prepared once: every
-    trial copies its player's start state from one ``PreparedInstance`` and
-    adds up integer weights on its scale, and the optimum and the error come
-    from the same preparation.  Run costs are summed exactly.  The workers,
-    forked processes, take contiguous runs of trials from that stream, so
-    their number sets the speed, never the estimate.  With ``workers=None``
-    there is one per ``REVEALS_PER_WORKER`` reveals (``trials * m``), at
-    least one.  Any count is capped at ``trials`` and at the CPUs this
-    process may use, and is 1 where ``fork`` is unavailable.
+    shuffle of one seeded stream (``_shuffles``).  The instance is prepared
+    once per estimate: every trial copies its player's start state from one
+    ``PreparedInstance`` and adds up integer weights on its scale, and the
+    optimum and the error come from the same preparation.  Run costs are
+    summed exactly.  The workers, forked processes, take contiguous runs of
+    trials from that stream, so their number sets the speed, never the
+    estimate.  With ``workers=None`` there is one per ``REVEALS_PER_WORKER``
+    reveals (``trials * m``), at least one.  Any count is capped at
+    ``trials`` and at the CPUs this process may use, and is 1 where ``fork``
+    is unavailable.  A trial count above ``sys.maxsize``, past what a stream
+    can be sliced to, is refused.
     """
     if trials < 1:
         raise BadParameter(f"need at least one trial, got {trials}")
+    if trials > sys.maxsize:
+        raise BadParameter(f"at most {sys.maxsize} trials, got {trials}")
     if workers is None:
         workers = trials * instance.m // REVEALS_PER_WORKER
     elif workers < 1:

@@ -327,6 +327,25 @@ def test_bad_order_or_parameter_exits_two(tmp_path, capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["ro", "gftp", "{path}"], ["sweep", "ro-lb", "--k", "2", "--l", "1"]],
+    ids=["ro", "sweep"],
+)
+def test_trial_count_past_maxsize_exits_two_without_a_pool(tmp_path, capsys, monkeypatch, argv):
+    def no_pool(method):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(randomorder.multiprocessing, "get_context", no_pool)
+    path = tmp_path / "ro.json"
+    path.write_text(json.dumps(_triangle_payload()))
+    trials = ["--trials", "100000000000000000000"]
+    assert main([arg.format(path=path) for arg in argv] + trials) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: at most") and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("content", [b"\xff", b"[" * 100_000], ids=["not-utf8", "too-deep"])
 @pytest.mark.parametrize("target", ["instance", "order"])
 def test_undecodable_json_exits_two(tmp_path, capsys, content, target):

@@ -106,6 +106,53 @@ class TestGreedyFollowPredictions:
         assert trace.steps[0].decision == Decision(True, swapped_out=0)
         assert trace.accepted == frozenset({1, 2})
 
+    @staticmethod
+    def path_with_chords(actual) -> WmstInstance:
+        """The path 0-1-2-3 predicted at 10, 5 and 1, and three chords predicted at 20."""
+        graph = Graph.from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3)])
+        predicted = tuple(map(F, (10, 5, 1, 20, 20, 20)))
+        return WmstInstance(graph, predicted, tuple(map(F, actual)))
+
+    @staticmethod
+    def drive(inst: WmstInstance, order) -> tuple[list[Decision], list[bool]]:
+        """Each decision, and whether the reveal climbed the tree to make it."""
+        prepared = PreparedInstance.of(inst)
+        alg = gftp()
+        alg.initialize_prepared(prepared)
+        decisions, climbed = [], []
+        for eid in order:
+            decisions.append(alg.reveal(inst.graph.edges[eid], prepared.actual_scaled[eid]))
+            climbed.append(eid in alg._mark)  # a cycle query stamps the revealed id
+        trace = run(gftp(), inst, ArrivalOrder(tuple(order)))
+        assert trace == run(ReferenceGreedy(), inst, ArrivalOrder(tuple(order)))
+        assert [step.decision for step in trace.steps] == decisions
+        return decisions, climbed
+
+    def test_weight_equal_to_the_heaviest_unseen_prediction_still_swaps(self):
+        # chord 3 closes the cycle through edges 0 and 1; edge 0's prediction,
+        # 10, is the largest of any unseen tree edge
+        order = [3, 5, 4, 1, 2, 0]
+        decisions, climbed = self.drive(self.path_with_chords((10, 5, 1, 10, 30, 30)), order)
+        assert decisions[0] == Decision(True, swapped_out=0) and climbed[0]
+        # a hair above that prediction is rejected without a cycle query
+        decisions, climbed = self.drive(
+            self.path_with_chords((10, 5, 1, F(10001, 1000), 30, 30)), order
+        )
+        assert decisions[0] == Decision(False) and not climbed[0]
+
+    def test_the_bound_passes_an_evicted_heaviest_edge(self):
+        order = [3, 5, 4, 1, 2, 0]
+        decisions, climbed = self.drive(self.path_with_chords((10, 5, 1, 2, 5, 7)), order)
+        assert decisions == [
+            Decision(True, swapped_out=0),  # evicts the heaviest tree edge
+            Decision(False),  # 7 is above edge 1's 5, now the heaviest unseen
+            Decision(True, swapped_out=1),  # 5 equals it, on the cycle
+            Decision(False),  # evicted edge 1 is revealed off the tree
+            Decision(True),
+            Decision(False),  # no unseen tree edge is left
+        ]
+        assert climbed == [True, False, True, False, False, False]
+
     def test_all_spokes_swap_when_cheap_side_first(self):
         # reveal each cheap spoke edge before its expensive sibling: every
         # spoke swaps and the bridge is kept

@@ -294,6 +294,16 @@ class TestPreparedInstance:
         assert prepared.scale == 1 and prepared.actual_scaled is None
         assert prepared.tree == mst(inst.graph, inst.predicted).edge_ids
 
+    def test_tree_by_prediction_lists_the_tree_heaviest_first(self):
+        for inst in [checks.fuzz_instance(index) for index in range(100)] + list(
+            _tie_heavy_instances()
+        ):
+            prepared = PreparedInstance.of(inst)
+            ids = prepared.tree_by_prediction
+            assert sorted(ids) == sorted(prepared.tree)
+            keys = [(-inst.predicted[eid], -eid) for eid in ids]
+            assert keys == sorted(keys)
+
 
 class TestTreePathIds:
     def test_matches_cut_oracle_and_is_contiguous(self):

@@ -3,9 +3,10 @@
 import math
 import os
 import random as pyrandom
+import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 from types import SimpleNamespace
 
 import pytest
@@ -371,6 +372,39 @@ class TestMonteCarlo:
         inst = gen_ro_lb(2, F(1, 2), 1)
         with pytest.raises(BadParameter):
             mc_estimate(gftp, inst, trials=0, seed=1)
+
+    @pytest.mark.parametrize("workers", [1, None])
+    def test_trials_past_maxsize_are_refused_before_any_pool(self, monkeypatch, workers):
+        inst = gen_ro_lb(2, F(1, 2), 1)
+        sizes = serial_pools(monkeypatch)
+        with pytest.raises(BadParameter, match="at most"):
+            mc_estimate(gftp, inst, trials=sys.maxsize + 1, seed=1, workers=workers)
+        assert sizes == []
+
+
+class TestOrderStream:
+    """``_shuffles`` replays ``Random.shuffle``; a change to it in Python shows here."""
+
+    SEEDS = (0, 5, 2**62 + 7, 10**25)
+
+    @staticmethod
+    def shuffled(m: int, seed: int, count: int) -> list[list[int]]:
+        rng = pyrandom.Random(seed)
+        ids = list(range(m))
+        out = []
+        for _ in range(count):
+            rng.shuffle(ids)
+            out.append(ids.copy())
+        return out
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 41, 352])
+    def test_same_orders_as_repeated_random_shuffle(self, m):
+        for seed in self.SEEDS:
+            expected = self.shuffled(m, seed, 60)
+            assert [ids.copy() for ids in islice(randomorder._shuffles(m, seed), 60)] == expected
+            # a worker's chunk starts mid-stream, as ``_mc_chunk`` slices it
+            chunk = islice(randomorder._shuffles(m, seed), 23, 51)
+            assert [ids.copy() for ids in chunk] == expected[23:51]
 
 
 class TestHarmonicBound:
