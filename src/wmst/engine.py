@@ -8,7 +8,8 @@ through one reveal loop, which raises ``NotSpanning`` at the offending
 reveal; the memoised exact expectation in ``randomorder`` walks all orders
 at once on branched players and raises it at the same faults.  Two players
 are provided: one that commits to the predicted-weight tree, and a greedy
-variant that swaps revealed bargains in for unseen tree edges.
+variant that swaps revealed bargains in for unseen tree edges.  Any other
+player, a subclass of either included, is set up through ``initialize``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .exceptions import BadParameter, InvariantViolation, NotSpanning
 from .graphs import (
@@ -118,19 +119,6 @@ class OnlineAlgorithm(ABC):
     the true weight.  Decisions are irrevocable and must be deterministic.
     Implementations may consult anything revealed so far, but never a weight
     that has not arrived yet.
-
-    The reveal loop sets a player up with ``initialize_prepared``, whose
-    default calls ``initialize`` with the predicted Fractions.  A player that
-    overrides it may copy its start state from the ``PreparedInstance``.  The
-    loop then asks ``weight_scale``: a player whose state reads weights on
-    the preparation's scale gets each true weight as ``actual_scaled[eid]``;
-    every other player gets the Fraction.
-
-    A player may also opt in to the memoised exact expectation.  Its
-    ``state_key`` then names everything its later decisions depend on besides
-    which edges are still unseen, and ``branch`` copies it so that the copy
-    can play on alone.  The default key, None, leaves the player to the
-    enumeration of every order.
     """
 
     name = "online"
@@ -143,27 +131,8 @@ class OnlineAlgorithm(ABC):
     @abstractmethod
     def reveal(self, edge: Edge, weight: Fraction) -> Decision: ...
 
-    def initialize_prepared(self, prepared: PreparedInstance) -> None:
-        """Set up from a preparation of the instance; the reveal loop calls this."""
-        self.initialize(prepared.graph, prepared.predicted)
-
-    def weight_scale(self) -> int | None:
-        """The scale of the weights ``reveal`` compares against, None for Fractions."""
-        return None
-
-    def state_key(self) -> Hashable | None:
-        """A key of the state later decisions depend on, besides the unseen edges."""
-        return None
-
-    def branch(self) -> "OnlineAlgorithm":
-        """A copy in this state whose reveals leave this player as it is."""
-        raise NotImplementedError(f"{type(self).__name__} has no state_key to branch on")
-
     def working_tree_ids(self) -> frozenset[int] | None:
         """Current intended tree, if the player maintains one (checked mode)."""
-        return None
-
-    def initial_tree_ids(self) -> frozenset[int] | None:
         return None
 
 
@@ -172,32 +141,22 @@ class FollowPredictions(OnlineAlgorithm):
 
     name = "ftp"
 
-    def __init__(self):
-        self._tree: frozenset[int] | None = None
-
     def initialize(self, graph: Graph, predicted: Weights) -> None:
-        self._tree = PreparedInstance(graph, predicted).tree
+        self._start(PreparedInstance(graph, predicted))
 
-    def initialize_prepared(self, prepared: PreparedInstance) -> None:
-        if type(self).initialize is not FollowPredictions.initialize:
-            return super().initialize_prepared(prepared)  # a subclass's own set-up
+    def _start(self, prepared: PreparedInstance) -> None:
         self._tree = prepared.tree
 
     def reveal(self, edge: Edge, weight: Fraction) -> Decision:
         return _ACCEPT if edge.id in self._tree else _REJECT
 
-    def state_key(self) -> tuple | None:
-        if type(self).reveal is not FollowPredictions.reveal:
-            return None  # a subclass's own decisions
+    def _key(self) -> tuple:
         return ()  # the tree never changes
 
-    def branch(self) -> "FollowPredictions":
+    def _branch(self) -> "FollowPredictions":
         return self  # reveal changes nothing
 
     def working_tree_ids(self) -> frozenset[int]:
-        return self._tree
-
-    def initial_tree_ids(self) -> frozenset[int]:
         return self._tree
 
 
@@ -211,14 +170,12 @@ class GreedyFollowPredictions(OnlineAlgorithm):
     id).  If the revealed true weight is at most that prediction, the edge
     is accepted and ``e_max`` leaves the tree; otherwise it is rejected.
 
-    The start state is copied in O(n) from a ``PreparedInstance``: the
-    predicted MST rooted at vertex 0, as parent and parent-edge arrays, its
-    edges heaviest prediction first, and the predictions on the
-    preparation's scale, which ``weight_scale`` reports and ``reveal``'s
-    weights share.  The reveal loop passes its own preparation;
-    ``initialize`` builds one without true weights, so its scale is 1 and
-    the predictions stay Fractions, and a subclass that overrides
-    ``initialize`` is set up through it.
+    ``_start`` copies the start state in O(n) from a ``PreparedInstance``:
+    the predicted MST rooted at vertex 0, as parent and parent-edge arrays,
+    its edges heaviest prediction first, and the predictions on the
+    preparation's scale, which ``reveal``'s weights share.  ``initialize``
+    builds a preparation without true weights, so its scale is 1 and the
+    predictions stay Fractions.
 
     The unseen edges of the working tree are the predicted tree's edges
     that are neither revealed nor evicted.  A pointer into the heaviest-first
@@ -229,23 +186,15 @@ class GreedyFollowPredictions(OnlineAlgorithm):
     common ancestor.  A swap reverses the parent pointers from the revealed
     edge's endpoint on the cut-off side up to the evicted edge, so vertex 0
     stays the root.  The parent-edge array is then the tree's canonical
-    name, and ``state_key`` returns it: with the unseen edges it fixes the
+    name, and ``_key`` returns it: with the unseen edges it fixes the
     unseen edges of the working tree, and so every later decision.
     """
 
     name = "gftp"
     tracks_swaps = True
 
-    def __init__(self):
-        self._parent: list[int] | None = None
-
     def initialize(self, graph: Graph, predicted: Weights) -> None:
         self._start(PreparedInstance(graph, predicted))
-
-    def initialize_prepared(self, prepared: PreparedInstance) -> None:
-        if type(self).initialize is not GreedyFollowPredictions.initialize:
-            return super().initialize_prepared(prepared)  # a subclass's own set-up
-        self._start(prepared)
 
     def _start(self, prepared: PreparedInstance) -> None:
         graph = prepared.graph
@@ -254,16 +203,11 @@ class GreedyFollowPredictions(OnlineAlgorithm):
         self._parent_edge = parent_edge.copy()
         self._mark = [-1] * graph.n
         self._pred = prepared.predicted_scaled
-        self._scale = prepared.scale
-        self._initial = prepared.tree
         self._heaviest = prepared.tree_by_prediction
         self._head = 0  # no edge before it in ``_heaviest`` is a candidate
         # 1 until the edge is revealed or evicted; on the working tree's
         # edges, 1 marks the unseen ones, which a swap may evict
         self._candidate = bytearray(b"\x01") * graph.m
-
-    def weight_scale(self) -> int:
-        return self._scale
 
     def reveal(self, edge: Edge, weight: Fraction) -> Decision:
         eid, a, b = edge.id, edge.u, edge.v
@@ -323,12 +267,10 @@ class GreedyFollowPredictions(OnlineAlgorithm):
         candidate[best] = 0  # evicted: the pointer may now pass it
         return Decision.accept(swapped_out=best)
 
-    def state_key(self) -> tuple[int, ...] | None:
-        if type(self).reveal is not GreedyFollowPredictions.reveal:
-            return None  # a subclass's own decisions
+    def _key(self) -> tuple[int, ...]:
         return tuple(self._parent_edge)
 
-    def branch(self) -> "GreedyFollowPredictions":
+    def _branch(self) -> "GreedyFollowPredictions":
         twin = object.__new__(type(self))
         # reveal stamps marks with the edge's id, so a stamp left by a sibling
         # branch, which revealed that id on another tree, must not be seen
@@ -345,9 +287,6 @@ class GreedyFollowPredictions(OnlineAlgorithm):
         # vertex 0 stays the root, and every other vertex has its tree edge
         return frozenset(self._parent_edge[1:])
 
-    def initial_tree_ids(self) -> frozenset[int]:
-        return self._initial
-
 
 def ftp() -> OnlineAlgorithm:
     """Fresh predictions-following player."""
@@ -360,6 +299,9 @@ def gftp() -> OnlineAlgorithm:
 
 
 ALGORITHMS: dict[str, Callable[[], OnlineAlgorithm]] = {"ftp": ftp, "gftp": gftp}
+
+# The players ``_start``ed from a preparation: tested by exact type, so a subclass is opaque.
+_BUILT_IN = (FollowPredictions, GreedyFollowPredictions)
 
 
 def _play(
@@ -374,17 +316,22 @@ def _play(
 
     Reads ``actual[eid]`` only once ``eid`` has been drawn from ``edge_ids``,
     so an adaptive opponent may fix weights as the loop runs (its
-    ``prepared`` then has no true weights).  Records to ``steps`` if given
-    and runs the invariant checks if ``checked``.  Returns the accepted ids
-    in arrival order and their total weight on ``prepared.scale``: an int
-    sum where the true weights are scaled ints, which the caller divides by
-    the scale once.
+    ``prepared`` then has no true weights).  A built-in player is started
+    from ``prepared`` and shown its scaled weights, any other player gets
+    ``initialize`` and Fractions.  Records to ``steps`` if given and runs
+    the invariant checks if ``checked``.  Returns the accepted ids in
+    arrival order and their total weight on ``prepared.scale``: an int sum
+    where the true weights are scaled ints, which the caller divides by the
+    scale once.
     """
     graph = prepared.graph
     summed = actual if prepared.actual_scaled is None else prepared.actual_scaled
-    alg.initialize_prepared(prepared)
-    # the player's state says which weights its comparisons are exact against
-    shown = summed if alg.weight_scale() == prepared.scale else actual
+    if type(alg) in _BUILT_IN:
+        alg._start(prepared)
+        shown = summed
+    else:
+        alg.initialize(graph, prepared.predicted)
+        shown = actual
     checker = _InvariantChecker(alg, graph, prepared.predicted) if checked else None
     edges = graph.edges
     reveal = alg.reveal
@@ -501,16 +448,20 @@ class _InvariantChecker:
         self._predicted = predicted
         self._unseen = set(range(graph.m))
         self._rejections: list[tuple[Edge, Fraction]] = []
-        self._initial = alg.initial_tree_ids() or frozenset()
         self._tree: SpanningTree | None = None
         self._refresh_tree()
+        # the initial tree is the working tree the player was set up with
+        self._initial = frozenset() if self._tree is None else self._tree.edge_ids
 
-    def _refresh_tree(self) -> None:
+    def _refresh_tree(self) -> bool:
+        """Re-read the player's working tree; True if it is a new tree."""
         ids = self._alg.working_tree_ids()
         if ids is None:
             self._tree = None
         elif self._tree is None or ids != self._tree.edge_ids:
             self._tree = SpanningTree(self._graph, ids)
+            return True
+        return False
 
     def before_reveal(self, edge: Edge) -> None:
         tree = self._tree
@@ -526,19 +477,20 @@ class _InvariantChecker:
 
     def after_reveal(self, edge: Edge, weight: Fraction, decision: Decision) -> None:
         self._unseen.discard(edge.id)
-        self._refresh_tree()
+        changed = self._refresh_tree()
         if not self._alg.tracks_swaps:
             return
         if not decision.accepted:
             self._rejections.append((edge, weight))
-        tree = self._tree
-        if tree is None:
+        if self._tree is None or decision.accepted and not changed:
             return
         unseen = frozenset(self._unseen)
-        for rejected, rejected_weight in self._rejections:
+        # on an unchanged tree an older rejection's cycle has only lost unseen
+        # edges since its last check, so only the one just recorded can fail
+        for rejected, rejected_weight in self._rejections[0 if changed else -1:]:
             check_post_rejection_dominance(
                 self._predicted,
-                tree,
+                self._tree,
                 unseen,
                 rejected,
                 rejected_weight,

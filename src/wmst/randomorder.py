@@ -2,10 +2,10 @@
 
 Estimates the expected cost of an online player over uniformly random
 arrival orders, either by Monte Carlo sampling or, for instances of at most
-``EXACT_EDGE_LIMIT`` edges, exactly.  The exact expectation of a player
-that keys its state (``ftp`` and ``gftp``) is a memoised recursion over the
-states orders pass through: the rest of a uniform order is uniform over
-the unseen edges.  Any other player plays all ``m!`` orders.  Reports
+``EXACT_EDGE_LIMIT`` edges, exactly.  The exact expectation of ``ftp`` and
+``gftp`` is a memoised recursion over the states orders pass through: the
+rest of a uniform order is uniform over the unseen edges.  Any other player,
+a subclass of either included, plays all ``m!`` orders.  Reports
 compare the measured ratio against three reference curves in the
 normalized error: ``1 + e``, ``1 + (1 + ln 2) e`` and ``1 + 2e``.
 """
@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import islice, pairwise, permutations
 from typing import Callable
 
-from .engine import OnlineAlgorithm, _play
+from .engine import _BUILT_IN, OnlineAlgorithm, _play
 from .exceptions import BadParameter, NotSpanning, TooLarge
 from .graphs import PreparedInstance, WmstInstance
 
@@ -156,10 +156,24 @@ def _shuffles(m: int, seed: int):
         yield ids
 
 
-def _mc_chunk(args) -> tuple[int, int, int]:
-    factory, prepared, seed, start, stop = args
+def _mc_chunk(job: tuple, start: int, stop: int) -> tuple[int, int, int]:
+    factory, prepared, seed = job
     # the shuffles before trial ``start`` are replayed without being played
     return _cost_sums(factory, prepared, islice(_shuffles(prepared.graph.m, seed), start, stop))
+
+
+# A forked worker's (factory, preparation, seed), set by the pool's initializer,
+# whose arguments the worker inherits through the fork without pickling.
+_forked_job: tuple | None = None
+
+
+def _inherit(job: tuple) -> None:
+    global _forked_job
+    _forked_job = job
+
+
+def _forked_chunk(bounds: tuple[int, int]) -> tuple[int, int, int]:
+    return _mc_chunk(_forked_job, *bounds)
 
 
 def mc_estimate(
@@ -181,8 +195,10 @@ def mc_estimate(
     estimate.  With ``workers=None`` there is one per ``REVEALS_PER_WORKER``
     reveals (``trials * m``), at least one.  Any count is capped at
     ``trials`` and at the CPUs this process may use, and is 1 where ``fork``
-    is unavailable.  A trial count above ``sys.maxsize``, past what a stream
-    can be sliced to, is refused.
+    is unavailable.  Only chunk bounds are pickled: the workers inherit the
+    factory, which may be a lambda, and the preparation through the fork.
+    A trial count above ``sys.maxsize``, past what a stream can be sliced
+    to, is refused.
     """
     if trials < 1:
         raise BadParameter(f"need at least one trial, got {trials}")
@@ -198,13 +214,13 @@ def mc_estimate(
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = max(1, min(workers, trials, cpus or 1))
     prepared = PreparedInstance.of(instance)
-    bounds = [trials * w // workers for w in range(workers + 1)]
-    jobs = [(alg_factory, prepared, seed, start, stop) for start, stop in pairwise(bounds)]
+    job = (alg_factory, prepared, seed)
     if workers == 1:
-        chunks = [_mc_chunk(jobs[0])]
+        chunks = [_mc_chunk(job, 0, trials)]
     else:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            chunks = pool.map(_mc_chunk, jobs)
+        bounds = list(pairwise(trials * w // workers for w in range(workers + 1)))
+        with multiprocessing.get_context("fork").Pool(workers, _inherit, (job,)) as pool:
+            chunks = pool.map(_forked_chunk, bounds)
     d = chunks[0][0]
     total = sum(c[1] for c in chunks)
     total_sq = sum(c[2] for c in chunks)
@@ -217,45 +233,44 @@ def mc_estimate(
 def exact_expectation(alg_factory: AlgFactory, instance: WmstInstance) -> Fraction:
     """Exact expected cost over all arrival orders.
 
-    A player whose ``state_key`` is not None is played through the memoised
-    recursion of ``_completion_sum``; any other player plays every one of the
+    ``ftp`` and ``gftp`` play through the memoised recursion of
+    ``_completion_sum``; any other player, their subclasses too, plays all
     ``m!`` orders.  Either way every player starts from one
     ``PreparedInstance`` and the costs are added up as integers on the scale
-    ``_cost_sums`` uses.  An instance of more than ``EXACT_EDGE_LIMIT`` edges
-    is refused for every player.
+    ``_cost_sums`` uses.  An instance of more than ``EXACT_EDGE_LIMIT``
+    edges is refused for every player.
     """
     m = instance.m
     if m > EXACT_EDGE_LIMIT:
         raise TooLarge(f"{m} edges means {m}! orders; the limit is {EXACT_EDGE_LIMIT}")
     prepared = PreparedInstance.of(instance)
     alg = alg_factory()
-    alg.initialize_prepared(prepared)
-    if alg.state_key() is None:
-        d, total, _ = _cost_sums(alg_factory, prepared, permutations(range(m)))
-    else:
+    if type(alg) in _BUILT_IN:
+        alg._start(prepared)
         d, total = _completion_sum(alg, prepared)
+    else:
+        d, total, _ = _cost_sums(alg_factory, prepared, permutations(range(m)))
     return Fraction(total, math.factorial(m) * d)
 
 
 def _completion_sum(alg: OnlineAlgorithm, prepared: PreparedInstance) -> tuple[int, int]:
-    """``d`` and the sum of ``d * cost`` over all orders, for a set-up player with a key.
+    """``d`` and the sum of ``d * cost`` over all orders, for a built-in player started.
 
     Once a set of edges is unseen, every order of them is equally likely,
     so the orders are walked as a tree of states, each held once.  A state
-    is the unseen and the accepted edges and the player's key.  With ``k``
-    edges unseen, its sum ``S`` over the ``k!`` orders of the rest is, over
-    each unseen ``e`` revealed next, the weight of ``e`` if accepted times
-    ``(k-1)!``, plus ``S`` of the state that follows.  Each reveal goes to a
-    ``branch`` of the player, with the weights ``_play`` would show it, and
-    faults as in ``_play``: ``NotSpanning`` at an accept that closes a
-    cycle and at the end with fewer than ``n - 1`` accepts.
+    is the unseen and the accepted edges and the player's ``_key``.  With
+    ``k`` edges unseen, its sum ``S`` over the ``k!`` orders of the rest is,
+    over each unseen ``e`` revealed next, the weight of ``e`` if accepted
+    times ``(k-1)!``, plus ``S`` of the state that follows.  Each reveal
+    goes to a ``_branch`` of the player, with the scaled weights ``_play``
+    would show it, and faults as in ``_play``: ``NotSpanning`` at an accept
+    that closes a cycle and at the end with fewer than ``n - 1`` accepts.
     """
     graph = prepared.graph
     n, m, edges = graph.n, graph.m, graph.edges
     d = _cost_scale(prepared)
     summed = [w.numerator * (d // w.denominator) for w in prepared.actual]
-    # the weights ``_play`` shows the player, on the scale its state compares against
-    shown = prepared.actual_scaled if alg.weight_scale() == prepared.scale else prepared.actual
+    shown = prepared.actual_scaled  # as ``_play`` shows a built-in player
     factorials = [math.factorial(k) for k in range(m)]
     memo: dict = {}
 
@@ -273,7 +288,7 @@ def _completion_sum(alg: OnlineAlgorithm, prepared: PreparedInstance) -> tuple[i
             bit = 1 << eid
             if not unseen & bit:
                 continue
-            child = player.branch()
+            child = player._branch()
             edge = edges[eid]
             after, joined = accepted, component
             if child.reveal(edge, shown[eid]).accepted:
@@ -283,7 +298,7 @@ def _completion_sum(alg: OnlineAlgorithm, prepared: PreparedInstance) -> tuple[i
                 total += summed[eid] * later
                 after |= bit
                 joined = [a if c == b else c for c in component]
-            key = (unseen ^ bit, after, child.state_key())
+            key = (unseen ^ bit, after, child._key())
             rest = memo.get(key)
             if rest is None:
                 rest = memo[key] = completions(child, unseen ^ bit, after, joined)

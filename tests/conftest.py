@@ -106,9 +106,13 @@ class SlowSwapPlayer(OnlineAlgorithm):
         ]
         if not unseen_cycle:
             return Decision.reject()
-        evict = max(unseen_cycle, key=lambda eid: (self._pred[eid], -eid))
-        if weight > self._pred[evict]:
+        if weight > max(self._pred[eid] for eid in unseen_cycle):
             return Decision.reject()
+        evict = self._evict(unseen_cycle)
         self._tree.discard(evict)
         self._tree.add(edge.id)
         return Decision.accept(swapped_out=evict)
+
+    def _evict(self, unseen_cycle: list[int]) -> int:
+        """The unseen cycle edge of largest prediction, ties to the smaller id."""
+        return max(unseen_cycle, key=lambda eid: (self._pred[eid], -eid))

@@ -1,6 +1,7 @@
 """Random-order lab: exact enumeration, Monte Carlo, harmonic bound."""
 
 import math
+import multiprocessing
 import os
 import random as pyrandom
 import sys
@@ -31,7 +32,7 @@ from wmst import (
     mst,
     WmstInstance,
 )
-from wmst import Decision, GreedyFollowPredictions, NotSpanning, OnlineAlgorithm
+from wmst import Decision, FollowPredictions, GreedyFollowPredictions, NotSpanning
 from wmst import checks, randomorder
 from wmst.cli import FAMILIES
 from wmst.graphs import PreparedInstance
@@ -51,8 +52,9 @@ def serial_pools(monkeypatch) -> list[int]:
     sizes: list[int] = []
 
     class SerialPool:
-        def __init__(self, processes):
+        def __init__(self, processes, initializer, initargs):
             sizes.append(processes)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -65,6 +67,7 @@ def serial_pools(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(randomorder.multiprocessing, "get_context",
                         lambda method: SimpleNamespace(Pool=SerialPool))
+    monkeypatch.setattr(randomorder, "_forked_job", None)  # restored after the test
     return sizes
 
 
@@ -188,33 +191,10 @@ class SwapsAfterAnEvenStart(GreedyFollowPredictions):
         return super().reveal(edge, weight if self._first % 2 == 0 else 4 * weight)
 
 
-class KeyedEvenStart(SwapsAfterAnEvenStart):
-    """The same player opted back in, with the first id's parity in its key."""
+class NamedGreedy(GreedyFollowPredictions):
+    """``gftp`` under another name: a subclass, so an opaque player."""
 
-    def state_key(self):
-        return tuple(self._parent_edge), None if self._first is None else self._first % 2
-
-    def branch(self):
-        return GreedyFollowPredictions.branch(self)
-
-
-class FixedAccepts(OnlineAlgorithm):
-    """Accepts the edges of a fixed set, with a key, whether or not they span."""
-
-    def __init__(self, accepts):
-        self._accepts = frozenset(accepts)
-
-    def initialize(self, graph, predicted):
-        pass
-
-    def reveal(self, edge, weight):
-        return Decision.accept() if edge.id in self._accepts else Decision.reject()
-
-    def state_key(self):
-        return ()
-
-    def branch(self):
-        return self
+    name = "named-gftp"
 
 
 class TestMemoisedExpectation:
@@ -261,26 +241,46 @@ class TestMemoisedExpectation:
         inst = random_instance(4, F(1), F(3), seed=5)  # K4: rejecting one edge still spans
         assert exact_expectation(factory, inst) == enumerated(factory, inst)
         assert enumerations == [inst.m]
+        if factory is SwapsAfterAnEvenStart:  # the memo of gftp would be wrong for it
+            assert exact_expectation(factory, inst) != exact_expectation(gftp, inst)
 
-    def test_subclass_with_its_own_key_takes_the_memo(self, enumerations):
-        k4 = random_instance(4, F(1), F(3), seed=5)
-        assert enumerated(SwapsAfterAnEvenStart, k4) != exact_expectation(gftp, k4)
-        for inst in [k4, *small_exact_instances(60)]:
-            expected = enumerated(SwapsAfterAnEvenStart, inst)
-            assert exact_expectation(KeyedEvenStart, inst) == expected
-        assert enumerations == []
+    def test_subclass_that_only_renames_gftp_plays_as_an_opaque_player(
+        self, enumerations, monkeypatch
+    ):
+        set_up = []
+
+        def initialize(player, graph, predicted):
+            set_up.append(type(player))
+            original(player, graph, predicted)
+
+        original = GreedyFollowPredictions.initialize
+        monkeypatch.setattr(GreedyFollowPredictions, "initialize", initialize)
+        inst = random_instance(4, F(1), F(3), seed=5)
+        order = ArrivalOrder.shuffled(inst.m, 3)
+        assert run(NamedGreedy(), inst, order) == run(gftp(), inst, order)
+        assert mc_estimate(NamedGreedy, inst, 30, 2) == mc_estimate(gftp, inst, 30, 2)
+        assert exact_expectation(NamedGreedy, inst) == exact_expectation(gftp, inst)
+        assert set(set_up) == {NamedGreedy}  # gftp itself starts from the preparation
+        assert enumerations == [inst.m]
 
     @pytest.mark.parametrize(
         "accepts, message",
         [({0, 1, 2}, "accepted edges contain a cycle"), ({0}, "accepted 1 edges")],
         ids=["cycle", "short"],
     )
-    def test_keyed_player_faults_as_in_a_run(self, enumerations, accepts, message):
+    def test_keyed_player_faults_as_in_a_run(self, enumerations, monkeypatch, accepts, message):
+        # ftp itself, not a subclass, so that the memo still plays it
+        def reveal(player, edge, weight):
+            return Decision.accept() if edge.id in accepts else Decision.reject()
+
+        monkeypatch.setattr(FollowPredictions, "reveal", reveal)
         inst = triangle()
-        with pytest.raises(NotSpanning, match=message):
-            run_cost(FixedAccepts(accepts), inst, range(inst.m))
-        with pytest.raises(NotSpanning, match=message):
-            exact_expectation(lambda: FixedAccepts(accepts), inst)
+        with pytest.raises(NotSpanning) as in_a_run:
+            run_cost(ftp(), inst, range(inst.m))
+        with pytest.raises(NotSpanning) as in_the_memo:
+            exact_expectation(ftp, inst)
+        assert str(in_the_memo.value) == str(in_a_run.value)
+        assert message in str(in_a_run.value)
         assert enumerations == []
 
 
@@ -321,6 +321,23 @@ class TestMonteCarlo:
         assert sizes == [3]
         assert one == two == three
         assert one.trials == 401
+
+    @pytest.mark.parametrize("kind", ["lambda", "local-class"])
+    def test_factories_that_do_not_pickle_run_in_workers(self, monkeypatch, kind):
+        class Local(GreedyFollowPredictions):
+            pass
+
+        factory = (lambda: gftp()) if kind == "lambda" else Local
+        inst = gen_ro_lb(2, F(1, 2), 4)
+        serial = mc_estimate(factory, inst, trials=40, seed=5, workers=1)
+        pin_cpus(monkeypatch, 2)
+        contexts = []
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(randomorder.multiprocessing, "get_context",
+                            lambda method: contexts.append(method) or get_context(method))
+        assert mc_estimate(factory, inst, trials=40, seed=5, workers=2) == serial
+        assert contexts == ["fork"]
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus, pools", [(2, [2]), (None, [])])
     def test_workers_are_capped_at_the_cpu_count(self, monkeypatch, cpus, pools):
