@@ -201,8 +201,11 @@ def random_instance(n: int, edge_prob, noise_scale, seed: int) -> WmstInstance:
     Samples an Erdos-Renyi graph until it is connected.  True weights are
     uniform grid fractions in ``(0, 1]``; predictions add uniform noise in
     ``[-noise_scale, +noise_scale]`` (quantized to the grid) and are
-    clamped to stay strictly positive.
+    clamped to stay strictly positive.  ``seed`` must be non-negative, since
+    ``Random(-s)`` seeds like ``Random(s)``.
     """
+    if seed < 0:
+        raise BadParameter(f"seed must be non-negative, got {seed}")
     if n < 2:
         raise BadParameter(f"need at least 2 vertices, got {n}")
     if n > RANDOM_VERTEX_LIMIT:

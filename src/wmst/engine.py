@@ -73,6 +73,9 @@ class ArrivalOrder:
 
     @classmethod
     def shuffled(cls, m: int, seed: int) -> "ArrivalOrder":
+        """The ids shuffled by ``random.Random(seed)``; ``seed`` must be non-negative."""
+        if seed < 0:  # Random(-s) seeds like Random(s)
+            raise BadParameter(f"seed must be non-negative, got {seed}")
         ids = list(range(m))
         random.Random(seed).shuffle(ids)
         return cls(tuple(ids))
@@ -150,6 +153,11 @@ class FollowPredictions(OnlineAlgorithm):
     def reveal(self, edge: Edge, weight: Fraction) -> Decision:
         return _ACCEPT if edge.id in self._tree else _REJECT
 
+    def _rejected(self, prepared: PreparedInstance) -> list[int]:
+        """The edges rejected in every order, each without a change of state."""
+        tree = prepared.tree
+        return [eid for eid in range(prepared.graph.m) if eid not in tree]
+
     def _key(self) -> tuple:
         return ()  # the tree never changes
 
@@ -170,6 +178,19 @@ class GreedyFollowPredictions(OnlineAlgorithm):
     id).  If the revealed true weight is at most that prediction, the edge
     is accepted and ``e_max`` leaves the tree; otherwise it is rejected.
 
+    Cycle dominance: every unseen working-tree edge on the cycle of an
+    unseen edge off the working tree predicts at most that edge's own
+    prediction.  It holds at the start by the MST cycle property.  A swap of
+    ``e`` for ``e_max`` can only bring onto such an edge's cycle unseen
+    edges of ``e``'s cycle, which predict at most ``e_max``, and ``e_max``
+    was on that cycle; the evicted ``e_max`` itself gets ``e``'s cycle.  So a
+    revealed weight above the edge's own prediction is rejected without a
+    cycle query, and an edge off the predicted tree whose true weight is
+    above its own prediction, or above every tree prediction, is rejected in
+    every order (``_rejected``).  Such a rejection clears the edge's
+    candidate flag, which is never read for an edge off the working tree,
+    and changes nothing else.
+
     ``_start`` copies the start state in O(n) from a ``PreparedInstance``:
     the predicted MST rooted at vertex 0, as parent and parent-edge arrays,
     its edges heaviest prediction first, and the predictions on the
@@ -180,14 +201,14 @@ class GreedyFollowPredictions(OnlineAlgorithm):
     The unseen edges of the working tree are the predicted tree's edges
     that are neither revealed nor evicted.  A pointer into the heaviest-first
     list skips the others, so it names the largest prediction any unseen
-    cycle edge can carry, and a revealed weight above it is rejected in
-    O(1), without a cycle query.  Otherwise the cycle query marks the
-    ancestors of one endpoint and climbs from the other to their lowest
-    common ancestor.  A swap reverses the parent pointers from the revealed
-    edge's endpoint on the cut-off side up to the evicted edge, so vertex 0
-    stays the root.  The parent-edge array is then the tree's canonical
-    name, and ``_key`` returns it: with the unseen edges it fixes the
-    unseen edges of the working tree, and so every later decision.
+    cycle edge can carry, and a revealed weight above it is also rejected
+    in O(1).  Otherwise the cycle query marks the ancestors of one endpoint
+    and climbs from the other to their lowest common ancestor.  A swap
+    reverses the parent pointers from the revealed edge's endpoint on the
+    cut-off side up to the evicted edge, so vertex 0 stays the root.  The
+    parent-edge array is then the tree's canonical name, and ``_key``
+    returns it: with the unseen edges it fixes the unseen edges of the
+    working tree, and so every later decision.
     """
 
     name = "gftp"
@@ -216,9 +237,12 @@ class GreedyFollowPredictions(OnlineAlgorithm):
         parent_edge = self._parent_edge
         if parent_edge[a] == eid or parent_edge[b] == eid:
             return _ACCEPT
+        pred = self._pred
+        if weight > pred[eid]:
+            return _REJECT  # cycle dominance: no unseen cycle edge predicts more
         # the heaviest unseen tree edge predicts at least as much as any
         # unseen edge on the cycle, so a weight above it is rejected unclimbed
-        heaviest, head, pred = self._heaviest, self._head, self._pred
+        heaviest, head = self._heaviest, self._head
         end = len(heaviest)
         while head < end and not candidate[heaviest[head]]:
             head += 1
@@ -266,6 +290,19 @@ class GreedyFollowPredictions(OnlineAlgorithm):
             x, up, up_edge = old_up, x, old_edge
         candidate[best] = 0  # evicted: the pointer may now pass it
         return Decision.accept(swapped_out=best)
+
+    def _rejected(self, prepared: PreparedInstance) -> list[int]:
+        """The edges rejected in every order, each without a change of state.
+
+        These are the edges off the predicted tree whose scaled true weight
+        is above their own prediction or above the heaviest tree prediction.
+        """
+        tree, pred, actual = prepared.tree, prepared.predicted_scaled, prepared.actual_scaled
+        top = pred[prepared.tree_by_prediction[0]]
+        return [
+            eid for eid in range(prepared.graph.m)
+            if eid not in tree and actual[eid] > min(pred[eid], top)
+        ]
 
     def _key(self) -> tuple[int, ...]:
         return tuple(self._parent_edge)
@@ -400,6 +437,8 @@ def check_cycle_dominance(
     """Assert no unseen initial-tree edge on the revealed edge's cycle
     predicts heavier than the revealed edge itself.
 
+    This is the cycle-dominance lemma of ``GreedyFollowPredictions``, on
+    which its in-``reveal`` rejection and its ``_rejected`` edges rest.
     Applies when a non-tree edge is revealed; a violation means the swap
     bookkeeping is broken, not that the input is bad.  The cycle is scanned
     from the ``v`` end, so the violation reported is the one nearest ``v``.

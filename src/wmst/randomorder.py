@@ -113,18 +113,41 @@ def _cost_sums(factory: AlgFactory, prepared: PreparedInstance, orders) -> tuple
     ``SCALE_BITS`` the weights stay Fractions; each cost is then put on
     ``d``, the lcm of the true weights' denominators alone, which is no
     longer than the input.
+
+    A built-in player is dealt only the edges it can still decide: the
+    edges its ``_rejected`` names, asked once per player type, are rejected
+    in every order without a change of state, so leaving them out of each
+    order changes no decision and no cost.  Any other player gets every
+    order whole.
     """
     actual = prepared.actual
     fractions = prepared.actual_scaled is actual  # the preparation kept the Fractions
     d = _cost_scale(prepared)
     total = total_sq = 0
+    kind = dealt = None
     for order in orders:
-        cost = _play(factory(), prepared, actual, order)[1]
+        alg = factory()
+        if type(alg) is not kind:
+            kind, dealt = type(alg), _dealt(alg, prepared)
+        if dealt is not None:
+            order = [eid for eid in order if dealt[eid]]
+        cost = _play(alg, prepared, actual, order)[1]
         if fractions:
             cost = cost.numerator * (d // cost.denominator)
         total += cost
         total_sq += cost * cost
     return d, total, total_sq
+
+
+def _dealt(alg: OnlineAlgorithm, prepared: PreparedInstance) -> bytearray | None:
+    """1 for each edge ``alg`` can still decide, or None to deal every edge."""
+    rejected = alg._rejected(prepared) if type(alg) in _BUILT_IN else ()
+    if not rejected:
+        return None
+    dealt = bytearray(b"\x01") * prepared.graph.m
+    for eid in rejected:
+        dealt[eid] = 0
+    return dealt
 
 
 def _cost_scale(prepared: PreparedInstance) -> int:
@@ -186,24 +209,29 @@ def mc_estimate(
     """Monte Carlo estimate over uniform arrival orders.
 
     Trial ``t`` runs a fresh algorithm instance on the ``t``-th Fisher-Yates
-    shuffle of one seeded stream (``_shuffles``).  The instance is prepared
-    once per estimate: every trial copies its player's start state from one
-    ``PreparedInstance`` and adds up integer weights on its scale, and the
-    optimum and the error come from the same preparation.  Run costs are
-    summed exactly.  The workers, forked processes, take contiguous runs of
-    trials from that stream, so their number sets the speed, never the
-    estimate.  With ``workers=None`` there is one per ``REVEALS_PER_WORKER``
-    reveals (``trials * m``), at least one.  Any count is capped at
-    ``trials`` and at the CPUs this process may use, and is 1 where ``fork``
-    is unavailable.  Only chunk bounds are pickled: the workers inherit the
-    factory, which may be a lambda, and the preparation through the fork.
-    A trial count above ``sys.maxsize``, past what a stream can be sliced
-    to, is refused.
+    shuffle of one seeded stream (``_shuffles``); ``seed`` must be
+    non-negative, since ``Random(-s)`` seeds like ``Random(s)``.  The
+    instance is prepared once per estimate: every trial copies its player's
+    start state from one ``PreparedInstance`` and adds up integer weights on
+    its scale, and the optimum and the error come from the same preparation.
+    A built-in player is dealt each shuffle without the edges it rejects in
+    every order (``_cost_sums``), which leaves every cost as it is.  Run
+    costs are summed exactly.  The workers, forked processes, take
+    contiguous runs of trials from that stream, so their number sets the
+    speed, never the estimate.  With ``workers=None`` there is one per
+    ``REVEALS_PER_WORKER`` reveals (``trials * m``), at least one.  Any
+    count is capped at ``trials`` and at the CPUs this process may use, and
+    is 1 where ``fork`` is unavailable.  Only chunk bounds are pickled: the
+    workers inherit the factory, which may be a lambda, and the preparation
+    through the fork.  A trial count above ``sys.maxsize``, past what a
+    stream can be sliced to, is refused.
     """
     if trials < 1:
         raise BadParameter(f"need at least one trial, got {trials}")
     if trials > sys.maxsize:
         raise BadParameter(f"at most {sys.maxsize} trials, got {trials}")
+    if seed < 0:
+        raise BadParameter(f"seed must be non-negative, got {seed}")
     if workers is None:
         workers = trials * instance.m // REVEALS_PER_WORKER
     elif workers < 1:

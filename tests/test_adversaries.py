@@ -207,6 +207,8 @@ class TestRandomInstance:
             random_instance(4, F(1, 2), F(-1), seed=0)
         with pytest.raises(BadParameter, match="too small to connect 30 vertices"):
             random_instance(30, F(1, 10**6), F(0), seed=0)  # refused before any draw
+        with pytest.raises(BadParameter, match="seed must be non-negative, got -42"):
+            random_instance(6, F(1, 2), F(1, 4), seed=-42)  # else the instance of seed 42
 
 
 class TestGameOrdersReplayWithEngine:

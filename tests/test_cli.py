@@ -346,6 +346,28 @@ def test_trial_count_past_maxsize_exits_two_without_a_pool(tmp_path, capsys, mon
     assert captured.err.startswith("error: at most") and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, seed",
+    [
+        (["ro", "gftp", "{path}", "--trials", "10", "--seed", "-3"], -3),
+        (["sweep", "ro-lb", "--k", "2", "--l", "1,2,3,4,5", "--trials", "10",
+          "--seed", "-2"], -2),
+        (["run", "gftp", "{path}", "--order", "seed:-7", "--trace-out", "{tmp}/t.txt"], -7),
+        (["gen", "random", "--seed", "-1", "--out", "{tmp}/r.json"], -1),
+    ],
+    ids=["ro", "sweep", "run-order", "gen-random"],
+)
+def test_negative_seed_exits_two_before_any_output(tmp_path, capsys, argv, seed):
+    # Random(-s) seeds like Random(s), so a negative seed would repeat another's output
+    path = tmp_path / "tri.json"
+    path.write_text(json.dumps(_triangle_payload()))
+    assert main([arg.format(path=path, tmp=tmp_path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: seed must be non-negative, got {seed}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tri.json"]
+
+
 @pytest.mark.parametrize("content", [b"\xff", b"[" * 100_000], ids=["not-utf8", "too-deep"])
 @pytest.mark.parametrize("target", ["instance", "order"])
 def test_undecodable_json_exits_two(tmp_path, capsys, content, target):

@@ -1,5 +1,6 @@
 """Online execution: the two players, the replay engine, checked mode."""
 
+import random
 from fractions import Fraction
 from functools import partial
 from itertools import islice, permutations
@@ -34,6 +35,7 @@ from wmst import (
 )
 from wmst import checks
 from wmst.cli import FAMILIES
+from wmst.engine import _play
 from wmst.graphs import PreparedInstance
 
 from conftest import SlowSwapPlayer, triangle
@@ -49,6 +51,11 @@ class TestArrivalOrder:
         b = ArrivalOrder.shuffled(10, seed=5)
         assert a == b
         assert sorted(a.edge_ids) == list(range(10))
+
+    def test_negative_seed_rejected(self):
+        # Random(-5) shuffles as Random(5) does
+        with pytest.raises(BadParameter, match="seed must be non-negative, got -5"):
+            ArrivalOrder.shuffled(10, seed=-5)
 
     def test_non_permutation_rejected(self):
         for ids in ((0, 0, 1), (1, 2, 3), (True, 0), (0, 1.0), (0, "1")):
@@ -489,3 +496,71 @@ class TestAgainstReference:
             assert player.set_up
         inst = random_instance(30, F(1, 4), F(1, 3), 5)
         assert mc_estimate(subclass, inst, 40, 7) == mc_estimate(gftp, inst, 40, 7)
+
+
+def _tie_heavy_instances():
+    """Instances full of equal weights, where a strict bound and a loose one differ."""
+    for n in (3, 4, 5):
+        graph = Graph.from_pairs(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        for true in (1, 2, 3):  # below, at and above the one prediction
+            yield WmstInstance(graph, (F(2),) * graph.m, (F(true),) * graph.m)
+    for seed in range(40):
+        graph = random_instance(4 + seed % 3, F(7, 10), F(0), seed).graph
+        rng = random.Random(seed)
+        predicted, actual = ([F(rng.randint(1, 3)) for _ in range(graph.m)] for _ in range(2))
+        yield WmstInstance(graph, tuple(predicted), tuple(actual))
+    for k, spokes in ((2, 1), (3, 3), (F(5, 2), 4)):
+        yield gen_ftp_lb(k, spokes)[0]
+
+
+def _dealt_cases():
+    """The corpora the dealt orders are checked on, as (instance, order ids)."""
+    yield from checks.fuzz_pairs(10_000)
+    for inst in [*_family_instances(), *_tie_heavy_instances()]:
+        for order in _orders(inst, 6):
+            yield inst, order.edge_ids
+    yield from _deep_cases()
+
+
+class TestDealtEdges:
+    """The edges ``_rejected`` names are rejected in every order, changing nothing."""
+
+    def test_dealt_orders_play_like_whole_orders(self):
+        rejected_at_all = at_the_bound = 0
+        for inst, ids in _dealt_cases():
+            prepared = PreparedInstance.of(inst)
+            for factory in (ftp, gftp):
+                rejected = set(factory()._rejected(prepared))
+                dealt = [eid for eid in ids if eid not in rejected]
+                whole = _play(factory(), prepared, inst.actual, ids)
+                assert _play(factory(), prepared, inst.actual, dealt) == whole
+            trace = run(ReferenceGreedy(), inst, ArrivalOrder(tuple(ids)))
+            assert not any(s.decision.accepted for s in trace.steps if s.edge_id in rejected)
+            rejected_at_all += bool(rejected)
+            top = max(inst.predicted[eid] for eid in prepared.tree)
+            at_the_bound += any(
+                inst.actual[eid] == min(inst.predicted[eid], top)
+                for eid in range(inst.m) if eid not in prepared.tree
+            )
+        assert rejected_at_all > 1000 and at_the_bound > 100
+
+    def test_an_edge_at_its_own_prediction_is_dealt_and_swapped_in(self):
+        # edge 2 closes a cycle with tree edges 0 and 1, and edge 1 predicts
+        # what edge 2 does; so does the true weight of edge 2
+        graph = Graph.from_pairs(3, [(0, 1), (1, 2), (0, 2)])
+        inst = WmstInstance(graph, (F(1), F(2), F(2)), (F(1), F(5), F(2)))
+        prepared = PreparedInstance.of(inst)
+        assert prepared.tree == {0, 1}
+        assert gftp()._rejected(prepared) == []
+        trace = run(gftp(), inst, ArrivalOrder((2, 0, 1)))
+        assert trace.steps[0].decision == Decision.accept(swapped_out=1)
+        assert trace.cost == 3
+        trials, seed = 12, 1
+        rng = random.Random(seed)
+        ids, costs = [0, 1, 2], []
+        for _ in range(trials):
+            rng.shuffle(ids)
+            costs.append(run(ReferenceGreedy(), inst, ArrivalOrder(tuple(ids))).cost)
+        assert len(set(costs)) == 2  # some orders swap edge 2 in, some do not
+        mean = sum(costs, F(0)) / trials
+        assert mc_estimate(gftp, inst, trials, seed).mean_cost == float(mean)

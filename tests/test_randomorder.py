@@ -294,6 +294,39 @@ class TestMonteCarlo:
         assert est.mean_cost == float(run_cost(gftp(), inst, ids))
         assert est.std_error == 0.0
 
+    @pytest.mark.parametrize("factory", [ftp, gftp])
+    def test_single_trial_with_fixed_rejections_equals_that_run(self, factory):
+        inst = random_instance(30, F(1, 4), F(1, 4), 5)
+        assert factory()._rejected(PreparedInstance.of(inst))  # so trials are dealt
+        for seed in range(5):
+            est = mc_estimate(factory, inst, trials=1, seed=seed)
+            ids = list(range(inst.m))
+            pyrandom.Random(seed).shuffle(ids)
+            assert est.mean_cost == float(run_cost(factory(), inst, ids))
+
+    def test_each_player_type_is_dealt_its_own_edges(self):
+        # ftp rejects every edge off the tree, gftp only some: a gftp trial
+        # dealt ftp's edges would accept exactly the predicted tree
+        inst = random_instance(30, F(1, 4), F(1, 4), 5)
+        players = [ftp, gftp] * 10
+        mixed = (factory() for factory in players).__next__
+        trials, seed = len(players), 3
+        rng = pyrandom.Random(seed)
+        ids = list(range(inst.m))
+        costs = []
+        for factory in players:
+            rng.shuffle(ids)
+            costs.append(run_cost(factory(), inst, ids))
+        assert len(set(costs[1::2])) > 1  # gftp's costs vary with the order
+        est = mc_estimate(mixed, inst, trials=trials, seed=seed, workers=1)
+        assert est.mean_cost == float(sum(costs, F(0)) / trials)
+
+    def test_negative_seed_is_refused(self):
+        # Random(-2) draws the stream of Random(2)
+        inst = gen_ro_lb(2, F(1, 2), 1)
+        with pytest.raises(BadParameter, match="seed must be non-negative, got -2"):
+            mc_estimate(gftp, inst, trials=10, seed=-2)
+
     def test_follower_has_zero_variance(self):
         inst = gen_ro_lb(3, F(1, 2), 2)
         est = mc_estimate(ftp, inst, trials=200, seed=4)
