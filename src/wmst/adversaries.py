@@ -29,6 +29,11 @@ RANDOM_VERTEX_LIMIT = 2000
 # Draws of a random graph before random_instance gives up on connecting it.
 RANDOM_ATTEMPTS = 100_000
 
+# The most edges a family may have: those of the complete graph on
+# RANDOM_VERTEX_LIMIT vertices, the largest graph random_instance can build, so
+# no family builds a graph larger than the package builds anywhere else.
+FAMILY_EDGE_LIMIT = RANDOM_VERTEX_LIMIT * (RANDOM_VERTEX_LIMIT - 1) // 2
+
 
 @dataclass(frozen=True)
 class AdversarialGame:
@@ -44,14 +49,24 @@ class AdversarialGame:
     trace: RunTrace
 
 
+def _check_edge_count(family: str, m: int) -> None:
+    """Refuse a family of more than ``FAMILY_EDGE_LIMIT`` edges before it is built."""
+    if m > FAMILY_EDGE_LIMIT:
+        raise TooLarge(
+            f"the {family} family would have {m} edges; the limit is {FAMILY_EDGE_LIMIT}"
+        )
+
+
 def _hub_spoke_instance(k: Fraction, spokes: int, bridge: Fraction) -> WmstInstance:
     """Two hubs joined by a bridge edge, each spoke vertex tied to both hubs.
 
     Every spoke edge predicts ``k+1``.  The predicted-weight MST picks one
     spoke edge per spoke vertex; those get true weight ``2k+1`` while their
     siblings get ``1``, so following predictions pays ``2k+1`` per spoke
-    where the optimum pays ``1``.
+    where the optimum pays ``1``.  The bridge and two edges per spoke make
+    ``2 * spokes + 1`` edges.
     """
+    _check_edge_count("hub-spoke", 2 * spokes + 1)
     n = spokes + 2  # hubs are vertices 0 and 1
     pairs: list[tuple[int, int]] = [(0, 1)]
     predicted: list[Fraction] = [bridge]
@@ -168,6 +183,7 @@ def gen_general_lb_game(k: int, stars: int, alg: OnlineAlgorithm) -> Adversarial
     if stars < 1:
         raise BadParameter(f"need at least one star, got {stars}")
     path_len = 2 * k  # vertices v_1..v_2k are ids 0..2k-1
+    _check_edge_count("path-star", path_len - 1 + stars * path_len)
     pairs: list[tuple[int, int]] = []
     predicted: list[Fraction] = []
     for i in range(path_len - 1):

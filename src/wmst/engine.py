@@ -140,7 +140,11 @@ class OnlineAlgorithm(ABC):
 
 
 class FollowPredictions(OnlineAlgorithm):
-    """Commit to the predicted-weight MST and accept exactly its edges."""
+    """Commit to the predicted-weight MST and accept exactly its edges.
+
+    Its cost is therefore the same in every arrival order, so ``randomorder``
+    plays one game of it per estimate.
+    """
 
     name = "ftp"
 
@@ -152,17 +156,6 @@ class FollowPredictions(OnlineAlgorithm):
 
     def reveal(self, edge: Edge, weight: Fraction) -> Decision:
         return _ACCEPT if edge.id in self._tree else _REJECT
-
-    def _rejected(self, prepared: PreparedInstance) -> list[int]:
-        """The edges rejected in every order, each without a change of state."""
-        tree = prepared.tree
-        return [eid for eid in range(prepared.graph.m) if eid not in tree]
-
-    def _key(self) -> tuple:
-        return ()  # the tree never changes
-
-    def _branch(self) -> "FollowPredictions":
-        return self  # reveal changes nothing
 
     def working_tree_ids(self) -> frozenset[int]:
         return self._tree

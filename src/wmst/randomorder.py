@@ -2,10 +2,12 @@
 
 Estimates the expected cost of an online player over uniformly random
 arrival orders, either by Monte Carlo sampling or, for instances of at most
-``EXACT_EDGE_LIMIT`` edges, exactly.  The exact expectation of ``ftp`` and
-``gftp`` is a memoised recursion over the states orders pass through: the
-rest of a uniform order is uniform over the unseen edges.  Any other player,
-a subclass of either included, plays all ``m!`` orders.  Reports
+``EXACT_EDGE_LIMIT`` edges, exactly.  ``ftp`` accepts exactly its predicted
+tree, so it costs the same in every order: each of its trials, and its exact
+expectation, is the cost of one game, and it draws no order.  The exact
+expectation of ``gftp`` is a memoised recursion over the states orders pass
+through: the rest of a uniform order is uniform over the unseen edges.  Any
+other player, a subclass of either included, plays every order.  Reports
 compare the measured ratio against three reference curves in the
 normalized error: ``1 + e``, ``1 + (1 + ln 2) e`` and ``1 + 2e``.
 """
@@ -22,7 +24,7 @@ from fractions import Fraction
 from itertools import islice, pairwise, permutations
 from typing import Callable
 
-from .engine import _BUILT_IN, OnlineAlgorithm, _play
+from .engine import FollowPredictions, GreedyFollowPredictions, OnlineAlgorithm, _play, run_cost
 from .exceptions import BadParameter, NotSpanning, TooLarge
 from .graphs import PreparedInstance, WmstInstance
 
@@ -105,8 +107,16 @@ def _estimate(
     )
 
 
-def _cost_sums(factory: AlgFactory, prepared: PreparedInstance, orders) -> tuple[int, int, int]:
-    """``d`` and the sums of ``d * cost`` and of its square over ``orders``, as ints.
+def _cost_sums(
+    factory: AlgFactory, prepared: PreparedInstance, orders, trials: int
+) -> tuple[int, int, int]:
+    """``d`` and the sums of ``d * cost`` and of its square over ``trials`` trials, as ints.
+
+    Each trial calls ``factory`` once, and trial ``t`` plays the ``t``-th
+    order of the iterator ``orders``.  Orders are drawn lazily: a trial that
+    plays no order draws none, and the next trial that plays one first draws
+    and skips the orders left behind, so a call in which no trial plays an
+    order draws nothing.
 
     Every trial starts its player from the one ``prepared``, and ``_play``
     returns the cost as an int on ``d = prepared.scale``.  Past
@@ -114,24 +124,36 @@ def _cost_sums(factory: AlgFactory, prepared: PreparedInstance, orders) -> tuple
     ``d``, the lcm of the true weights' denominators alone, which is no
     longer than the input.
 
-    A built-in player is dealt only the edges it can still decide: the
-    edges its ``_rejected`` names, asked once per player type, are rejected
+    ``ftp`` accepts exactly its predicted tree in every order, so an ``ftp``
+    trial plays no order: it costs what one game on the edges in id order
+    costs, played once per call, with that game's ``NotSpanning`` faults.
+    ``gftp`` is dealt only the edges it can still decide: the edges its
+    ``_rejected`` names, asked when the type of player changes, are rejected
     in every order without a change of state, so leaving them out of each
-    order changes no decision and no cost.  Any other player gets every
-    order whole.
+    order changes no decision and no cost.  Any other player, a subclass of
+    either included, gets every order whole.
     """
     actual = prepared.actual
     fractions = prepared.actual_scaled is actual  # the preparation kept the Fractions
     d = _cost_scale(prepared)
     total = total_sq = 0
-    kind = dealt = None
-    for order in orders:
+    kind = dealt = fixed = None
+    skipped = 0  # the trials since the last order drawn, none of which played one
+    for _ in range(trials):
         alg = factory()
-        if type(alg) is not kind:
-            kind, dealt = type(alg), _dealt(alg, prepared)
-        if dealt is not None:
-            order = [eid for eid in order if dealt[eid]]
-        cost = _play(alg, prepared, actual, order)[1]
+        if type(alg) is FollowPredictions:
+            if fixed is None:
+                fixed = _play(alg, prepared, actual, range(prepared.graph.m))[1]
+            cost = fixed
+            skipped += 1
+        else:
+            if type(alg) is not kind:
+                kind, dealt = type(alg), _dealt(alg, prepared)
+            order = next(islice(orders, skipped, None))
+            skipped = 0
+            if dealt is not None:
+                order = [eid for eid in order if dealt[eid]]
+            cost = _play(alg, prepared, actual, order)[1]
         if fractions:
             cost = cost.numerator * (d // cost.denominator)
         total += cost
@@ -141,7 +163,7 @@ def _cost_sums(factory: AlgFactory, prepared: PreparedInstance, orders) -> tuple
 
 def _dealt(alg: OnlineAlgorithm, prepared: PreparedInstance) -> bytearray | None:
     """1 for each edge ``alg`` can still decide, or None to deal every edge."""
-    rejected = alg._rejected(prepared) if type(alg) in _BUILT_IN else ()
+    rejected = alg._rejected(prepared) if type(alg) is GreedyFollowPredictions else ()
     if not rejected:
         return None
     dealt = bytearray(b"\x01") * prepared.graph.m
@@ -181,8 +203,9 @@ def _shuffles(m: int, seed: int):
 
 def _mc_chunk(job: tuple, start: int, stop: int) -> tuple[int, int, int]:
     factory, prepared, seed = job
-    # the shuffles before trial ``start`` are replayed without being played
-    return _cost_sums(factory, prepared, islice(_shuffles(prepared.graph.m, seed), start, stop))
+    # the shuffles before trial ``start`` are drawn unplayed, once a trial plays one
+    orders = islice(_shuffles(prepared.graph.m, seed), start, None)
+    return _cost_sums(factory, prepared, orders, stop - start)
 
 
 # A forked worker's (factory, preparation, seed), set by the pool's initializer,
@@ -214,17 +237,20 @@ def mc_estimate(
     instance is prepared once per estimate: every trial copies its player's
     start state from one ``PreparedInstance`` and adds up integer weights on
     its scale, and the optimum and the error come from the same preparation.
-    A built-in player is dealt each shuffle without the edges it rejects in
-    every order (``_cost_sums``), which leaves every cost as it is.  Run
-    costs are summed exactly.  The workers, forked processes, take
-    contiguous runs of trials from that stream, so their number sets the
-    speed, never the estimate.  With ``workers=None`` there is one per
-    ``REVEALS_PER_WORKER`` reveals (``trials * m``), at least one.  Any
-    count is capped at ``trials`` and at the CPUs this process may use, and
-    is 1 where ``fork`` is unavailable.  Only chunk bounds are pickled: the
-    workers inherit the factory, which may be a lambda, and the preparation
-    through the fork.  A trial count above ``sys.maxsize``, past what a
-    stream can be sliced to, is refused.
+    An ``ftp`` trial plays no shuffle and draws none: its cost is that of
+    one game, the same in every order.  ``gftp`` is dealt each shuffle
+    without the edges it rejects in every order (``_cost_sums``), which
+    leaves every cost as it is.  Run costs are summed exactly.  The
+    workers, forked processes, take contiguous runs of trials from that
+    stream, so their number sets the speed, never the estimate.  With
+    ``workers=None`` there is one per ``REVEALS_PER_WORKER`` reveals
+    (``trials * m``), at least one; the factory is not called before the
+    workers start, so this holds for ``ftp`` too.  Any count is capped at
+    ``trials`` and at the CPUs this process may use, and is 1 where
+    ``fork`` is unavailable.  Only chunk bounds are pickled: the workers
+    inherit the factory, which may be a lambda, and the preparation through
+    the fork.  A trial count above ``sys.maxsize``, past what a stream can
+    be sliced to, is refused.
     """
     if trials < 1:
         raise BadParameter(f"need at least one trial, got {trials}")
@@ -261,28 +287,33 @@ def mc_estimate(
 def exact_expectation(alg_factory: AlgFactory, instance: WmstInstance) -> Fraction:
     """Exact expected cost over all arrival orders.
 
-    ``ftp`` and ``gftp`` play through the memoised recursion of
-    ``_completion_sum``; any other player, their subclasses too, plays all
-    ``m!`` orders.  Either way every player starts from one
-    ``PreparedInstance`` and the costs are added up as integers on the scale
+    ``ftp`` costs the same in every order, so its expectation is the cost of
+    one game on the edges in id order, with that game's ``NotSpanning``
+    faults.  ``gftp`` plays through the memoised recursion of
+    ``_completion_sum``.  Any other player, their subclasses too, plays all
+    ``m!`` orders.  Every player starts from one ``PreparedInstance``, and
+    the costs of many orders are added up as integers on the scale
     ``_cost_sums`` uses.  An instance of more than ``EXACT_EDGE_LIMIT``
     edges is refused for every player.
     """
     m = instance.m
     if m > EXACT_EDGE_LIMIT:
         raise TooLarge(f"{m} edges means {m}! orders; the limit is {EXACT_EDGE_LIMIT}")
-    prepared = PreparedInstance.of(instance)
     alg = alg_factory()
-    if type(alg) in _BUILT_IN:
+    if type(alg) is FollowPredictions:
+        return run_cost(alg, instance, range(m))
+    prepared = PreparedInstance.of(instance)
+    if type(alg) is GreedyFollowPredictions:
         alg._start(prepared)
         d, total = _completion_sum(alg, prepared)
     else:
-        d, total, _ = _cost_sums(alg_factory, prepared, permutations(range(m)))
+        orders = permutations(range(m))
+        d, total, _ = _cost_sums(alg_factory, prepared, orders, math.factorial(m))
     return Fraction(total, math.factorial(m) * d)
 
 
 def _completion_sum(alg: OnlineAlgorithm, prepared: PreparedInstance) -> tuple[int, int]:
-    """``d`` and the sum of ``d * cost`` over all orders, for a built-in player started.
+    """``d`` and the sum of ``d * cost`` over all orders, for a started ``gftp``.
 
     Once a set of edges is unseen, every order of them is equally likely,
     so the orders are walked as a tree of states, each held once.  A state

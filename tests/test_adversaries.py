@@ -1,5 +1,6 @@
 """Instance families and the adaptive weight-fixing games."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from wmst import (
     ArrivalOrder,
     BadParameter,
+    TooLarge,
     error_report,
     eta,
     eta2,
@@ -22,7 +24,7 @@ from wmst import (
     run_cost,
     tree_cost,
 )
-from wmst import checks
+from wmst import adversaries, checks
 
 from conftest import RejectFirstThenGreedy
 
@@ -227,3 +229,40 @@ def test_every_family_emits_valid_instances():
         random_instance(6, F(1, 2), F(1, 2), seed=0),
     ]
     checks.instances_round_trip(produced)
+
+
+def _sized_families(limit: int):
+    """Each sized family with just ``limit`` edges and with just past it, as (builder, edges)."""
+    # a hub-spoke family has 2l + 1 edges, the path-star game with k = 2 has 3 + 4l
+    hub, star = (limit - 1) // 2, (limit - 3) // 4
+    for spokes in (hub, hub + 1):
+        yield (lambda spokes=spokes: gen_ftp_lb(2, spokes)[0]), 2 * spokes + 1
+        yield (lambda spokes=spokes: gen_ro_lb(2, F(1, 2), spokes)), 2 * spokes + 1
+    for stars in (star, star + 1):
+        yield (lambda stars=stars: gen_general_lb_game(2, stars, ftp()).instance), 3 + 4 * stars
+
+
+def test_family_edge_limit_admits_exactly_its_edge_count(monkeypatch):
+    monkeypatch.setattr(adversaries, "FAMILY_EDGE_LIMIT", 41)
+    for build, edges in _sized_families(41):
+        if edges <= 41:
+            assert build().m == edges
+        else:
+            with pytest.raises(TooLarge, match=f"would have {edges} edges; the limit is 41"):
+                build()
+
+
+def test_families_past_the_edge_limit_are_refused_unbuilt():
+    limit = adversaries.FAMILY_EDGE_LIMIT
+    assert limit == adversaries.RANDOM_VERTEX_LIMIT * (adversaries.RANDOM_VERTEX_LIMIT - 1) // 2
+    past = [(build, edges) for build, edges in _sized_families(limit) if edges > limit]
+    assert sorted(edges - limit for _, edges in past) == [1, 1, 3]
+    for build, edges in past:
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match=f"would have {edges} edges"):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # the graph alone would take hundreds of MB

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wmst import InstanceError, WmstError, checks, randomorder, validate_instance
+from wmst.adversaries import FAMILY_EDGE_LIMIT
 from wmst.cli import CSV_COLUMNS, main
 from wmst.io import load_instance, load_order, save_instance
 
@@ -366,6 +367,31 @@ def test_negative_seed_exits_two_before_any_output(tmp_path, capsys, argv, seed)
     assert captured.out == ""
     assert captured.err == f"error: seed must be non-negative, got {seed}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["tri.json"]
+
+
+@pytest.mark.parametrize("command", ["gen", "sweep"])
+@pytest.mark.parametrize(
+    "family, params, shape, edges",
+    [
+        ("ftp-lb", ["--k", "2", "--l", "100000000000"], "hub-spoke", 200_000_000_001),
+        ("ro-lb", ["--k", "2", "--l", "100000000000"], "hub-spoke", 200_000_000_001),
+        ("general-lb", ["--k", "2", "--l", "100000000"], "path-star", 400_000_003),
+    ],
+    ids=["ftp-lb", "ro-lb", "general-lb"],
+)
+def test_family_past_the_edge_limit_exits_two_unbuilt(tmp_path, capsys, command, family,
+                                                      params, shape, edges):
+    # refused from the parameters alone: building these graphs would exhaust memory
+    out = tmp_path / "out.json"
+    algs = ["--algs", "ftp"] if command == "sweep" else []
+    assert main([command, family, *params, *algs, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the {shape} family would have {edges} edges; "
+        f"the limit is {FAMILY_EDGE_LIMIT}\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("content", [b"\xff", b"[" * 100_000], ids=["not-utf8", "too-deep"])

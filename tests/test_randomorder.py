@@ -71,6 +71,20 @@ def serial_pools(monkeypatch) -> list[int]:
     return sizes
 
 
+def drawn_orders(monkeypatch) -> list[int]:
+    """Record the seed of every order ``mc_estimate`` draws from its order stream."""
+    drawn: list[int] = []
+    shuffles = randomorder._shuffles
+
+    def counted(m, seed):
+        for ids in shuffles(m, seed):
+            drawn.append(seed)
+            yield ids
+
+    monkeypatch.setattr(randomorder, "_shuffles", counted)
+    return drawn
+
+
 def pin_cpus(monkeypatch, cpus: int | None) -> None:
     """Let this process run on ``cpus`` CPUs; ``None`` hides the CPU set and count."""
     if cpus is None:
@@ -128,8 +142,9 @@ class TestExactExpectation:
 def enumerated(factory, inst: WmstInstance) -> Fraction:
     """The expectation from playing every one of the ``m!`` orders."""
     prepared = PreparedInstance.of(inst)
-    d, total, _ = randomorder._cost_sums(factory, prepared, permutations(range(inst.m)))
-    return F(total, math.factorial(inst.m) * d)
+    orders, count = permutations(range(inst.m)), math.factorial(inst.m)
+    d, total, _ = randomorder._cost_sums(factory, prepared, orders, count)
+    return F(total, count * d)
 
 
 @pytest.fixture
@@ -197,8 +212,14 @@ class NamedGreedy(GreedyFollowPredictions):
     name = "named-gftp"
 
 
+class NamedFollower(FollowPredictions):
+    """``ftp`` under another name: a subclass, so an opaque player that plays every order."""
+
+    name = "named-ftp"
+
+
 class TestMemoisedExpectation:
-    """ftp and gftp take the memoised recursion and match enumeration exactly."""
+    """gftp takes the memoised recursion and ftp plays one game; both match enumeration."""
 
     @staticmethod
     def assert_memo_matches(instances, enumerations) -> None:
@@ -244,6 +265,15 @@ class TestMemoisedExpectation:
         if factory is SwapsAfterAnEvenStart:  # the memo of gftp would be wrong for it
             assert exact_expectation(factory, inst) != exact_expectation(gftp, inst)
 
+    def test_follower_plays_one_game(self, enumerations, monkeypatch):
+        instances = list(small_exact_instances(500))
+        expected = [enumerated(NamedFollower, inst) for inst in instances]
+        memo = []
+        monkeypatch.setattr(randomorder, "_completion_sum", lambda *args: memo.append(args))
+        assert [exact_expectation(ftp, inst) for inst in instances] == expected
+        assert memo == []
+        assert enumerations == []
+
     def test_subclass_that_only_renames_gftp_plays_as_an_opaque_player(
         self, enumerations, monkeypatch
     ):
@@ -283,6 +313,33 @@ class TestMemoisedExpectation:
         assert message in str(in_a_run.value)
         assert enumerations == []
 
+    @pytest.mark.parametrize(
+        "accepts, message",
+        [({0, 1, 2}, "accepted edges contain a cycle"), ({0}, "accepted 1 edges")],
+        ids=["cycle", "short"],
+    )
+    def test_memo_faults_as_in_a_run(self, enumerations, monkeypatch, accepts, message):
+        # gftp itself, not a subclass, so that the memo plays it
+        def reveal(player, edge, weight):
+            return Decision.accept() if edge.id in accepts else Decision.reject()
+
+        def completion_sum(*args):
+            entered.append(args)
+            return memo(*args)
+
+        entered, memo = [], randomorder._completion_sum
+        monkeypatch.setattr(GreedyFollowPredictions, "reveal", reveal)
+        monkeypatch.setattr(randomorder, "_completion_sum", completion_sum)
+        inst = triangle()
+        with pytest.raises(NotSpanning) as in_a_run:
+            run_cost(gftp(), inst, range(inst.m))
+        with pytest.raises(NotSpanning) as in_the_memo:
+            exact_expectation(gftp, inst)
+        assert str(in_the_memo.value) == str(in_a_run.value)
+        assert message in str(in_a_run.value)
+        assert len(entered) == 1
+        assert enumerations == []
+
 
 class TestMonteCarlo:
     def test_single_trial_equals_that_run(self):
@@ -296,8 +353,13 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("factory", [ftp, gftp])
     def test_single_trial_with_fixed_rejections_equals_that_run(self, factory):
+        # ftp rejects every edge off its tree and plays one game in id order;
+        # gftp is dealt each shuffle without the edges it always rejects
         inst = random_instance(30, F(1, 4), F(1, 4), 5)
-        assert factory()._rejected(PreparedInstance.of(inst))  # so trials are dealt
+        prepared = PreparedInstance.of(inst)
+        assert len(prepared.tree) < inst.m
+        if factory is gftp:
+            assert gftp()._rejected(prepared)  # so trials are dealt
         for seed in range(5):
             est = mc_estimate(factory, inst, trials=1, seed=seed)
             ids = list(range(inst.m))
@@ -305,8 +367,9 @@ class TestMonteCarlo:
             assert est.mean_cost == float(run_cost(factory(), inst, ids))
 
     def test_each_player_type_is_dealt_its_own_edges(self):
-        # ftp rejects every edge off the tree, gftp only some: a gftp trial
-        # dealt ftp's edges would accept exactly the predicted tree
+        # ftp plays no shuffle, gftp is dealt each shuffle without the edges
+        # it always rejects: a gftp trial played as ftp's one game would
+        # accept exactly the predicted tree
         inst = random_instance(30, F(1, 4), F(1, 4), 5)
         players = [ftp, gftp] * 10
         mixed = (factory() for factory in players).__next__
@@ -320,6 +383,68 @@ class TestMonteCarlo:
         assert len(set(costs[1::2])) > 1  # gftp's costs vary with the order
         est = mc_estimate(mixed, inst, trials=trials, seed=seed, workers=1)
         assert est.mean_cost == float(sum(costs, F(0)) / trials)
+
+    @staticmethod
+    def mixed_players() -> list:
+        """Runs of ftp trials, which draw no order, between gftp trials, which draw them."""
+        return ([ftp] * 3 + [gftp] + [ftp] * 2 + [gftp]) * 2 + [gftp] + [ftp] * 10
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_mixed_trials_play_their_own_shuffles(self, monkeypatch, workers):
+        inst = random_instance(30, F(1, 4), F(1, 4), 5)
+        players = self.mixed_players()
+        trials, seed = len(players), 4
+        rng = pyrandom.Random(seed)
+        ids = list(range(inst.m))
+        costs = []
+        for factory in players:
+            rng.shuffle(ids)
+            costs.append(run_cost(factory(), inst, ids))
+        assert len({c for c, f in zip(costs, players) if f is gftp}) > 1
+        mean = sum(costs, F(0)) / trials
+        variance = sum(((c - mean) ** 2 for c in costs), F(0)) / (trials - 1)
+        pin_cpus(monkeypatch, 3)
+        sizes = serial_pools(monkeypatch)  # one process, so the factory's calls stay in order
+        drawn = drawn_orders(monkeypatch)
+        mixed = (factory() for factory in players).__next__
+        est = mc_estimate(mixed, inst, trials=trials, seed=seed, workers=workers)
+        assert est.mean_cost == float(mean)
+        assert est.std_error == math.sqrt(variance / trials)
+        # a chunk draws its orders up to its last gftp trial, its replay included
+        bounds = [(trials * w // workers, trials * (w + 1) // workers) for w in range(workers)]
+        last = [max((t for t in range(*b) if players[t] is gftp), default=-1) for b in bounds]
+        assert len(drawn) == sum(t + 1 for t in last)
+        assert sizes == ([] if workers == 1 else [workers])
+        if workers == 3:
+            assert last[-1] == -1  # the last chunk plays ftp alone and draws nothing
+
+    @pytest.mark.parametrize("workers", [1, 2, None])
+    def test_follower_draws_no_order(self, monkeypatch, workers):
+        inst = random_instance(30, F(1, 4), F(1, 4), 5)
+        trials, seed = 40, 3
+        monkeypatch.setattr(randomorder, "REVEALS_PER_WORKER", trials * inst.m // 2)
+        pin_cpus(monkeypatch, 2)
+        sizes = serial_pools(monkeypatch)
+        drawn = drawn_orders(monkeypatch)
+        est = mc_estimate(ftp, inst, trials=trials, seed=seed, workers=workers)
+        assert drawn == []
+        # a pure ftp job still forks: the factory is not called before the workers start
+        assert sizes == ([] if workers == 1 else [2])
+        assert est == mc_estimate(NamedFollower, inst, trials=trials, seed=seed, workers=workers)
+        # the opaque follower plays every trial, and a second chunk replays the first
+        assert len(drawn) == (trials if workers == 1 else trials // 2 + trials)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_follower_estimates_like_an_opaque_follower(self, monkeypatch, workers):
+        pairs = checks.fuzz_pairs(10_000)
+        corpus = [inst for inst, _ in islice(pairs, 0, None, checks.ORDERS_PER_INSTANCE)]
+        corpus += _family_instances()
+        corpus += [random_instance(60, F(1, 5), F(1, 4), seed) for seed in (1, 2, 3)]
+        pin_cpus(monkeypatch, 2)
+        serial_pools(monkeypatch)
+        for seed, inst in enumerate(corpus):
+            est = mc_estimate(ftp, inst, trials=5, seed=seed, workers=workers)
+            assert est == mc_estimate(NamedFollower, inst, trials=5, seed=seed, workers=workers)
 
     def test_negative_seed_is_refused(self):
         # Random(-2) draws the stream of Random(2)
