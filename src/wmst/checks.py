@@ -22,7 +22,6 @@ from .graphs import (
     exchange_witness,
     mst,
     tree_cost,
-    tree_path_ids,
     validate_instance,
 )
 from .io import dumps_instance
@@ -80,8 +79,8 @@ def exchange_witnesses_pair_cycles(
             if not (
                 e2.id in t2
                 and e2.id not in t1
-                and e1.id in tree_path_ids(t1.adjacency, e2.u, e2.v)
-                and e2.id in tree_path_ids(t2.adjacency, e1.u, e1.v)
+                and e1.id in t1.path_ids(e2.u, e2.v)
+                and e2.id in t2.path_ids(e1.u, e1.v)
             ):
                 raise InvariantViolation(
                     f"case {case}: witness {e2.id} for edge {eid} does not pair the cycles"

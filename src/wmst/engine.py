@@ -18,7 +18,7 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import AbstractSet, Callable, Iterable, Sequence
 
 from .exceptions import BadParameter, InvariantViolation, NotSpanning
 from .graphs import (
@@ -30,7 +30,6 @@ from .graphs import (
     WmstInstance,
     _UnionFind,
     is_plain_int,
-    tree_path_ids,
 )
 from .rationals import format_fraction
 
@@ -424,7 +423,7 @@ def check_cycle_dominance(
     predicted: Weights,
     working_tree: SpanningTree,
     initial_tree: frozenset[int],
-    unseen: frozenset[int],
+    unseen: AbstractSet[int],
     revealed: Edge,
 ) -> None:
     """Assert no unseen initial-tree edge on the revealed edge's cycle
@@ -436,7 +435,7 @@ def check_cycle_dominance(
     bookkeeping is broken, not that the input is bad.  The cycle is scanned
     from the ``v`` end, so the violation reported is the one nearest ``v``.
     """
-    for eid in tree_path_ids(working_tree.adjacency, revealed.v, revealed.u):
+    for eid in working_tree.path_ids(revealed.v, revealed.u):
         if eid in unseen and eid in initial_tree:
             if predicted[eid] > predicted[revealed.id]:
                 raise InvariantViolation(
@@ -448,7 +447,7 @@ def check_cycle_dominance(
 def check_post_rejection_dominance(
     predicted: Weights,
     working_tree: SpanningTree,
-    unseen: frozenset[int],
+    unseen: AbstractSet[int],
     rejected: Edge,
     rejected_weight: Fraction,
 ) -> None:
@@ -458,7 +457,7 @@ def check_post_rejection_dominance(
     Must hold at every step after the rejection for swap-based players.
     The cycle is scanned from the ``v`` end, as in ``check_cycle_dominance``.
     """
-    for eid in tree_path_ids(working_tree.adjacency, rejected.v, rejected.u):
+    for eid in working_tree.path_ids(rejected.v, rejected.u):
         if eid in unseen and not predicted[eid] < rejected_weight:
             raise InvariantViolation(
                 f"unseen tree edge {eid} predicts {predicted[eid]}, not below "
@@ -470,8 +469,9 @@ class _InvariantChecker:
     """Runs the structural checks around each reveal in checked mode.
 
     After every reveal the player's working tree is validated as a spanning
-    tree (``NotSpanning`` otherwise); that one tree, and its adjacency,
-    serve every check until the working tree next changes.
+    tree (``NotSpanning`` otherwise); that one tree, rooted once for its
+    path queries, serves every check until the working tree next changes.
+    The checks read the live set of unseen edges, which they only test.
     """
 
     def __init__(self, alg: OnlineAlgorithm, graph: Graph, predicted: Weights):
@@ -503,7 +503,7 @@ class _InvariantChecker:
             self._predicted,
             tree,
             self._initial,
-            frozenset(self._unseen),
+            self._unseen,
             edge,
         )
 
@@ -516,14 +516,13 @@ class _InvariantChecker:
             self._rejections.append((edge, weight))
         if self._tree is None or decision.accepted and not changed:
             return
-        unseen = frozenset(self._unseen)
         # on an unchanged tree an older rejection's cycle has only lost unseen
         # edges since its last check, so only the one just recorded can fail
         for rejected, rejected_weight in self._rejections[0 if changed else -1:]:
             check_post_rejection_dominance(
                 self._predicted,
                 self._tree,
-                unseen,
+                self._unseen,
                 rejected,
                 rejected_weight,
             )

@@ -135,7 +135,12 @@ class Graph:
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """An edge subset forming a spanning tree, with path queries."""
+    """An edge subset forming a spanning tree, with path queries.
+
+    The edge set is validated on construction (``NotSpanning`` otherwise).
+    Path queries climb ``rooted``, the tree rooted at vertex 0, which is
+    computed on first use by the walk that also roots ``PreparedInstance``.
+    """
 
     graph: Graph
     edge_ids: frozenset[int]
@@ -157,48 +162,60 @@ class SpanningTree:
         return edge_id in self.edge_ids
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per-vertex tuples of ``(neighbor, edge_id)`` over the tree edges."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.graph.n)]
-        for eid in self.edge_ids:
-            edge = self.graph.edges[eid]
-            adj[edge.u].append((edge.v, eid))
-            adj[edge.v].append((edge.u, eid))
-        return tuple(map(tuple, adj))
+    def rooted(self) -> tuple[list[int], list[int], list[int]]:
+        """``(parent, parent_edge, depth)`` of the tree rooted at vertex 0 (see ``_root``)."""
+        return _root(self.graph, self.edge_ids)
+
+    def path_ids(self, a: int, b: int) -> list[int]:
+        """Edge ids of the unique a-b path, ordered from a to b.
+
+        Climbs the deeper endpoint until both meet at their lowest common
+        ancestor; at equal depths, distinct endpoints are both below it.
+        """
+        n = self.graph.n
+        if not (0 <= a < n and 0 <= b < n):
+            raise BadParameter(f"path endpoints {a} and {b} must be vertices 0..{n - 1}")
+        parent, parent_edge, depth = self.rooted
+        up: list[int] = []
+        down: list[int] = []  # b's side, listed upward
+        while a != b:
+            if depth[a] >= depth[b]:
+                up.append(parent_edge[a])
+                a = parent[a]
+            else:
+                down.append(parent_edge[b])
+                b = parent[b]
+        return up + down[::-1]
 
     def tree_path(self, a: int, b: int) -> list[Edge]:
         """The edges of the unique a-b path, ordered from a to b."""
         edges = self.graph.edges
-        return [edges[eid] for eid in tree_path_ids(self.adjacency, a, b)]
+        return [edges[eid] for eid in self.path_ids(a, b)]
 
 
-def tree_path_ids(adj: Sequence[Sequence[tuple[int, int]]], a: int, b: int) -> list[int]:
-    """Edge ids of the unique a-b path in a tree, ordered from a to b.
+def _root(graph: Graph, ids: Iterable[int]) -> tuple[list[int], list[int], list[int]]:
+    """``(parent, parent_edge, depth)`` of the tree on edges ``ids`` rooted at vertex 0.
 
-    ``adj[x]`` lists the ``(neighbor, edge_id)`` pairs of vertex ``x`` over
-    the tree edges only.  The walks that take a tree by its edge set come
-    through here: ``SpanningTree.tree_path``, the checked-mode invariants,
-    ``exchange_witness`` and the checks in ``wmst.checks``.  The greedy
-    player's own cycle query climbs the parent pointers of a rooted tree
-    instead (see ``PreparedInstance``).
+    The one rooting walk, behind ``SpanningTree`` and ``PreparedInstance``;
+    the root has parent and parent edge -1.  It reads only the tree's edges.
     """
-    # Search from b, so that following parents back from a lists the path in order.
-    parent: dict[int, tuple[int, int]] = {b: (-1, -1)}
-    stack = [b]
+    n, edges = graph.n, graph.edges
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for eid in ids:
+        edge = edges[eid]
+        adj[edge.u].append((edge.v, eid))
+        adj[edge.v].append((edge.u, eid))
+    parent = [-1] * n
+    parent_edge = [-1] * n
+    depth = [0] * n
+    stack = [0]
     while stack:
         x = stack.pop()
-        if x == a:
-            break
         for y, eid in adj[x]:
-            if y not in parent:
-                parent[y] = (x, eid)
+            if eid != parent_edge[x]:
+                parent[y], parent_edge[y], depth[y] = x, eid, depth[x] + 1
                 stack.append(y)
-    path: list[int] = []
-    x = a
-    while x != b:
-        x, eid = parent[x]
-        path.append(eid)
-    return path
+    return parent, parent_edge, depth
 
 
 @dataclass(frozen=True)
@@ -364,22 +381,7 @@ class PreparedInstance:
     @cached_property
     def rooted(self) -> tuple[list[int], list[int]]:
         """``(parent, parent_edge)`` of the tree rooted at vertex 0, -1 at the root."""
-        n = self.graph.n
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for eid in self.tree:
-            u, v = self.us[eid], self.vs[eid]
-            adj[u].append((v, eid))
-            adj[v].append((u, eid))
-        parent = [-1] * n
-        parent_edge = [-1] * n
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y, eid in adj[x]:
-                if eid != parent_edge[x]:
-                    parent[y], parent_edge[y] = x, eid
-                    stack.append(y)
-        return parent, parent_edge
+        return _root(self.graph, self.tree)[:2]
 
     @cached_property
     def opt(self) -> Fraction:
@@ -433,7 +435,7 @@ def exchange_witness(t1: SpanningTree, t2: SpanningTree, e1: Edge) -> Edge:
     if e1.id not in t1 or e1.id in t2:
         raise BadParameter("witness requires an edge of t1 that is absent from t2")
     for candidate in t2.tree_path(e1.u, e1.v):
-        if e1.id in tree_path_ids(t1.adjacency, candidate.u, candidate.v):
+        if e1.id in t1.path_ids(candidate.u, candidate.v):
             return candidate
     raise AssertionError("spanning tree must cross every cut")
 

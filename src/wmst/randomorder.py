@@ -109,8 +109,8 @@ def _estimate(
 
 def _cost_sums(
     factory: AlgFactory, prepared: PreparedInstance, orders, trials: int
-) -> tuple[int, int, int]:
-    """``d`` and the sums of ``d * cost`` and of its square over ``trials`` trials, as ints.
+) -> tuple[int, int | Fraction, int | Fraction]:
+    """``d`` and the sums of ``d * cost`` and of its square over ``trials`` trials.
 
     Each trial calls ``factory`` once, and trial ``t`` plays the ``t``-th
     order of the iterator ``orders``.  Orders are drawn lazily: a trial that
@@ -119,10 +119,8 @@ def _cost_sums(
     order draws nothing.
 
     Every trial starts its player from the one ``prepared``, and ``_play``
-    returns the cost as an int on ``d = prepared.scale``.  Past
-    ``SCALE_BITS`` the weights stay Fractions; each cost is then put on
-    ``d``, the lcm of the true weights' denominators alone, which is no
-    longer than the input.
+    returns the cost on ``d = prepared.scale``: an int, or past
+    ``SCALE_BITS`` a Fraction on scale 1, so the sums are then Fractions.
 
     ``ftp`` accepts exactly its predicted tree in every order, so an ``ftp``
     trial plays no order: it costs what one game on the edges in id order
@@ -134,8 +132,6 @@ def _cost_sums(
     either included, gets every order whole.
     """
     actual = prepared.actual
-    fractions = prepared.actual_scaled is actual  # the preparation kept the Fractions
-    d = _cost_scale(prepared)
     total = total_sq = 0
     kind = dealt = fixed = None
     skipped = 0  # the trials since the last order drawn, none of which played one
@@ -154,11 +150,9 @@ def _cost_sums(
             if dealt is not None:
                 order = [eid for eid in order if dealt[eid]]
             cost = _play(alg, prepared, actual, order)[1]
-        if fractions:
-            cost = cost.numerator * (d // cost.denominator)
         total += cost
         total_sq += cost * cost
-    return d, total, total_sq
+    return prepared.scale, total, total_sq
 
 
 def _dealt(alg: OnlineAlgorithm, prepared: PreparedInstance) -> bytearray | None:
@@ -170,13 +164,6 @@ def _dealt(alg: OnlineAlgorithm, prepared: PreparedInstance) -> bytearray | None
     for eid in rejected:
         dealt[eid] = 0
     return dealt
-
-
-def _cost_scale(prepared: PreparedInstance) -> int:
-    """The ``d`` of ``_cost_sums``, which ``_completion_sum`` shares."""
-    if prepared.actual_scaled is prepared.actual:  # the preparation kept the Fractions
-        return math.lcm(*(w.denominator for w in prepared.actual))
-    return prepared.scale
 
 
 def _shuffles(m: int, seed: int):
@@ -235,18 +222,18 @@ def mc_estimate(
     shuffle of one seeded stream (``_shuffles``); ``seed`` must be
     non-negative, since ``Random(-s)`` seeds like ``Random(s)``.  The
     instance is prepared once per estimate: every trial copies its player's
-    start state from one ``PreparedInstance`` and adds up integer weights on
-    its scale, and the optimum and the error come from the same preparation.
-    An ``ftp`` trial plays no shuffle and draws none: its cost is that of
-    one game, the same in every order.  ``gftp`` is dealt each shuffle
-    without the edges it rejects in every order (``_cost_sums``), which
-    leaves every cost as it is.  Run costs are summed exactly.  The
-    workers, forked processes, take contiguous runs of trials from that
-    stream, so their number sets the speed, never the estimate.  With
-    ``workers=None`` there is one per ``REVEALS_PER_WORKER`` reveals
-    (``trials * m``), at least one; the factory is not called before the
-    workers start, so this holds for ``ftp`` too.  Any count is capped at
-    ``trials`` and at the CPUs this process may use, and is 1 where
+    start state from one ``PreparedInstance`` and adds up weights on its
+    scale, ints unless past ``SCALE_BITS``, and the optimum and the error
+    come from the same preparation.  An ``ftp`` trial plays no shuffle and
+    draws none: its cost is that of one game, the same in every order.
+    ``gftp`` is dealt each shuffle without the edges it rejects in every
+    order (``_cost_sums``), which leaves every cost as it is.  Run costs are
+    summed exactly.  The workers, forked processes, take contiguous runs of
+    trials from that stream, so their number sets the speed, never the
+    estimate.  With ``workers=None`` there is one per ``REVEALS_PER_WORKER``
+    reveals (``trials * m``), at least one; the factory is not called before
+    the workers start, so this holds for ``ftp`` too.  Any count is capped
+    at ``trials`` and at the CPUs this process may use, and is 1 where
     ``fork`` is unavailable.  Only chunk bounds are pickled: the workers
     inherit the factory, which may be a lambda, and the preparation through
     the fork.  A trial count above ``sys.maxsize``, past what a stream can
@@ -292,8 +279,8 @@ def exact_expectation(alg_factory: AlgFactory, instance: WmstInstance) -> Fracti
     faults.  ``gftp`` plays through the memoised recursion of
     ``_completion_sum``.  Any other player, their subclasses too, plays all
     ``m!`` orders.  Every player starts from one ``PreparedInstance``, and
-    the costs of many orders are added up as integers on the scale
-    ``_cost_sums`` uses.  An instance of more than ``EXACT_EDGE_LIMIT``
+    the costs of many orders are added up on its scale, as in
+    ``_cost_sums``.  An instance of more than ``EXACT_EDGE_LIMIT``
     edges is refused for every player.
     """
     m = instance.m
@@ -312,7 +299,9 @@ def exact_expectation(alg_factory: AlgFactory, instance: WmstInstance) -> Fracti
     return Fraction(total, math.factorial(m) * d)
 
 
-def _completion_sum(alg: OnlineAlgorithm, prepared: PreparedInstance) -> tuple[int, int]:
+def _completion_sum(
+    alg: OnlineAlgorithm, prepared: PreparedInstance
+) -> tuple[int, int | Fraction]:
     """``d`` and the sum of ``d * cost`` over all orders, for a started ``gftp``.
 
     Once a set of edges is unseen, every order of them is equally likely,
@@ -324,12 +313,11 @@ def _completion_sum(alg: OnlineAlgorithm, prepared: PreparedInstance) -> tuple[i
     goes to a ``_branch`` of the player, with the scaled weights ``_play``
     would show it, and faults as in ``_play``: ``NotSpanning`` at an accept
     that closes a cycle and at the end with fewer than ``n - 1`` accepts.
+    The sum is on ``d = prepared.scale``, as in ``_cost_sums``.
     """
     graph = prepared.graph
     n, m, edges = graph.n, graph.m, graph.edges
-    d = _cost_scale(prepared)
-    summed = [w.numerator * (d // w.denominator) for w in prepared.actual]
-    shown = prepared.actual_scaled  # as ``_play`` shows a built-in player
+    scaled = prepared.actual_scaled  # as ``_play`` shows a built-in player and sums
     factorials = [math.factorial(k) for k in range(m)]
     memo: dict = {}
 
@@ -350,11 +338,11 @@ def _completion_sum(alg: OnlineAlgorithm, prepared: PreparedInstance) -> tuple[i
             child = player._branch()
             edge = edges[eid]
             after, joined = accepted, component
-            if child.reveal(edge, shown[eid]).accepted:
+            if child.reveal(edge, scaled[eid]).accepted:
                 a, b = component[edge.u], component[edge.v]
                 if a == b:
                     raise NotSpanning("accepted edges contain a cycle")
-                total += summed[eid] * later
+                total += scaled[eid] * later
                 after |= bit
                 joined = [a if c == b else c for c in component]
             key = (unseen ^ bit, after, child._key())
@@ -368,7 +356,7 @@ def _completion_sum(alg: OnlineAlgorithm, prepared: PreparedInstance) -> tuple[i
     # the closure refers to itself; unlinked, it and the memo are freed now,
     # not left to the cyclic garbage collector
     del completions
-    return d, total
+    return prepared.scale, total
 
 
 def harmonic_bound(n: int) -> Fraction:

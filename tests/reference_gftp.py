@@ -1,8 +1,11 @@
 """The greedy swapping player as it was before the prepared-instance hot path.
 
-Kept verbatim as the reference the production ``gftp`` is compared against:
-it rebuilds the predicted MST on every ``initialize``, walks the cycle with
-``tree_path_ids`` and keeps the working tree as a set plus an adjacency list.
+Kept as the reference the production ``gftp`` is compared against.  Its
+decision rule is verbatim: scan every edge on the cycle, take the unseen one
+of largest prediction with ties to the smaller id, and swap it out if the
+revealed weight is at most its prediction.  It rebuilds the predicted MST on
+every ``initialize`` and keeps the working tree as a ``SpanningTree``, built
+anew after each swap, which it asks for each cycle.
 It is an opaque player to the reveal loop, so it gets Fraction weights.
 """
 
@@ -10,8 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from wmst import Decision, Edge, Graph, OnlineAlgorithm, mst
-from wmst.graphs import Weights, tree_path_ids
+from wmst import Decision, Edge, Graph, OnlineAlgorithm, SpanningTree, mst
+from wmst.graphs import Weights
 
 _ACCEPT = Decision.accept()
 _REJECT = Decision.reject()
@@ -37,10 +40,7 @@ class GreedyFollowPredictions(OnlineAlgorithm):
     def initialize(self, graph: Graph, predicted: Weights) -> None:
         self._graph = graph
         self._pred = predicted
-        tree = mst(graph, predicted)
-        self._initial = tree.edge_ids
-        self._tree = set(tree.edge_ids)
-        self._adj = list(tree.adjacency)
+        self._tree = mst(graph, predicted)
         self._unseen = bytearray([1] * graph.m)
         self._unseen_in_tree = graph.n - 1
 
@@ -67,7 +67,7 @@ class GreedyFollowPredictions(OnlineAlgorithm):
         pred = self._pred
         best = -1
         best_pred = None
-        for eid in tree_path_ids(self._adj, a, b):
+        for eid in self._tree.path_ids(a, b):
             if unseen[eid]:
                 p = pred[eid]
                 if best < 0 or p > best_pred or (p == best_pred and eid < best):
@@ -75,19 +75,8 @@ class GreedyFollowPredictions(OnlineAlgorithm):
         return best
 
     def _swap(self, evict: int, incoming: Edge) -> None:
-        self._tree.discard(evict)
-        self._tree.add(incoming.id)
-        # Entries start as the tree's shared tuples: replace them, never mutate.
-        adj = self._adj
-        gone = self._graph.edges[evict]
-        adj[gone.u] = [t for t in adj[gone.u] if t[1] != evict]
-        adj[gone.v] = [t for t in adj[gone.v] if t[1] != evict]
-        adj[incoming.u] = [*adj[incoming.u], (incoming.v, incoming.id)]
-        adj[incoming.v] = [*adj[incoming.v], (incoming.u, incoming.id)]
+        self._tree = SpanningTree(self._graph, self._tree.edge_ids - {evict} | {incoming.id})
         self._unseen_in_tree -= 1  # the evicted edge was unseen by construction
 
     def working_tree_ids(self) -> frozenset[int]:
-        return frozenset(self._tree)
-
-    def initial_tree_ids(self) -> frozenset[int]:
-        return self._initial
+        return self._tree.edge_ids

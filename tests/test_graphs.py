@@ -37,7 +37,7 @@ from wmst import (
 )
 from wmst import checks
 from wmst.exceptions import InstanceError
-from wmst.graphs import SCALE_BITS, PreparedInstance, tree_path_ids
+from wmst.graphs import SCALE_BITS, PreparedInstance
 
 from conftest import mst_pairs, triangle
 
@@ -192,6 +192,9 @@ class TestSpanningTree:
         assert [e.id for e in tree.tree_path(0, 3)] == [0, 1, 2]
         assert [e.id for e in tree.tree_path(3, 0)] == [2, 1, 0]
         assert tree.tree_path(2, 2) == []
+        for a, b in ((-1, 0), (0, -2), (4, 0)):
+            with pytest.raises(BadParameter):
+                tree.tree_path(a, b)
 
 
 def _random_tree(rng: random.Random, n: int):
@@ -311,10 +314,10 @@ class TestTreePathIds:
         for _ in range(300):
             n = rng.randint(2, 14)
             pairs = _random_tree(rng, n)
-            adj = SpanningTree(Graph.from_pairs(n, pairs), range(n - 1)).adjacency
+            tree = SpanningTree(Graph.from_pairs(n, pairs), range(n - 1))
             for _ in range(6):
                 a, b = rng.randrange(n), rng.randrange(n)
-                path = tree_path_ids(adj, a, b)
+                path = tree.path_ids(a, b)
                 on_path = {
                     eid for eid in range(n - 1) if _separated_without(pairs, eid, a, b, n)
                 }

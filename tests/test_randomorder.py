@@ -299,7 +299,7 @@ class TestMemoisedExpectation:
         ids=["cycle", "short"],
     )
     def test_keyed_player_faults_as_in_a_run(self, enumerations, monkeypatch, accepts, message):
-        # ftp itself, not a subclass, so that the memo still plays it
+        # ftp itself, not a subclass, so that exact_expectation plays its one game
         def reveal(player, edge, weight):
             return Decision.accept() if edge.id in accepts else Decision.reject()
 
@@ -470,15 +470,21 @@ class TestMonteCarlo:
         b = mc_estimate(gftp, inst, trials=500, seed=9)
         assert a == b
 
-    def test_estimate_does_not_depend_on_the_worker_count(self, monkeypatch):
-        inst = gen_ro_lb(2, F(1, 2), 4)
+    @pytest.mark.parametrize(
+        "make, trials",
+        [(lambda: gen_ro_lb(2, F(1, 2), 4), 401), (lambda: _wide_coprime_instance(6), 7)],
+        ids=["ro-lb", "past-scale-bits"],
+    )
+    def test_estimate_does_not_depend_on_the_worker_count(self, monkeypatch, make, trials):
+        # past SCALE_BITS the chunks' sums cross the pool as Fractions
+        inst = make()
         pin_cpus(monkeypatch, 3)
-        one, two = (mc_estimate(gftp, inst, trials=401, seed=9, workers=w) for w in (1, 2))
+        one, two = (mc_estimate(gftp, inst, trials=trials, seed=9, workers=w) for w in (1, 2))
         sizes = serial_pools(monkeypatch)  # three chunks, without three processes
-        three = mc_estimate(gftp, inst, trials=401, seed=9, workers=3)
+        three = mc_estimate(gftp, inst, trials=trials, seed=9, workers=3)
         assert sizes == [3]
         assert one == two == three
-        assert one.trials == 401
+        assert one.trials == trials
 
     @pytest.mark.parametrize("kind", ["lambda", "local-class"])
     def test_factories_that_do_not_pickle_run_in_workers(self, monkeypatch, kind):
