@@ -6,7 +6,7 @@ accept or reject, and the accepted set must end as a spanning tree.  Every
 execution of one order (``run``, ``run_cost`` and the adaptive games) goes
 through one reveal loop, which raises ``NotSpanning`` at the offending
 reveal; the memoised exact expectation in ``randomorder`` walks all orders
-at once on branched players and raises it at the same faults.  Two players
+at once in place on one player and raises it at the same faults.  Two players
 are provided: one that commits to the predicted-weight tree, and a greedy
 variant that swaps revealed bargains in for unseen tree edges.  Any other
 player, a subclass of either included, is set up through ``initialize``.
@@ -190,17 +190,18 @@ class GreedyFollowPredictions(OnlineAlgorithm):
     builds a preparation without true weights, so its scale is 1 and the
     predictions stay Fractions.
 
-    The unseen edges of the working tree are the predicted tree's edges
-    that are neither revealed nor evicted.  A pointer into the heaviest-first
-    list skips the others, so it names the largest prediction any unseen
-    cycle edge can carry, and a revealed weight above it is also rejected
-    in O(1).  Otherwise the cycle query marks the ancestors of one endpoint
-    and climbs from the other to their lowest common ancestor.  A swap
+    The unseen edges of the working tree are the predicted tree's edges that
+    are neither revealed nor evicted.  A pointer into the heaviest-first list
+    skips the others, so it names the largest prediction any unseen cycle edge
+    can carry, and a revealed weight above it is also rejected in O(1).
+    Otherwise the cycle query stamps the ancestors of one endpoint with a new
+    count and climbs from the other to their lowest common ancestor.  A swap
     reverses the parent pointers from the revealed edge's endpoint on the
     cut-off side up to the evicted edge, so vertex 0 stays the root.  The
-    parent-edge array is then the tree's canonical name, and ``_key``
-    returns it: with the unseen edges it fixes the unseen edges of the
-    working tree, and so every later decision.
+    parent-edge array is then the tree's canonical name, and ``_key`` returns
+    it: with the unseen edges it fixes the unseen edges of the working tree,
+    and so every later decision.  ``_undo`` takes a reveal back to the
+    ``_saved`` state; the edge may then be revealed again.
     """
 
     name = "gftp"
@@ -214,7 +215,7 @@ class GreedyFollowPredictions(OnlineAlgorithm):
         parent, parent_edge = prepared.rooted
         self._parent = parent.copy()
         self._parent_edge = parent_edge.copy()
-        self._mark = [-1] * graph.n
+        self._mark, self._stamp = [0] * graph.n, 0  # the last cycle query's stamp
         self._pred = prepared.predicted_scaled
         self._heaviest = prepared.tree_by_prediction
         self._head = 0  # no edge before it in ``_heaviest`` is a candidate
@@ -242,17 +243,17 @@ class GreedyFollowPredictions(OnlineAlgorithm):
         if head == end or weight > pred[heaviest[head]]:
             return _REJECT
         parent, mark = self._parent, self._mark
-        # each edge is revealed once, so its id marks this query's ancestors
+        stamp = self._stamp = self._stamp + 1
         x = a
         while x >= 0:
-            mark[x] = eid
+            mark[x] = stamp
             x = parent[x]
         # the unseen cycle edge of largest prediction, ties to the smaller id,
         # and the endpoint of the revealed edge on the same side of the cycle
         best = cut = -1
         best_pred = None
         x = b
-        while mark[x] != eid:
+        while mark[x] != stamp:
             e = parent_edge[x]
             if candidate[e]:
                 p = pred[e]
@@ -299,18 +300,15 @@ class GreedyFollowPredictions(OnlineAlgorithm):
     def _key(self) -> tuple[int, ...]:
         return tuple(self._parent_edge)
 
-    def _branch(self) -> "GreedyFollowPredictions":
-        twin = object.__new__(type(self))
-        # reveal stamps marks with the edge's id, so a stamp left by a sibling
-        # branch, which revealed that id on another tree, must not be seen
-        twin.__dict__.update(
-            self.__dict__,
-            _parent=self._parent.copy(),
-            _parent_edge=self._parent_edge.copy(),
-            _candidate=self._candidate.copy(),
-            _mark=[-1] * len(self._mark),
-        )
-        return twin
+    def _saved(self) -> tuple:
+        return self._head, bytes(self._candidate), self._parent.copy(), self._parent_edge.copy()
+
+    def _undo(self, eid: int, decision: Decision, saved: tuple) -> None:
+        self._head, candidate, parent, parent_edge = saved
+        self._candidate[eid] = candidate[eid]
+        if decision.swapped_out is not None:
+            self._candidate[decision.swapped_out] = 1
+            self._parent[:], self._parent_edge[:] = parent, parent_edge
 
     def working_tree_ids(self) -> frozenset[int]:
         # vertex 0 stays the root, and every other vertex has its tree edge

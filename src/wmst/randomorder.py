@@ -300,7 +300,7 @@ def exact_expectation(alg_factory: AlgFactory, instance: WmstInstance) -> Fracti
 
 
 def _completion_sum(
-    alg: OnlineAlgorithm, prepared: PreparedInstance
+    player: GreedyFollowPredictions, prepared: PreparedInstance
 ) -> tuple[int, int | Fraction]:
     """``d`` and the sum of ``d * cost`` over all orders, for a started ``gftp``.
 
@@ -309,11 +309,11 @@ def _completion_sum(
     is the unseen and the accepted edges and the player's ``_key``.  With
     ``k`` edges unseen, its sum ``S`` over the ``k!`` orders of the rest is,
     over each unseen ``e`` revealed next, the weight of ``e`` if accepted
-    times ``(k-1)!``, plus ``S`` of the state that follows.  Each reveal
-    goes to a ``_branch`` of the player, with the scaled weights ``_play``
-    would show it, and faults as in ``_play``: ``NotSpanning`` at an accept
-    that closes a cycle and at the end with fewer than ``n - 1`` accepts.
-    The sum is on ``d = prepared.scale``, as in ``_cost_sums``.
+    times ``(k-1)!``, plus ``S`` of the state that follows.  Each reveal is
+    made in place, with the scaled weights ``_play`` would show, and taken
+    back by ``_undo`` once that state is summed.  Faults are as in ``_play``:
+    ``NotSpanning`` at an accept that closes a cycle and at the end with
+    fewer than ``n - 1`` accepts.  The sum is on ``d = prepared.scale``.
     """
     graph = prepared.graph
     n, m, edges = graph.n, graph.m, graph.edges
@@ -321,7 +321,7 @@ def _completion_sum(
     factorials = [math.factorial(k) for k in range(m)]
     memo: dict = {}
 
-    def completions(player, unseen: int, accepted: int, component: list[int]) -> int:
+    def completions(unseen: int, accepted: int, component: list[int]) -> int:
         """``S`` of this state; ``component`` labels the accepted forest's trees."""
         if not unseen:
             if accepted.bit_count() != n - 1:
@@ -330,29 +330,31 @@ def _completion_sum(
                 )
             return 0
         later = factorials[unseen.bit_count() - 1]  # orders of the edges after the next
+        saved = player._saved()
         total = 0
         for eid in range(m):
             bit = 1 << eid
             if not unseen & bit:
                 continue
-            child = player._branch()
             edge = edges[eid]
             after, joined = accepted, component
-            if child.reveal(edge, scaled[eid]).accepted:
+            decision = player.reveal(edge, scaled[eid])
+            if decision.accepted:
                 a, b = component[edge.u], component[edge.v]
                 if a == b:
                     raise NotSpanning("accepted edges contain a cycle")
                 total += scaled[eid] * later
                 after |= bit
                 joined = [a if c == b else c for c in component]
-            key = (unseen ^ bit, after, child._key())
+            key = (unseen ^ bit, after, player._key())
             rest = memo.get(key)
             if rest is None:
-                rest = memo[key] = completions(child, unseen ^ bit, after, joined)
+                rest = memo[key] = completions(unseen ^ bit, after, joined)
+            player._undo(eid, decision, saved)
             total += rest
         return total
 
-    total = completions(alg, (1 << m) - 1, 0, list(range(n)))
+    total = completions((1 << m) - 1, 0, list(range(n)))
     # the closure refers to itself; unlinked, it and the memo are freed now,
     # not left to the cyclic garbage collector
     del completions

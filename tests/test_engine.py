@@ -128,8 +128,9 @@ class TestGreedyFollowPredictions:
         alg._start(prepared)
         decisions, climbed = [], []
         for eid in order:
+            stamp = alg._stamp  # a cycle query takes the next stamp
             decisions.append(alg.reveal(inst.graph.edges[eid], prepared.actual_scaled[eid]))
-            climbed.append(eid in alg._mark)  # a cycle query stamps the revealed id
+            climbed.append(alg._stamp != stamp)
         trace = run(gftp(), inst, ArrivalOrder(tuple(order)))
         assert trace == run(ReferenceGreedy(), inst, ArrivalOrder(tuple(order)))
         assert [step.decision for step in trace.steps] == decisions

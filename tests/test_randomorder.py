@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import random as pyrandom
+import signal
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -160,6 +161,20 @@ def enumerations(monkeypatch) -> list[int]:
     return calls
 
 
+@pytest.fixture
+def deadline():
+    """Fail the test after 30 s instead of letting a hang stall the suite."""
+
+    def hung(signum, frame):
+        raise TimeoutError("the test ran past its 30 s deadline")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
 def _family_instances():
     """``cli.FAMILIES`` instances with at most 9 edges, both games against both players.
 
@@ -252,6 +267,36 @@ class TestMemoisedExpectation:
         inst = _wide_coprime_instance(4, base=50)
         assert PreparedInstance.of(inst).scale == 1
         self.assert_memo_matches([inst], enumerations)
+
+    def test_a_mark_of_an_earlier_query_does_not_end_a_climb(self, enumerations, deadline):
+        # the in-place walk reveals each edge on many trees, so a mark taken
+        # from the edge id can be a stale one from another tree: on these K4
+        # instances (m = 6) the climb from the other endpoint then stopped
+        # short of the lowest common ancestor, which gave seed 27 a wrong
+        # value and sent seed 33's second climb round forever
+        instances = [random_instance(4, F(1), F(1), seed=s) for s in (27, 33)]
+        self.assert_memo_matches(instances, enumerations)
+
+    @pytest.mark.parametrize(
+        "inst",
+        [gen_ro_lb(2, F(1, 2), 3), random_instance(4, F(1), F(1), seed=33)],
+        ids=["ro-lb", "k4"],
+    )
+    def test_the_memo_walks_one_player_and_hands_it_back(self, inst, deadline):
+        def factory():
+            made.append(gftp())
+            return made[-1]
+
+        def state(player):
+            return player._key(), player._parent, bytes(player._candidate), player._head
+
+        made = []
+        start = gftp()
+        start._start(PreparedInstance.of(inst))
+        exact_expectation(factory, inst)
+        [player] = made
+        assert player._stamp > 0  # it made cycle queries
+        assert state(player) == state(start)
 
     @pytest.mark.parametrize(
         "factory",
