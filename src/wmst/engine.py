@@ -170,18 +170,19 @@ class GreedyFollowPredictions(OnlineAlgorithm):
     id).  If the revealed true weight is at most that prediction, the edge
     is accepted and ``e_max`` leaves the tree; otherwise it is rejected.
 
-    Cycle dominance: every unseen working-tree edge on the cycle of an
-    unseen edge off the working tree predicts at most that edge's own
-    prediction.  It holds at the start by the MST cycle property.  A swap of
-    ``e`` for ``e_max`` can only bring onto such an edge's cycle unseen
-    edges of ``e``'s cycle, which predict at most ``e_max``, and ``e_max``
-    was on that cycle; the evicted ``e_max`` itself gets ``e``'s cycle.  So a
-    revealed weight above the edge's own prediction is rejected without a
-    cycle query, and an edge off the predicted tree whose true weight is
-    above its own prediction, or above every tree prediction, is rejected in
-    every order (``_rejected``).  Such a rejection clears the edge's
-    candidate flag, which is never read for an edge off the working tree,
-    and changes nothing else.
+    Cycle dominance: for an unseen edge ``f`` off the working tree, the
+    largest prediction among the unseen working-tree edges on ``f``'s cycle
+    never rises.  At the start it is ``f``'s cycle bottleneck, the largest
+    prediction on its path in the predicted tree, which is at most ``f``'s
+    own prediction by the MST cycle property.  A swap of ``e`` for ``e_max``
+    can only bring onto ``f``'s cycle unseen edges of ``e``'s cycle, which
+    predict at most ``e_max``, and ``e_max`` was unseen on ``f``'s cycle;
+    the evicted ``e_max`` itself gets ``e``'s cycle.  So a revealed weight
+    above the edge's own prediction is rejected without a cycle query, and
+    an edge off the predicted tree whose true weight is above its cycle
+    bottleneck is rejected in every order (``_rejected``).  Such a rejection
+    clears the edge's candidate flag, which is never read for an edge off
+    the working tree, and changes nothing else.
 
     ``_start`` copies the start state in O(n) from a ``PreparedInstance``:
     the predicted MST rooted at vertex 0, as parent and parent-edge arrays,
@@ -212,7 +213,7 @@ class GreedyFollowPredictions(OnlineAlgorithm):
 
     def _start(self, prepared: PreparedInstance) -> None:
         graph = prepared.graph
-        parent, parent_edge = prepared.rooted
+        parent, parent_edge, _ = prepared.rooted
         self._parent = parent.copy()
         self._parent_edge = parent_edge.copy()
         self._mark, self._stamp = [0] * graph.n, 0  # the last cycle query's stamp
@@ -288,14 +289,35 @@ class GreedyFollowPredictions(OnlineAlgorithm):
         """The edges rejected in every order, each without a change of state.
 
         These are the edges off the predicted tree whose scaled true weight
-        is above their own prediction or above the heaviest tree prediction.
+        is above their cycle bottleneck: the largest prediction on their path
+        in the predicted tree.  The bottleneck is at most the edge's own
+        prediction and the heaviest tree prediction, so a weight above either
+        is rejected unclimbed.  Otherwise the path is climbed from the deeper
+        endpoint, and the edge is live at the first path edge that predicts at
+        least its weight.
         """
         tree, pred, actual = prepared.tree, prepared.predicted_scaled, prepared.actual_scaled
         top = pred[prepared.tree_by_prediction[0]]
-        return [
-            eid for eid in range(prepared.graph.m)
-            if eid not in tree and actual[eid] > min(pred[eid], top)
-        ]
+        parent, parent_edge, depth = prepared.rooted
+        us, vs = prepared.us, prepared.vs
+        rejected = []
+        for eid in range(prepared.graph.m):
+            if eid in tree:
+                continue
+            weight = actual[eid]
+            if weight > pred[eid] or weight > top:
+                rejected.append(eid)
+                continue
+            a, b = us[eid], vs[eid]
+            while a != b:
+                if depth[a] < depth[b]:
+                    a, b = b, a
+                if pred[parent_edge[a]] >= weight:
+                    break
+                a = parent[a]
+            else:  # the climb met at the lowest common ancestor: every path edge predicts less
+                rejected.append(eid)
+        return rejected
 
     def _key(self) -> tuple[int, ...]:
         return tuple(self._parent_edge)

@@ -379,9 +379,9 @@ class PreparedInstance:
         return tuple(reversed(_kruskal(self.graph.n, self.us, self.vs, self.predicted_scaled)))
 
     @cached_property
-    def rooted(self) -> tuple[list[int], list[int]]:
-        """``(parent, parent_edge)`` of the tree rooted at vertex 0, -1 at the root."""
-        return _root(self.graph, self.tree)[:2]
+    def rooted(self) -> tuple[list[int], list[int], list[int]]:
+        """``(parent, parent_edge, depth)`` of the tree rooted at vertex 0 (see ``_root``)."""
+        return _root(self.graph, self.tree)
 
     @cached_property
     def opt(self) -> Fraction:

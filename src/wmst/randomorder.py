@@ -120,19 +120,24 @@ def _cost_sums(
 
     Every trial starts its player from the one ``prepared``, and ``_play``
     returns the cost on ``d = prepared.scale``: an int, or past
-    ``SCALE_BITS`` a Fraction on scale 1, so the sums are then Fractions.
+    ``SCALE_BITS`` a Fraction on scale 1.  Fraction costs are added as
+    numerators over the lcm of the cost denominators seen so far, and their
+    squares over its square, so each addition is an int one; the two sums
+    are reduced to Fractions once, at the end.
 
     ``ftp`` accepts exactly its predicted tree in every order, so an ``ftp``
     trial plays no order: it costs what one game on the edges in id order
     costs, played once per call, with that game's ``NotSpanning`` faults.
     ``gftp`` is dealt only the edges it can still decide: the edges its
-    ``_rejected`` names, asked when the type of player changes, are rejected
-    in every order without a change of state, so leaving them out of each
-    order changes no decision and no cost.  Any other player, a subclass of
-    either included, gets every order whole.
+    ``_rejected`` names, those above their cycle bottleneck in the predicted
+    tree, asked when the type of player changes, are rejected in every order
+    without a change of state, so leaving them out of each order changes no
+    decision and no cost.  Any other player, a subclass of either included,
+    gets every order whole.
     """
     actual = prepared.actual
     total = total_sq = 0
+    lcm = 1  # the denominator of the sums, and its square that of the squares
     kind = dealt = fixed = None
     skipped = 0  # the trials since the last order drawn, none of which played one
     for _ in range(trials):
@@ -150,8 +155,18 @@ def _cost_sums(
             if dealt is not None:
                 order = [eid for eid in order if dealt[eid]]
             cost = _play(alg, prepared, actual, order)[1]
+        if type(cost) is Fraction:
+            den = cost.denominator
+            grow = den // math.gcd(lcm, den)
+            if grow > 1:
+                lcm *= grow
+                total *= grow
+                total_sq *= grow * grow
+            cost = cost.numerator * (lcm // den)
         total += cost
         total_sq += cost * cost
+    if lcm > 1:
+        total, total_sq = Fraction(total, lcm), Fraction(total_sq, lcm * lcm)
     return prepared.scale, total, total_sq
 
 

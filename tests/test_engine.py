@@ -18,6 +18,7 @@ from wmst import (
     InvariantViolation,
     NotSpanning,
     OnlineAlgorithm,
+    SpanningTree,
     WmstInstance,
     error_report,
     ftp,
@@ -523,12 +524,60 @@ def _dealt_cases():
     yield from _deep_cases()
 
 
+def _bottleneck(inst: WmstInstance, tree: SpanningTree, eid: int) -> Fraction:
+    """The largest prediction on the tree path between the endpoints of edge ``eid``."""
+    edge = inst.graph.edges[eid]
+    return max(inst.predicted[e] for e in tree.path_ids(edge.u, edge.v))
+
+
+def _square_with_a_chord(chord: Fraction) -> WmstInstance:
+    """Edge 3 closes the path 0-1-2 of edges 0 and 1, which predict 1 each.
+
+    The bridge 2-3 predicts 5 and edge 3 predicts 4, so edge 3's cycle
+    bottleneck, 1, is below both its own prediction and the heaviest tree
+    prediction.
+    """
+    graph = Graph.from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
+    return WmstInstance(graph, (F(1), F(1), F(5), F(4)), (F(3), F(1), F(5), chord))
+
+
+def _assert_mc_plays_like_the_reference(inst: WmstInstance, trials: int, seed: int) -> None:
+    """``mc_estimate``'s mean is that of the reference player on the same shuffles,
+    which reach exactly two distinct costs."""
+    rng = random.Random(seed)
+    ids, costs = list(range(inst.m)), []
+    for _ in range(trials):
+        rng.shuffle(ids)
+        costs.append(run(ReferenceGreedy(), inst, ArrivalOrder(tuple(ids))).cost)
+    assert len(set(costs)) == 2
+    mean = sum(costs, F(0)) / trials
+    assert mc_estimate(gftp, inst, trials, seed).mean_cost == float(mean)
+
+
 class TestDealtEdges:
     """The edges ``gftp._rejected`` names are rejected in every order, changing
     nothing; ``ftp`` costs in every order what it costs in id order."""
 
+    def test_rejected_edges_are_those_above_their_cycle_bottleneck(self):
+        previous = None
+        for inst, _ in _dealt_cases():
+            if inst is previous:  # the corpora list each instance with several orders
+                continue
+            previous = inst
+            prepared = PreparedInstance.of(inst)
+            tree = SpanningTree(inst.graph, prepared.tree)
+            off_tree = [eid for eid in range(inst.m) if eid not in tree]
+            rejected = gftp()._rejected(prepared)
+            assert rejected == [
+                eid for eid in off_tree if inst.actual[eid] > _bottleneck(inst, tree, eid)
+            ]
+            # the looser bound of an edge's own and the heaviest tree prediction
+            top = max(inst.predicted[eid] for eid in tree.edge_ids)
+            loose = {eid for eid in off_tree if inst.actual[eid] > min(inst.predicted[eid], top)}
+            assert loose <= set(rejected)
+
     def test_dealt_orders_play_like_whole_orders(self):
-        rejected_at_all = at_the_bound = 0
+        rejected_at_all = at_the_bound = at_the_bottleneck = 0
         for inst, ids in _dealt_cases():
             prepared = PreparedInstance.of(inst)
             one_game = _play(ftp(), prepared, inst.actual, range(inst.m))[1]
@@ -541,11 +590,15 @@ class TestDealtEdges:
             assert not any(s.decision.accepted for s in trace.steps if s.edge_id in rejected)
             rejected_at_all += bool(rejected)
             top = max(inst.predicted[eid] for eid in prepared.tree)
+            off_tree = [eid for eid in range(inst.m) if eid not in prepared.tree]
             at_the_bound += any(
-                inst.actual[eid] == min(inst.predicted[eid], top)
-                for eid in range(inst.m) if eid not in prepared.tree
+                inst.actual[eid] == min(inst.predicted[eid], top) for eid in off_tree
             )
-        assert rejected_at_all > 1000 and at_the_bound > 100
+            tree = SpanningTree(inst.graph, prepared.tree)
+            at_the_bottleneck += any(
+                inst.actual[eid] == _bottleneck(inst, tree, eid) for eid in off_tree
+            )
+        assert rejected_at_all > 1000 and at_the_bound > 100 and at_the_bottleneck > 100
 
     def test_an_edge_at_its_own_prediction_is_dealt_and_swapped_in(self):
         # edge 2 closes a cycle with tree edges 0 and 1, and edge 1 predicts
@@ -558,12 +611,27 @@ class TestDealtEdges:
         trace = run(gftp(), inst, ArrivalOrder((2, 0, 1)))
         assert trace.steps[0].decision == Decision.accept(swapped_out=1)
         assert trace.cost == 3
-        trials, seed = 12, 1
-        rng = random.Random(seed)
-        ids, costs = [0, 1, 2], []
-        for _ in range(trials):
-            rng.shuffle(ids)
-            costs.append(run(ReferenceGreedy(), inst, ArrivalOrder(tuple(ids))).cost)
-        assert len(set(costs)) == 2  # some orders swap edge 2 in, some do not
-        mean = sum(costs, F(0)) / trials
-        assert mc_estimate(gftp, inst, trials, seed).mean_cost == float(mean)
+        _assert_mc_plays_like_the_reference(inst, trials=12, seed=1)
+
+    def test_an_edge_below_its_prediction_but_above_its_bottleneck_is_not_dealt(self):
+        inst = _square_with_a_chord(F(2))
+        prepared = PreparedInstance.of(inst)
+        assert prepared.tree == {0, 1, 2}
+        assert inst.actual[3] < min(inst.predicted[3], inst.predicted[2])  # dealt by that bound
+        assert gftp()._rejected(prepared) == [3]
+        for order in permutations(range(inst.m)):
+            trace = run(ReferenceGreedy(), inst, ArrivalOrder(order))
+            assert not trace.steps[order.index(3)].decision.accepted
+            dealt = [eid for eid in order if eid != 3]
+            whole = _play(gftp(), prepared, inst.actual, order)
+            assert _play(gftp(), prepared, inst.actual, dealt) == whole
+
+    def test_an_edge_at_its_bottleneck_is_dealt_and_swapped_in(self):
+        inst = _square_with_a_chord(F(1))
+        prepared = PreparedInstance.of(inst)
+        assert gftp()._rejected(prepared) == []
+        # edges 0 and 1 tie at the bottleneck, and the smaller id is evicted
+        trace = run(gftp(), inst, ArrivalOrder((3, 0, 1, 2)))
+        assert trace.steps[0].decision == Decision.accept(swapped_out=0)
+        assert trace.cost == 7
+        _assert_mc_plays_like_the_reference(inst, trials=12, seed=1)

@@ -257,12 +257,13 @@ class TestPreparedInstance:
         for scaled, weights in ((prepared.predicted_scaled, inst.predicted),
                                 (prepared.actual_scaled, inst.actual)):
             assert [F(w, prepared.scale) for w in scaled] == list(weights)
-        parent, parent_edge = prepared.rooted
-        assert parent[0] == parent_edge[0] == -1
+        parent, parent_edge, depth = prepared.rooted
+        assert parent[0] == parent_edge[0] == -1 and depth[0] == 0
         assert sorted(parent_edge[1:]) == sorted(prepared.tree)
         for x in range(1, graph.n):
             edge = graph.edges[parent_edge[x]]
             assert {edge.u, edge.v} == {x, parent[x]}
+            assert depth[x] == depth[parent[x]] + 1
             for _ in range(graph.n):  # the parent pointers reach the root
                 x = parent[x]
                 if x == 0:

@@ -243,15 +243,15 @@ class TestMemoisedExpectation:
                 assert exact_expectation(factory, inst) == enumerated(factory, inst)
         assert enumerations == []
 
-    def test_acceptance_seven_instances(self, enumerations):
+    def test_acceptance_seven_instances(self, enumerations, deadline):
         self.assert_memo_matches(small_exact_instances(500), enumerations)
 
-    def test_fuzz_instances_up_to_eight_edges(self, enumerations):
+    def test_fuzz_instances_up_to_eight_edges(self, enumerations, deadline):
         # the instances of checks.fuzz_pairs(200), four orders each
         corpus = (checks.fuzz_instance(index) for index in range(50))
         self.assert_memo_matches((inst for inst in corpus if inst.m <= 8), enumerations)
 
-    def test_family_instances_up_to_nine_edges(self, enumerations):
+    def test_family_instances_up_to_nine_edges(self, enumerations, deadline):
         instances = list(_family_instances())
         assert max(inst.m for inst in instances) == randomorder.EXACT_EDGE_LIMIT
         self.assert_memo_matches(instances, enumerations)
