@@ -18,6 +18,7 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import AbstractSet, Callable, Iterable, Sequence
 
 from .exceptions import BadParameter, InvariantViolation, NotSpanning
@@ -36,14 +37,17 @@ from .rationals import format_fraction
 
 @dataclass(frozen=True)
 class Decision:
-    """An irrevocable accept/reject, optionally naming a swapped-out edge."""
+    """An irrevocable accept/reject, optionally naming a swapped-out edge.
+
+    Frozen and compared by value, so ``accept`` shares one per evicted id (``_swap``).
+    """
 
     accepted: bool
     swapped_out: int | None = None
 
     @classmethod
     def accept(cls, swapped_out: int | None = None) -> "Decision":
-        return _ACCEPT if swapped_out is None else cls(True, swapped_out)
+        return _ACCEPT if swapped_out is None else _swap(swapped_out)
 
     @classmethod
     def reject(cls) -> "Decision":
@@ -52,6 +56,12 @@ class Decision:
 
 _ACCEPT = Decision(True)
 _REJECT = Decision(False)
+
+
+@lru_cache(maxsize=4096)  # a game evicts at most n - 1 ids: all fit up to 4097 vertices
+def _swap(evicted: int) -> Decision:
+    """The accept that swaps out ``evicted``, built once while it stays cached."""
+    return Decision(True, evicted)
 
 
 @dataclass(frozen=True)
@@ -283,7 +293,7 @@ class GreedyFollowPredictions(OnlineAlgorithm):
                 break
             x, up, up_edge = old_up, x, old_edge
         candidate[best] = 0  # evicted: the pointer may now pass it
-        return Decision.accept(swapped_out=best)
+        return _swap(best)
 
     def _rejected(self, prepared: PreparedInstance) -> list[int]:
         """The edges rejected in every order, each without a change of state.

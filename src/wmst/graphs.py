@@ -9,6 +9,7 @@ all arithmetic is exact; floating point never enters the picture.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,23 +64,24 @@ class Edge:
 
 
 class _UnionFind:
+    """The one union-find, with path halving: ``union`` runs the finds of ``a``
+    and then ``b`` inline, one call instead of three on every accept and Kruskal step."""
+
     __slots__ = ("parent",)
 
     def __init__(self, n: int):
         self.parent = list(range(n))
 
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+        """Join the sets of ``a`` and ``b``, under ``a``'s root; False if already one."""
+        parent = self.parent
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
             return False
-        self.parent[rb] = ra
+        parent[b] = a
         return True
 
 
@@ -354,14 +356,17 @@ class PreparedInstance:
         self.graph = graph
         self.predicted = predicted
         self.actual = actual
-        scale = None if actual is None else _common_scale(predicted, actual)
-        if scale is None:
-            self.scale = 1
-            self.predicted_scaled, self.actual_scaled = predicted, actual
-        else:
-            self.scale = scale
-            self.predicted_scaled = [w.numerator * (scale // w.denominator) for w in predicted]
-            self.actual_scaled = [w.numerator * (scale // w.denominator) for w in actual]
+        self.scale = 1
+        self.predicted_scaled, self.actual_scaled = predicted, actual
+        if actual is not None:
+            # one read of each weight's ratio serves both the scale and the scaled ints
+            ratios = [[w.as_integer_ratio() for w in ws] for ws in (predicted, actual)]
+            scale = _common_scale(*ratios)
+            if scale is not None:
+                self.scale = scale
+                self.predicted_scaled, self.actual_scaled = (
+                    [num * (scale // den) for num, den in pairs] for pairs in ratios
+                )
         self.us = [e.u for e in graph.edges]
         self.vs = [e.v for e in graph.edges]
 
@@ -396,17 +401,15 @@ class PreparedInstance:
     @cached_property
     def eta(self) -> Fraction:
         """Exact sum of the ``n-1`` largest per-edge discrepancies (``metrics.eta``)."""
-        gaps = sorted(
-            (abs(p - a) for p, a in zip(self.predicted_scaled, self.actual_scaled)),
-            reverse=True,
-        )
+        gaps = map(abs, map(operator.sub, self.predicted_scaled, self.actual_scaled))
+        gaps = sorted(gaps, reverse=True)
         return Fraction(sum(gaps[: self.graph.n - 1]), self.scale)
 
 
-def _common_scale(*weight_maps: Weights) -> int | None:
-    """The lcm of every weight's denominator, or None once it passes ``SCALE_BITS`` bits."""
+def _common_scale(*ratio_maps: Sequence[tuple[int, int]]) -> int | None:
+    """The lcm of the denominators of ``(num, den)`` pairs, or None past ``SCALE_BITS`` bits."""
     scale = 1
-    for denominator in {w.denominator for weights in weight_maps for w in weights}:
+    for denominator in {den for ratios in ratio_maps for _, den in ratios}:
         scale = math.lcm(scale, denominator)
         if scale.bit_length() > SCALE_BITS:
             return None

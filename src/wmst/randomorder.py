@@ -24,7 +24,8 @@ from fractions import Fraction
 from itertools import islice, pairwise, permutations
 from typing import Callable
 
-from .engine import FollowPredictions, GreedyFollowPredictions, OnlineAlgorithm, _play, run_cost
+from .engine import FollowPredictions, GreedyFollowPredictions, OnlineAlgorithm, _play, ftp
+from .engine import run_cost
 from .exceptions import BadParameter, NotSpanning, TooLarge
 from .graphs import PreparedInstance, WmstInstance
 
@@ -246,8 +247,10 @@ def mc_estimate(
     summed exactly.  The workers, forked processes, take contiguous runs of
     trials from that stream, so their number sets the speed, never the
     estimate.  With ``workers=None`` there is one per ``REVEALS_PER_WORKER``
-    reveals (``trials * m``), at least one; the factory is not called before
-    the workers start, so this holds for ``ftp`` too.  Any count is capped
+    reveals (``trials * m``), at least one, but just one for the factory
+    ``ftp`` or ``FollowPredictions`` itself, whose chunks play one game each.
+    The factory is not called before the workers start, so that test is by
+    identity, and ``lambda: ftp()`` is sized like any other.  Any count is capped
     at ``trials`` and at the CPUs this process may use, and is 1 where
     ``fork`` is unavailable.  Only chunk bounds are pickled: the workers
     inherit the factory, which may be a lambda, and the preparation through
@@ -261,7 +264,8 @@ def mc_estimate(
     if seed < 0:
         raise BadParameter(f"seed must be non-negative, got {seed}")
     if workers is None:
-        workers = trials * instance.m // REVEALS_PER_WORKER
+        follower = alg_factory is ftp or alg_factory is FollowPredictions
+        workers = 1 if follower else trials * instance.m // REVEALS_PER_WORKER
     elif workers < 1:
         raise BadParameter(f"worker count must be positive, got {workers}")
     if "fork" not in multiprocessing.get_all_start_methods():

@@ -1,11 +1,14 @@
 """Online execution: the two players, the replay engine, checked mode."""
 
 import random
+import weakref
 from fractions import Fraction
 from functools import partial
 from itertools import islice, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wmst import (
     ALGORITHMS,
@@ -34,7 +37,7 @@ from wmst import (
     run_cost,
     tree_cost,
 )
-from wmst import checks
+from wmst import checks, engine
 from wmst.cli import FAMILIES
 from wmst.engine import _play
 from wmst.graphs import PreparedInstance
@@ -104,6 +107,35 @@ class TestGreedyFollowPredictions:
         inst = triangle()
         trace = run(gftp(), inst, ArrivalOrder((1, 2, 0)))
         assert trace.to_text() == "1 1/1 ACCEPT SWAP=0\n2 2/1 ACCEPT\n0 1/1 REJECT\n"
+
+    def test_swap_decisions_are_built_once_per_evicted_edge(self, monkeypatch):
+        built = []
+        init = Decision.__init__
+
+        def counted(self, accepted, swapped_out=None):
+            built.append(swapped_out)
+            init(self, accepted, swapped_out)
+
+        engine._swap.cache_clear()
+        monkeypatch.setattr(Decision, "__init__", counted)
+        inst = gen_ro_lb(4, F(1, 2), 20)
+        mc_estimate(gftp, inst, trials=500, seed=3, workers=1)
+        # about ten swaps a trial, and a swap evicts one of the 21 tree edges
+        assert 0 < len(built) == len(set(built)) <= inst.n - 1 == 21
+
+    def test_the_swap_cache_is_bounded_and_holds_no_player(self):
+        bound = engine._swap.cache_info().maxsize
+        for eid in range(bound + 10):
+            assert Decision.accept(swapped_out=eid) == Decision(True, eid)
+        assert engine._swap.cache_info().currsize == bound
+        assert Decision.accept(swapped_out=0) is Decision.accept(swapped_out=0)
+        # it keys on ids alone, so a swapping player is freed once its game ends
+        player = gftp()
+        trace = run(player, triangle(), ArrivalOrder((1, 2, 0)))
+        assert trace.steps[0].decision is Decision.accept(swapped_out=0)
+        freed = weakref.ref(player)
+        del player
+        assert freed() is None
 
     def test_swap_comparison_is_non_strict(self):
         # a revealed weight exactly equal to the best unseen prediction
@@ -258,6 +290,32 @@ class TestRunEngine:
                 execute(player, inst, ArrivalOrder.identity(4))
             assert player.revealed == [0, 1, 2]
 
+    @given(st.integers(0, 10**6), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_an_opaque_player_faults_at_the_first_accept_closing_a_cycle(self, seed, data):
+        inst = random_instance(3 + seed % 6, F(1, 2), F(1, 4), seed=seed)
+        order = ArrivalOrder.shuffled(inst.m, seed)
+        accepts = data.draw(st.sets(st.integers(0, inst.m - 1)))
+        label, closing = list(range(inst.n)), None  # component labels of the accepts so far
+        for position, eid in enumerate(order):
+            edge = inst.graph.edges[eid]
+            if eid in accepts:
+                a, b = label[edge.u], label[edge.v]
+                if a == b:
+                    closing = position
+                    break
+                label = [a if c == b else c for c in label]
+        player = AcceptListed(accepts)
+        if closing is not None:
+            with pytest.raises(NotSpanning, match="accepted edges contain a cycle"):
+                run(player, inst, order)
+            assert player.revealed == list(order.edge_ids[: closing + 1])
+        elif len(accepts) != inst.n - 1:
+            with pytest.raises(NotSpanning, match=f"accepted {len(accepts)} edges"):
+                run(player, inst, order)
+        else:
+            assert run(player, inst, order).accepted == accepts
+
 
 def _not_spanning_messages(player) -> list[str]:
     """The ``NotSpanning`` messages of ``run`` and ``run_cost`` on the triangle."""
@@ -278,6 +336,17 @@ class AcceptAll(OnlineAlgorithm):
     def reveal(self, edge, weight):
         self.revealed.append(edge.id)
         return Decision.accept()
+
+
+class AcceptListed(AcceptAll):
+    """Accepts the edges it was built with, spanning or not."""
+
+    def __init__(self, accepts):
+        self.accepts = accepts
+
+    def reveal(self, edge, weight):
+        super().reveal(edge, weight)
+        return Decision.accept() if edge.id in self.accepts else Decision.reject()
 
 
 class RejectAll(OnlineAlgorithm):

@@ -1,5 +1,6 @@
 """Core graph types, MST routines and the brute-force oracle."""
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -37,7 +38,7 @@ from wmst import (
 )
 from wmst import checks
 from wmst.exceptions import InstanceError
-from wmst.graphs import SCALE_BITS, PreparedInstance
+from wmst.graphs import SCALE_BITS, PreparedInstance, _UnionFind
 
 from conftest import mst_pairs, triangle
 
@@ -236,11 +237,51 @@ def _tie_heavy_instances():
         yield WmstInstance(graph, (F(3, 7),) * graph.m, (F(5, 2),) * graph.m)
 
 
+class TestUnionFind:
+    @staticmethod
+    def three_call_union(parent: list[int], a: int, b: int) -> bool:
+        """The union as two separate path-halving finds, then the link."""
+        roots = []
+        for x in (a, b):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            roots.append(x)
+        if roots[0] == roots[1]:
+            return False
+        parent[roots[1]] = roots[0]
+        return True
+
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.tuples(
+                st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_union_matches_a_component_label_oracle(self, case):
+        n, pairs = case
+        uf = _UnionFind(n)
+        label = list(range(n))
+        halved = list(range(n))
+        for a, b in pairs:
+            joined = label[a] != label[b]
+            assert uf.union(a, b) is joined
+            if joined:
+                label = [label[a] if c == label[b] else c for c in label]
+            # the one call leaves the same forest as the finds it inlines
+            assert self.three_call_union(halved, a, b) is joined
+            assert uf.parent == halved
+
+
 class TestPreparedInstance:
     @staticmethod
     def assert_exact(inst: WmstInstance, prepared: PreparedInstance) -> None:
         """The preparation agrees with the Fraction computations it replaces."""
         graph = inst.graph
+        lcm = math.lcm(*(w.denominator for w in inst.predicted + inst.actual))
+        assert prepared.scale == (lcm if lcm.bit_length() <= SCALE_BITS else 1)
         assert prepared.tree == mst(graph, inst.predicted).edge_ids
         assert prepared.opt == tree_cost(mst(graph, inst.actual), inst.actual)
         assert prepared.mst_cost(prepared.predicted_scaled) == tree_cost(
@@ -272,6 +313,12 @@ class TestPreparedInstance:
 
     def test_matches_fractions_on_fuzz_and_tie_heavy_instances(self):
         corpus = [checks.fuzz_instance(index) for index in range(300)]
+        # predictions in thirds and true weights in sevenths, none of them whole
+        graph = _complete_graph(6)
+        thirds = tuple(F(3 * (e % 4) + 1 + e % 2, 3) for e in range(graph.m))
+        sevenths = tuple(F(7 * (e % 3) + 1 + e % 6, 7) for e in range(graph.m))
+        corpus.append(WmstInstance(graph, thirds, sevenths))
+        assert PreparedInstance.of(corpus[-1]).scale == 21
         for inst in corpus + list(_tie_heavy_instances()):
             prepared = PreparedInstance.of(inst)
             assert all(isinstance(w, int) for w in prepared.predicted_scaled)

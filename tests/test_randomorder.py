@@ -473,11 +473,19 @@ class TestMonteCarlo:
         drawn = drawn_orders(monkeypatch)
         est = mc_estimate(ftp, inst, trials=trials, seed=seed, workers=workers)
         assert drawn == []
-        # a pure ftp job still forks: the factory is not called before the workers start
-        assert sizes == ([] if workers == 1 else [2])
+        # a pure ftp job forks only when asked to: with workers=None, ftp itself
+        # runs in one process, since each chunk would play one game
+        assert sizes == ([2] if workers == 2 else [])
         assert est == mc_estimate(NamedFollower, inst, trials=trials, seed=seed, workers=workers)
         # the opaque follower plays every trial, and a second chunk replays the first
         assert len(drawn) == (trials if workers == 1 else trials // 2 + trials)
+        if workers is None:
+            assert sizes == [2]  # the subclass is sized by its reveals
+            assert mc_estimate(FollowPredictions, inst, trials=trials, seed=seed) == est
+            # the factory is never called to decide, so it is matched by identity:
+            # a lambda around ftp is sized by its reveals too
+            assert mc_estimate(lambda: ftp(), inst, trials=trials, seed=seed) == est
+            assert sizes == [2, 2]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_follower_estimates_like_an_opaque_follower(self, monkeypatch, workers):
