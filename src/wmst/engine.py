@@ -295,7 +295,8 @@ class GreedyFollowPredictions(OnlineAlgorithm):
         candidate[best] = 0  # evicted: the pointer may now pass it
         return _swap(best)
 
-    def _rejected(self, prepared: PreparedInstance) -> list[int]:
+    @staticmethod
+    def _rejected(prepared: PreparedInstance) -> list[int]:
         """The edges rejected in every order, each without a change of state.
 
         These are the edges off the predicted tree whose scaled true weight

@@ -28,7 +28,7 @@ from .exceptions import (
     SelfLoop,
     TooLarge,
 )
-from .rationals import ensure_fraction
+from .rationals import ensure_fraction, parse_fraction
 
 Weights = Sequence[Fraction]
 
@@ -230,16 +230,17 @@ class WmstInstance:
 
     def __post_init__(self):
         for name in ("predicted", "actual"):
-            values = tuple(ensure_fraction(w, name) for w in getattr(self, name))
+            values = tuple(w if type(w) is Fraction else ensure_fraction(w, name)
+                           for w in getattr(self, name))
             if len(values) != self.graph.m:
                 raise MissingWeight(
                     f"{name} map covers {len(values)} of {self.graph.m} edges"
                 )
             for eid, value in enumerate(values):
-                if value <= 0:
+                num, den = value.numerator, value.denominator
+                if num <= 0:  # a Fraction's denominator is positive
                     raise NonpositiveWeight(f"{name} weight of edge {eid} is {value}")
-                bits = value.numerator.bit_length() - value.denominator.bit_length()
-                if abs(bits) > WEIGHT_BITS:
+                if abs(num.bit_length() - den.bit_length()) > WEIGHT_BITS:
                     raise InstanceError(
                         f"{name} weight of edge {eid} lies outside "
                         f"[2^-{WEIGHT_BITS}, 2^{WEIGHT_BITS}]"
@@ -290,7 +291,9 @@ def validate_instance(raw) -> WmstInstance:
         for key, store in (("predicted", predicted), ("actual", actual)):
             if key not in entry:
                 raise MissingWeight(f"edge {index} has no {key} weight")
-            store.append(ensure_fraction(entry[key], f"edge {index} {key}"))
+            weight = entry[key]  # a str, the file form, needs no name for its messages
+            store.append(parse_fraction(weight) if type(weight) is str
+                         else ensure_fraction(weight, f"edge {index} {key}"))
     graph = Graph.from_pairs(n, pairs)
     return WmstInstance(graph, tuple(predicted), tuple(actual))
 

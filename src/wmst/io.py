@@ -34,7 +34,17 @@ def instance_to_payload(instance: WmstInstance) -> dict:
 
 
 def dumps_instance(instance: WmstInstance) -> str:
-    return json.dumps(instance_to_payload(instance), indent=2) + "\n"
+    """``json.dumps(instance_to_payload(instance), indent=2)`` and a newline, written
+    directly, as ``json`` indents with its pure-Python encoder.  Weights are
+    digits and ``/``, which need no escaping, and a graph has at least one edge."""
+    predicted, actual = instance.predicted, instance.actual
+    edges = ",\n".join(
+        f'    {{\n      "u": {edge.u},\n      "v": {edge.v},\n'
+        f'      "predicted": "{format_fraction(predicted[edge.id])}",\n'
+        f'      "actual": "{format_fraction(actual[edge.id])}"\n    }}'
+        for edge in instance.graph.edges
+    )
+    return f'{{\n  "n": {instance.n},\n  "edges": [\n{edges}\n  ]\n}}\n'
 
 
 def save_instance(instance: WmstInstance, path: str | Path) -> None:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import islice, pairwise, permutations
 from typing import Callable
 
-from .engine import FollowPredictions, GreedyFollowPredictions, OnlineAlgorithm, _play, ftp
+from .engine import FollowPredictions, GreedyFollowPredictions, OnlineAlgorithm, _play, ftp, gftp
 from .engine import run_cost
 from .exceptions import BadParameter, NotSpanning, TooLarge
 from .graphs import PreparedInstance, WmstInstance
@@ -36,9 +36,9 @@ EXACT_EDGE_LIMIT = 9
 
 LN2 = math.log(2.0)
 
-# Reveals (trials * m) that pay for a forked worker.  Timed on 2 CPUs, two
-# workers lost to one on some instances below about 20,000 reveals; from 50,000
-# they won on every instance tried (m = 3, 41 and 352), by 1.3x to 2x.
+# Reveals dealt (trials * edges per trial) that pay for a forked worker.  On 2
+# CPUs, gftp on four random_instance(60, 1/5, 1/4, s) won with two workers at
+# 100,000 dealt reveals on three (1.3x-1.5x, 0.7x-0.9x on one), from 150,000 on all.
 REVEALS_PER_WORKER = 50_000
 
 
@@ -247,10 +247,11 @@ def mc_estimate(
     summed exactly.  The workers, forked processes, take contiguous runs of
     trials from that stream, so their number sets the speed, never the
     estimate.  With ``workers=None`` there is one per ``REVEALS_PER_WORKER``
-    reveals (``trials * m``), at least one, but just one for the factory
-    ``ftp`` or ``FollowPredictions`` itself, whose chunks play one game each.
-    The factory is not called before the workers start, so that test is by
-    identity, and ``lambda: ftp()`` is sized like any other.  Any count is capped
+    reveals (``trials * m``, but for ``gftp`` itself the edges it is dealt),
+    at least one, but just one for the factory ``ftp`` or ``FollowPredictions``
+    itself, whose chunks play one game each.  The factory is not called before
+    the workers start, so these tests are by identity, and ``lambda: ftp()``
+    or ``lambda: gftp()`` is sized like any other.  Any count is capped
     at ``trials`` and at the CPUs this process may use, and is 1 where
     ``fork`` is unavailable.  Only chunk bounds are pickled: the workers
     inherit the factory, which may be a lambda, and the preparation through
@@ -263,17 +264,20 @@ def mc_estimate(
         raise BadParameter(f"at most {sys.maxsize} trials, got {trials}")
     if seed < 0:
         raise BadParameter(f"seed must be non-negative, got {seed}")
-    if workers is None:
-        follower = alg_factory is ftp or alg_factory is FollowPredictions
-        workers = 1 if follower else trials * instance.m // REVEALS_PER_WORKER
-    elif workers < 1:
+    if workers is not None and workers < 1:
         raise BadParameter(f"worker count must be positive, got {workers}")
+    prepared = PreparedInstance.of(instance)
+    if workers is None:
+        reveals = prepared.graph.m  # per trial; gftp is dealt only its live edges
+        if alg_factory is gftp or alg_factory is GreedyFollowPredictions:
+            reveals -= len(GreedyFollowPredictions._rejected(prepared))
+        follower = alg_factory is ftp or alg_factory is FollowPredictions
+        workers = 1 if follower else trials * reveals // REVEALS_PER_WORKER
     if "fork" not in multiprocessing.get_all_start_methods():
         workers = 1
     # the CPUs this process may run on, which can be fewer than the host has
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = max(1, min(workers, trials, cpus or 1))
-    prepared = PreparedInstance.of(instance)
     job = (alg_factory, prepared, seed)
     if workers == 1:
         chunks = [_mc_chunk(job, 0, trials)]

@@ -24,19 +24,28 @@ def parse_fraction(text: str | int | Fraction) -> Fraction:
     """Parse ``"a/b"``, an integer literal, or a decimal literal, exactly.
 
     A numerator or denominator of more than ``MAX_DIGITS`` digits is refused.
+    The canonical ``num/den`` of ASCII digits is read with two ``int`` calls;
+    other text, with a sign, a space or a non-ASCII digit, goes to ``Fraction``.
     """
-    if isinstance(text, Fraction):
+    canonical = False
+    if type(text) is str:
+        num, _, den = text.partition("/")
+        canonical = num.isascii() and num.isdigit() and den.isascii() and den.isdigit()
+    elif isinstance(text, Fraction):
         return text
-    if isinstance(text, int):
+    elif isinstance(text, int):
         return Fraction(text)
     try:
-        literal = str(text).strip()
-        exponent = literal.lower().partition("e")[2]
-        # a nonzero mantissa, at most 2 * MAX_DIGITS digits long, has too many
-        # digits with a larger exponent: refuse before Fraction computes it
-        if exponent and abs(int(exponent)) > 3 * MAX_DIGITS:
-            raise BadParameter(f"{text!r} has more than {MAX_DIGITS} digits")
-        value = Fraction(literal)
+        if canonical:
+            value = Fraction(int(num), int(den))
+        else:
+            literal = str(text).strip()
+            exponent = literal.lower().partition("e")[2]
+            # a nonzero mantissa, at most 2 * MAX_DIGITS digits long, has too
+            # many digits with a larger exponent: refuse before Fraction computes it
+            if exponent and abs(int(exponent)) > 3 * MAX_DIGITS:
+                raise BadParameter(f"{text!r} has more than {MAX_DIGITS} digits")
+            value = Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
         raise BadParameter(f"not an exact rational: {text!r}") from exc
     if max(abs(value.numerator), value.denominator) >= _TOO_LARGE:

@@ -586,6 +586,20 @@ class TestMonteCarlo:
         assert mc_estimate(gftp, inst, trials=70, seed=3) == serial
         assert sizes == pools
 
+    @pytest.mark.parametrize("factory, pools", [(gftp, []), (lambda: gftp(), [2])],
+                             ids=["gftp", "lambda"])
+    def test_automatic_worker_count_counts_dealt_reveals(self, monkeypatch, factory, pools):
+        # 352 edges, 74 of them live for gftp: 1000 trials deal 74,000 reveals,
+        # one worker's worth, though 352,000 would be seven
+        inst = random_instance(60, F(1, 5), F(1, 4), 3)
+        dead = gftp()._rejected(PreparedInstance.of(inst))
+        assert (inst.m, inst.m - len(dead)) == (352, 74)
+        pin_cpus(monkeypatch, 2)
+        sizes = serial_pools(monkeypatch)
+        mc_estimate(factory, inst, trials=1000, seed=0)
+        # the parent does not call the factory, so a wrapper is sized by m
+        assert sizes == pools
+
     def test_mean_and_std_error_are_those_of_the_exact_sample(self):
         inst = gen_ro_lb(3, F(1, 3), 3)
         trials, seed = 300, 21
