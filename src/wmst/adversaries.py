@@ -69,17 +69,16 @@ def _hub_spoke_instance(k: Fraction, spokes: int, bridge: Fraction) -> WmstInsta
     _check_edge_count("hub-spoke", 2 * spokes + 1)
     n = spokes + 2  # hubs are vertices 0 and 1
     pairs: list[tuple[int, int]] = [(0, 1)]
-    predicted: list[Fraction] = [bridge]
-    for i in range(spokes):
-        z = 2 + i
+    for z in range(2, n):
         pairs.append((0, z))
         pairs.append((1, z))
-        predicted.extend((k + 1, k + 1))
+    predicted = [bridge] + [k + 1] * (2 * spokes)
     graph = Graph.from_pairs(n, pairs)
     tree = mst(graph, predicted)
+    expensive, cheap = 2 * k + 1, Fraction(1)
     actual = [bridge]
     for eid in range(1, graph.m):
-        actual.append(2 * k + 1 if eid in tree else Fraction(1))
+        actual.append(expensive if eid in tree else cheap)
     return WmstInstance(graph, tuple(predicted), tuple(actual))
 
 

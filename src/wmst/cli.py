@@ -371,14 +371,7 @@ def cmd_selftest(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wmst",
-        description="Online minimum spanning trees with weight predictions.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="generate an instance family")
+def _gen_arguments(gen: argparse.ArgumentParser) -> None:
     gen.add_argument("family", choices=list(FAMILIES))
     gen.add_argument("--k", type=parse_fraction, default=Fraction(2))
     gen.add_argument("--l", type=int, default=1, help="spoke or star count")
@@ -390,17 +383,17 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--noise", type=parse_fraction, default=Fraction(1, 4))
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default=None)
-    gen.set_defaults(func=cmd_gen)
 
-    runp = sub.add_parser("run", help="replay one arrival order")
+
+def _run_arguments(runp: argparse.ArgumentParser) -> None:
     runp.add_argument("alg", choices=sorted(ALGORITHMS))
     runp.add_argument("instance")
     runp.add_argument("--order", default="id", help="id | seed:<u64> | given:<file>")
     runp.add_argument("--checked", action="store_true")
     runp.add_argument("--trace-out", default=None)
-    runp.set_defaults(func=cmd_run)
 
-    ro = sub.add_parser("ro", help="random-order cost estimate")
+
+def _ro_arguments(ro: argparse.ArgumentParser) -> None:
     ro.add_argument("alg", choices=sorted(ALGORITHMS))
     ro.add_argument("instance")
     ro.add_argument("--trials", type=int, default=10_000)
@@ -408,9 +401,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ro.add_argument("--exact", action="store_true")
     ro.add_argument("--id", default=None, help="instance id for the CSV row")
     ro.add_argument("--out", default=None)
-    ro.set_defaults(func=cmd_ro)
 
-    sweep = sub.add_parser("sweep", help="CSV table over a parameter grid")
+
+def _sweep_arguments(sweep: argparse.ArgumentParser) -> None:
     sweep.add_argument("family", choices=SWEEP_FAMILIES)
     sweep.add_argument("--k", required=True, help="comma list, e.g. 2,3,4")
     sweep.add_argument("--l", required=True, help="comma list, e.g. 1,2,4")
@@ -419,17 +412,53 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--trials", type=int, default=10_000)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--out", default=None)
-    sweep.set_defaults(func=cmd_sweep)
 
-    selftest = sub.add_parser("selftest", help="run the quick invariant suites")
-    selftest.set_defaults(func=cmd_selftest)
+
+class Command(NamedTuple):
+    """A subcommand's help line, the function that adds its arguments, and its handler."""
+
+    help: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    handler: Callable[[argparse.Namespace], int]
+
+
+COMMANDS = {
+    "gen": Command("generate an instance family", _gen_arguments, cmd_gen),
+    "run": Command("replay one arrival order", _run_arguments, cmd_run),
+    "ro": Command("random-order cost estimate", _ro_arguments, cmd_ro),
+    "sweep": Command("CSV table over a parameter grid", _sweep_arguments, cmd_sweep),
+    "selftest": Command("run the quick invariant suites", lambda parser: None, cmd_selftest),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``wmst`` parser, with only ``command``'s sub-parser when it names one.
+
+    Any other ``command`` (None, an option, a misspelling) registers every
+    sub-parser, so help and ``invalid choice`` errors read as they always
+    have.  The one-command parser lists every name in its usage line through
+    ``metavar``, which keeps that line, and so every usage error, unchanged.
+    """
+    parser = argparse.ArgumentParser(
+        prog="wmst",
+        description="Online minimum spanning trees with weight predictions.",
+    )
+    if command in COMMANDS:
+        names, metavar = [command], "{" + ",".join(COMMANDS) + "}"
+    else:
+        names, metavar = list(COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        COMMANDS[name].add_arguments(sub.add_parser(name, help=COMMANDS[name].help))
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)  # a bad rational flag raises here
-        return args.func(args)
+        # a bad rational flag raises here
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
+        return COMMANDS[args.command].handler(args)
     except (WmstError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

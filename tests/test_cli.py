@@ -1,5 +1,6 @@
 """Command-line workflows, file round-trips, CSV schema."""
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wmst import InstanceError, WmstError, checks, randomorder, validate_instance
+from wmst import InstanceError, WmstError, checks, cli, randomorder, validate_instance
 from wmst.adversaries import FAMILY_EDGE_LIMIT
 from wmst.cli import CSV_COLUMNS, main
 from wmst.io import load_instance, load_order, save_instance
@@ -499,6 +500,82 @@ def test_selftest_reports_a_failing_check(capsys, monkeypatch):
         "FAIL - exchange witness pairs cycles: case 2: witness 2 for edge 2 does not pair the cycles"
     ]
     assert lines[-1] == "selftest: 1 failure(s)"
+
+
+COMMAND_NAMES = ("gen", "run", "ro", "sweep", "selftest")
+USAGE_ARGVS = [
+    [], ["-h"], ["--help"], *([name, "-h"] for name in COMMAND_NAMES),
+    ["bogus"], ["RUN"], ["ru"], ["--"], ["-x"], ["selftest", "--foo"],
+    ["gen"], ["run"], ["run", "ftp"], ["ro", "gftp"], ["sweep", "ftp-lb"],
+    ["gen", "ro-lb", "--k", "x"], ["gen", "ro-lb", "--k"], ["sweep", "ro-lb", "--k", "2"],
+    ["gen", "nope"], ["run", "nope", "a.json"], ["ro", "ftp"], ["sweep", "random", "--l", "1"],
+]
+
+
+def _outcome(capsys, argv) -> tuple:
+    """``main(argv)``'s exit code, argparse's ``SystemExit`` included, stdout and stderr."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+def test_usage_and_help_match_the_parser_of_every_command(capsys, monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    outcomes = [_outcome(capsys, argv) for argv in USAGE_ARGVS]
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full())
+    for argv, outcome in zip(USAGE_ARGVS, outcomes):
+        assert outcome == _outcome(capsys, argv), argv
+        assert outcome[0] in (2, ("SystemExit", 0), ("SystemExit", 2)), argv
+    _, _, ru_error = outcomes[USAGE_ARGVS.index(["ru"])]
+    assert "wmst: error: argument command: invalid choice: 'ru'" in ru_error
+
+
+@pytest.fixture
+def parsers_built(monkeypatch) -> list[str]:
+    """The ``prog`` of every ``ArgumentParser`` constructed while the test runs."""
+    progs: list[str] = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        progs.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return progs
+
+
+def test_a_command_builds_only_its_own_parser(tmp_path, capsys, monkeypatch, parsers_built):
+    path = tmp_path / "ro.json"
+    assert main(["gen", "ro-lb", "--out", str(path)]) == 0
+    assert parsers_built == ["wmst", "wmst gen"]
+    parsers_built.clear()
+    assert main(["run", "ftp", str(path)]) == 0
+    assert parsers_built == ["wmst", "wmst run"]
+    parsers_built.clear()
+    monkeypatch.setattr(cli, "_selftests", lambda: [])
+    assert main(["selftest"]) == 0
+    assert parsers_built == ["wmst", "wmst selftest"]
+
+
+def test_console_script_reads_sys_argv(capsys, monkeypatch, parsers_built):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli, "_selftests", lambda: [])
+    monkeypatch.setattr(sys, "argv", ["wmst", "selftest"])
+    assert main() == 0
+    assert capsys.readouterr().out == "selftest: all good\n"
+    assert parsers_built == ["wmst", "wmst selftest"]
+    monkeypatch.setattr(sys, "argv", ["wmst", "-h"])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 0
+    text = capsys.readouterr().out
+    assert text.startswith("usage: wmst [-h] {gen,run,ro,sweep,selftest} ...\n")
+    assert all(f"    {name} " in text for name in COMMAND_NAMES)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
