@@ -29,10 +29,13 @@ RANDOM_VERTEX_LIMIT = 2000
 # Draws of a random graph before random_instance gives up on connecting it.
 RANDOM_ATTEMPTS = 100_000
 
-# The most edges a family may have: those of the complete graph on
-# RANDOM_VERTEX_LIMIT vertices, the largest graph random_instance can build, so
-# no family builds a graph larger than the package builds anywhere else.
-FAMILY_EDGE_LIMIT = RANDOM_VERTEX_LIMIT * (RANDOM_VERTEX_LIMIT - 1) // 2
+# The most edges a family may have, so that one command stays under 512 MB.
+# Peak RSS of one in-process command grows linearly in the edges (Python 3.11,
+# Linux): `gen general-lb`, the costliest family, 101 MB at 100,003 edges and
+# 180 MB at 200,003; `gen ro-lb` 71 MB and 124 MB at 100,001 and 200,001; and
+# `sweep general-lb`, which plays a game per player, 300 MB at 249,999 edges and
+# 577 MB at 499,999, about 1.1 kB per edge.  At this limit that is about 470 MB.
+FAMILY_EDGE_LIMIT = 400_000
 
 
 @dataclass(frozen=True)

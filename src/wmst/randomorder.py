@@ -2,14 +2,14 @@
 
 Estimates the expected cost of an online player over uniformly random
 arrival orders, either by Monte Carlo sampling or, for instances of at most
-``EXACT_EDGE_LIMIT`` edges, exactly.  ``ftp`` accepts exactly its predicted
-tree, so it costs the same in every order: each of its trials, and its exact
-expectation, is the cost of one game, and it draws no order.  The exact
-expectation of ``gftp`` is a memoised recursion over the states orders pass
-through: the rest of a uniform order is uniform over the unseen edges.  Any
-other player, a subclass of either included, plays every order.  Reports
-compare the measured ratio against three reference curves in the
-normalized error: ``1 + e``, ``1 + (1 + ln 2) e`` and ``1 + 2e``.
+``EXACT_EDGE_LIMIT`` edges, exactly.  Each estimate makes one player first,
+and its type decides how the estimate is played: ``ftp`` accepts exactly its
+predicted tree, so its estimate is the cost of one game; ``gftp``'s exact
+expectation is a memoised recursion over the states orders pass through, and
+its trials are dealt only the edges it can still decide; any other player, a
+subclass of either included, plays every order whole.  Reports compare the
+measured ratio against three reference curves in the normalized error:
+``1 + e``, ``1 + (1 + ln 2) e`` and ``1 + 2e``.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from fractions import Fraction
 from itertools import islice, pairwise, permutations
 from typing import Callable
 
-from .engine import FollowPredictions, GreedyFollowPredictions, OnlineAlgorithm, _play, ftp, gftp
-from .engine import run_cost
+from .engine import FollowPredictions, GreedyFollowPredictions, OnlineAlgorithm, _play
 from .exceptions import BadParameter, NotSpanning, TooLarge
 from .graphs import PreparedInstance, WmstInstance
 
@@ -109,53 +108,33 @@ def _estimate(
 
 
 def _cost_sums(
-    factory: AlgFactory, prepared: PreparedInstance, orders, trials: int
+    factory: AlgFactory, kind: type, prepared: PreparedInstance, orders, trials: int, dealt
 ) -> tuple[int, int | Fraction, int | Fraction]:
     """``d`` and the sums of ``d * cost`` and of its square over ``trials`` trials.
 
-    Each trial calls ``factory`` once, and trial ``t`` plays the ``t``-th
-    order of the iterator ``orders``.  Orders are drawn lazily: a trial that
-    plays no order draws none, and the next trial that plays one first draws
-    and skips the orders left behind, so a call in which no trial plays an
-    order draws nothing.
-
-    Every trial starts its player from the one ``prepared``, and ``_play``
-    returns the cost on ``d = prepared.scale``: an int, or past
-    ``SCALE_BITS`` a Fraction on scale 1.  Fraction costs are added as
-    numerators over the lcm of the cost denominators seen so far, and their
-    squares over its square, so each addition is an int one; the two sums
-    are reduced to Fractions once, at the end.
-
-    ``ftp`` accepts exactly its predicted tree in every order, so an ``ftp``
-    trial plays no order: it costs what one game on the edges in id order
-    costs, played once per call, with that game's ``NotSpanning`` faults.
-    ``gftp`` is dealt only the edges it can still decide: the edges its
-    ``_rejected`` names, those above their cycle bottleneck in the predicted
-    tree, asked when the type of player changes, are rejected in every order
-    without a change of state, so leaving them out of each order changes no
-    decision and no cost.  Any other player, a subclass of either included,
-    gets every order whole.
+    Trial ``t`` makes a player with ``factory``, refused unless of type
+    ``kind``, and plays the ``t``-th order of the iterator ``orders`` without
+    the edges ``dealt`` marks 0 (``_dealt``).  Every trial starts its player
+    from the one ``prepared``, and ``_play`` returns the cost on
+    ``d = prepared.scale``: an int, or past ``SCALE_BITS`` a Fraction on
+    scale 1.  Fraction costs are added as numerators over the lcm of the cost
+    denominators seen so far, and their squares over its square, so each
+    addition is an int one; the two sums are reduced to Fractions once, at
+    the end.
     """
     actual = prepared.actual
     total = total_sq = 0
     lcm = 1  # the denominator of the sums, and its square that of the squares
-    kind = dealt = fixed = None
-    skipped = 0  # the trials since the last order drawn, none of which played one
-    for _ in range(trials):
+    for order in islice(orders, trials):
         alg = factory()
-        if type(alg) is FollowPredictions:
-            if fixed is None:
-                fixed = _play(alg, prepared, actual, range(prepared.graph.m))[1]
-            cost = fixed
-            skipped += 1
-        else:
-            if type(alg) is not kind:
-                kind, dealt = type(alg), _dealt(alg, prepared)
-            order = next(islice(orders, skipped, None))
-            skipped = 0
-            if dealt is not None:
-                order = [eid for eid in order if dealt[eid]]
-            cost = _play(alg, prepared, actual, order)[1]
+        if type(alg) is not kind:
+            raise BadParameter(
+                f"the factory must make one type of player, made "
+                f"{kind.__name__} and {type(alg).__name__}"
+            )
+        if dealt is not None:
+            order = [eid for eid in order if dealt[eid]]
+        cost = _play(alg, prepared, actual, order)[1]
         if type(cost) is Fraction:
             den = cost.denominator
             grow = den // math.gcd(lcm, den)
@@ -171,8 +150,25 @@ def _cost_sums(
     return prepared.scale, total, total_sq
 
 
+def _one_game(alg: OnlineAlgorithm, prepared: PreparedInstance) -> Fraction | None:
+    """The cost of one game of ``alg`` in id order if it is exactly ``ftp``, else None.
+
+    ``ftp`` accepts exactly its predicted tree, so it costs the same in every
+    order; the game raises the ``NotSpanning`` faults a run of it would.
+    """
+    if type(alg) is not FollowPredictions:
+        return None
+    cost = _play(alg, prepared, prepared.actual, range(prepared.graph.m))[1]
+    return Fraction(cost, prepared.scale)
+
+
 def _dealt(alg: OnlineAlgorithm, prepared: PreparedInstance) -> bytearray | None:
-    """1 for each edge ``alg`` can still decide, or None to deal every edge."""
+    """1 for each edge ``alg`` can still decide, or None to deal every edge.
+
+    ``gftp`` rejects the edges its ``_rejected`` names, those above their
+    cycle bottleneck in the predicted tree, in every order without a change
+    of state, so dealing orders without them changes no decision and no cost.
+    """
     rejected = alg._rejected(prepared) if type(alg) is GreedyFollowPredictions else ()
     if not rejected:
         return None
@@ -205,14 +201,15 @@ def _shuffles(m: int, seed: int):
 
 
 def _mc_chunk(job: tuple, start: int, stop: int) -> tuple[int, int, int]:
-    factory, prepared, seed = job
-    # the shuffles before trial ``start`` are drawn unplayed, once a trial plays one
+    factory, kind, prepared, dealt, seed = job
+    # the shuffles before trial ``start`` are drawn unplayed
     orders = islice(_shuffles(prepared.graph.m, seed), start, None)
-    return _cost_sums(factory, prepared, orders, stop - start)
+    return _cost_sums(factory, kind, prepared, orders, stop - start, dealt)
 
 
-# A forked worker's (factory, preparation, seed), set by the pool's initializer,
-# whose arguments the worker inherits through the fork without pickling.
+# A forked worker's (factory, kind, preparation, dealt edges, seed), set by the
+# pool's initializer, whose arguments the worker inherits through the fork
+# without pickling.
 _forked_job: tuple | None = None
 
 
@@ -234,29 +231,23 @@ def mc_estimate(
 ) -> RoEstimate:
     """Monte Carlo estimate over uniform arrival orders.
 
-    Trial ``t`` runs a fresh algorithm instance on the ``t``-th Fisher-Yates
-    shuffle of one seeded stream (``_shuffles``); ``seed`` must be
-    non-negative, since ``Random(-s)`` seeds like ``Random(s)``.  The
-    instance is prepared once per estimate: every trial copies its player's
-    start state from one ``PreparedInstance`` and adds up weights on its
-    scale, ints unless past ``SCALE_BITS``, and the optimum and the error
-    come from the same preparation.  An ``ftp`` trial plays no shuffle and
-    draws none: its cost is that of one game, the same in every order.
-    ``gftp`` is dealt each shuffle without the edges it rejects in every
-    order (``_cost_sums``), which leaves every cost as it is.  Run costs are
-    summed exactly.  The workers, forked processes, take contiguous runs of
-    trials from that stream, so their number sets the speed, never the
-    estimate.  With ``workers=None`` there is one per ``REVEALS_PER_WORKER``
-    reveals (``trials * m``, but for ``gftp`` itself the edges it is dealt),
-    at least one, but just one for the factory ``ftp`` or ``FollowPredictions``
-    itself, whose chunks play one game each.  The factory is not called before
-    the workers start, so these tests are by identity, and ``lambda: ftp()``
-    or ``lambda: gftp()`` is sized like any other.  Any count is capped
+    One player is made first, and its type decides how every trial is
+    played; a trial whose player is of another type is refused.  ``ftp``'s
+    estimate is the cost of one game (``_one_game``), with no trial played.
+    Trial ``t`` of any other player runs a fresh player on the ``t``-th
+    Fisher-Yates shuffle of one seeded stream (``_shuffles``), without the
+    edges ``_dealt`` leaves out; ``seed`` must be non-negative, since
+    ``Random(-s)`` seeds like ``Random(s)``.  Every trial starts from one
+    ``PreparedInstance``, which also gives the optimum and the error, and run
+    costs are summed exactly.  The workers, forked processes, take contiguous
+    runs of trials from that stream, so their number sets the speed, never
+    the estimate.  With ``workers=None`` there is one per
+    ``REVEALS_PER_WORKER`` reveals dealt, at least one.  Any count is capped
     at ``trials`` and at the CPUs this process may use, and is 1 where
     ``fork`` is unavailable.  Only chunk bounds are pickled: the workers
-    inherit the factory, which may be a lambda, and the preparation through
-    the fork.  A trial count above ``sys.maxsize``, past what a stream can
-    be sliced to, is refused.
+    inherit the factory, which may be a lambda, and the rest of the job
+    through the fork.  A trial count above ``sys.maxsize``, past what a
+    stream can be sliced to, is refused.
     """
     if trials < 1:
         raise BadParameter(f"need at least one trial, got {trials}")
@@ -267,18 +258,20 @@ def mc_estimate(
     if workers is not None and workers < 1:
         raise BadParameter(f"worker count must be positive, got {workers}")
     prepared = PreparedInstance.of(instance)
+    alg = alg_factory()
+    cost = _one_game(alg, prepared)
+    if cost is not None:
+        return _estimate(prepared, float(cost), trials, 0.0)
+    dealt = _dealt(alg, prepared)
     if workers is None:
-        reveals = prepared.graph.m  # per trial; gftp is dealt only its live edges
-        if alg_factory is gftp or alg_factory is GreedyFollowPredictions:
-            reveals -= len(GreedyFollowPredictions._rejected(prepared))
-        follower = alg_factory is ftp or alg_factory is FollowPredictions
-        workers = 1 if follower else trials * reveals // REVEALS_PER_WORKER
+        reveals = prepared.graph.m if dealt is None else dealt.count(1)  # per trial
+        workers = trials * reveals // REVEALS_PER_WORKER
     if "fork" not in multiprocessing.get_all_start_methods():
         workers = 1
     # the CPUs this process may run on, which can be fewer than the host has
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = max(1, min(workers, trials, cpus or 1))
-    job = (alg_factory, prepared, seed)
+    job = (alg_factory, type(alg), prepared, dealt, seed)
     if workers == 1:
         chunks = [_mc_chunk(job, 0, trials)]
     else:
@@ -297,28 +290,27 @@ def mc_estimate(
 def exact_expectation(alg_factory: AlgFactory, instance: WmstInstance) -> Fraction:
     """Exact expected cost over all arrival orders.
 
-    ``ftp`` costs the same in every order, so its expectation is the cost of
-    one game on the edges in id order, with that game's ``NotSpanning``
-    faults.  ``gftp`` plays through the memoised recursion of
-    ``_completion_sum``.  Any other player, their subclasses too, plays all
-    ``m!`` orders.  Every player starts from one ``PreparedInstance``, and
-    the costs of many orders are added up on its scale, as in
-    ``_cost_sums``.  An instance of more than ``EXACT_EDGE_LIMIT``
-    edges is refused for every player.
+    One player is made, and its type decides how: ``ftp``'s expectation is
+    the cost of one game (``_one_game``), ``gftp`` plays through the
+    memoised recursion of ``_completion_sum``, and any other player, their
+    subclasses too, plays all ``m!`` orders through ``_cost_sums``.  An
+    instance of more than ``EXACT_EDGE_LIMIT`` edges is refused for every
+    player.
     """
     m = instance.m
     if m > EXACT_EDGE_LIMIT:
         raise TooLarge(f"{m} edges means {m}! orders; the limit is {EXACT_EDGE_LIMIT}")
     alg = alg_factory()
-    if type(alg) is FollowPredictions:
-        return run_cost(alg, instance, range(m))
     prepared = PreparedInstance.of(instance)
+    cost = _one_game(alg, prepared)
+    if cost is not None:
+        return cost
     if type(alg) is GreedyFollowPredictions:
         alg._start(prepared)
         d, total = _completion_sum(alg, prepared)
     else:
         orders = permutations(range(m))
-        d, total, _ = _cost_sums(alg_factory, prepared, orders, math.factorial(m))
+        d, total, _ = _cost_sums(alg_factory, type(alg), prepared, orders, math.factorial(m), None)
     return Fraction(total, math.factorial(m) * d)
 
 

@@ -254,7 +254,7 @@ def test_family_edge_limit_admits_exactly_its_edge_count(monkeypatch):
 
 def test_families_past_the_edge_limit_are_refused_unbuilt():
     limit = adversaries.FAMILY_EDGE_LIMIT
-    assert limit == adversaries.RANDOM_VERTEX_LIMIT * (adversaries.RANDOM_VERTEX_LIMIT - 1) // 2
+    assert limit == 400_000  # from a 512 MB budget, measured per family
     past = [(build, edges) for build, edges in _sized_families(limit) if edges > limit]
     assert sorted(edges - limit for _, edges in past) == [1, 1, 3]
     for build, edges in past:

@@ -8,7 +8,7 @@ import signal
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import islice, permutations
+from itertools import cycle, islice, permutations
 from types import SimpleNamespace
 
 import pytest
@@ -34,9 +34,10 @@ from wmst import (
     WmstInstance,
 )
 from wmst import Decision, FollowPredictions, GreedyFollowPredictions, NotSpanning
-from wmst import checks, randomorder
+from wmst import checks, cli, randomorder
 from wmst.cli import FAMILIES
 from wmst.graphs import PreparedInstance
+from wmst.io import save_instance
 from wmst.randomorder import estimate
 
 from conftest import RejectFirstThenGreedy, SlowSwapPlayer, small_exact_instances, triangle
@@ -141,10 +142,10 @@ class TestExactExpectation:
 
 
 def enumerated(factory, inst: WmstInstance) -> Fraction:
-    """The expectation from playing every one of the ``m!`` orders."""
+    """The expectation from playing every one of the ``m!`` orders, every edge of each."""
     prepared = PreparedInstance.of(inst)
     orders, count = permutations(range(inst.m)), math.factorial(inst.m)
-    d, total, _ = randomorder._cost_sums(factory, prepared, orders, count)
+    d, total, _ = randomorder._cost_sums(factory, type(factory()), prepared, orders, count, None)
     return F(total, count * d)
 
 
@@ -344,19 +345,26 @@ class TestMemoisedExpectation:
         ids=["cycle", "short"],
     )
     def test_keyed_player_faults_as_in_a_run(self, enumerations, monkeypatch, accepts, message):
-        # ftp itself, not a subclass, so that exact_expectation plays its one game
+        # ftp itself, not a subclass, so that both estimates play its one game
         def reveal(player, edge, weight):
             return Decision.accept() if edge.id in accepts else Decision.reject()
 
         monkeypatch.setattr(FollowPredictions, "reveal", reveal)
+        pin_cpus(monkeypatch, 2)
+        sizes = serial_pools(monkeypatch)
         inst = triangle()
         with pytest.raises(NotSpanning) as in_a_run:
             run_cost(ftp(), inst, range(inst.m))
         with pytest.raises(NotSpanning) as in_the_memo:
             exact_expectation(ftp, inst)
         assert str(in_the_memo.value) == str(in_a_run.value)
+        for workers in (1, 2):
+            with pytest.raises(NotSpanning) as in_the_parent:
+                mc_estimate(ftp, inst, trials=10, seed=0, workers=workers)
+            assert str(in_the_parent.value) == str(in_a_run.value)
         assert message in str(in_a_run.value)
         assert enumerations == []
+        assert sizes == []  # the one game is played before any pool
 
     @pytest.mark.parametrize(
         "accepts, message",
@@ -411,57 +419,34 @@ class TestMonteCarlo:
             pyrandom.Random(seed).shuffle(ids)
             assert est.mean_cost == float(run_cost(factory(), inst, ids))
 
-    def test_each_player_type_is_dealt_its_own_edges(self):
-        # ftp plays no shuffle, gftp is dealt each shuffle without the edges
-        # it always rejects: a gftp trial played as ftp's one game would
-        # accept exactly the predicted tree
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "players", [(gftp, ftp), (gftp, NamedGreedy), (NamedGreedy, gftp)],
+        ids=["gftp-ftp", "gftp-subclass", "subclass-gftp"],
+    )
+    def test_a_factory_of_two_player_types_is_refused(self, monkeypatch, players, workers):
+        # the first player decides how every trial is played, so the factory
+        # must make one type; the first trial makes the other and is refused
         inst = random_instance(30, F(1, 4), F(1, 4), 5)
-        players = [ftp, gftp] * 10
-        mixed = (factory() for factory in players).__next__
-        trials, seed = len(players), 3
-        rng = pyrandom.Random(seed)
-        ids = list(range(inst.m))
-        costs = []
-        for factory in players:
-            rng.shuffle(ids)
-            costs.append(run_cost(factory(), inst, ids))
-        assert len(set(costs[1::2])) > 1  # gftp's costs vary with the order
-        est = mc_estimate(mixed, inst, trials=trials, seed=seed, workers=1)
-        assert est.mean_cost == float(sum(costs, F(0)) / trials)
+        pin_cpus(monkeypatch, 2)
+        sizes = serial_pools(monkeypatch)
+        mixed = (factory() for factory in cycle(players)).__next__
+        first, other = (type(factory()).__name__ for factory in players)
+        message = f"the factory must make one type of player, made {first} and {other}"
+        with pytest.raises(BadParameter, match=f"^{message}$"):
+            mc_estimate(mixed, inst, trials=20, seed=3, workers=workers)
+        assert sizes == ([] if workers == 1 else [2])
 
-    @staticmethod
-    def mixed_players() -> list:
-        """Runs of ftp trials, which draw no order, between gftp trials, which draw them."""
-        return ([ftp] * 3 + [gftp] + [ftp] * 2 + [gftp]) * 2 + [gftp] + [ftp] * 10
+    def test_a_factory_whose_first_player_is_ftp_is_called_once(self):
+        made = []
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_mixed_trials_play_their_own_shuffles(self, monkeypatch, workers):
+        def factory():
+            made.append(gftp() if made else ftp())
+            return made[-1]
+
         inst = random_instance(30, F(1, 4), F(1, 4), 5)
-        players = self.mixed_players()
-        trials, seed = len(players), 4
-        rng = pyrandom.Random(seed)
-        ids = list(range(inst.m))
-        costs = []
-        for factory in players:
-            rng.shuffle(ids)
-            costs.append(run_cost(factory(), inst, ids))
-        assert len({c for c, f in zip(costs, players) if f is gftp}) > 1
-        mean = sum(costs, F(0)) / trials
-        variance = sum(((c - mean) ** 2 for c in costs), F(0)) / (trials - 1)
-        pin_cpus(monkeypatch, 3)
-        sizes = serial_pools(monkeypatch)  # one process, so the factory's calls stay in order
-        drawn = drawn_orders(monkeypatch)
-        mixed = (factory() for factory in players).__next__
-        est = mc_estimate(mixed, inst, trials=trials, seed=seed, workers=workers)
-        assert est.mean_cost == float(mean)
-        assert est.std_error == math.sqrt(variance / trials)
-        # a chunk draws its orders up to its last gftp trial, its replay included
-        bounds = [(trials * w // workers, trials * (w + 1) // workers) for w in range(workers)]
-        last = [max((t for t in range(*b) if players[t] is gftp), default=-1) for b in bounds]
-        assert len(drawn) == sum(t + 1 for t in last)
-        assert sizes == ([] if workers == 1 else [workers])
-        if workers == 3:
-            assert last[-1] == -1  # the last chunk plays ftp alone and draws nothing
+        assert mc_estimate(factory, inst, trials=20, seed=3) == mc_estimate(ftp, inst, 20, 3)
+        assert len(made) == 1
 
     @pytest.mark.parametrize("workers", [1, 2, None])
     def test_follower_draws_no_order(self, monkeypatch, workers):
@@ -472,20 +457,31 @@ class TestMonteCarlo:
         sizes = serial_pools(monkeypatch)
         drawn = drawn_orders(monkeypatch)
         est = mc_estimate(ftp, inst, trials=trials, seed=seed, workers=workers)
+        # an ftp player costs its one game, played in the parent at any worker
+        # count, however the factory that made it is written
+        for factory in (FollowPredictions, lambda: ftp()):
+            assert mc_estimate(factory, inst, trials=trials, seed=seed, workers=workers) == est
         assert drawn == []
-        # a pure ftp job forks only when asked to: with workers=None, ftp itself
-        # runs in one process, since each chunk would play one game
-        assert sizes == ([2] if workers == 2 else [])
+        assert sizes == []
         assert est == mc_estimate(NamedFollower, inst, trials=trials, seed=seed, workers=workers)
         # the opaque follower plays every trial, and a second chunk replays the first
         assert len(drawn) == (trials if workers == 1 else trials // 2 + trials)
-        if workers is None:
-            assert sizes == [2]  # the subclass is sized by its reveals
-            assert mc_estimate(FollowPredictions, inst, trials=trials, seed=seed) == est
-            # the factory is never called to decide, so it is matched by identity:
-            # a lambda around ftp is sized by its reveals too
-            assert mc_estimate(lambda: ftp(), inst, trials=trials, seed=seed) == est
-            assert sizes == [2, 2]
+        assert sizes == ([] if workers == 1 else [2])  # with None, sized by its reveals
+
+    def test_follower_estimates_any_trial_count_at_once(self, deadline):
+        inst = gen_ro_lb(2, F(1, 2), 3)
+        est = mc_estimate(ftp, inst, trials=sys.maxsize, seed=0)
+        assert est.trials == sys.maxsize
+        assert est.std_error == 0.0
+        assert est.mean_cost == float(run_cost(ftp(), inst, range(inst.m)))
+
+    def test_follower_row_at_any_trial_count(self, tmp_path, capsys, deadline):
+        path = tmp_path / "ro.json"
+        save_instance(gen_ro_lb(2, F(1, 2), 3), path)
+        assert cli.main(["ro", "ftp", str(path), "--trials", str(10**15)]) == 0
+        *_, header, row = capsys.readouterr().out.splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert (fields["trials"], fields["stderr"]) == (str(10**15), "0")
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_follower_estimates_like_an_opaque_follower(self, monkeypatch, workers):
@@ -586,9 +582,8 @@ class TestMonteCarlo:
         assert mc_estimate(gftp, inst, trials=70, seed=3) == serial
         assert sizes == pools
 
-    @pytest.mark.parametrize("factory, pools", [(gftp, []), (lambda: gftp(), [2])],
-                             ids=["gftp", "lambda"])
-    def test_automatic_worker_count_counts_dealt_reveals(self, monkeypatch, factory, pools):
+    @pytest.mark.parametrize("factory", [gftp, lambda: gftp()], ids=["gftp", "lambda"])
+    def test_automatic_worker_count_counts_dealt_reveals(self, monkeypatch, factory):
         # 352 edges, 74 of them live for gftp: 1000 trials deal 74,000 reveals,
         # one worker's worth, though 352,000 would be seven
         inst = random_instance(60, F(1, 5), F(1, 4), 3)
@@ -596,9 +591,15 @@ class TestMonteCarlo:
         assert (inst.m, inst.m - len(dead)) == (352, 74)
         pin_cpus(monkeypatch, 2)
         sizes = serial_pools(monkeypatch)
+        named = []
+        rejected = GreedyFollowPredictions._rejected
+        monkeypatch.setattr(GreedyFollowPredictions, "_rejected",
+                            staticmethod(lambda prepared: named.append(1) or rejected(prepared)))
         mc_estimate(factory, inst, trials=1000, seed=0)
-        # the parent does not call the factory, so a wrapper is sized by m
-        assert sizes == pools
+        # sized from the player the factory makes, so a wrapper is sized like gftp,
+        # and the edges it sizes by are the ones its trials are dealt
+        assert sizes == []
+        assert named == [1]
 
     def test_mean_and_std_error_are_those_of_the_exact_sample(self):
         inst = gen_ro_lb(3, F(1, 3), 3)
