@@ -220,7 +220,9 @@ def random_instance(n: int, edge_prob, noise_scale, seed: int) -> WmstInstance:
     uniform grid fractions in ``(0, 1]``; predictions add uniform noise in
     ``[-noise_scale, +noise_scale]`` (quantized to the grid) and are
     clamped to stay strictly positive.  ``seed`` must be non-negative, since
-    ``Random(-s)`` seeds like ``Random(s)``.
+    ``Random(-s)`` seeds like ``Random(s)``.  Parameters whose expected edge
+    count ``C(n, 2) * edge_prob`` exceeds ``FAMILY_EDGE_LIMIT`` are refused
+    before any draw.
     """
     if seed < 0:
         raise BadParameter(f"seed must be non-negative, got {seed}")
@@ -238,10 +240,16 @@ def random_instance(n: int, edge_prob, noise_scale, seed: int) -> WmstInstance:
     if noise_scale < 0:
         raise BadParameter(f"noise_scale must be nonnegative, got {noise_scale}")
     num, den = edge_prob.numerator, edge_prob.denominator
+    candidates = n * (n - 1) // 2
+    expected = candidates * edge_prob
+    if expected > FAMILY_EDGE_LIMIT:  # the families' memory budget, checked before any draw
+        raise TooLarge(
+            f"{n} vertices at edge_prob {edge_prob} expect {expected} edges; "
+            f"the limit is {FAMILY_EDGE_LIMIT}"
+        )
     # Refuse when a union bound on any attempt drawing the n - 1 edges that a
     # connected graph needs, attempts * C(N, n-1) * p**(n-1) with N = C(n, 2),
     # is below 2**-64.
-    candidates = n * (n - 1) // 2
     log_comb = math.lgamma(candidates + 1) - math.lgamma(n) - math.lgamma(candidates - n + 2)
     log2_p = math.log2(num) - math.log2(den)
     if math.log2(RANDOM_ATTEMPTS) + log_comb / math.log(2) + (n - 1) * log2_p < -64:
@@ -259,19 +267,16 @@ def random_instance(n: int, edge_prob, noise_scale, seed: int) -> WmstInstance:
     else:
         raise BadParameter("edge_prob too small to produce a connected graph")
     graph = Graph.from_pairs(n, pairs)
-    floor = Fraction(1, WEIGHT_GRID)
     half_span = int(noise_scale * WEIGHT_GRID)
+    randint = rng.randint
     actual = []
     predicted = []
     for _ in range(graph.m):
-        w = Fraction(rng.randint(1, WEIGHT_GRID), WEIGHT_GRID)
-        offset = (
-            Fraction(rng.randint(-half_span, half_span), WEIGHT_GRID)
-            if half_span
-            else Fraction(0)
-        )
-        actual.append(w)
-        predicted.append(max(w + offset, floor))
+        # grid numerators: the true weight a, its prediction b clamped to the floor 1
+        a = randint(1, WEIGHT_GRID)
+        b = a + randint(-half_span, half_span) if half_span else a
+        actual.append(Fraction(a, WEIGHT_GRID))
+        predicted.append(Fraction(max(b, 1), WEIGHT_GRID))
     return WmstInstance(graph, tuple(predicted), tuple(actual))
 
 

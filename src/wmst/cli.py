@@ -19,9 +19,9 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import adversaries, io, metrics, randomorder
-from .engine import ALGORITHMS, ArrivalOrder, run
+from .engine import ALGORITHMS, ArrivalOrder, _run
 from .exceptions import WmstError
-from .graphs import mst
+from .graphs import PreparedInstance, mst
 from .rationals import format_fraction, parse_fraction
 
 CSV_COLUMNS = (
@@ -177,8 +177,9 @@ def cmd_run(args) -> int:
     instance = io.load_instance(args.instance)
     order = _resolve_order(args.order, instance.m)
     alg = _alg_factory(args.alg)()
-    trace = run(alg, instance, order, checked=args.checked)
-    report = metrics.error_report(instance)
+    prepared = PreparedInstance.of(instance)  # the run and the report share its predicted MST
+    trace = _run(alg, prepared, order, args.checked)
+    report = metrics._error_report(prepared)
     ratio = trace.cost / report.opt_actual
     bound_holds = trace.cost <= report.opt_actual + 2 * report.eta
     # every line is formatted, and the trace written, before any is printed:

@@ -392,7 +392,7 @@ def _play(
     else:
         alg.initialize(graph, prepared.predicted)
         shown = actual
-    checker = _InvariantChecker(alg, graph, prepared.predicted) if checked else None
+    checker = _InvariantChecker(alg, prepared, actual, summed) if checked else None
     edges = graph.edges
     reveal = alg.reveal
     union = _UnionFind(graph.n).union
@@ -406,7 +406,7 @@ def _play(
         if steps is not None:
             steps.append(TraceStep(eid, actual[eid], decision))
         if checker is not None:
-            checker.after_reveal(edge, actual[eid], decision)
+            checker.after_reveal(edge, decision)
         if decision.accepted:
             if not union(edge.u, edge.v):
                 raise NotSpanning("accepted edges contain a cycle")
@@ -432,11 +432,16 @@ def run(
     invariants around every reveal (``check_cycle_dominance`` and
     ``check_post_rejection_dominance``).
     """
-    if len(order) != instance.m:
-        raise BadParameter(f"order covers {len(order)} of {instance.m} edges")
-    prepared = PreparedInstance.of(instance)
+    return _run(alg, PreparedInstance.of(instance), order, checked)
+
+
+def _run(alg: OnlineAlgorithm, prepared: PreparedInstance, order: ArrivalOrder,
+         checked: bool) -> RunTrace:
+    """:func:`run` on an instance's preparation, which the caller may share."""
+    if len(order) != prepared.graph.m:
+        raise BadParameter(f"order covers {len(order)} of {prepared.graph.m} edges")
     steps: list[TraceStep] = []
-    accepted, total = _play(alg, prepared, instance.actual, order.edge_ids, steps, checked)
+    accepted, total = _play(alg, prepared, prepared.actual, order.edge_ids, steps, checked)
     return RunTrace(tuple(steps), frozenset(accepted), Fraction(total, prepared.scale))
 
 
@@ -499,18 +504,31 @@ def check_post_rejection_dominance(
 class _InvariantChecker:
     """Runs the structural checks around each reveal in checked mode.
 
-    After every reveal the player's working tree is validated as a spanning
-    tree (``NotSpanning`` otherwise); that one tree, rooted once for its
-    path queries, serves every check until the working tree next changes.
-    The checks read the live set of unseen edges, which they only test.
+    After every reveal the player's working tree is re-read and validated as
+    a spanning tree (``NotSpanning`` otherwise); that one tree, rooted once,
+    serves every check until the working tree next changes.  The checks
+    compare on the preparation's common integer scale, ``predicted_scaled``
+    against the scaled true weights that ``_play`` sums (the Fractions
+    themselves where the scale is 1), and climb each cycle up the rooted tree
+    without listing it.  A violation is then named by ``check_cycle_dominance``
+    or ``check_post_rejection_dominance`` on the exact Fraction weights, so a
+    failure reads as theirs; should the reference pass where the scan failed,
+    the disagreement itself is raised.
     """
 
-    def __init__(self, alg: OnlineAlgorithm, graph: Graph, predicted: Weights):
+    def __init__(
+        self,
+        alg: OnlineAlgorithm,
+        prepared: PreparedInstance,
+        actual: Sequence[Fraction],
+        summed: Sequence,
+    ):
         self._alg = alg
-        self._graph = graph
-        self._predicted = predicted
-        self._unseen = set(range(graph.m))
-        self._rejections: list[tuple[Edge, Fraction]] = []
+        self._prepared = prepared
+        self._pred = prepared.predicted_scaled
+        self._actual, self._summed = actual, summed
+        self._unseen = bytearray(b"\x01") * prepared.graph.m
+        self._rejections: list[tuple[Edge, int | Fraction]] = []  # with the scaled weight
         self._tree: SpanningTree | None = None
         self._refresh_tree()
         # the initial tree is the working tree the player was set up with
@@ -522,7 +540,7 @@ class _InvariantChecker:
         if ids is None:
             self._tree = None
         elif self._tree is None or ids != self._tree.edge_ids:
-            self._tree = SpanningTree(self._graph, ids)
+            self._tree = SpanningTree(self._prepared.graph, ids)
             return True
         return False
 
@@ -530,30 +548,59 @@ class _InvariantChecker:
         tree = self._tree
         if tree is None or edge.id in tree:
             return
-        check_cycle_dominance(
-            self._predicted,
-            tree,
-            self._initial,
-            self._unseen,
-            edge,
-        )
+        parent, parent_edge, depth = tree.rooted
+        unseen, initial, pred = self._unseen, self._initial, self._pred
+        own = pred[edge.id]
+        # climb the deeper end until the ends meet, as ``SpanningTree.path_ids`` does
+        a, b = edge.v, edge.u
+        while a != b:
+            if depth[a] >= depth[b]:
+                e, a = parent_edge[a], parent[a]
+            else:
+                e, b = parent_edge[b], parent[b]
+            if unseen[e] and pred[e] > own and e in initial:
+                check_cycle_dominance(
+                    self._prepared.predicted, tree, initial, self._unseen_ids(), edge
+                )
+                self._disagree("check_cycle_dominance", e, edge)
 
-    def after_reveal(self, edge: Edge, weight: Fraction, decision: Decision) -> None:
-        self._unseen.discard(edge.id)
+    def after_reveal(self, edge: Edge, decision: Decision) -> None:
+        self._unseen[edge.id] = 0
         changed = self._refresh_tree()
         if not self._alg.tracks_swaps:
             return
         if not decision.accepted:
-            self._rejections.append((edge, weight))
-        if self._tree is None or decision.accepted and not changed:
+            self._rejections.append((edge, self._summed[edge.id]))
+        tree = self._tree
+        if tree is None or decision.accepted and not changed:
             return
         # on an unchanged tree an older rejection's cycle has only lost unseen
         # edges since its last check, so only the one just recorded can fail
-        for rejected, rejected_weight in self._rejections[0 if changed else -1:]:
-            check_post_rejection_dominance(
-                self._predicted,
-                self._tree,
-                self._unseen,
-                rejected,
-                rejected_weight,
-            )
+        parent, parent_edge, depth = tree.rooted
+        unseen, pred = self._unseen, self._pred
+        for rejected, weight in self._rejections[0 if changed else -1:]:
+            a, b = rejected.v, rejected.u
+            while a != b:
+                if depth[a] >= depth[b]:
+                    e, a = parent_edge[a], parent[a]
+                else:
+                    e, b = parent_edge[b], parent[b]
+                if unseen[e] and not pred[e] < weight:
+                    check_post_rejection_dominance(
+                        self._prepared.predicted,
+                        tree,
+                        self._unseen_ids(),
+                        rejected,
+                        self._actual[rejected.id],
+                    )
+                    self._disagree("check_post_rejection_dominance", e, rejected)
+
+    def _unseen_ids(self) -> set[int]:
+        return {eid for eid, flag in enumerate(self._unseen) if flag}
+
+    @staticmethod
+    def _disagree(reference: str, eid: int, edge: Edge) -> None:
+        raise InvariantViolation(
+            f"the scaled check failed at unseen edge {eid} on the cycle of edge "
+            f"{edge.id}, but {reference} passes"
+        )

@@ -69,14 +69,18 @@ def error_report(instance: WmstInstance) -> ErrorReport:
 
     ``epsilon`` is the headline error normalized by the true optimum,
     reported as an exact rational.  Both optima and all three measures come
-    from one ``PreparedInstance``.
+    from one ``PreparedInstance``; the predicted optimum is its ``tree``.
     """
-    prepared = PreparedInstance.of(instance)
+    return _error_report(PreparedInstance.of(instance))
+
+
+def _error_report(prepared: PreparedInstance) -> ErrorReport:
     return ErrorReport(
         eta1=_eta1(prepared),
         eta2=_eta2(prepared),
         eta=prepared.eta,
         opt_actual=prepared.opt,
-        opt_predicted=prepared.mst_cost(prepared.predicted_scaled),
+        opt_predicted=Fraction(sum(map(prepared.predicted_scaled.__getitem__, prepared.tree)),
+                               prepared.scale),
         epsilon=prepared.eta / prepared.opt,
     )

@@ -3,11 +3,28 @@
 from __future__ import annotations
 
 import random
+import signal
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from wmst import Decision, Graph, OnlineAlgorithm, WmstInstance, mst, random_instance, tree_cycle
 from wmst.graphs import SpanningTree
+
+
+@pytest.fixture
+def deadline():
+    """Fail the test after 30 s instead of letting a hang stall the suite."""
+
+    def hung(signum, frame):
+        raise TimeoutError("the test ran past its 30 s deadline")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def triangle() -> WmstInstance:

@@ -1,5 +1,6 @@
 """Instance families and the adaptive weight-fixing games."""
 
+import hashlib
 import tracemalloc
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from wmst import (
     tree_cost,
 )
 from wmst import adversaries, checks
+from wmst.io import dumps_instance
 
 from conftest import RejectFirstThenGreedy
 
@@ -211,6 +213,55 @@ class TestRandomInstance:
             random_instance(30, F(1, 10**6), F(0), seed=0)  # refused before any draw
         with pytest.raises(BadParameter, match="seed must be non-negative, got -42"):
             random_instance(6, F(1, 2), F(1, 4), seed=-42)  # else the instance of seed 42
+
+
+    @pytest.mark.parametrize(
+        "params, digest",
+        [
+            ((6, F(1, 2), F(0), 0),
+             "159cab8e71b60333966435e74ca45fa9ac21b731c69d82c957b01e9f2639e808"),
+            ((12, F(1, 3), F(1, 4), 3),
+             "aa620474538d092ec275a04e5a330471a7730843fc8e757cc7526745e955c81f"),
+            ((30, F(1, 4), F(1, 4), 1),
+             "362dd1f8f7f37ac02bcf29467327727c54ed3c4ff8e30cc033b8308875bac78e"),
+            ((20, F(1, 3), F(1, 2), 7),
+             "aa138cd66dfbeaf6e49d3141c5de01a5cf1d4ce676f9e16b6b2d4e7d201354b3"),
+            ((9, F(4, 5), F(1, 2), 11),
+             "54e7b4e765792f4f22f64450368d9ba4b09f559207674cbcaa4f9af8e77e15b5"),
+            ((5, F(1), F(3), 2),
+             "72b8d0ecd2b9e8160700543e9498a17b7d355630fe19328c68df33d2d79d066b"),
+        ],
+    )
+    def test_files_are_pinned(self, params, digest):
+        """The sha256 of each instance file, as the Fraction arithmetic per edge once wrote it."""
+        text = dumps_instance(random_instance(*params))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_expected_edge_count_limit_admits_exactly_its_edges(self, monkeypatch):
+        # C(10, 2) = 45 candidate pairs: 45 expected edges at edge_prob 1, 45/2 at 1/2
+        for limit, prob, admitted in ((45, F(1), True), (44, F(1), False),
+                                      (23, F(1, 2), True), (22, F(1, 2), False)):
+            monkeypatch.setattr(adversaries, "FAMILY_EDGE_LIMIT", limit)
+            if admitted:
+                assert random_instance(10, prob, F(1, 4), seed=3).m <= 45
+            else:
+                with pytest.raises(TooLarge, match=(
+                    f"^10 vertices at edge_prob {prob} expect {45 * prob} edges; "
+                    f"the limit is {limit}$"
+                )):
+                    random_instance(10, prob, F(1, 4), seed=3)
+
+    def test_complete_graphs_past_the_edge_limit_are_refused_undrawn(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match=(
+                "^2000 vertices at edge_prob 1 expect 1999000 edges; the limit is 400000$"
+            )):
+                random_instance(2000, F(1), F(1, 4), seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # the graph alone would take about 1.4 GB
 
 
 class TestGameOrdersReplayWithEngine:

@@ -259,6 +259,14 @@ def test_gen_random_refuses_too_many_vertices(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_random_refuses_too_many_expected_edges(tmp_path, capsys):
+    out = tmp_path / "dense.json"
+    code = main(["gen", "random", "--n", "2000", "--edge-prob", "1", "--out", str(out)])
+    assert code == 2
+    assert "expect 1999000 edges; the limit is 400000" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_empty_grid_fails(capsys):
     code = main(["sweep", "ftp-lb", "--k", "", "--l", "1"])
     assert code == 2

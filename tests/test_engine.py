@@ -2,6 +2,7 @@
 
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import islice, permutations
@@ -44,6 +45,7 @@ from wmst.graphs import PreparedInstance
 
 from conftest import SlowSwapPlayer, triangle
 from reference_gftp import GreedyFollowPredictions as ReferenceGreedy
+import reference_checker
 
 F = Fraction
 
@@ -443,6 +445,30 @@ def _square_rejection_first():
     return WmstInstance(graph, predicted, actual), ArrivalOrder((3, 4, 2, 0, 1))
 
 
+def _square_in_halves():
+    """``_square_rejection_first`` with every weight halved: the same decisions on scale 2."""
+    inst, order = _square_rejection_first()
+    halve = lambda weights: tuple(w / 2 for w in weights)  # noqa: E731
+    inst = WmstInstance(inst.graph, halve(inst.predicted), halve(inst.actual))
+    assert PreparedInstance.of(inst).scale == 2
+    return inst, order
+
+
+# Two predictions a hair above 3 and 2, with coprime denominators of 634 and 697 bits
+FINE_THREE, FINE_TWO = 3 + F(1, 3**400), 2 + F(1, 5**300)
+
+
+def _triangle_past_scale_bits():
+    """The max tree {1, 2} of predictions (2, ~3, ~2), chord 0 revealed first.
+
+    The denominators' lcm is longer than ``SCALE_BITS``, so the checks compare Fractions.
+    """
+    graph = Graph.from_pairs(3, [(0, 1), (1, 2), (0, 2)])
+    inst = WmstInstance(graph, (F(2), FINE_THREE, FINE_TWO), (F(1), F(1), F(2)))
+    assert PreparedInstance.of(inst).scale == 1
+    return inst, ArrivalOrder((0, 1, 2))
+
+
 @pytest.mark.parametrize(
     "player, case, error, message",
     [
@@ -454,9 +480,13 @@ def _square_rejection_first():
          "0 edges cannot span 3 vertices"),
         (EvictsTheLightest, _square_rejection_first, InvariantViolation,
          "unseen tree edge 2 predicts 5, not below rejected weight 2 of edge 3"),
+        (EvictsTheLightest, _square_in_halves, InvariantViolation,
+         "unseen tree edge 2 predicts 5/2, not below rejected weight 1 of edge 3"),
+        (MaxTreeFollower, _triangle_past_scale_bits, InvariantViolation,
+         f"unseen tree edge 1 predicts {FINE_THREE} above revealed edge 0 at 2"),
     ],
     ids=["post-rejection-dominance", "cycle-dominance", "working-tree-spans",
-         "earlier-rejection-after-a-swap"],
+         "earlier-rejection-after-a-swap", "weights-in-halves", "past-scale-bits"],
 )
 def test_checked_mode_catches_broken_players(player, case, error, message):
     inst, order = case()
@@ -464,6 +494,76 @@ def test_checked_mode_catches_broken_players(player, case, error, message):
     with pytest.raises(error) as excinfo:
         run(player(), inst, order, checked=True)
     assert str(excinfo.value) == message
+
+
+class _ReferenceChecker(reference_checker._InvariantChecker):
+    """The reference checker behind the engine's calls, shown the Fraction true weights."""
+
+    def __init__(self, alg, prepared, actual, summed):
+        super().__init__(alg, prepared.graph, prepared.predicted)
+        self._actual = actual
+
+    def after_reveal(self, edge, decision):
+        super().after_reveal(edge, self._actual[edge.id], decision)
+
+
+def _checked_outcome(player, inst, order):
+    """The trace text of a checked run, or the type and text of what it raised."""
+    try:
+        return run(player(), inst, order, checked=True).to_text()
+    except (InvariantViolation, NotSpanning) as error:
+        return type(error), str(error)
+
+
+def _checker_fuzz_cases():
+    """Seeded random instances, every fifth past ``SCALE_BITS``, with two shuffled orders each."""
+    for seed in range(150):
+        inst = random_instance(4 + seed % 9, F(1, 2), (F(0), F(1, 4), F(1, 2), F(2))[seed % 4],
+                               seed=seed)
+        if seed % 5 == 4:
+            predicted = list(inst.predicted)
+            predicted[0] += F(1, 3**400)
+            predicted[-1] += F(1, 5**300)
+            inst = inst.with_predictions(predicted)
+        for salt in range(2):
+            yield inst, ArrivalOrder.shuffled(inst.m, 1000 * seed + salt)
+
+
+def test_checker_agrees_with_the_reference(monkeypatch, deadline):
+    players = [SwaplessTracker, MaxTreeFollower, EmptyTreeFollower, EvictsTheLightest, ftp, gftp]
+    cases = list(_checker_fuzz_cases())
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_InvariantChecker", _ReferenceChecker)
+        expected = [_checked_outcome(p, inst, order) for p in players for inst, order in cases]
+    got = [_checked_outcome(p, inst, order) for p in players for inst, order in cases]
+    assert got == expected
+    kinds = Counter(_outcome_kind(outcome) for outcome in expected)
+    assert set(kinds) == {"passed", "cycle", "rejection", "NotSpanning"}, kinds
+
+
+def _outcome_kind(outcome) -> str:
+    if type(outcome) is str:
+        return "passed"
+    error, text = outcome
+    if " above revealed edge " in text:
+        return "cycle"
+    if ", not below rejected weight " in text:
+        return "rejection"
+    return error.__name__
+
+
+@pytest.mark.parametrize(
+    "player, case, reference",
+    [
+        (MaxTreeFollower, _triangle_chord_first, "check_cycle_dominance"),
+        (EvictsTheLightest, _square_in_halves, "check_post_rejection_dominance"),
+    ],
+)
+def test_a_violation_the_reference_passes_is_raised(monkeypatch, player, case, reference):
+    inst, order = case()
+    monkeypatch.setattr(engine, reference, lambda *args: None)
+    with pytest.raises(InvariantViolation, match=f"but {reference} passes$"):
+        run(player(), inst, order, checked=True)
 
 
 class TestCostBounds:

@@ -4,7 +4,6 @@ import math
 import multiprocessing
 import os
 import random as pyrandom
-import signal
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -160,20 +159,6 @@ def enumerations(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(randomorder, "permutations", counted)
     return calls
-
-
-@pytest.fixture
-def deadline():
-    """Fail the test after 30 s instead of letting a hang stall the suite."""
-
-    def hung(signum, frame):
-        raise TimeoutError("the test ran past its 30 s deadline")
-
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(30)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
 
 
 def _family_instances():
