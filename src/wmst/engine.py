@@ -6,7 +6,7 @@ accept or reject, and the accepted set must end as a spanning tree.  Every
 execution of one order (``run``, ``run_cost`` and the adaptive games) goes
 through one reveal loop, which raises ``NotSpanning`` at the offending
 reveal; the memoised exact expectation in ``randomorder`` walks all orders
-at once in place on one player and raises it at the same faults.  Two players
+at once in place on one ``gftp``, which never faults.  Two players
 are provided: one that commits to the predicted-weight tree, and a greedy
 variant that swaps revealed bargains in for unseen tree edges.  Any other
 player, a subclass of either included, is set up through ``initialize``.
@@ -211,7 +211,9 @@ class GreedyFollowPredictions(OnlineAlgorithm):
     cut-off side up to the evicted edge, so vertex 0 stays the root.  The
     parent-edge array is then the tree's canonical name, and ``_key`` returns
     it: with the unseen edges it fixes the unseen edges of the working tree,
-    and so every later decision.  ``_undo`` takes a reveal back to the
+    and so every later decision.  It also fixes the accepted edges, the
+    tree's revealed ones, since only unseen edges are evicted and a rejected
+    edge never joins the tree.  ``_undo`` takes a reveal back to the
     ``_saved`` state; the edge may then be revealed again.
     """
 

@@ -25,7 +25,7 @@ from itertools import islice, pairwise, permutations
 from typing import Callable
 
 from .engine import FollowPredictions, GreedyFollowPredictions, OnlineAlgorithm, _play
-from .exceptions import BadParameter, NotSpanning, TooLarge
+from .exceptions import BadParameter, TooLarge
 from .graphs import PreparedInstance, WmstInstance
 
 AlgFactory = Callable[[], OnlineAlgorithm]
@@ -321,28 +321,23 @@ def _completion_sum(
 
     Once a set of edges is unseen, every order of them is equally likely,
     so the orders are walked as a tree of states, each held once.  A state
-    is the unseen and the accepted edges and the player's ``_key``.  With
-    ``k`` edges unseen, its sum ``S`` over the ``k!`` orders of the rest is,
-    over each unseen ``e`` revealed next, the weight of ``e`` if accepted
-    times ``(k-1)!``, plus ``S`` of the state that follows.  Each reveal is
-    made in place, with the scaled weights ``_play`` would show, and taken
-    back by ``_undo`` once that state is summed.  Faults are as in ``_play``:
-    ``NotSpanning`` at an accept that closes a cycle and at the end with
-    fewer than ``n - 1`` accepts.  The sum is on ``d = prepared.scale``.
+    is the unseen edges and the player's ``_key``, its tree, which also
+    fixes what it has accepted (the tree's revealed edges), so it never
+    faults.  With ``k`` edges unseen, a state's sum ``S`` over the ``k!``
+    orders of the rest is, over each unseen ``e`` revealed next, the weight
+    of ``e`` if accepted times ``(k-1)!``, plus ``S`` of the state that
+    follows.  Each reveal is made in place, with the scaled weights
+    ``_play`` would show, and taken back by ``_undo`` once that state is
+    summed.  The sum is on ``d = prepared.scale``.
     """
-    graph = prepared.graph
-    n, m, edges = graph.n, graph.m, graph.edges
+    m, edges = prepared.graph.m, prepared.graph.edges
     scaled = prepared.actual_scaled  # as ``_play`` shows a built-in player and sums
     factorials = [math.factorial(k) for k in range(m)]
     memo: dict = {}
 
-    def completions(unseen: int, accepted: int, component: list[int]) -> int:
-        """``S`` of this state; ``component`` labels the accepted forest's trees."""
+    def completions(unseen: int) -> int:
+        """``S`` of the state with the edges ``unseen`` and the player's tree."""
         if not unseen:
-            if accepted.bit_count() != n - 1:
-                raise NotSpanning(
-                    f"accepted {accepted.bit_count()} edges, a spanning tree needs {n - 1}"
-                )
             return 0
         later = factorials[unseen.bit_count() - 1]  # orders of the edges after the next
         saved = player._saved()
@@ -351,25 +346,18 @@ def _completion_sum(
             bit = 1 << eid
             if not unseen & bit:
                 continue
-            edge = edges[eid]
-            after, joined = accepted, component
-            decision = player.reveal(edge, scaled[eid])
+            decision = player.reveal(edges[eid], scaled[eid])
             if decision.accepted:
-                a, b = component[edge.u], component[edge.v]
-                if a == b:
-                    raise NotSpanning("accepted edges contain a cycle")
                 total += scaled[eid] * later
-                after |= bit
-                joined = [a if c == b else c for c in component]
-            key = (unseen ^ bit, after, player._key())
+            key = (unseen ^ bit, player._key())
             rest = memo.get(key)
             if rest is None:
-                rest = memo[key] = completions(unseen ^ bit, after, joined)
+                rest = memo[key] = completions(unseen ^ bit)
             player._undo(eid, decision, saved)
             total += rest
         return total
 
-    total = completions((1 << m) - 1, 0, list(range(n)))
+    total = completions((1 << m) - 1)
     # the closure refers to itself; unlinked, it and the memo are freed now,
     # not left to the cyclic garbage collector
     del completions

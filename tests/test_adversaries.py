@@ -251,6 +251,22 @@ class TestRandomInstance:
                 )):
                     random_instance(10, prob, F(1, 4), seed=3)
 
+    def test_a_refusal_draws_at_most_its_budget_of_pairs(self, monkeypatch, deadline):
+        # 200 vertices at edge_prob 1/100 expect 199 edges, the fewest that
+        # connect, so nearly every attempt fails; each draws 19,900 pairs
+        class CountingRandom(adversaries.random.Random):
+            def randrange(self, *args):
+                draws.append(1)
+                return super().randrange(*args)
+
+        draws = []
+        monkeypatch.setattr(adversaries.random, "Random", CountingRandom)
+        monkeypatch.setattr(adversaries, "RANDOM_PAIR_DRAWS", 100_000)
+        refused = "^edge_prob too small to produce a connected graph$"
+        with pytest.raises(BadParameter, match=refused):
+            random_instance(200, F(1, 100), F(0), seed=1)
+        assert len(draws) == 5 * 19_900
+
     def test_complete_graphs_past_the_edge_limit_are_refused_undrawn(self):
         tracemalloc.start()
         try:

@@ -229,12 +229,16 @@ class TestGreedyFollowPredictions:
             alg.initialize(inst.graph, inst.predicted)
             order = ArrivalOrder.shuffled(inst.m, seed)
             accepted = set()
+            unseen = set(range(inst.m))
             for eid in order:
                 decision = alg.reveal(inst.graph.edges[eid], inst.actual[eid])
+                unseen.discard(eid)
                 if decision.accepted:
                     accepted.add(eid)
                 SpanningTree(inst.graph, alg.working_tree_ids())  # raises if broken
-            assert accepted == set(alg.working_tree_ids())
+                # only unseen edges are evicted and no rejected edge comes back,
+                # so the tree fixes the accepts: the exact memo keys on it alone
+                assert accepted == alg.working_tree_ids() - unseen
 
 
 def test_swapper_matches_slow_reference():

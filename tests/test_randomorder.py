@@ -31,6 +31,7 @@ from wmst import (
     tree_cost,
     mst,
     WmstInstance,
+    eta,
 )
 from wmst import Decision, FollowPredictions, GreedyFollowPredictions, NotSpanning
 from wmst import checks, cli, randomorder
@@ -131,13 +132,22 @@ class TestExactExpectation:
         with pytest.raises(TooLarge):
             exact_expectation(ftp, inst)
 
-    def test_matches_analytic_formula_on_two_spokes(self):
+    @pytest.mark.parametrize("spokes", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "k, delta",
+        [(F(2), F(1, 2)), (F(3), F(1, 3)), (F(7, 2), F(1, 4)), (F(3), F(1, 2))],
+        ids=["k2-d1/2", "k3-d1/3", "k7/2-d1/4", "k3-d1/2"],
+    )
+    def test_matches_analytic_formula_on_ro_lb(self, k, delta, spokes):
         # each spoke swaps exactly when its cheap side precedes its
         # sibling, a probability-1/2 event, so by linearity the exact
-        # expectation is delta + spokes*(k+1)
-        k, delta, spokes = 3, F(1, 2), 2
+        # expectation is delta + spokes*(k+1): k*spokes above the optimum,
+        # whose error is k*(spokes+1)
         inst = gen_ro_lb(k, delta, spokes)
-        assert exact_expectation(gftp, inst) == delta + spokes * (k + 1)
+        value = exact_expectation(gftp, inst)
+        assert value == delta + spokes * (k + 1)
+        assert value - tree_cost(mst(inst.graph, inst.actual), inst.actual) == k * spokes
+        assert eta(inst) == k * (spokes + 1)
 
 
 def enumerated(factory, inst: WmstInstance) -> Fraction:
@@ -356,27 +366,33 @@ class TestMemoisedExpectation:
         [({0, 1, 2}, "accepted edges contain a cycle"), ({0}, "accepted 1 edges")],
         ids=["cycle", "short"],
     )
-    def test_memo_faults_as_in_a_run(self, enumerations, monkeypatch, accepts, message):
-        # gftp itself, not a subclass, so that the memo plays it
-        def reveal(player, edge, weight):
-            return Decision.accept() if edge.id in accepts else Decision.reject()
+    def test_faulting_subclass_enumerates_and_faults_as_in_a_run(
+        self, enumerations, monkeypatch, accepts, message
+    ):
+        # a built-in gftp never faults, so the memo has no fault to raise: a
+        # faulting gftp is a subclass, which plays every order
+        class AcceptsOnly(GreedyFollowPredictions):
+            def reveal(self, edge, weight):
+                return Decision.accept() if edge.id in accepts else Decision.reject()
 
-        def completion_sum(*args):
-            entered.append(args)
-            return memo(*args)
-
-        entered, memo = [], randomorder._completion_sum
-        monkeypatch.setattr(GreedyFollowPredictions, "reveal", reveal)
-        monkeypatch.setattr(randomorder, "_completion_sum", completion_sum)
+        entered = []
+        monkeypatch.setattr(randomorder, "_completion_sum", lambda *args: entered.append(args))
         inst = triangle()
         with pytest.raises(NotSpanning) as in_a_run:
-            run_cost(gftp(), inst, range(inst.m))
-        with pytest.raises(NotSpanning) as in_the_memo:
-            exact_expectation(gftp, inst)
-        assert str(in_the_memo.value) == str(in_a_run.value)
+            run_cost(AcceptsOnly(), inst, range(inst.m))
+        with pytest.raises(NotSpanning) as in_the_estimate:
+            exact_expectation(AcceptsOnly, inst)
+        assert str(in_the_estimate.value) == str(in_a_run.value)
         assert message in str(in_a_run.value)
-        assert len(entered) == 1
-        assert enumerations == []
+        assert enumerations == [inst.m]
+        assert entered == []
+
+    def test_memo_matches_the_straightforward_player(self, enumerations, deadline):
+        # enumerating the reference takes about 7 times as long as enumerating gftp
+        instances = list(small_exact_instances(20))
+        for inst in instances:
+            assert exact_expectation(gftp, inst) == exact_expectation(ReferenceGreedy, inst)
+        assert enumerations == [inst.m for inst in instances]
 
 
 class TestMonteCarlo:
