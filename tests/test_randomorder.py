@@ -366,11 +366,9 @@ class TestMemoisedExpectation:
         [({0, 1, 2}, "accepted edges contain a cycle"), ({0}, "accepted 1 edges")],
         ids=["cycle", "short"],
     )
-    def test_faulting_subclass_enumerates_and_faults_as_in_a_run(
-        self, enumerations, monkeypatch, accepts, message
-    ):
+    def test_memo_faults_as_in_a_run(self, enumerations, monkeypatch, accepts, message):
         # a built-in gftp never faults, so the memo has no fault to raise: a
-        # faulting gftp is a subclass, which plays every order
+        # faulting gftp is a subclass, which the memo hands to enumeration
         class AcceptsOnly(GreedyFollowPredictions):
             def reveal(self, edge, weight):
                 return Decision.accept() if edge.id in accepts else Decision.reject()
