@@ -4,12 +4,13 @@ Estimates the expected cost of an online player over uniformly random
 arrival orders, either by Monte Carlo sampling or, for instances of at most
 ``EXACT_EDGE_LIMIT`` edges, exactly.  Each estimate makes one player first,
 and its type decides how the estimate is played: ``ftp`` accepts exactly its
-predicted tree, so its estimate is the cost of one game; ``gftp``'s exact
-expectation is a memoised recursion over the states orders pass through, and
-its trials are dealt only the edges it can still decide; any other player, a
-subclass of either included, plays every order whole.  Reports compare the
-measured ratio against three reference curves in the normalized error:
-``1 + e``, ``1 + (1 + ln 2) e`` and ``1 + 2e``.
+predicted tree, so its estimate is the cost of one game; ``gftp`` is dealt
+only the edges it can still decide, in its trials and in its exact
+expectation, a memoised recursion over the states the orders of those edges
+pass through; any other player, a subclass of either included, plays every
+order whole.  Reports compare the measured ratio against three reference
+curves in the normalized error: ``1 + e``, ``1 + (1 + ln 2) e`` and
+``1 + 2e``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,10 @@ from .engine import FollowPredictions, GreedyFollowPredictions, OnlineAlgorithm,
 from .exceptions import BadParameter, TooLarge
 from .graphs import PreparedInstance, WmstInstance
 
-AlgFactory = Callable[[], OnlineAlgorithm]
+# The player type is named as a string: typing caches each subscript it
+# evaluates, and a key that held the class would keep this module's package
+# alive past a re-import.
+AlgFactory = Callable[[], "OnlineAlgorithm"]
 
 # 9! = 362880 permutations is the most exact enumeration will chew through.
 EXACT_EDGE_LIMIT = 9
@@ -292,10 +296,14 @@ def exact_expectation(alg_factory: AlgFactory, instance: WmstInstance) -> Fracti
 
     One player is made, and its type decides how: ``ftp``'s expectation is
     the cost of one game (``_one_game``), ``gftp`` plays through the
-    memoised recursion of ``_completion_sum``, and any other player, their
-    subclasses too, plays all ``m!`` orders through ``_cost_sums``.  An
-    instance of more than ``EXACT_EDGE_LIMIT`` edges is refused for every
-    player.
+    memoised recursion of ``_completion_sum`` over the ``L!`` orders of the
+    ``L`` edges ``_dealt`` leaves, and any other player, their subclasses
+    too, plays all ``m!`` orders through ``_cost_sums``.  Leaving out the
+    edges ``gftp`` rejects in every order changes no value: an order's cost
+    depends only on the relative order of the live edges, and a uniform
+    order of all ``m`` edges orders them uniformly.  An instance of more
+    than ``EXACT_EDGE_LIMIT`` edges is refused for every player, and
+    ``wmst ro --exact`` still reports ``m!`` trials.
     """
     m = instance.m
     if m > EXACT_EDGE_LIMIT:
@@ -306,49 +314,54 @@ def exact_expectation(alg_factory: AlgFactory, instance: WmstInstance) -> Fracti
     if cost is not None:
         return cost
     if type(alg) is GreedyFollowPredictions:
+        dealt = _dealt(alg, prepared)
+        live = [eid for eid in range(m) if dealt is None or dealt[eid]]
         alg._start(prepared)
-        d, total = _completion_sum(alg, prepared)
-    else:
-        orders = permutations(range(m))
-        d, total, _ = _cost_sums(alg_factory, type(alg), prepared, orders, math.factorial(m), None)
+        d, total = _completion_sum(alg, prepared, live)
+        return Fraction(total, math.factorial(len(live)) * d)
+    orders = permutations(range(m))
+    d, total, _ = _cost_sums(alg_factory, type(alg), prepared, orders, math.factorial(m), None)
     return Fraction(total, math.factorial(m) * d)
 
 
 def _completion_sum(
-    player: GreedyFollowPredictions, prepared: PreparedInstance
+    player: GreedyFollowPredictions, prepared: PreparedInstance, live: list[int]
 ) -> tuple[int, int | Fraction]:
-    """``d`` and the sum of ``d * cost`` over all orders, for a started ``gftp``.
+    """``d`` and the sum of ``d * cost`` over the orders of ``live``, for a started ``gftp``.
 
-    Once a set of edges is unseen, every order of them is equally likely,
-    so the orders are walked as a tree of states, each held once.  A state
-    is the unseen edges and the player's ``_key``, its tree, which also
-    fixes what it has accepted (the tree's revealed edges), so it never
-    faults.  With ``k`` edges unseen, a state's sum ``S`` over the ``k!``
-    orders of the rest is, over each unseen ``e`` revealed next, the weight
-    of ``e`` if accepted times ``(k-1)!``, plus ``S`` of the state that
-    follows.  Each reveal is made in place, with the scaled weights
-    ``_play`` would show, and taken back by ``_undo`` once that state is
-    summed.  The sum is on ``d = prepared.scale``.
+    ``live`` holds the edges ``_dealt`` leaves, ``L`` of them; the others are
+    rejected in every order without a change of state, so they are never
+    dealt, and the sum is over the ``L!`` orders of the live edges.  Once a
+    set of edges is unseen, every order of them is equally likely, so the
+    orders are walked as a tree of states, each held once.  A state is the
+    unseen live edges, as a mask whose bit ``i`` is the edge ``live[i]``, and
+    the player's ``_key``, its tree, which also fixes what it has accepted
+    (the tree's revealed edges), so it never faults.  With ``k`` edges
+    unseen, a state's sum ``S`` over the ``k!`` orders of the rest is, over
+    each unseen ``e`` revealed next, the weight of ``e`` if accepted times
+    ``(k-1)!``, plus ``S`` of the state that follows.  Each reveal is made in
+    place, with the scaled weights ``_play`` would show, and taken back by
+    ``_undo`` once that state is summed.  The sum is on ``d = prepared.scale``.
     """
-    m, edges = prepared.graph.m, prepared.graph.edges
+    edges = prepared.graph.edges
     scaled = prepared.actual_scaled  # as ``_play`` shows a built-in player and sums
-    factorials = [math.factorial(k) for k in range(m)]
+    dealt = [(1 << i, eid, edges[eid], scaled[eid]) for i, eid in enumerate(live)]
+    factorials = [math.factorial(k) for k in range(len(live))]
     memo: dict = {}
 
     def completions(unseen: int) -> int:
-        """``S`` of the state with the edges ``unseen`` and the player's tree."""
+        """``S`` of the state with the live edges ``unseen`` and the player's tree."""
         if not unseen:
             return 0
         later = factorials[unseen.bit_count() - 1]  # orders of the edges after the next
         saved = player._saved()
         total = 0
-        for eid in range(m):
-            bit = 1 << eid
+        for bit, eid, edge, weight in dealt:
             if not unseen & bit:
                 continue
-            decision = player.reveal(edges[eid], scaled[eid])
+            decision = player.reveal(edge, weight)
             if decision.accepted:
-                total += scaled[eid] * later
+                total += weight * later
             key = (unseen ^ bit, player._key())
             rest = memo.get(key)
             if rest is None:
@@ -357,7 +370,7 @@ def _completion_sum(
             total += rest
         return total
 
-    total = completions((1 << m) - 1)
+    total = completions((1 << len(live)) - 1)
     # the closure refers to itself; unlinked, it and the memo are freed now,
     # not left to the cyclic garbage collector
     del completions

@@ -4,10 +4,12 @@ import math
 import multiprocessing
 import os
 import random as pyrandom
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import cycle, islice, permutations
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -386,11 +388,62 @@ class TestMemoisedExpectation:
         assert entered == []
 
     def test_memo_matches_the_straightforward_player(self, enumerations, deadline):
-        # enumerating the reference takes about 7 times as long as enumerating gftp
-        instances = list(small_exact_instances(20))
+        # enumerating the reference takes about 7 times as long as enumerating
+        # gftp; the K4 past SCALE_BITS plays the memo on Fraction weights
+        instances = [*small_exact_instances(20), _wide_coprime_instance(4, base=50)]
+        assert PreparedInstance.of(instances[-1]).scale == 1
+        rejected = [gftp()._rejected(PreparedInstance.of(inst)) for inst in instances]
+        assert sum(map(bool, rejected)) >= 10 and rejected[-1]  # edges the memo never deals
         for inst in instances:
             assert exact_expectation(gftp, inst) == exact_expectation(ReferenceGreedy, inst)
         assert enumerations == [inst.m for inst in instances]
+
+    def test_the_memo_reveals_only_live_edges(self, enumerations, monkeypatch, deadline):
+        def recorded(player, edge, weight):
+            revealed.add(edge.id)
+            return reveal(player, edge, weight)
+
+        reveal = GreedyFollowPredictions.reveal
+        monkeypatch.setattr(GreedyFollowPredictions, "reveal", recorded)
+        instances = [*small_exact_instances(100), _wide_coprime_instance(4, base=50)]
+        played = 0
+        for inst in instances:
+            prepared = PreparedInstance.of(inst)
+            dealt = randomorder._dealt(gftp(), prepared)
+            if dealt is None:
+                continue
+            revealed = set()
+            value = exact_expectation(gftp, inst)
+            assert revealed == {eid for eid in range(inst.m) if dealt[eid]}
+            assert value == enumerated(gftp, inst)
+            played += 1
+        assert played >= 50
+
+    def test_exact_enum_values(self, enumerations, deadline):
+        # the instances of the benchmark's exact-enum workload: ro-lb has no
+        # rejected edge, and the m = 8 random graph deals 5 of its 8 edges
+        ro_lb = gen_ro_lb(2, F(1, 2), 3)
+        rnd = random_instance(5, F(4, 5), F(1, 4), 2)
+        assert (ro_lb.m, rnd.m) == (7, 8)
+        assert len(gftp()._rejected(PreparedInstance.of(rnd))) == 3
+        assert exact_expectation(gftp, ro_lb) == F(19, 2)
+        assert exact_expectation(ftp, ro_lb) == F(31, 2)
+        assert exact_expectation(gftp, rnd) == F(84693, 65536)
+        assert exact_expectation(ftp, rnd) == F(78609, 65536)
+        assert enumerations == []
+
+    def test_exact_row_still_counts_every_order(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        save_instance(random_instance(5, F(4, 5), F(1, 4), 2), "r8.json")
+        assert cli.main(["ro", "gftp", "r8.json", "--exact"]) == 0
+        assert capsys.readouterr().out == (
+            "# config: ro alg=gftp instance=r8.json exact\n"
+            "# exact mean = 84693/65536\n"
+            "instance_id,algorithm,trials,seed,mean,stderr,opt,eta,epsilon,ratio,"
+            "bound_1e,bound_ln2,bound_2e\n"
+            "r8.json,gftp,40320,0,84693/65536,0,78609/65536,23791/32768,47582/78609,"
+            "28231/26203,1.60529964762,2.02486139177,2.21059929525\n"
+        )
 
 
 class TestMonteCarlo:
@@ -790,3 +843,24 @@ def test_large_coprime_denominators_keep_memory_small_and_results_exact(case):
         variance = sum(((c - mean) ** 2 for c in costs), F(0)) / (trials - 1)
         assert est.mean_cost == float(mean)
         assert est.std_error == math.sqrt(variance / trials)
+
+
+def test_a_re_import_frees_the_previous_package():
+    # a module-level alias that subscripts a typing generic with a package
+    # class is cached by typing, and the cached key keeps that class, its
+    # module and so the whole replaced package alive
+    script = """if True:
+        import gc, sys, weakref
+        import wmst, wmst.cli, wmst.io
+        old = weakref.ref(wmst.engine.OnlineAlgorithm)
+        for name in [n for n in sys.modules if n == "wmst" or n.startswith("wmst.")]:
+            del sys.modules[name]
+        import wmst, wmst.cli, wmst.io
+        gc.collect()
+        print("freed" if old() is None else "kept")
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "freed\n"
