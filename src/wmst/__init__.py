@@ -62,6 +62,7 @@ from .graphs import (
 )
 from .metrics import ErrorReport, error_report, eta, eta1, eta2
 from .randomorder import (
+    EXACT_CONTESTED_LIMIT,
     EXACT_EDGE_LIMIT,
     RatioReport,
     RoEstimate,

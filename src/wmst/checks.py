@@ -8,7 +8,6 @@ that fails; none uses ``assert``, so they also run under ``python -O``.
 from __future__ import annotations
 
 import json
-import random
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -52,9 +51,7 @@ def fuzz_pairs(count: int) -> Iterator[Run]:
     for index in range(count):
         if index % ORDERS_PER_INSTANCE == 0:
             instance = fuzz_instance(index // ORDERS_PER_INSTANCE)
-        ids = list(range(instance.m))
-        random.Random(index).shuffle(ids)
-        yield instance, ids
+        yield instance, ArrivalOrder.shuffled(instance.m, index).edge_ids
 
 
 def mst_matches_oracle(instances: Iterable[WmstInstance]) -> None:

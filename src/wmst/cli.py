@@ -20,9 +20,9 @@ from typing import Callable, NamedTuple
 
 from . import adversaries, io, metrics, randomorder
 from .engine import ALGORITHMS, ArrivalOrder, _run
-from .exceptions import WmstError
+from .exceptions import TooLarge, WmstError
 from .graphs import PreparedInstance, mst
-from .rationals import format_fraction, parse_fraction
+from .rationals import MAX_DIGITS, format_fraction, parse_fraction
 
 CSV_COLUMNS = (
     "instance_id,algorithm,trials,seed,mean,stderr,opt,eta,epsilon,ratio,"
@@ -247,6 +247,12 @@ def cmd_ro(args) -> int:
     instance = io.load_instance(args.instance)
     factory = _alg_factory(args.alg)
     if args.exact:
+        # the trials column holds m!, which must fit what Python writes out
+        if math.lgamma(instance.m + 1) >= MAX_DIGITS * math.log(10):
+            raise TooLarge(
+                f"{instance.m} edges: the trials column would hold {instance.m}!, "
+                f"more than {MAX_DIGITS} digits"
+            )
         value = randomorder.exact_expectation(factory, instance)
         est = randomorder.estimate(instance, value, math.factorial(instance.m))
         seed = 0

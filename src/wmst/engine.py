@@ -64,6 +64,28 @@ def _swap(evicted: int) -> Decision:
     return Decision(True, evicted)
 
 
+def _shuffles(m: int, seed: int):
+    """The one order stream: in-place shuffles of one id list by ``Random(seed)``.
+
+    Each shuffle is ``Random.shuffle``'s Fisher-Yates, inlined: from the top
+    down, position ``i`` swaps with ``j``, drawn as ``getrandbits(k)`` for
+    the bit length ``k`` of ``i + 1`` and drawn again while above ``i``.
+    These are the draws ``Random(seed).shuffle`` makes, so the stream is the
+    one repeated ``Random(seed).shuffle`` calls give; what is saved is the
+    method call and the bit length that ``shuffle`` pays per position.
+    """
+    getrandbits = random.Random(seed).getrandbits
+    ids = list(range(m))
+    steps = [(i, (i + 1).bit_length()) for i in range(m - 1, 0, -1)]
+    while True:
+        for i, k in steps:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            ids[i], ids[j] = ids[j], ids[i]
+        yield ids
+
+
 @dataclass(frozen=True)
 class ArrivalOrder:
     """A permutation of all edge ids, defining the reveal sequence."""
@@ -82,12 +104,13 @@ class ArrivalOrder:
 
     @classmethod
     def shuffled(cls, m: int, seed: int) -> "ArrivalOrder":
-        """The ids shuffled by ``random.Random(seed)``; ``seed`` must be non-negative."""
+        """The ids shuffled by ``random.Random(seed)``: the first order of ``_shuffles(m, seed)``.
+
+        ``seed`` must be non-negative.
+        """
         if seed < 0:  # Random(-s) seeds like Random(s)
             raise BadParameter(f"seed must be non-negative, got {seed}")
-        ids = list(range(m))
-        random.Random(seed).shuffle(ids)
-        return cls(tuple(ids))
+        return cls(tuple(next(_shuffles(m, seed))))
 
     def __iter__(self):
         return iter(self.edge_ids)
@@ -208,13 +231,13 @@ class GreedyFollowPredictions(OnlineAlgorithm):
     Otherwise the cycle query stamps the ancestors of one endpoint with a new
     count and climbs from the other to their lowest common ancestor.  A swap
     reverses the parent pointers from the revealed edge's endpoint on the
-    cut-off side up to the evicted edge, so vertex 0 stays the root.  The
-    parent-edge array is then the tree's canonical name, and ``_key`` returns
-    it: with the unseen edges it fixes the unseen edges of the working tree,
-    and so every later decision.  It also fixes the accepted edges, the
-    tree's revealed ones, since only unseen edges are evicted and a rejected
-    edge never joins the tree.  ``_undo`` takes a reveal back to the
-    ``_saved`` state; the edge may then be revealed again.
+    cut-off side up to the evicted edge, so vertex 0 stays the root, and the
+    parent arrays are a function of the tree alone.  With the unseen edges
+    the tree fixes the unseen edges of the working tree, and so every later
+    decision.  It also fixes the accepted edges, the tree's revealed ones,
+    since only unseen edges are evicted and a rejected edge never joins the
+    tree.  ``_undo`` takes a reveal back to the ``_saved`` state; the edge
+    may then be revealed again.
     """
 
     name = "gftp"
@@ -331,9 +354,6 @@ class GreedyFollowPredictions(OnlineAlgorithm):
             else:  # the climb met at the lowest common ancestor: every path edge predicts less
                 rejected.append(eid)
         return rejected
-
-    def _key(self) -> tuple[int, ...]:
-        return tuple(self._parent_edge)
 
     def _saved(self) -> tuple:
         return self._head, bytes(self._candidate), self._parent.copy(), self._parent_edge.copy()

@@ -1,16 +1,17 @@
 """Random-order experiments.
 
 Estimates the expected cost of an online player over uniformly random
-arrival orders, either by Monte Carlo sampling or, for instances of at most
-``EXACT_EDGE_LIMIT`` edges, exactly.  Each estimate makes one player first,
-and its type decides how the estimate is played: ``ftp`` accepts exactly its
-predicted tree, so its estimate is the cost of one game; ``gftp`` is dealt
-only the edges it can still decide, in its trials and in its exact
-expectation, a memoised recursion over the states the orders of those edges
-pass through; any other player, a subclass of either included, plays every
-order whole.  Reports compare the measured ratio against three reference
-curves in the normalized error: ``1 + e``, ``1 + (1 + ln 2) e`` and
-``1 + 2e``.
+arrival orders, by Monte Carlo sampling or exactly.  Each estimate makes
+one player first, and its type decides how the estimate is played: ``ftp``
+accepts exactly its predicted tree, so its estimate is the cost of one
+game; a Monte Carlo trial of ``gftp`` is dealt only the edges it can still
+decide, and its exact expectation is a memoised recursion over the states
+the orders of its contested edges pass through, refused past
+``EXACT_CONTESTED_LIMIT`` of them whatever the edge count; any other
+player, a subclass of either included, plays every order whole, and its
+exact expectation, like ``ftp``'s, is refused past ``EXACT_EDGE_LIMIT``
+edges.  Reports compare the measured ratio against three reference curves
+in the normalized error: ``1 + e``, ``1 + (1 + ln 2) e`` and ``1 + 2e``.
 """
 
 from __future__ import annotations
@@ -18,14 +19,20 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, pairwise, permutations
 from typing import Callable
 
-from .engine import FollowPredictions, GreedyFollowPredictions, OnlineAlgorithm, _play
+from .engine import (
+    _ACCEPT,
+    FollowPredictions,
+    GreedyFollowPredictions,
+    OnlineAlgorithm,
+    _play,
+    _shuffles,
+)
 from .exceptions import BadParameter, TooLarge
 from .graphs import PreparedInstance, WmstInstance
 
@@ -36,6 +43,12 @@ AlgFactory = Callable[[], "OnlineAlgorithm"]
 
 # 9! = 362880 permutations is the most exact enumeration will chew through.
 EXACT_EDGE_LIMIT = 9
+
+# The most contested edges (``_contested``) the exact gftp memo walks,
+# whatever the edge count.  At 15 the slowest instances measured on a shared
+# 2-CPU Xeon took 3.3 s and 80 MB (random_instance(8, 1/2, 3, 2), 394k
+# states) and 2.0 s and 30 MB (gen_ro_lb(2, 1/2, 7)).
+EXACT_CONTESTED_LIMIT = 15
 
 LN2 = math.log(2.0)
 
@@ -182,28 +195,6 @@ def _dealt(alg: OnlineAlgorithm, prepared: PreparedInstance) -> bytearray | None
     return dealt
 
 
-def _shuffles(m: int, seed: int):
-    """The one order stream: in-place shuffles of one id list by ``Random(seed)``.
-
-    Each shuffle is ``Random.shuffle``'s Fisher-Yates, inlined: from the top
-    down, position ``i`` swaps with ``j``, drawn as ``getrandbits(k)`` for
-    the bit length ``k`` of ``i + 1`` and drawn again while above ``i``.
-    These are the draws ``Random(seed).shuffle`` makes, so the stream is the
-    one repeated ``Random(seed).shuffle`` calls give; what is saved is the
-    method call and the bit length that ``shuffle`` pays per position.
-    """
-    getrandbits = random.Random(seed).getrandbits
-    ids = list(range(m))
-    steps = [(i, (i + 1).bit_length()) for i in range(m - 1, 0, -1)]
-    while True:
-        for i, k in steps:
-            j = getrandbits(k)
-            while j > i:
-                j = getrandbits(k)
-            ids[i], ids[j] = ids[j], ids[i]
-        yield ids
-
-
 def _mc_chunk(job: tuple, start: int, stop: int) -> tuple[int, int, int]:
     factory, kind, prepared, dealt, seed = job
     # the shuffles before trial ``start`` are drawn unplayed
@@ -291,66 +282,118 @@ def mc_estimate(
     return _estimate(prepared, mean, trials, math.sqrt(variance / trials))
 
 
+def _contested(prepared: PreparedInstance) -> tuple[list[int], list[int]]:
+    """The contested edges of ``gftp``, by id, and its inert tree edges.
+
+    An edge off the predicted tree is contested when it is live, not named
+    by ``_rejected``; an edge of the predicted tree when it lies on a live
+    off-tree edge's predicted-tree path, and inert otherwise.  By induction
+    over swaps, the working-tree path of a contested edge off the working
+    tree stays inside the contested edges, so no cycle query climbs an
+    inert edge and none is evicted: it is accepted whenever it arrives, and
+    its arrival changes no other decision.  Each live off-tree edge's path
+    is climbed once, in O(n).  The inert edges come heaviest prediction first.
+    """
+    tree = prepared.tree
+    parent, parent_edge, depth = prepared.rooted
+    us, vs = prepared.us, prepared.vs
+    m = prepared.graph.m
+    rejected = set(GreedyFollowPredictions._rejected(prepared))
+    contested = bytearray(m)
+    for eid in range(m):
+        if eid in tree or eid in rejected:
+            continue
+        contested[eid] = 1
+        a, b = us[eid], vs[eid]
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            contested[parent_edge[a]] = 1
+            a = parent[a]
+    inert = [eid for eid in prepared.tree_by_prediction if not contested[eid]]
+    return [eid for eid in range(m) if contested[eid]], inert
+
+
 def exact_expectation(alg_factory: AlgFactory, instance: WmstInstance) -> Fraction:
     """Exact expected cost over all arrival orders.
 
     One player is made, and its type decides how: ``ftp``'s expectation is
     the cost of one game (``_one_game``), ``gftp`` plays through the
-    memoised recursion of ``_completion_sum`` over the ``L!`` orders of the
-    ``L`` edges ``_dealt`` leaves, and any other player, their subclasses
-    too, plays all ``m!`` orders through ``_cost_sums``.  Leaving out the
-    edges ``gftp`` rejects in every order changes no value: an order's cost
-    depends only on the relative order of the live edges, and a uniform
-    order of all ``m`` edges orders them uniformly.  An instance of more
-    than ``EXACT_EDGE_LIMIT`` edges is refused for every player, and
-    ``wmst ro --exact`` still reports ``m!`` trials.
+    memoised recursion of ``_completion_sum`` over the ``L'!`` orders of its
+    ``L'`` contested edges (``_contested``), and any other player, their
+    subclasses too, plays all ``m!`` orders through ``_cost_sums``.  Leaving
+    out the other edges changes no value: the edges ``_rejected`` names are
+    rejected in every order, the inert tree edges accepted in every order,
+    neither changes another decision, so an order's cost depends only on
+    the relative order of the contested edges, and a uniform order of all
+    ``m`` edges orders them uniformly.  ``gftp`` is refused past
+    ``EXACT_CONTESTED_LIMIT`` contested edges, whatever ``m``; every other
+    player past ``EXACT_EDGE_LIMIT`` edges.
     """
     m = instance.m
+    alg = alg_factory()
+    if type(alg) is GreedyFollowPredictions:
+        prepared = PreparedInstance.of(instance)
+        contested, inert = _contested(prepared)
+        if len(contested) > EXACT_CONTESTED_LIMIT:
+            raise TooLarge(
+                f"{len(contested)} contested edges means {len(contested)}! orders; "
+                f"the limit for gftp is {EXACT_CONTESTED_LIMIT}"
+            )
+        alg._start(prepared)
+        d, total = _completion_sum(alg, prepared, contested, inert)
+        return Fraction(total, math.factorial(len(contested)) * d)
     if m > EXACT_EDGE_LIMIT:
         raise TooLarge(f"{m} edges means {m}! orders; the limit is {EXACT_EDGE_LIMIT}")
-    alg = alg_factory()
     prepared = PreparedInstance.of(instance)
     cost = _one_game(alg, prepared)
     if cost is not None:
         return cost
-    if type(alg) is GreedyFollowPredictions:
-        dealt = _dealt(alg, prepared)
-        live = [eid for eid in range(m) if dealt is None or dealt[eid]]
-        alg._start(prepared)
-        d, total = _completion_sum(alg, prepared, live)
-        return Fraction(total, math.factorial(len(live)) * d)
     orders = permutations(range(m))
     d, total, _ = _cost_sums(alg_factory, type(alg), prepared, orders, math.factorial(m), None)
     return Fraction(total, math.factorial(m) * d)
 
 
 def _completion_sum(
-    player: GreedyFollowPredictions, prepared: PreparedInstance, live: list[int]
+    player: GreedyFollowPredictions,
+    prepared: PreparedInstance,
+    contested: list[int],
+    inert: list[int],
 ) -> tuple[int, int | Fraction]:
-    """``d`` and the sum of ``d * cost`` over the orders of ``live``, for a started ``gftp``.
+    """``d`` and the sum of ``d * cost`` over the orders of ``contested``, for a started ``gftp``.
 
-    ``live`` holds the edges ``_dealt`` leaves, ``L`` of them; the others are
-    rejected in every order without a change of state, so they are never
-    dealt, and the sum is over the ``L!`` orders of the live edges.  Once a
-    set of edges is unseen, every order of them is equally likely, so the
-    orders are walked as a tree of states, each held once.  A state is the
-    unseen live edges, as a mask whose bit ``i`` is the edge ``live[i]``, and
-    the player's ``_key``, its tree, which also fixes what it has accepted
-    (the tree's revealed edges), so it never faults.  With ``k`` edges
-    unseen, a state's sum ``S`` over the ``k!`` orders of the rest is, over
-    each unseen ``e`` revealed next, the weight of ``e`` if accepted times
-    ``(k-1)!``, plus ``S`` of the state that follows.  Each reveal is made in
-    place, with the scaled weights ``_play`` would show, and taken back by
-    ``_undo`` once that state is summed.  The sum is on ``d = prepared.scale``.
+    The inert edges are revealed first, once each, and accepted: a legal
+    start, since no decision depends on when they arrive (``_contested``).
+    Their weight is added once per order.  The ``L'`` contested edges are
+    then walked as a tree of states, each held once, since once a set of
+    edges is unseen every order of them is equally likely.  A state is one
+    int, the unseen contested edges shifted above the working tree's
+    contested edges, each a mask whose bit ``i`` is the edge ``contested[i]``:
+    an edge ``_rejected`` names never joins the tree and an inert one never
+    leaves it, so the mask names the tree, which with the unseen edges
+    fixes every later decision.  With ``k`` edges unseen, a state's sum
+    ``S`` over the ``k!`` orders of the rest is, over each unseen ``e``
+    revealed next, the weight of ``e`` if accepted times ``(k-1)!``, plus
+    ``S`` of the state that follows.  Each reveal is made in place, with the
+    scaled weights ``_play`` would show, and taken back by ``_undo`` once
+    that state is summed; the inert reveals are taken back at the end, so
+    the player is handed back as it started.  The sum is on ``d = prepared.scale``.
     """
     edges = prepared.graph.edges
     scaled = prepared.actual_scaled  # as ``_play`` shows a built-in player and sums
-    dealt = [(1 << i, eid, edges[eid], scaled[eid]) for i, eid in enumerate(live)]
-    factorials = [math.factorial(k) for k in range(len(live))]
-    memo: dict = {}
+    start = player._saved()
+    for eid in inert:
+        player.reveal(edges[eid], scaled[eid])
+    width = len(contested)
+    bits = [0] * prepared.graph.m
+    for i, eid in enumerate(contested):
+        bits[eid] = 1 << i
+    dealt = [(bits[eid], eid, edges[eid], scaled[eid]) for eid in contested]
+    factorials = [math.factorial(k) for k in range(width)]
+    memo: dict[int, int | Fraction] = {}
 
-    def completions(unseen: int) -> int:
-        """``S`` of the state with the live edges ``unseen`` and the player's tree."""
+    def completions(unseen: int, tree: int) -> int:
+        """``S`` of the state with the contested edges ``unseen`` and the working ``tree``."""
         if not unseen:
             return 0
         later = factorials[unseen.bit_count() - 1]  # orders of the edges after the next
@@ -360,21 +403,28 @@ def _completion_sum(
             if not unseen & bit:
                 continue
             decision = player.reveal(edge, weight)
+            after = tree
             if decision.accepted:
                 total += weight * later
-            key = (unseen ^ bit, player._key())
+                if decision.swapped_out is not None:
+                    after ^= bit | bits[decision.swapped_out]
+            rest_unseen = unseen ^ bit
+            key = rest_unseen << width | after
             rest = memo.get(key)
             if rest is None:
-                rest = memo[key] = completions(unseen ^ bit)
+                rest = memo[key] = completions(rest_unseen, after)
             player._undo(eid, decision, saved)
             total += rest
         return total
 
-    total = completions((1 << len(live)) - 1)
+    total = completions((1 << width) - 1, sum(bits[eid] for eid in prepared.tree))
     # the closure refers to itself; unlinked, it and the memo are freed now,
     # not left to the cyclic garbage collector
     del completions
-    return prepared.scale, total
+    for eid in inert:
+        player._undo(eid, _ACCEPT, start)
+    inert_weight = sum(scaled[eid] for eid in inert)
+    return prepared.scale, total + inert_weight * math.factorial(width)
 
 
 def harmonic_bound(n: int) -> Fraction:

@@ -6,9 +6,11 @@ import csv
 import hashlib
 import io as stdio
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +18,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wmst import InstanceError, WmstError, checks, cli, randomorder, validate_instance
+from wmst import (
+    Graph,
+    InstanceError,
+    WmstError,
+    WmstInstance,
+    checks,
+    cli,
+    random_instance,
+    randomorder,
+    validate_instance,
+)
 from wmst.adversaries import FAMILY_EDGE_LIMIT
 from wmst.cli import CSV_COLUMNS, main
 from wmst.io import load_instance, load_order, save_instance
@@ -438,6 +450,38 @@ def test_value_too_long_to_write_exits_two(tmp_path, capsys, argv):
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert err == "error: a value of more than 4300 digits cannot be written out\n"
+
+
+def _path_file(tmp_path, m: int) -> str:
+    """A path graph of ``m`` edges: every edge is inert, so ``gftp`` has nothing to walk."""
+    graph = Graph.from_pairs(m + 1, [(i, i + 1) for i in range(m)])
+    weights = tuple(F(1 + i % 3) for i in range(m))
+    path = tmp_path / f"path{m}.json"
+    save_instance(WmstInstance(graph, weights, weights), path)
+    return str(path)
+
+
+def test_ro_exact_refuses_a_trials_column_too_long_to_write(tmp_path, capsys):
+    # 1558! has 4300 digits and 1559! has 4303, past what Python writes out
+    code, text = run_cli(capsys, "ro", "gftp", _path_file(tmp_path, 1558), "--exact")
+    assert code == 0
+    assert _parse_csv(text)[0]["trials"] == str(math.factorial(1558))
+    code = main(["ro", "gftp", _path_file(tmp_path, 1559), "--exact"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "error: 1559 edges: the trials column would hold 1559!, more than 4300 digits\n"
+
+
+def test_ro_exact_past_the_contested_budget_exits_two(tmp_path, capsys, deadline):
+    # m = 45 with 16 contested edges, one past the budget
+    path = tmp_path / "r20.json"
+    save_instance(random_instance(20, F(1, 5), F(1, 4), 11), path)
+    start = time.perf_counter()
+    code = main(["ro", "gftp", str(path), "--exact"])
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "error: 16 contested edges means 16! orders; the limit for gftp is 15\n"
 
 
 @pytest.mark.parametrize(

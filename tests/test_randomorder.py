@@ -44,6 +44,7 @@ from wmst.randomorder import estimate
 
 from conftest import RejectFirstThenGreedy, SlowSwapPlayer, small_exact_instances, triangle
 from reference_gftp import GreedyFollowPredictions as ReferenceGreedy
+import reference_memo
 
 F = Fraction
 
@@ -134,7 +135,13 @@ class TestExactExpectation:
         with pytest.raises(TooLarge):
             exact_expectation(ftp, inst)
 
-    @pytest.mark.parametrize("spokes", [1, 2, 3, 4])
+    def test_guard_refuses_an_opaque_gftp_at_ten_edges(self, enumerations):
+        inst = random_instance(5, F(1), F(0), seed=0)  # complete K5, m=10
+        with pytest.raises(TooLarge, match="the limit is 9"):
+            exact_expectation(NamedGreedy, inst)
+        assert enumerations == []
+
+    @pytest.mark.parametrize("spokes", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize(
         "k, delta",
         [(F(2), F(1, 2)), (F(3), F(1, 3)), (F(7, 2), F(1, 4)), (F(3), F(1, 2))],
@@ -150,6 +157,23 @@ class TestExactExpectation:
         assert value == delta + spokes * (k + 1)
         assert value - tree_cost(mst(inst.graph, inst.actual), inst.actual) == k * spokes
         assert eta(inst) == k * (spokes + 1)
+
+
+# E[gftp] on random_instance(20, 1/5, 1/4, s) for s = 1..8, m = 34-46 and
+# 0-12 contested edges.  Seeds 1-4, 6 and 8 were checked against the
+# live-edge memo of ``reference_memo``, which takes 7-98 s and up to 1.3 GB
+# for each; seeds 5 and 7, past its memory, against 200,000 Monte Carlo
+# trials, which fell within 0.6 standard errors.
+N20_VALUES = {
+    1: F(197839, 32768),
+    2: F(841415, 131072),
+    3: F(883841, 196608),
+    4: F(420031, 65536),
+    5: F(1009293, 131072),
+    6: F(240423, 65536),
+    7: F(7278461977, 1321205760),
+    8: F(369183, 65536),
+}
 
 
 def enumerated(factory, inst: WmstInstance) -> Fraction:
@@ -286,7 +310,7 @@ class TestMemoisedExpectation:
             return made[-1]
 
         def state(player):
-            return player._key(), player._parent, bytes(player._candidate), player._head
+            return player._parent_edge, player._parent, bytes(player._candidate), player._head
 
         made = []
         start = gftp()
@@ -444,6 +468,94 @@ class TestMemoisedExpectation:
             "r8.json,gftp,40320,0,84693/65536,0,78609/65536,23791/32768,47582/78609,"
             "28231/26203,1.60529964762,2.02486139177,2.21059929525\n"
         )
+
+
+def _differential_instances():
+    """Seeded random instances whose live-edge memo stays small, most with inert edges.
+
+    440 instances over n = 4-7, four densities and four noises, each with at
+    most 12 live edges, then 30 on n = 10 with at most 13.
+    """
+    seed = produced = 0
+    while produced < 440:
+        n = 4 + seed % 4
+        prob = (F(1, 2), F(3, 5), F(4, 5), F(1))[seed // 4 % 4]
+        noise = (F(0), F(1, 4), F(1), F(3))[seed // 16 % 4]
+        inst = random_instance(n, prob, noise, seed)
+        seed += 1
+        if _live_count(inst) <= 12:
+            produced += 1
+            yield inst
+    for seed in range(40):
+        inst = random_instance(10, F(1, 2), F(1, 4), seed)
+        if _live_count(inst) <= 13:
+            yield inst
+
+
+def _live_count(inst: WmstInstance) -> int:
+    return inst.m - len(gftp()._rejected(PreparedInstance.of(inst)))
+
+
+class TestContestedEdges:
+    """The memo walks only the contested edges and reveals the inert ones once."""
+
+    def test_matches_the_live_edge_memo(self, enumerations, deadline):
+        played = inert = 0
+        for inst in _differential_instances():
+            contested, left_out = randomorder._contested(PreparedInstance.of(inst))
+            assert exact_expectation(gftp, inst) == reference_memo.expectation(inst)
+            played += 1
+            inert += bool(left_out) and bool(contested)
+        assert played >= 470 and inert >= 120  # both inert and contested edges
+        assert enumerations == []
+
+    def test_contested_edges_of_ro_lb_and_a_tree(self):
+        # every ro-lb edge lies on a cycle of a live edge; a tree graph has none
+        for spokes in (1, 4, 7):
+            prepared = PreparedInstance.of(gen_ro_lb(2, F(1, 2), spokes))
+            assert randomorder._contested(prepared) == (list(range(2 * spokes + 1)), [])
+        tree = next(_edge_cases())
+        prepared = PreparedInstance.of(tree)
+        assert randomorder._contested(prepared) == ([], list(prepared.tree_by_prediction))
+
+    def test_inert_edges_are_revealed_once_and_handed_back(self, monkeypatch, deadline):
+        def recorded(player, edge, weight):
+            revealed.append(edge.id)
+            return reveal(player, edge, weight)
+
+        reveal = GreedyFollowPredictions.reveal
+        monkeypatch.setattr(GreedyFollowPredictions, "reveal", recorded)
+        played = 0
+        for inst in _differential_instances():
+            prepared = PreparedInstance.of(inst)
+            contested, inert = randomorder._contested(prepared)
+            player, start = gftp(), gftp()
+            player._start(prepared)
+            start._start(prepared)
+            revealed = []
+            randomorder._completion_sum(player, prepared, contested, inert)
+            assert revealed[:len(inert)] == inert
+            assert set(revealed[len(inert):]) == set(contested)
+            assert player._saved()[:2] == start._saved()[:2]  # head and flags
+            played += bool(inert) and bool(contested)
+        assert played >= 120
+
+    @pytest.mark.parametrize("seed", sorted(N20_VALUES))
+    def test_twenty_vertices_past_the_edge_limit(self, enumerations, seed):
+        inst = random_instance(20, F(1, 5), F(1, 4), seed)
+        assert inst.m > randomorder.EXACT_EDGE_LIMIT
+        assert exact_expectation(gftp, inst) == N20_VALUES[seed]
+        assert enumerations == []
+
+    def test_guard_refuses_past_the_contested_budget(self, enumerations, monkeypatch):
+        entered = []
+        monkeypatch.setattr(randomorder, "_completion_sum", lambda *args: entered.append(args))
+        inst = random_instance(20, F(1, 5), F(1, 4), 11)  # m = 45
+        contested, _ = randomorder._contested(PreparedInstance.of(inst))
+        assert len(contested) == randomorder.EXACT_CONTESTED_LIMIT + 1
+        with pytest.raises(TooLarge, match="16 contested edges"):
+            exact_expectation(gftp, inst)
+        assert entered == [] and enumerations == []
 
 
 class TestMonteCarlo:
@@ -706,6 +818,11 @@ class TestOrderStream:
             # a worker's chunk starts mid-stream, as ``_mc_chunk`` slices it
             chunk = islice(randomorder._shuffles(m, seed), 23, 51)
             assert [ids.copy() for ids in chunk] == expected[23:51]
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 41])
+    def test_a_shuffled_order_is_the_first_of_the_stream(self, m):
+        for seed in self.SEEDS:
+            assert list(ArrivalOrder.shuffled(m, seed)) == self.shuffled(m, seed, 1)[0]
 
 
 class TestHarmonicBound:
