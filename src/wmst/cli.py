@@ -253,8 +253,9 @@ def cmd_ro(args) -> int:
                 f"{instance.m} edges: the trials column would hold {instance.m}!, "
                 f"more than {MAX_DIGITS} digits"
             )
-        value = randomorder.exact_expectation(factory, instance)
-        est = randomorder.estimate(instance, value, math.factorial(instance.m))
+        prepared = PreparedInstance.of(instance)  # the mean and the row share it
+        value = randomorder._exact_mean(factory, prepared)
+        est = randomorder._estimate(prepared, value, math.factorial(instance.m), 0.0)
         seed = 0
         comments = [
             _config(f"ro alg={args.alg} instance={args.instance} exact"),

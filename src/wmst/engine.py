@@ -254,10 +254,13 @@ class GreedyFollowPredictions(OnlineAlgorithm):
         self._mark, self._stamp = [0] * graph.n, 0  # the last cycle query's stamp
         self._pred = prepared.predicted_scaled
         self._heaviest = prepared.tree_by_prediction
+        self._tree = prepared.tree  # ``_undo`` tells an evicted edge by it
         self._head = 0  # no edge before it in ``_heaviest`` is a candidate
         # 1 until the edge is revealed or evicted; on the working tree's
-        # edges, 1 marks the unseen ones, which a swap may evict
-        self._candidate = bytearray(b"\x01") * graph.m
+        # edges, 1 marks the unseen ones, which a swap may evict.  A list of
+        # ints, not a bytearray: CPython 3.11 specialises list subscripts,
+        # and the reveal loop reads a flag per cycle edge
+        self._candidate = [1] * graph.m
 
     def reveal(self, edge: Edge, weight: Fraction) -> Decision:
         eid, a, b = edge.id, edge.u, edge.v
@@ -356,11 +359,26 @@ class GreedyFollowPredictions(OnlineAlgorithm):
         return rejected
 
     def _saved(self) -> tuple:
-        return self._head, bytes(self._candidate), self._parent.copy(), self._parent_edge.copy()
+        """The state ``_undo`` restores: the pointer and both parent arrays, in O(n).
+
+        The candidate flags are not copied.  A reveal changes at most two of
+        them, and ``_undo`` works out both from the decision.
+        """
+        return self._head, self._parent.copy(), self._parent_edge.copy()
 
     def _undo(self, eid: int, decision: Decision, saved: tuple) -> None:
-        self._head, candidate, parent, parent_edge = saved
-        self._candidate[eid] = candidate[eid]
+        """Take back the reveal of ``eid`` that gave ``decision`` from the ``_saved`` state.
+
+        An unseen edge's flag is 0 only once it has been evicted, and only
+        revealed edges are swapped in, so an unseen edge off the predicted
+        tree was never on the working tree.  So ``eid``'s flag was 1 before a
+        plain tree accept (``_ACCEPT``) or if ``eid`` is off the predicted
+        tree, and 0 for a predicted-tree edge revealed off the working tree,
+        which was evicted.  A swapped-out edge was an unseen working-tree
+        edge, so its flag was 1.
+        """
+        self._head, parent, parent_edge = saved
+        self._candidate[eid] = 1 if decision is _ACCEPT or eid not in self._tree else 0
         if decision.swapped_out is not None:
             self._candidate[decision.swapped_out] = 1
             self._parent[:], self._parent_edge[:] = parent, parent_edge
@@ -549,7 +567,7 @@ class _InvariantChecker:
         self._prepared = prepared
         self._pred = prepared.predicted_scaled
         self._actual, self._summed = actual, summed
-        self._unseen = bytearray(b"\x01") * prepared.graph.m
+        self._unseen = [1] * prepared.graph.m  # a list for the speed of its reads
         self._rejections: list[tuple[Edge, int | Fraction]] = []  # with the scaled weight
         self._tree: SpanningTree | None = None
         self._refresh_tree()

@@ -179,7 +179,7 @@ def _one_game(alg: OnlineAlgorithm, prepared: PreparedInstance) -> Fraction | No
     return Fraction(cost, prepared.scale)
 
 
-def _dealt(alg: OnlineAlgorithm, prepared: PreparedInstance) -> bytearray | None:
+def _dealt(alg: OnlineAlgorithm, prepared: PreparedInstance) -> list[int] | None:
     """1 for each edge ``alg`` can still decide, or None to deal every edge.
 
     ``gftp`` rejects the edges its ``_rejected`` names, those above their
@@ -189,7 +189,7 @@ def _dealt(alg: OnlineAlgorithm, prepared: PreparedInstance) -> bytearray | None
     rejected = alg._rejected(prepared) if type(alg) is GreedyFollowPredictions else ()
     if not rejected:
         return None
-    dealt = bytearray(b"\x01") * prepared.graph.m
+    dealt = [1] * prepared.graph.m
     for eid in rejected:
         dealt[eid] = 0
     return dealt
@@ -299,7 +299,7 @@ def _contested(prepared: PreparedInstance) -> tuple[list[int], list[int]]:
     us, vs = prepared.us, prepared.vs
     m = prepared.graph.m
     rejected = set(GreedyFollowPredictions._rejected(prepared))
-    contested = bytearray(m)
+    contested = [0] * m
     for eid in range(m):
         if eid in tree or eid in rejected:
             continue
@@ -330,10 +330,14 @@ def exact_expectation(alg_factory: AlgFactory, instance: WmstInstance) -> Fracti
     ``EXACT_CONTESTED_LIMIT`` contested edges, whatever ``m``; every other
     player past ``EXACT_EDGE_LIMIT`` edges.
     """
-    m = instance.m
+    return _exact_mean(alg_factory, PreparedInstance.of(instance))
+
+
+def _exact_mean(alg_factory: AlgFactory, prepared: PreparedInstance) -> Fraction:
+    """:func:`exact_expectation` on an instance's preparation."""
+    m = prepared.graph.m
     alg = alg_factory()
     if type(alg) is GreedyFollowPredictions:
-        prepared = PreparedInstance.of(instance)
         contested, inert = _contested(prepared)
         if len(contested) > EXACT_CONTESTED_LIMIT:
             raise TooLarge(
@@ -345,7 +349,6 @@ def exact_expectation(alg_factory: AlgFactory, instance: WmstInstance) -> Fracti
         return Fraction(total, math.factorial(len(contested)) * d)
     if m > EXACT_EDGE_LIMIT:
         raise TooLarge(f"{m} edges means {m}! orders; the limit is {EXACT_EDGE_LIMIT}")
-    prepared = PreparedInstance.of(instance)
     cost = _one_game(alg, prepared)
     if cost is not None:
         return cost

@@ -248,8 +248,8 @@ def test_ro_flags_gftp_above_the_ln2_curve(tmp_path, capsys, monkeypatch, mode):
     instance = load_instance(path)
     high = _above_ln2_curve(instance, 6)
     if mode == "exact":
-        monkeypatch.setattr(randomorder, "exact_expectation",
-                            lambda factory, inst: Fraction(high.mean_cost))
+        monkeypatch.setattr(randomorder, "_exact_mean",
+                            lambda factory, prepared: Fraction(high.mean_cost))
         argv = ["--exact"]
     else:
         monkeypatch.setattr(randomorder, "mc_estimate", lambda *args, **kwargs: high)

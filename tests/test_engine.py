@@ -808,3 +808,56 @@ class TestDealtEdges:
         assert trace.steps[0].decision == Decision.accept(swapped_out=0)
         assert trace.cost == 7
         _assert_mc_plays_like_the_reference(inst, trials=12, seed=1)
+
+
+def _undo_cases():
+    """Random graphs with independent integer predictions and true weights, then
+    ``random_instance``'s noisy ones, each with a seeded order.
+
+    Independent weights make many evicted edges that come back at a bargain
+    and are swapped in again.
+    """
+    for seed in range(60):
+        graph = random_instance(5 + seed % 6, F(2, 5), F(0), seed).graph
+        rng = random.Random(seed)
+        predicted, actual = ([F(rng.randint(1, 20)) for _ in range(graph.m)] for _ in range(2))
+        yield WmstInstance(graph, tuple(predicted), tuple(actual)), seed
+    for seed in range(30):
+        yield random_instance(5 + seed % 6, F(3, 5), F(3), seed), seed
+
+
+def _undo_kind(untouched: int, decision: Decision) -> str:
+    """The kind of a decision, told apart by the revealed edge's flag before the reveal."""
+    if decision.swapped_out is not None:
+        return "swap" if untouched else "swap-in of an evicted edge"
+    if decision.accepted:
+        return "tree accept"
+    return "reject of an untouched edge" if untouched else "reject of an evicted tree edge"
+
+
+class TestUndo:
+    """``_undo`` restores the ``_saved`` state, flags included, after every kind of decision."""
+
+    def test_undo_restores_a_full_copy(self):
+        # at each state of a seeded order, as the exact memo does, every unseen
+        # edge is revealed and taken back; then the order's next edge is revealed
+        kinds = Counter()
+        for inst, seed in _undo_cases():
+            prepared = PreparedInstance.of(inst)
+            edges, scaled = inst.graph.edges, prepared.actual_scaled
+            player = gftp()
+            player._start(prepared)
+            order = ArrivalOrder.shuffled(inst.m, seed).edge_ids
+            for step, next_id in enumerate(order):
+                full = (player._head, list(player._candidate),
+                        list(player._parent), list(player._parent_edge))
+                for eid in order[step:]:
+                    saved = player._saved()
+                    decision = player.reveal(edges[eid], scaled[eid])
+                    kind = _undo_kind(full[1][eid], decision)
+                    kinds[kind] += 1
+                    player._undo(eid, decision, saved)
+                    assert (player._head, player._candidate,
+                            player._parent, player._parent_edge) == full, kind
+                player.reveal(edges[next_id], scaled[next_id])
+        assert len(kinds) == 5 and min(kinds.values()) >= 50, kinds

@@ -469,6 +469,20 @@ class TestMemoisedExpectation:
             "28231/26203,1.60529964762,2.02486139177,2.21059929525\n"
         )
 
+    @pytest.mark.parametrize("alg", ["gftp", "ftp"])
+    def test_exact_row_prepares_the_instance_once(self, tmp_path, monkeypatch, alg):
+        def counted(self, *args):
+            prepared.append(self)
+            init(self, *args)
+
+        init = PreparedInstance.__init__
+        monkeypatch.setattr(PreparedInstance, "__init__", counted)
+        monkeypatch.chdir(tmp_path)
+        save_instance(random_instance(5, F(4, 5), F(1, 4), 2), "r8.json")
+        prepared = []
+        assert cli.main(["ro", alg, "r8.json", "--exact"]) == 0
+        assert len(prepared) == 1
+
 
 def _differential_instances():
     """Seeded random instances whose live-edge memo stays small, most with inert edges.
@@ -536,9 +550,17 @@ class TestContestedEdges:
             randomorder._completion_sum(player, prepared, contested, inert)
             assert revealed[:len(inert)] == inert
             assert set(revealed[len(inert):]) == set(contested)
-            assert player._saved()[:2] == start._saved()[:2]  # head and flags
+            assert (player._head, player._candidate) == (start._head, start._candidate)
             played += bool(inert) and bool(contested)
         assert played >= 120
+
+    def test_many_inert_and_undealt_edges(self, enumerations, deadline):
+        # m = 373 with 13 contested and 48 inert edges; 312 are never dealt
+        inst = random_instance(60, F(1, 5), F(1, 20), 23)
+        contested, inert = randomorder._contested(PreparedInstance.of(inst))
+        assert (inst.m, len(contested), len(inert)) == (373, 13, 48)
+        assert exact_expectation(gftp, inst) == F(25280969, 3932160)
+        assert enumerations == []
 
     @pytest.mark.parametrize("seed", sorted(N20_VALUES))
     def test_twenty_vertices_past_the_edge_limit(self, enumerations, seed):
