@@ -35,10 +35,10 @@ RANDOM_PAIR_DRAWS = 10_000_000
 
 # The most edges a family may have, so that one command stays under 512 MB.
 # Peak RSS of one in-process command grows linearly in the edges (Python 3.11,
-# Linux): `gen general-lb`, the costliest family, 101 MB at 100,003 edges and
-# 180 MB at 200,003; `gen ro-lb` 71 MB and 124 MB at 100,001 and 200,001; and
-# `sweep general-lb`, which plays a game per player, 300 MB at 249,999 edges and
-# 577 MB at 499,999, about 1.1 kB per edge.  At this limit that is about 470 MB.
+# Linux): `gen general-lb`, the costliest family, 101 MB at 100,003 edges,
+# 180 MB at 200,003 and 339 MB at 399,999; `gen ro-lb` 71 MB and 124 MB at
+# 100,001 and 200,001; and `sweep general-lb`, which plays a game per player
+# and frees each before the next, 196 MB at 250,003 edges and 307 MB at 399,999.
 FAMILY_EDGE_LIMIT = 400_000
 
 

@@ -19,9 +19,9 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import adversaries, io, metrics, randomorder
-from .engine import ALGORITHMS, ArrivalOrder, _run
+from .engine import ALGORITHMS, ArrivalOrder, run
 from .exceptions import TooLarge, WmstError
-from .graphs import PreparedInstance, mst
+from .graphs import mst
 from .rationals import MAX_DIGITS, format_fraction, parse_fraction
 
 CSV_COLUMNS = (
@@ -177,9 +177,8 @@ def cmd_run(args) -> int:
     instance = io.load_instance(args.instance)
     order = _resolve_order(args.order, instance.m)
     alg = _alg_factory(args.alg)()
-    prepared = PreparedInstance.of(instance)  # the run and the report share its predicted MST
-    trace = _run(alg, prepared, order, args.checked)
-    report = metrics._error_report(prepared)
+    trace = run(alg, instance, order, checked=args.checked)
+    report = metrics.error_report(instance)  # shares the run's ``instance.prepared``
     ratio = trace.cost / report.opt_actual
     bound_holds = trace.cost <= report.opt_actual + 2 * report.eta
     # every line is formatted, and the trace written, before any is printed:
@@ -253,9 +252,8 @@ def cmd_ro(args) -> int:
                 f"{instance.m} edges: the trials column would hold {instance.m}!, "
                 f"more than {MAX_DIGITS} digits"
             )
-        prepared = PreparedInstance.of(instance)  # the mean and the row share it
-        value = randomorder._exact_mean(factory, prepared)
-        est = randomorder._estimate(prepared, value, math.factorial(instance.m), 0.0)
+        value = randomorder.exact_expectation(factory, instance)
+        est = randomorder.estimate(instance, value, math.factorial(instance.m))
         seed = 0
         comments = [
             _config(f"ro alg={args.alg} instance={args.instance} exact"),
@@ -304,29 +302,36 @@ def cmd_sweep(args) -> int:
     axes = family.params if "alg" in family.params else (*family.params, "alg")
     points = [dict(zip(axes, values)) for values in product(*(grid[a] for a in axes))]
     jobs = [(point["alg"], _family_params(args.family, point)) for point in points]
-    rows: list[str] = []
-    flagged = False
-    for index, (alg_name, params) in enumerate(jobs):
-        instance, game, _ = family.build(**params)
-        labels = ";".join(
-            f"{'bigK' if name == 'big_k' else name}={value}"
-            for name, value in params.items()
-        )
-        instance_id = f"{args.family}({labels})"
-        if game is None:
-            seed = args.seed + index
-            est = randomorder.mc_estimate(_alg_factory(alg_name), instance, args.trials, seed)
-            flagged = flagged or randomorder.ratio_report(est, alg_name).exceeds_ln2_bound
-        else:  # one adversarial order: its exact cost, never flagged
-            seed = 0
-            est = randomorder.estimate(instance, game.trace.cost, 1)
-        rows.append(_csv_row(instance_id, alg_name, seed, est))
+    results = [_sweep_row(args, index, alg_name, params)
+               for index, (alg_name, params) in enumerate(jobs)]
     comments = [
         _config(f"sweep family={args.family} k={args.k} l={args.l} delta={args.delta} "
                 f"algs={args.algs} trials={args.trials} seed={args.seed}")
     ]
-    _emit_csv(rows, args.out, comments)
-    return 1 if flagged else 0
+    _emit_csv([row for row, _ in results], args.out, comments)
+    return 1 if any(flagged for _, flagged in results) else 0
+
+
+def _sweep_row(args, index: int, alg_name: str, params: dict) -> tuple[str, bool]:
+    """Sweep job ``index``'s CSV row, and whether its estimate is flagged.
+
+    The job's instance, with its preparation, and its game are freed on
+    return, before the next job builds its family.
+    """
+    instance, game, _ = FAMILIES[args.family].build(**params)
+    labels = ";".join(
+        f"{'bigK' if name == 'big_k' else name}={value}"
+        for name, value in params.items()
+    )
+    instance_id = f"{args.family}({labels})"
+    if game is None:
+        seed = args.seed + index
+        est = randomorder.mc_estimate(_alg_factory(alg_name), instance, args.trials, seed)
+        flagged = randomorder.ratio_report(est, alg_name).exceeds_ln2_bound
+    else:  # one adversarial order: its exact cost, never flagged
+        seed, flagged = 0, False
+        est = randomorder.estimate(instance, game.trace.cost, 1)
+    return _csv_row(instance_id, alg_name, seed, est), flagged
 
 
 def _random_instances(count: int, base: int, sizes: int, prob: Fraction, noise: Fraction):

@@ -472,16 +472,11 @@ def run(
     invariants around every reveal (``check_cycle_dominance`` and
     ``check_post_rejection_dominance``).
     """
-    return _run(alg, PreparedInstance.of(instance), order, checked)
-
-
-def _run(alg: OnlineAlgorithm, prepared: PreparedInstance, order: ArrivalOrder,
-         checked: bool) -> RunTrace:
-    """:func:`run` on an instance's preparation, which the caller may share."""
-    if len(order) != prepared.graph.m:
-        raise BadParameter(f"order covers {len(order)} of {prepared.graph.m} edges")
+    if len(order) != instance.m:
+        raise BadParameter(f"order covers {len(order)} of {instance.m} edges")
+    prepared = instance.prepared
     steps: list[TraceStep] = []
-    accepted, total = _play(alg, prepared, prepared.actual, order.edge_ids, steps, checked)
+    accepted, total = _play(alg, prepared, instance.actual, order.edge_ids, steps, checked)
     return RunTrace(tuple(steps), frozenset(accepted), Fraction(total, prepared.scale))
 
 
@@ -491,7 +486,7 @@ def run_cost(alg: OnlineAlgorithm, instance: WmstInstance, order_ids: Sequence[i
     The same reveal loop with no trace and no checks, raising the same
     ``NotSpanning``; trusts ``order_ids`` to be a permutation of the edge ids.
     """
-    prepared = PreparedInstance.of(instance)
+    prepared = instance.prepared
     return Fraction(_play(alg, prepared, instance.actual, order_ids)[1], prepared.scale)
 
 

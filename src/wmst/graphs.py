@@ -259,6 +259,16 @@ class WmstInstance:
         """Copy of this instance with a replacement prediction map."""
         return WmstInstance(self.graph, tuple(predicted), self.actual)
 
+    @cached_property
+    def prepared(self) -> "PreparedInstance":
+        """This instance's ``PreparedInstance``, built on first use and kept while it lives.
+
+        Every run, estimate and error measure reads it.  Like ``SpanningTree.rooted``
+        it is kept outside the fields: equality and hashing ignore it, and a copy
+        prepares its own.
+        """
+        return PreparedInstance(self.graph, self.predicted, self.actual)
+
 
 def validate_instance(raw) -> WmstInstance:
     """Build a validated instance from a parsed file payload.
@@ -335,7 +345,7 @@ def tree_cost(tree: SpanningTree, weights: Weights) -> Fraction:
 
 
 class PreparedInstance:
-    """An instance's start state, computed once and shared by every game on it.
+    """An instance's start state, built once by ``WmstInstance.prepared`` and shared by every game.
 
     - ``scale``: a common denominator ``D`` of all predicted and true weights;
       ``predicted_scaled`` and ``actual_scaled`` are the weights times ``D``,
@@ -349,9 +359,10 @@ class PreparedInstance:
     - ``tree_by_prediction``: its ids, heaviest prediction first, ties by larger id.
     - ``rooted``: that tree rooted at vertex 0.
     - ``opt`` and ``eta``: the optimum under the true weights and the error;
-      ``metrics`` reads both from here.
+      ``metrics`` and ``randomorder`` read both from here.
 
-    The built-in players copy their start state from it instead of building it.
+    The built-in players copy their start state from it instead of building
+    it, and never change it.
     """
 
     def __init__(self, graph: Graph, predicted: Weights, actual: Weights | None = None):
@@ -372,10 +383,6 @@ class PreparedInstance:
                 )
         self.us = [e.u for e in graph.edges]
         self.vs = [e.v for e in graph.edges]
-
-    @classmethod
-    def of(cls, instance: WmstInstance) -> "PreparedInstance":
-        return cls(instance.graph, instance.predicted, instance.actual)
 
     @cached_property
     def tree(self) -> frozenset[int]:

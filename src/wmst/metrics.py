@@ -11,15 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import PreparedInstance, WmstInstance
+from .graphs import WmstInstance
 
 
 def eta1(instance: WmstInstance) -> Fraction:
     """Total absolute discrepancy over all edges."""
-    return _eta1(PreparedInstance.of(instance))
-
-
-def _eta1(prepared: PreparedInstance) -> Fraction:
+    prepared = instance.prepared
     gaps = (abs(p - a) for p, a in zip(prepared.predicted_scaled, prepared.actual_scaled))
     return Fraction(sum(gaps), prepared.scale)
 
@@ -32,10 +29,7 @@ def eta2(instance: WmstInstance) -> Fraction:
     difference of the two minimum spanning tree costs (never negative).
     Only the costs matter, so tie-breaking inside ``mst`` cannot affect it.
     """
-    return _eta2(PreparedInstance.of(instance))
-
-
-def _eta2(prepared: PreparedInstance) -> Fraction:
+    prepared = instance.prepared
     pairs = list(zip(prepared.predicted_scaled, prepared.actual_scaled))
     upper = [max(p, a) for p, a in pairs]
     lower = [min(p, a) for p, a in pairs]
@@ -49,7 +43,7 @@ def eta(instance: WmstInstance) -> Fraction:
     graphs can accumulate.  Computed by ``PreparedInstance.eta`` on integer
     weights of one common scale.
     """
-    return PreparedInstance.of(instance).eta
+    return instance.prepared.eta
 
 
 @dataclass(frozen=True)
@@ -69,15 +63,13 @@ def error_report(instance: WmstInstance) -> ErrorReport:
 
     ``epsilon`` is the headline error normalized by the true optimum,
     reported as an exact rational.  Both optima and all three measures come
-    from one ``PreparedInstance``; the predicted optimum is its ``tree``.
+    from ``instance.prepared``, which a run or an estimate on the same
+    instance shares; the predicted optimum is its ``tree``.
     """
-    return _error_report(PreparedInstance.of(instance))
-
-
-def _error_report(prepared: PreparedInstance) -> ErrorReport:
+    prepared = instance.prepared
     return ErrorReport(
-        eta1=_eta1(prepared),
-        eta2=_eta2(prepared),
+        eta1=eta1(instance),
+        eta2=eta2(instance),
         eta=prepared.eta,
         opt_actual=prepared.opt,
         opt_predicted=Fraction(sum(map(prepared.predicted_scaled.__getitem__, prepared.tree)),

@@ -100,12 +100,7 @@ def estimate(
     the three reference curves.  A ``Fraction`` mean, such as an exact
     expectation or the cost of one order, gives an exact ratio.
     """
-    return _estimate(PreparedInstance.of(instance), mean, trials, std_error)
-
-
-def _estimate(
-    prepared: PreparedInstance, mean: float | Fraction, trials: int, std_error: float
-) -> RoEstimate:
+    prepared = instance.prepared
     opt = prepared.opt
     err = prepared.eta
     epsilon = err / opt
@@ -232,14 +227,15 @@ def mc_estimate(
     Trial ``t`` of any other player runs a fresh player on the ``t``-th
     Fisher-Yates shuffle of one seeded stream (``_shuffles``), without the
     edges ``_dealt`` leaves out; ``seed`` must be non-negative, since
-    ``Random(-s)`` seeds like ``Random(s)``.  Every trial starts from one
-    ``PreparedInstance``, which also gives the optimum and the error, and run
-    costs are summed exactly.  The workers, forked processes, take contiguous
-    runs of trials from that stream, so their number sets the speed, never
-    the estimate.  With ``workers=None`` there is one per
-    ``REVEALS_PER_WORKER`` reveals dealt, at least one.  Any count is capped
-    at ``trials`` and at the CPUs this process may use, and is 1 where
-    ``fork`` is unavailable.  Only chunk bounds are pickled: the workers
+    ``Random(-s)`` seeds like ``Random(s)``.  Every trial starts from
+    ``instance.prepared``, built by the first estimate, run or error measure
+    on the instance and kept with it, which also gives the optimum and the
+    error, and run costs are summed exactly.  The workers, forked
+    processes, take contiguous runs of trials from that stream, so their
+    number sets the speed, never the estimate.  With ``workers=None`` there
+    is one per ``REVEALS_PER_WORKER`` reveals dealt, at least one.  Any
+    count is capped at ``trials`` and at the CPUs this process may use, and
+    is 1 where ``fork`` is unavailable.  Only chunk bounds are pickled: the workers
     inherit the factory, which may be a lambda, and the rest of the job
     through the fork.  A trial count above ``sys.maxsize``, past what a
     stream can be sliced to, is refused.
@@ -252,11 +248,11 @@ def mc_estimate(
         raise BadParameter(f"seed must be non-negative, got {seed}")
     if workers is not None and workers < 1:
         raise BadParameter(f"worker count must be positive, got {workers}")
-    prepared = PreparedInstance.of(instance)
+    prepared = instance.prepared
     alg = alg_factory()
     cost = _one_game(alg, prepared)
     if cost is not None:
-        return _estimate(prepared, float(cost), trials, 0.0)
+        return estimate(instance, float(cost), trials)
     dealt = _dealt(alg, prepared)
     if workers is None:
         reveals = prepared.graph.m if dealt is None else dealt.count(1)  # per trial
@@ -279,7 +275,7 @@ def mc_estimate(
     # the sample variance, whose numerator is 0 for a single trial
     variance = Fraction(trials * total_sq - total * total, trials * max(trials - 1, 1) * d * d)
     mean = float(Fraction(total, trials * d))
-    return _estimate(prepared, mean, trials, math.sqrt(variance / trials))
+    return estimate(instance, mean, trials, math.sqrt(variance / trials))
 
 
 def _contested(prepared: PreparedInstance) -> tuple[list[int], list[int]]:
@@ -328,14 +324,12 @@ def exact_expectation(alg_factory: AlgFactory, instance: WmstInstance) -> Fracti
     the relative order of the contested edges, and a uniform order of all
     ``m`` edges orders them uniformly.  ``gftp`` is refused past
     ``EXACT_CONTESTED_LIMIT`` contested edges, whatever ``m``; every other
-    player past ``EXACT_EDGE_LIMIT`` edges.
+    player past ``EXACT_EDGE_LIMIT`` edges.  The games are played from
+    ``instance.prepared``, which :func:`estimate` then reads for the row's
+    optimum and error without building another.
     """
-    return _exact_mean(alg_factory, PreparedInstance.of(instance))
-
-
-def _exact_mean(alg_factory: AlgFactory, prepared: PreparedInstance) -> Fraction:
-    """:func:`exact_expectation` on an instance's preparation."""
-    m = prepared.graph.m
+    prepared = instance.prepared
+    m = instance.m
     alg = alg_factory()
     if type(alg) is GreedyFollowPredictions:
         contested, inert = _contested(prepared)

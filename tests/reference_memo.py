@@ -13,12 +13,11 @@ import math
 from fractions import Fraction
 
 from wmst import GreedyFollowPredictions, WmstInstance
-from wmst.graphs import PreparedInstance
 
 
 def expectation(instance: WmstInstance) -> Fraction:
     """``gftp``'s expected cost over all orders, by the live-edge memo."""
-    prepared = PreparedInstance.of(instance)
+    prepared = instance.prepared
     player = GreedyFollowPredictions()
     rejected = set(player._rejected(prepared))
     live = [eid for eid in range(instance.m) if eid not in rejected]

@@ -1,6 +1,7 @@
 """Command-line workflows, file round-trips, CSV schema."""
 
 import argparse
+import ast
 import contextlib
 import csv
 import hashlib
@@ -8,6 +9,7 @@ import io as stdio
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -248,8 +250,8 @@ def test_ro_flags_gftp_above_the_ln2_curve(tmp_path, capsys, monkeypatch, mode):
     instance = load_instance(path)
     high = _above_ln2_curve(instance, 6)
     if mode == "exact":
-        monkeypatch.setattr(randomorder, "_exact_mean",
-                            lambda factory, prepared: Fraction(high.mean_cost))
+        monkeypatch.setattr(randomorder, "exact_expectation",
+                            lambda factory, instance: Fraction(high.mean_cost))
         argv = ["--exact"]
     else:
         monkeypatch.setattr(randomorder, "mc_estimate", lambda *args, **kwargs: high)
@@ -764,3 +766,19 @@ def test_readme_command_outputs_do_not_depend_on_workers(readme_outputs_two_work
     code, hashes = readme_outputs_two_workers[command]
     assert code == 0
     assert hashes == README_GOLDEN[command]
+
+
+def test_cli_uses_only_the_public_api():
+    """``cli.py`` imports no private name and reads none off another ``wmst`` module."""
+    package = Path(cli.__file__).parent
+    modules = {info.name for info in pkgutil.iter_modules([str(package)])}
+    private = []
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "wmst"
+        ):
+            private += [alias.name for alias in node.names if alias.name.startswith("_")]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and node.attr.startswith("_")):
+            private.append(f"{node.value.id}.{node.attr}")
+    assert private == []

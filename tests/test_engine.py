@@ -41,7 +41,6 @@ from wmst import (
 from wmst import checks, engine
 from wmst.cli import FAMILIES
 from wmst.engine import _play
-from wmst.graphs import PreparedInstance
 
 from conftest import SlowSwapPlayer, triangle
 from reference_gftp import GreedyFollowPredictions as ReferenceGreedy
@@ -158,7 +157,7 @@ class TestGreedyFollowPredictions:
     @staticmethod
     def drive(inst: WmstInstance, order) -> tuple[list[Decision], list[bool]]:
         """Each decision, and whether the reveal climbed the tree to make it."""
-        prepared = PreparedInstance.of(inst)
+        prepared = inst.prepared
         alg = gftp()
         alg._start(prepared)
         decisions, climbed = [], []
@@ -454,7 +453,7 @@ def _square_in_halves():
     inst, order = _square_rejection_first()
     halve = lambda weights: tuple(w / 2 for w in weights)  # noqa: E731
     inst = WmstInstance(inst.graph, halve(inst.predicted), halve(inst.actual))
-    assert PreparedInstance.of(inst).scale == 2
+    assert inst.prepared.scale == 2
     return inst, order
 
 
@@ -469,7 +468,7 @@ def _triangle_past_scale_bits():
     """
     graph = Graph.from_pairs(3, [(0, 1), (1, 2), (0, 2)])
     inst = WmstInstance(graph, (F(2), FINE_THREE, FINE_TWO), (F(1), F(1), F(2)))
-    assert PreparedInstance.of(inst).scale == 1
+    assert inst.prepared.scale == 1
     return inst, ArrivalOrder((0, 1, 2))
 
 
@@ -663,7 +662,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize("subclass", [_InitializeSubclass])
     def test_subclasses_set_up_their_way_and_play_alike(self, subclass):
         cases = list(islice(checks.fuzz_pairs(1_000), 0, None, 5)) + list(_deep_cases())
-        assert any(PreparedInstance.of(inst).scale > 1 for inst, _ in cases)
+        assert any(inst.prepared.scale > 1 for inst, _ in cases)
         for inst, ids in cases:
             order = ArrivalOrder(tuple(ids))
             player = subclass()
@@ -737,7 +736,7 @@ class TestDealtEdges:
             if inst is previous:  # the corpora list each instance with several orders
                 continue
             previous = inst
-            prepared = PreparedInstance.of(inst)
+            prepared = inst.prepared
             tree = SpanningTree(inst.graph, prepared.tree)
             off_tree = [eid for eid in range(inst.m) if eid not in tree]
             rejected = gftp()._rejected(prepared)
@@ -752,7 +751,7 @@ class TestDealtEdges:
     def test_dealt_orders_play_like_whole_orders(self):
         rejected_at_all = at_the_bound = at_the_bottleneck = 0
         for inst, ids in _dealt_cases():
-            prepared = PreparedInstance.of(inst)
+            prepared = inst.prepared
             one_game = _play(ftp(), prepared, inst.actual, range(inst.m))[1]
             assert _play(ftp(), prepared, inst.actual, ids)[1] == one_game
             rejected = set(gftp()._rejected(prepared))
@@ -778,7 +777,7 @@ class TestDealtEdges:
         # what edge 2 does; so does the true weight of edge 2
         graph = Graph.from_pairs(3, [(0, 1), (1, 2), (0, 2)])
         inst = WmstInstance(graph, (F(1), F(2), F(2)), (F(1), F(5), F(2)))
-        prepared = PreparedInstance.of(inst)
+        prepared = inst.prepared
         assert prepared.tree == {0, 1}
         assert gftp()._rejected(prepared) == []
         trace = run(gftp(), inst, ArrivalOrder((2, 0, 1)))
@@ -788,7 +787,7 @@ class TestDealtEdges:
 
     def test_an_edge_below_its_prediction_but_above_its_bottleneck_is_not_dealt(self):
         inst = _square_with_a_chord(F(2))
-        prepared = PreparedInstance.of(inst)
+        prepared = inst.prepared
         assert prepared.tree == {0, 1, 2}
         assert inst.actual[3] < min(inst.predicted[3], inst.predicted[2])  # dealt by that bound
         assert gftp()._rejected(prepared) == [3]
@@ -801,7 +800,7 @@ class TestDealtEdges:
 
     def test_an_edge_at_its_bottleneck_is_dealt_and_swapped_in(self):
         inst = _square_with_a_chord(F(1))
-        prepared = PreparedInstance.of(inst)
+        prepared = inst.prepared
         assert gftp()._rejected(prepared) == []
         # edges 0 and 1 tie at the bottleneck, and the smaller id is evicted
         trace = run(gftp(), inst, ArrivalOrder((3, 0, 1, 2)))
@@ -843,7 +842,7 @@ class TestUndo:
         # edge is revealed and taken back; then the order's next edge is revealed
         kinds = Counter()
         for inst, seed in _undo_cases():
-            prepared = PreparedInstance.of(inst)
+            prepared = inst.prepared
             edges, scaled = inst.graph.edges, prepared.actual_scaled
             player = gftp()
             player._start(prepared)

@@ -1,5 +1,6 @@
 """Core graph types, MST routines and the brute-force oracle."""
 
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wmst import (
+    ArrivalOrder,
     BadParameter,
     DisconnectedGraph,
     DuplicateEdge,
@@ -27,11 +29,17 @@ from wmst import (
     eta,
     eta1,
     eta2,
+    exact_expectation,
     exchange_witness,
+    ftp,
     gen_ftp_lb,
     gen_ro_lb,
+    gftp,
+    mc_estimate,
     mst,
     random_instance,
+    run,
+    run_cost,
     tree_cost,
     tree_cycle,
     validate_instance,
@@ -39,6 +47,7 @@ from wmst import (
 from wmst import checks
 from wmst.exceptions import InstanceError
 from wmst.graphs import SCALE_BITS, PreparedInstance, _UnionFind
+from wmst.randomorder import estimate
 
 from conftest import mst_pairs, triangle
 
@@ -318,9 +327,9 @@ class TestPreparedInstance:
         thirds = tuple(F(3 * (e % 4) + 1 + e % 2, 3) for e in range(graph.m))
         sevenths = tuple(F(7 * (e % 3) + 1 + e % 6, 7) for e in range(graph.m))
         corpus.append(WmstInstance(graph, thirds, sevenths))
-        assert PreparedInstance.of(corpus[-1]).scale == 21
+        assert corpus[-1].prepared.scale == 21
         for inst in corpus + list(_tie_heavy_instances()):
-            prepared = PreparedInstance.of(inst)
+            prepared = inst.prepared
             assert all(isinstance(w, int) for w in prepared.predicted_scaled)
             self.assert_exact(inst, prepared)
 
@@ -332,12 +341,12 @@ class TestPreparedInstance:
         predicted = tuple(F(a + e, a) for e in range(graph.m))
         actual = tuple(F(b + 7 - e, b) for e in range(graph.m))
         inst = WmstInstance(graph, predicted, actual)
-        prepared = PreparedInstance.of(inst)
+        prepared = inst.prepared
         assert (a * b).bit_length() > SCALE_BITS
         assert prepared.scale == 1 and prepared.predicted_scaled is inst.predicted
         self.assert_exact(inst, prepared)
         # one of the two denominators alone fits
-        assert PreparedInstance.of(WmstInstance(graph, predicted, predicted)).scale == a
+        assert WmstInstance(graph, predicted, predicted).prepared.scale == a
 
     def test_without_true_weights_the_scale_is_one(self):
         inst = random_instance(9, F(1, 2), F(1, 4), seed=4)
@@ -349,11 +358,67 @@ class TestPreparedInstance:
         for inst in [checks.fuzz_instance(index) for index in range(100)] + list(
             _tie_heavy_instances()
         ):
-            prepared = PreparedInstance.of(inst)
+            prepared = inst.prepared
             ids = prepared.tree_by_prediction
             assert sorted(ids) == sorted(prepared.tree)
             keys = [(-inst.predicted[eid], -eid) for eid in ids]
             assert keys == sorted(keys)
+
+
+class TestInstancePreparation:
+    """``WmstInstance.prepared``: one preparation per instance, never shared with another."""
+
+    @staticmethod
+    def top_gaps(predicted, actual, count: int) -> Fraction:
+        """The sum of the ``count`` largest per-edge discrepancies."""
+        gaps = sorted((abs(p - a) for p, a in zip(predicted, actual)), reverse=True)
+        return sum(gaps[:count], F(0))
+
+    def test_every_run_measure_and_estimate_shares_one(self, monkeypatch):
+        def counted(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        inst = random_instance(5, F(4, 5), F(1, 4), 2)
+        init = PreparedInstance.__init__
+        monkeypatch.setattr(PreparedInstance, "__init__", counted)
+        built = []
+        run(gftp(), inst, ArrivalOrder.identity(inst.m), checked=True)
+        run_cost(ftp(), inst, range(inst.m))
+        error_report(inst)
+        eta1(inst)
+        eta2(inst)
+        eta(inst)
+        estimate(inst, F(1), 1)
+        for factory in (gftp, ftp):
+            mc_estimate(factory, inst, 20, 0)
+            exact_expectation(factory, inst)
+        assert built == [inst.prepared]
+
+    def test_equality_hashing_and_copies_ignore_it(self):
+        inst = random_instance(5, F(4, 5), F(1, 4), 2)
+        prepared = inst.prepared
+        fresh = random_instance(5, F(4, 5), F(1, 4), 2)
+        assert inst == fresh and hash(inst) == hash(fresh)
+        assert {inst: 1}[fresh] == 1
+        assert fresh.prepared is not prepared
+
+        # predictions that favour the larger ids pick another tree
+        predicted = tuple(F(inst.m - eid) for eid in range(inst.m))
+        renewed = inst.with_predictions(predicted)
+        tree = mst(inst.graph, predicted).edge_ids
+        assert renewed.prepared is not prepared and tree != prepared.tree
+        assert renewed.prepared.tree == tree
+        assert renewed.prepared.opt == prepared.opt
+        assert renewed.prepared.eta == self.top_gaps(predicted, inst.actual, inst.n - 1)
+
+        doubled = dataclasses.replace(inst, actual=tuple(2 * w for w in inst.actual))
+        assert doubled != inst and doubled.prepared is not prepared
+        assert doubled.prepared.tree == prepared.tree
+        assert doubled.prepared.opt == 2 * prepared.opt
+        assert doubled.prepared.eta == self.top_gaps(inst.predicted, doubled.actual, inst.n - 1)
+        assert doubled.prepared.eta != prepared.eta
+        assert inst.prepared is prepared
 
 
 class TestTreePathIds:

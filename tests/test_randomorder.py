@@ -178,7 +178,7 @@ N20_VALUES = {
 
 def enumerated(factory, inst: WmstInstance) -> Fraction:
     """The expectation from playing every one of the ``m!`` orders, every edge of each."""
-    prepared = PreparedInstance.of(inst)
+    prepared = inst.prepared
     orders, count = permutations(range(inst.m)), math.factorial(inst.m)
     d, total, _ = randomorder._cost_sums(factory, type(factory()), prepared, orders, count, None)
     return F(total, count * d)
@@ -287,7 +287,7 @@ class TestMemoisedExpectation:
     def test_common_denominator_past_scale_bits(self, enumerations):
         # m = 6: twelve pairwise coprime denominators of 65 digits, 2600 bits together
         inst = _wide_coprime_instance(4, base=50)
-        assert PreparedInstance.of(inst).scale == 1
+        assert inst.prepared.scale == 1
         self.assert_memo_matches([inst], enumerations)
 
     def test_a_mark_of_an_earlier_query_does_not_end_a_climb(self, enumerations, deadline):
@@ -314,7 +314,7 @@ class TestMemoisedExpectation:
 
         made = []
         start = gftp()
-        start._start(PreparedInstance.of(inst))
+        start._start(inst.prepared)
         exact_expectation(factory, inst)
         [player] = made
         assert player._stamp > 0  # it made cycle queries
@@ -415,8 +415,8 @@ class TestMemoisedExpectation:
         # enumerating the reference takes about 7 times as long as enumerating
         # gftp; the K4 past SCALE_BITS plays the memo on Fraction weights
         instances = [*small_exact_instances(20), _wide_coprime_instance(4, base=50)]
-        assert PreparedInstance.of(instances[-1]).scale == 1
-        rejected = [gftp()._rejected(PreparedInstance.of(inst)) for inst in instances]
+        assert instances[-1].prepared.scale == 1
+        rejected = [gftp()._rejected(inst.prepared) for inst in instances]
         assert sum(map(bool, rejected)) >= 10 and rejected[-1]  # edges the memo never deals
         for inst in instances:
             assert exact_expectation(gftp, inst) == exact_expectation(ReferenceGreedy, inst)
@@ -432,7 +432,7 @@ class TestMemoisedExpectation:
         instances = [*small_exact_instances(100), _wide_coprime_instance(4, base=50)]
         played = 0
         for inst in instances:
-            prepared = PreparedInstance.of(inst)
+            prepared = inst.prepared
             dealt = randomorder._dealt(gftp(), prepared)
             if dealt is None:
                 continue
@@ -449,7 +449,7 @@ class TestMemoisedExpectation:
         ro_lb = gen_ro_lb(2, F(1, 2), 3)
         rnd = random_instance(5, F(4, 5), F(1, 4), 2)
         assert (ro_lb.m, rnd.m) == (7, 8)
-        assert len(gftp()._rejected(PreparedInstance.of(rnd))) == 3
+        assert len(gftp()._rejected(rnd.prepared)) == 3
         assert exact_expectation(gftp, ro_lb) == F(19, 2)
         assert exact_expectation(ftp, ro_lb) == F(31, 2)
         assert exact_expectation(gftp, rnd) == F(84693, 65536)
@@ -507,7 +507,7 @@ def _differential_instances():
 
 
 def _live_count(inst: WmstInstance) -> int:
-    return inst.m - len(gftp()._rejected(PreparedInstance.of(inst)))
+    return inst.m - len(gftp()._rejected(inst.prepared))
 
 
 class TestContestedEdges:
@@ -516,7 +516,7 @@ class TestContestedEdges:
     def test_matches_the_live_edge_memo(self, enumerations, deadline):
         played = inert = 0
         for inst in _differential_instances():
-            contested, left_out = randomorder._contested(PreparedInstance.of(inst))
+            contested, left_out = randomorder._contested(inst.prepared)
             assert exact_expectation(gftp, inst) == reference_memo.expectation(inst)
             played += 1
             inert += bool(left_out) and bool(contested)
@@ -526,10 +526,10 @@ class TestContestedEdges:
     def test_contested_edges_of_ro_lb_and_a_tree(self):
         # every ro-lb edge lies on a cycle of a live edge; a tree graph has none
         for spokes in (1, 4, 7):
-            prepared = PreparedInstance.of(gen_ro_lb(2, F(1, 2), spokes))
+            prepared = gen_ro_lb(2, F(1, 2), spokes).prepared
             assert randomorder._contested(prepared) == (list(range(2 * spokes + 1)), [])
         tree = next(_edge_cases())
-        prepared = PreparedInstance.of(tree)
+        prepared = tree.prepared
         assert randomorder._contested(prepared) == ([], list(prepared.tree_by_prediction))
 
     def test_inert_edges_are_revealed_once_and_handed_back(self, monkeypatch, deadline):
@@ -541,7 +541,7 @@ class TestContestedEdges:
         monkeypatch.setattr(GreedyFollowPredictions, "reveal", recorded)
         played = 0
         for inst in _differential_instances():
-            prepared = PreparedInstance.of(inst)
+            prepared = inst.prepared
             contested, inert = randomorder._contested(prepared)
             player, start = gftp(), gftp()
             player._start(prepared)
@@ -557,7 +557,7 @@ class TestContestedEdges:
     def test_many_inert_and_undealt_edges(self, enumerations, deadline):
         # m = 373 with 13 contested and 48 inert edges; 312 are never dealt
         inst = random_instance(60, F(1, 5), F(1, 20), 23)
-        contested, inert = randomorder._contested(PreparedInstance.of(inst))
+        contested, inert = randomorder._contested(inst.prepared)
         assert (inst.m, len(contested), len(inert)) == (373, 13, 48)
         assert exact_expectation(gftp, inst) == F(25280969, 3932160)
         assert enumerations == []
@@ -573,7 +573,7 @@ class TestContestedEdges:
         entered = []
         monkeypatch.setattr(randomorder, "_completion_sum", lambda *args: entered.append(args))
         inst = random_instance(20, F(1, 5), F(1, 4), 11)  # m = 45
-        contested, _ = randomorder._contested(PreparedInstance.of(inst))
+        contested, _ = randomorder._contested(inst.prepared)
         assert len(contested) == randomorder.EXACT_CONTESTED_LIMIT + 1
         with pytest.raises(TooLarge, match="16 contested edges"):
             exact_expectation(gftp, inst)
@@ -595,7 +595,7 @@ class TestMonteCarlo:
         # ftp rejects every edge off its tree and plays one game in id order;
         # gftp is dealt each shuffle without the edges it always rejects
         inst = random_instance(30, F(1, 4), F(1, 4), 5)
-        prepared = PreparedInstance.of(inst)
+        prepared = inst.prepared
         assert len(prepared.tree) < inst.m
         if factory is gftp:
             assert gftp()._rejected(prepared)  # so trials are dealt
@@ -773,7 +773,7 @@ class TestMonteCarlo:
         # 352 edges, 74 of them live for gftp: 1000 trials deal 74,000 reveals,
         # one worker's worth, though 352,000 would be seven
         inst = random_instance(60, F(1, 5), F(1, 4), 3)
-        dead = gftp()._rejected(PreparedInstance.of(inst))
+        dead = gftp()._rejected(inst.prepared)
         assert (inst.m, inst.m - len(dead)) == (352, 74)
         pin_cpus(monkeypatch, 2)
         sizes = serial_pools(monkeypatch)
