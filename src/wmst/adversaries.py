@@ -141,7 +141,8 @@ def _play_game(
     """Play ``alg`` on ``arrivals(steps)``, which sets ``actual[eid]`` before it yields ``eid``."""
     steps: list[TraceStep] = []
     # no true weights up front, so the preparation keeps scale 1 and Fractions
-    accepted, cost = _play(alg, PreparedInstance(graph, predicted), actual, arrivals(steps), steps)
+    edges = map(graph.edges.__getitem__, arrivals(steps))
+    accepted, cost = _play(alg, PreparedInstance(graph, predicted), actual, edges, steps)
     return AdversarialGame(
         instance=WmstInstance(graph, predicted, tuple(actual)),
         order=ArrivalOrder(tuple(step.edge_id for step in steps)),

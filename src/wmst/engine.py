@@ -64,26 +64,28 @@ def _swap(evicted: int) -> Decision:
     return Decision(True, evicted)
 
 
-def _shuffles(m: int, seed: int):
-    """The one order stream: in-place shuffles of one id list by ``Random(seed)``.
+def _shuffles(items: Iterable, seed: int):
+    """The one order stream: in-place shuffles of a copy of ``items`` by ``Random(seed)``.
 
     Each shuffle is ``Random.shuffle``'s Fisher-Yates, inlined: from the top
     down, position ``i`` swaps with ``j``, drawn as ``getrandbits(k)`` for
     the bit length ``k`` of ``i + 1`` and drawn again while above ``i``.
     These are the draws ``Random(seed).shuffle`` makes, so the stream is the
     one repeated ``Random(seed).shuffle`` calls give; what is saved is the
-    method call and the bit length that ``shuffle`` pays per position.
+    method call and the bit length that ``shuffle`` pays per position.  The
+    draws depend only on the length, so any list of ``m`` items is permuted
+    as ``range(m)`` is: the item at position ``p`` goes where id ``p`` goes.
     """
     getrandbits = random.Random(seed).getrandbits
-    ids = list(range(m))
-    steps = [(i, (i + 1).bit_length()) for i in range(m - 1, 0, -1)]
+    items = list(items)
+    steps = [(i, (i + 1).bit_length()) for i in range(len(items) - 1, 0, -1)]
     while True:
         for i, k in steps:
             j = getrandbits(k)
             while j > i:
                 j = getrandbits(k)
-            ids[i], ids[j] = ids[j], ids[i]
-        yield ids
+            items[i], items[j] = items[j], items[i]
+        yield items
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ class ArrivalOrder:
         """
         if seed < 0:  # Random(-s) seeds like Random(s)
             raise BadParameter(f"seed must be non-negative, got {seed}")
-        return cls(tuple(next(_shuffles(m, seed))))
+        return cls(tuple(next(_shuffles(range(m), seed))))
 
     def __iter__(self):
         return iter(self.edge_ids)
@@ -246,7 +248,8 @@ class GreedyFollowPredictions(OnlineAlgorithm):
     def initialize(self, graph: Graph, predicted: Weights) -> None:
         self._start(PreparedInstance(graph, predicted))
 
-    def _start(self, prepared: PreparedInstance) -> None:
+    def _start(self, prepared: PreparedInstance, deal: "_Deal | None" = None) -> None:
+        """Copy the start state from ``prepared``, or from its ``deal`` past the inert edges."""
         graph = prepared.graph
         parent, parent_edge, _ = prepared.rooted
         self._parent = parent.copy()
@@ -255,12 +258,13 @@ class GreedyFollowPredictions(OnlineAlgorithm):
         self._pred = prepared.predicted_scaled
         self._heaviest = prepared.tree_by_prediction
         self._tree = prepared.tree  # ``_undo`` tells an evicted edge by it
-        self._head = 0  # no edge before it in ``_heaviest`` is a candidate
+        # no edge before it in ``_heaviest`` is a candidate
+        self._head = 0 if deal is None else deal.head
         # 1 until the edge is revealed or evicted; on the working tree's
         # edges, 1 marks the unseen ones, which a swap may evict.  A list of
         # ints, not a bytearray: CPython 3.11 specialises list subscripts,
         # and the reveal loop reads a flag per cycle edge
-        self._candidate = [1] * graph.m
+        self._candidate = [1] * graph.m if deal is None else deal.candidate.copy()
 
     def reveal(self, edge: Edge, weight: Fraction) -> Decision:
         eid, a, b = edge.id, edge.u, edge.v
@@ -358,6 +362,51 @@ class GreedyFollowPredictions(OnlineAlgorithm):
                 rejected.append(eid)
         return rejected
 
+    @staticmethod
+    def _contested(prepared: PreparedInstance) -> tuple[list[int], list[int]]:
+        """The contested edges, by id, and the inert tree edges, heaviest prediction first.
+
+        An edge off the predicted tree is contested when it is live, not named
+        by ``_rejected``; an edge of the predicted tree when it lies on a live
+        off-tree edge's predicted-tree path, and inert otherwise.  By induction
+        over swaps, the working-tree path of a contested edge off the working
+        tree stays inside the contested edges, so no cycle query climbs an
+        inert edge and none is evicted: it is accepted whenever it arrives,
+        and its arrival changes no other decision (the pointer only skips
+        edges that are no candidates, and a reveal above the candidate it
+        names is rejected by the climb too).  The edges ``_rejected`` names
+        are rejected whenever they arrive, without a change of state.  So in
+        any order of all the edges, the contested edges are decided as in
+        their relative order alone, played from the state in which every
+        inert edge has arrived (``_Deal``), and the cost is theirs plus the
+        inert weight.  Each live off-tree edge's path is climbed once, in O(n).
+        """
+        tree = prepared.tree
+        parent, parent_edge, depth = prepared.rooted
+        us, vs = prepared.us, prepared.vs
+        m = prepared.graph.m
+        rejected = set(GreedyFollowPredictions._rejected(prepared))
+        contested = [0] * m
+        for eid in range(m):
+            if eid in tree or eid in rejected:
+                continue
+            contested[eid] = 1
+            a, b = us[eid], vs[eid]
+            while a != b:
+                if depth[a] < depth[b]:
+                    a, b = b, a
+                contested[parent_edge[a]] = 1
+                a = parent[a]
+        inert = [eid for eid in prepared.tree_by_prediction if not contested[eid]]
+        return [eid for eid in range(m) if contested[eid]], inert
+
+    @staticmethod
+    def _deal(prepared: PreparedInstance) -> "_Deal":
+        """The ``_Deal`` of ``prepared``: built on the first call and kept as ``prepared.deal``."""
+        if prepared.deal is None:
+            prepared.deal = _Deal(prepared)
+        return prepared.deal
+
     def _saved(self) -> tuple:
         """The state ``_undo`` restores: the pointer and both parent arrays, in O(n).
 
@@ -388,6 +437,43 @@ class GreedyFollowPredictions(OnlineAlgorithm):
         return frozenset(self._parent_edge[1:])
 
 
+class _Deal:
+    """What an exact ``gftp`` is dealt on one preparation, and where it starts.
+
+    ``contested`` and ``inert`` are the ids of ``_contested``.  ``items``
+    holds the ``Edge`` at each contested id and None at every other id:
+    ``_shuffles`` permutes it with the draws that permute ``range(m)``, so
+    ``filter(None, items)`` is a trial's order of all the edges with only
+    the contested ones left.  The rest is the state once every inert edge
+    has arrived and been accepted: ``candidate``, the player's flags with
+    the inert ones cleared; ``head``, its pointer past the leading edges of
+    ``tree_by_prediction`` that are no candidates, which a reveal would skip
+    before it reads one; ``joined``, the union-find of ``_play`` with the
+    inert edges joined; and ``inert_weight``, their scaled sum.  An inert
+    arrival changes nothing else: a working-tree edge is accepted with no
+    cycle query.  A Monte Carlo trial and the exact memo start from here.
+    """
+
+    __slots__ = ("contested", "inert", "items", "candidate", "head", "joined", "inert_weight")
+
+    def __init__(self, prepared: PreparedInstance):
+        graph = prepared.graph
+        self.contested, self.inert = GreedyFollowPredictions._contested(prepared)
+        self.items = [None] * graph.m
+        for eid in self.contested:
+            self.items[eid] = graph.edges[eid]
+        self.candidate = [1] * graph.m
+        self.joined = _UnionFind(graph.n)
+        for eid in self.inert:
+            self.candidate[eid] = 0
+            self.joined.union(prepared.us[eid], prepared.vs[eid])
+        heaviest = prepared.tree_by_prediction
+        self.head = 0
+        while self.head < len(heaviest) and not self.candidate[heaviest[self.head]]:
+            self.head += 1
+        self.inert_weight = sum(prepared.actual_scaled[eid] for eid in self.inert)
+
+
 def ftp() -> OnlineAlgorithm:
     """Fresh predictions-following player."""
     return FollowPredictions()
@@ -408,38 +494,44 @@ def _play(
     alg: OnlineAlgorithm,
     prepared: PreparedInstance,
     actual: Sequence[Fraction],
-    edge_ids: Iterable[int],
+    edges: Iterable[Edge],
     steps: list[TraceStep] | None = None,
     checked: bool = False,
+    deal: _Deal | None = None,
 ) -> tuple[list[int], int | Fraction]:
     """The one reveal loop: every execution of one order goes through it.
 
-    Reads ``actual[eid]`` only once ``eid`` has been drawn from ``edge_ids``,
-    so an adaptive opponent may fix weights as the loop runs (its
+    Reads ``actual[eid]`` only once edge ``eid`` has been drawn from
+    ``edges``, so an adaptive opponent may fix weights as the loop runs (its
     ``prepared`` then has no true weights).  A built-in player is started
     from ``prepared`` and shown its scaled weights, any other player gets
-    ``initialize`` and Fractions.  Records to ``steps`` if given and runs
-    the invariant checks if ``checked``.  Returns the accepted ids in
-    arrival order and their total weight on ``prepared.scale``: an int sum
-    where the true weights are scaled ints, which the caller divides by the
-    scale once.
+    ``initialize`` and Fractions.  With a ``deal``, given only with an exact
+    ``gftp``, the game starts once the inert edges have arrived: the player,
+    the union-find, the accepted ids and the total start from the deal, and
+    ``edges`` are the contested edges alone.  Records to ``steps`` if given
+    and runs the invariant checks if ``checked``.  Returns the accepted ids,
+    in arrival order after the deal's inert ones, and their total weight on
+    ``prepared.scale``: an int sum where the true weights are scaled ints,
+    which the caller divides by the scale once.
     """
     graph = prepared.graph
     summed = actual if prepared.actual_scaled is None else prepared.actual_scaled
-    if type(alg) in _BUILT_IN:
-        alg._start(prepared)
-        shown = summed
-    else:
+    built_in = type(alg) in _BUILT_IN
+    if not built_in:
         alg.initialize(graph, prepared.predicted)
-        shown = actual
+    elif deal is None:
+        alg._start(prepared)
+    else:
+        alg._start(prepared, deal)
+    shown = summed if built_in else actual
     checker = _InvariantChecker(alg, prepared, actual, summed) if checked else None
-    edges = graph.edges
     reveal = alg.reveal
-    union = _UnionFind(graph.n).union
-    accepted: list[int] = []
-    total = 0
-    for eid in edge_ids:
-        edge = edges[eid]
+    if deal is None:
+        union, accepted, total = _UnionFind(graph.n).union, [], 0
+    else:
+        union, accepted, total = deal.joined.copy().union, deal.inert.copy(), deal.inert_weight
+    for edge in edges:
+        eid = edge.id
         if checker is not None:
             checker.before_reveal(edge)
         decision = reveal(edge, shown[eid])
@@ -476,7 +568,8 @@ def run(
         raise BadParameter(f"order covers {len(order)} of {instance.m} edges")
     prepared = instance.prepared
     steps: list[TraceStep] = []
-    accepted, total = _play(alg, prepared, instance.actual, order.edge_ids, steps, checked)
+    edges = map(instance.graph.edges.__getitem__, order.edge_ids)
+    accepted, total = _play(alg, prepared, instance.actual, edges, steps, checked)
     return RunTrace(tuple(steps), frozenset(accepted), Fraction(total, prepared.scale))
 
 
@@ -487,7 +580,8 @@ def run_cost(alg: OnlineAlgorithm, instance: WmstInstance, order_ids: Sequence[i
     ``NotSpanning``; trusts ``order_ids`` to be a permutation of the edge ids.
     """
     prepared = instance.prepared
-    return Fraction(_play(alg, prepared, instance.actual, order_ids)[1], prepared.scale)
+    edges = map(instance.graph.edges.__getitem__, order_ids)
+    return Fraction(_play(alg, prepared, instance.actual, edges)[1], prepared.scale)
 
 
 def check_cycle_dominance(

@@ -72,6 +72,12 @@ class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
 
+    def copy(self) -> "_UnionFind":
+        """A union-find of the same sets, which the unions of either leave out of the other."""
+        joined = object.__new__(_UnionFind)
+        joined.parent = self.parent.copy()
+        return joined
+
     def union(self, a: int, b: int) -> bool:
         """Join the sets of ``a`` and ``b``, under ``a``'s root; False if already one."""
         parent = self.parent
@@ -360,6 +366,9 @@ class PreparedInstance:
     - ``rooted``: that tree rooted at vertex 0.
     - ``opt`` and ``eta``: the optimum under the true weights and the error;
       ``metrics`` and ``randomorder`` read both from here.
+    - ``deal``: what a ``gftp`` trial is dealt and where it starts
+      (``engine._Deal``), built by the first ``gftp`` estimate and kept here;
+      None until then.
 
     The built-in players copy their start state from it instead of building
     it, and never change it.
@@ -383,6 +392,7 @@ class PreparedInstance:
                 )
         self.us = [e.u for e in graph.edges]
         self.vs = [e.v for e in graph.edges]
+        self.deal = None
 
     @cached_property
     def tree(self) -> frozenset[int]:

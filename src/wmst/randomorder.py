@@ -4,14 +4,16 @@ Estimates the expected cost of an online player over uniformly random
 arrival orders, by Monte Carlo sampling or exactly.  Each estimate makes
 one player first, and its type decides how the estimate is played: ``ftp``
 accepts exactly its predicted tree, so its estimate is the cost of one
-game; a Monte Carlo trial of ``gftp`` is dealt only the edges it can still
-decide, and its exact expectation is a memoised recursion over the states
-the orders of its contested edges pass through, refused past
-``EXACT_CONTESTED_LIMIT`` of them whatever the edge count; any other
-player, a subclass of either included, plays every order whole, and its
-exact expectation, like ``ftp``'s, is refused past ``EXACT_EDGE_LIMIT``
-edges.  Reports compare the measured ratio against three reference curves
-in the normalized error: ``1 + e``, ``1 + (1 + ln 2) e`` and ``1 + 2e``.
+game.  ``gftp`` is dealt only its contested edges, those that can change
+its state or another decision, from the state its other edges leave, both
+built once per preparation: a Monte Carlo trial plays only them, and its
+exact expectation is a memoised recursion over the states their orders
+pass through, refused past ``EXACT_CONTESTED_LIMIT`` of them whatever the
+edge count.  Any other player, a subclass of either included, plays every
+order whole, and its exact expectation, like ``ftp``'s, is refused past
+``EXACT_EDGE_LIMIT`` edges.  Reports compare the measured ratio against
+three reference curves in the normalized error: ``1 + e``,
+``1 + (1 + ln 2) e`` and ``1 + 2e``.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from itertools import islice, pairwise, permutations
 from typing import Callable
 
 from .engine import (
-    _ACCEPT,
     FollowPredictions,
     GreedyFollowPredictions,
     OnlineAlgorithm,
+    _Deal,
     _play,
     _shuffles,
 )
@@ -52,9 +54,11 @@ EXACT_CONTESTED_LIMIT = 15
 
 LN2 = math.log(2.0)
 
-# Reveals dealt (trials * edges per trial) that pay for a forked worker.  On 2
-# CPUs, gftp on four random_instance(60, 1/5, 1/4, s) won with two workers at
-# 100,000 dealt reveals on three (1.3x-1.5x, 0.7x-0.9x on one), from 150,000 on all.
+# Reveals dealt (trials * edges dealt per trial: gftp's contested edges, every
+# edge to any other player) that pay for a forked worker.  On a shared 2-CPU
+# Xeon, gftp on random_instance(60, 1/5, 1/4, s), s = 2, 3, 8, 10 (53-72
+# contested edges), won with two workers from 50,000 dealt reveals on all four
+# (1.08x-1.33x), and by 1.24x-1.62x at 100,000.
 REVEALS_PER_WORKER = 50_000
 
 
@@ -120,33 +124,37 @@ def estimate(
 
 
 def _cost_sums(
-    factory: AlgFactory, kind: type, prepared: PreparedInstance, orders, trials: int, dealt
+    factory: AlgFactory,
+    kind: type,
+    prepared: PreparedInstance,
+    orders,
+    trials: int,
+    deal: _Deal | None,
 ) -> tuple[int, int | Fraction, int | Fraction]:
     """``d`` and the sums of ``d * cost`` and of its square over ``trials`` trials.
 
     Trial ``t`` makes a player with ``factory``, refused unless of type
-    ``kind``, and plays the ``t``-th order of the iterator ``orders`` without
-    the edges ``dealt`` marks 0 (``_dealt``).  Every trial starts its player
-    from the one ``prepared``, and ``_play`` returns the cost on
-    ``d = prepared.scale``: an int, or past ``SCALE_BITS`` a Fraction on
-    scale 1.  Fraction costs are added as numerators over the lcm of the cost
-    denominators seen so far, and their squares over its square, so each
-    addition is an int one; the two sums are reduced to Fractions once, at
-    the end.
+    ``kind``, and plays the edges of the ``t``-th order of the iterator
+    ``orders`` that are not None: every edge, or with a ``deal`` (an exact
+    ``gftp``) its contested ones, from the state its inert ones leave.
+    Every trial starts its player from the one ``prepared``, and ``_play``
+    returns the cost on ``d = prepared.scale``: an int, or past
+    ``SCALE_BITS`` a Fraction on scale 1.  Fraction costs are added as
+    numerators over the lcm of the cost denominators seen so far, and their
+    squares over its square, so each addition is an int one; the two sums
+    are reduced to Fractions once, at the end.
     """
     actual = prepared.actual
     total = total_sq = 0
     lcm = 1  # the denominator of the sums, and its square that of the squares
-    for order in islice(orders, trials):
+    for items in islice(orders, trials):
         alg = factory()
         if type(alg) is not kind:
             raise BadParameter(
                 f"the factory must make one type of player, made "
                 f"{kind.__name__} and {type(alg).__name__}"
             )
-        if dealt is not None:
-            order = [eid for eid in order if dealt[eid]]
-        cost = _play(alg, prepared, actual, order)[1]
+        cost = _play(alg, prepared, actual, filter(None, items), deal=deal)[1]
         if type(cost) is Fraction:
             den = cost.denominator
             grow = den // math.gcd(lcm, den)
@@ -170,34 +178,19 @@ def _one_game(alg: OnlineAlgorithm, prepared: PreparedInstance) -> Fraction | No
     """
     if type(alg) is not FollowPredictions:
         return None
-    cost = _play(alg, prepared, prepared.actual, range(prepared.graph.m))[1]
+    cost = _play(alg, prepared, prepared.actual, prepared.graph.edges)[1]
     return Fraction(cost, prepared.scale)
 
 
-def _dealt(alg: OnlineAlgorithm, prepared: PreparedInstance) -> list[int] | None:
-    """1 for each edge ``alg`` can still decide, or None to deal every edge.
-
-    ``gftp`` rejects the edges its ``_rejected`` names, those above their
-    cycle bottleneck in the predicted tree, in every order without a change
-    of state, so dealing orders without them changes no decision and no cost.
-    """
-    rejected = alg._rejected(prepared) if type(alg) is GreedyFollowPredictions else ()
-    if not rejected:
-        return None
-    dealt = [1] * prepared.graph.m
-    for eid in rejected:
-        dealt[eid] = 0
-    return dealt
-
-
 def _mc_chunk(job: tuple, start: int, stop: int) -> tuple[int, int, int]:
-    factory, kind, prepared, dealt, seed = job
+    factory, kind, prepared, deal, seed = job
+    items = prepared.graph.edges if deal is None else deal.items
     # the shuffles before trial ``start`` are drawn unplayed
-    orders = islice(_shuffles(prepared.graph.m, seed), start, None)
-    return _cost_sums(factory, kind, prepared, orders, stop - start, dealt)
+    orders = islice(_shuffles(items, seed), start, None)
+    return _cost_sums(factory, kind, prepared, orders, stop - start, deal)
 
 
-# A forked worker's (factory, kind, preparation, dealt edges, seed), set by the
+# A forked worker's (factory, kind, preparation, deal, seed), set by the
 # pool's initializer, whose arguments the worker inherits through the fork
 # without pickling.
 _forked_job: tuple | None = None
@@ -225,9 +218,12 @@ def mc_estimate(
     played; a trial whose player is of another type is refused.  ``ftp``'s
     estimate is the cost of one game (``_one_game``), with no trial played.
     Trial ``t`` of any other player runs a fresh player on the ``t``-th
-    Fisher-Yates shuffle of one seeded stream (``_shuffles``), without the
-    edges ``_dealt`` leaves out; ``seed`` must be non-negative, since
-    ``Random(-s)`` seeds like ``Random(s)``.  Every trial starts from
+    Fisher-Yates shuffle of one seeded stream (``_shuffles``); ``seed`` must
+    be non-negative, since ``Random(-s)`` seeds like ``Random(s)``.  A
+    trial of ``gftp`` itself is dealt only the contested edges of that
+    shuffle, from the state its inert edges leave, both kept with the
+    preparation (``_Deal``), and costs what the whole shuffle would; any
+    other player is dealt every edge.  Every trial starts from
     ``instance.prepared``, built by the first estimate, run or error measure
     on the instance and kept with it, which also gives the optimum and the
     error, and run costs are summed exactly.  The workers, forked
@@ -253,16 +249,16 @@ def mc_estimate(
     cost = _one_game(alg, prepared)
     if cost is not None:
         return estimate(instance, float(cost), trials)
-    dealt = _dealt(alg, prepared)
+    deal = alg._deal(prepared) if type(alg) is GreedyFollowPredictions else None
     if workers is None:
-        reveals = prepared.graph.m if dealt is None else dealt.count(1)  # per trial
+        reveals = prepared.graph.m if deal is None else len(deal.contested)  # per trial
         workers = trials * reveals // REVEALS_PER_WORKER
     if "fork" not in multiprocessing.get_all_start_methods():
         workers = 1
     # the CPUs this process may run on, which can be fewer than the host has
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = max(1, min(workers, trials, cpus or 1))
-    job = (alg_factory, type(alg), prepared, dealt, seed)
+    job = (alg_factory, type(alg), prepared, deal, seed)
     if workers == 1:
         chunks = [_mc_chunk(job, 0, trials)]
     else:
@@ -278,51 +274,20 @@ def mc_estimate(
     return estimate(instance, mean, trials, math.sqrt(variance / trials))
 
 
-def _contested(prepared: PreparedInstance) -> tuple[list[int], list[int]]:
-    """The contested edges of ``gftp``, by id, and its inert tree edges.
-
-    An edge off the predicted tree is contested when it is live, not named
-    by ``_rejected``; an edge of the predicted tree when it lies on a live
-    off-tree edge's predicted-tree path, and inert otherwise.  By induction
-    over swaps, the working-tree path of a contested edge off the working
-    tree stays inside the contested edges, so no cycle query climbs an
-    inert edge and none is evicted: it is accepted whenever it arrives, and
-    its arrival changes no other decision.  Each live off-tree edge's path
-    is climbed once, in O(n).  The inert edges come heaviest prediction first.
-    """
-    tree = prepared.tree
-    parent, parent_edge, depth = prepared.rooted
-    us, vs = prepared.us, prepared.vs
-    m = prepared.graph.m
-    rejected = set(GreedyFollowPredictions._rejected(prepared))
-    contested = [0] * m
-    for eid in range(m):
-        if eid in tree or eid in rejected:
-            continue
-        contested[eid] = 1
-        a, b = us[eid], vs[eid]
-        while a != b:
-            if depth[a] < depth[b]:
-                a, b = b, a
-            contested[parent_edge[a]] = 1
-            a = parent[a]
-    inert = [eid for eid in prepared.tree_by_prediction if not contested[eid]]
-    return [eid for eid in range(m) if contested[eid]], inert
-
-
 def exact_expectation(alg_factory: AlgFactory, instance: WmstInstance) -> Fraction:
     """Exact expected cost over all arrival orders.
 
     One player is made, and its type decides how: ``ftp``'s expectation is
     the cost of one game (``_one_game``), ``gftp`` plays through the
     memoised recursion of ``_completion_sum`` over the ``L'!`` orders of its
-    ``L'`` contested edges (``_contested``), and any other player, their
-    subclasses too, plays all ``m!`` orders through ``_cost_sums``.  Leaving
-    out the other edges changes no value: the edges ``_rejected`` names are
-    rejected in every order, the inert tree edges accepted in every order,
-    neither changes another decision, so an order's cost depends only on
-    the relative order of the contested edges, and a uniform order of all
-    ``m`` edges orders them uniformly.  ``gftp`` is refused past
+    ``L'`` contested edges, from the state its inert edges leave (``_Deal``),
+    and any other player, their subclasses too, plays all ``m!`` orders
+    through ``_cost_sums``.  Leaving out the other edges changes no value:
+    the edges ``_rejected`` names are rejected in every order, the inert
+    tree edges accepted in every order, neither changes another decision
+    (``GreedyFollowPredictions._contested``), so an order's cost depends
+    only on the relative order of the contested edges, and a uniform order
+    of all ``m`` edges orders them uniformly.  ``gftp`` is refused past
     ``EXACT_CONTESTED_LIMIT`` contested edges, whatever ``m``; every other
     player past ``EXACT_EDGE_LIMIT`` edges.  The games are played from
     ``instance.prepared``, which :func:`estimate` then reads for the row's
@@ -332,37 +297,36 @@ def exact_expectation(alg_factory: AlgFactory, instance: WmstInstance) -> Fracti
     m = instance.m
     alg = alg_factory()
     if type(alg) is GreedyFollowPredictions:
-        contested, inert = _contested(prepared)
-        if len(contested) > EXACT_CONTESTED_LIMIT:
+        deal = alg._deal(prepared)
+        width = len(deal.contested)
+        if width > EXACT_CONTESTED_LIMIT:
             raise TooLarge(
-                f"{len(contested)} contested edges means {len(contested)}! orders; "
+                f"{width} contested edges means {width}! orders; "
                 f"the limit for gftp is {EXACT_CONTESTED_LIMIT}"
             )
-        alg._start(prepared)
-        d, total = _completion_sum(alg, prepared, contested, inert)
-        return Fraction(total, math.factorial(len(contested)) * d)
+        alg._start(prepared, deal)
+        d, total = _completion_sum(alg, prepared, deal)
+        return Fraction(total, math.factorial(width) * d)
     if m > EXACT_EDGE_LIMIT:
         raise TooLarge(f"{m} edges means {m}! orders; the limit is {EXACT_EDGE_LIMIT}")
     cost = _one_game(alg, prepared)
     if cost is not None:
         return cost
-    orders = permutations(range(m))
+    orders = permutations(prepared.graph.edges)
     d, total, _ = _cost_sums(alg_factory, type(alg), prepared, orders, math.factorial(m), None)
     return Fraction(total, math.factorial(m) * d)
 
 
 def _completion_sum(
-    player: GreedyFollowPredictions,
-    prepared: PreparedInstance,
-    contested: list[int],
-    inert: list[int],
+    player: GreedyFollowPredictions, prepared: PreparedInstance, deal: _Deal
 ) -> tuple[int, int | Fraction]:
-    """``d`` and the sum of ``d * cost`` over the orders of ``contested``, for a started ``gftp``.
+    """``d`` and the sum of ``d * cost`` over the orders of the contested edges.
 
-    The inert edges are revealed first, once each, and accepted: a legal
-    start, since no decision depends on when they arrive (``_contested``).
-    Their weight is added once per order.  The ``L'`` contested edges are
-    then walked as a tree of states, each held once, since once a set of
+    ``player`` is a ``gftp`` started from ``deal``, as if every inert edge
+    had arrived and been accepted: a legal start, since no decision depends
+    on when they arrive (``GreedyFollowPredictions._contested``).  Their
+    weight is added once per order.  The ``L'`` contested edges are walked
+    as a tree of states, each held once, since once a set of
     edges is unseen every order of them is equally likely.  A state is one
     int, the unseen contested edges shifted above the working tree's
     contested edges, each a mask whose bit ``i`` is the edge ``contested[i]``:
@@ -373,14 +337,12 @@ def _completion_sum(
     revealed next, the weight of ``e`` if accepted times ``(k-1)!``, plus
     ``S`` of the state that follows.  Each reveal is made in place, with the
     scaled weights ``_play`` would show, and taken back by ``_undo`` once
-    that state is summed; the inert reveals are taken back at the end, so
-    the player is handed back as it started.  The sum is on ``d = prepared.scale``.
+    that state is summed, so the player is handed back as it started.  The
+    sum is on ``d = prepared.scale``.
     """
     edges = prepared.graph.edges
     scaled = prepared.actual_scaled  # as ``_play`` shows a built-in player and sums
-    start = player._saved()
-    for eid in inert:
-        player.reveal(edges[eid], scaled[eid])
+    contested = deal.contested
     width = len(contested)
     bits = [0] * prepared.graph.m
     for i, eid in enumerate(contested):
@@ -418,10 +380,7 @@ def _completion_sum(
     # the closure refers to itself; unlinked, it and the memo are freed now,
     # not left to the cyclic garbage collector
     del completions
-    for eid in inert:
-        player._undo(eid, _ACCEPT, start)
-    inert_weight = sum(scaled[eid] for eid in inert)
-    return prepared.scale, total + inert_weight * math.factorial(width)
+    return prepared.scale, total + deal.inert_weight * math.factorial(width)
 
 
 def harmonic_bound(n: int) -> Fraction:

@@ -713,6 +713,11 @@ def _square_with_a_chord(chord: Fraction) -> WmstInstance:
     return WmstInstance(graph, (F(1), F(1), F(5), F(4)), (F(3), F(1), F(5), chord))
 
 
+def _played(alg, inst: WmstInstance, ids) -> tuple[list[int], int | Fraction]:
+    """``_play`` of ``alg`` on the edges of ``inst`` with the ids ``ids``, in that order."""
+    return _play(alg, inst.prepared, inst.actual, [inst.graph.edges[eid] for eid in ids])
+
+
 def _assert_mc_plays_like_the_reference(inst: WmstInstance, trials: int, seed: int) -> None:
     """``mc_estimate``'s mean is that of the reference player on the same shuffles,
     which reach exactly two distinct costs."""
@@ -752,12 +757,12 @@ class TestDealtEdges:
         rejected_at_all = at_the_bound = at_the_bottleneck = 0
         for inst, ids in _dealt_cases():
             prepared = inst.prepared
-            one_game = _play(ftp(), prepared, inst.actual, range(inst.m))[1]
-            assert _play(ftp(), prepared, inst.actual, ids)[1] == one_game
+            one_game = _played(ftp(), inst, range(inst.m))[1]
+            assert _played(ftp(), inst, ids)[1] == one_game
             rejected = set(gftp()._rejected(prepared))
             dealt = [eid for eid in ids if eid not in rejected]
-            whole = _play(gftp(), prepared, inst.actual, ids)
-            assert _play(gftp(), prepared, inst.actual, dealt) == whole
+            whole = _played(gftp(), inst, ids)
+            assert _played(gftp(), inst, dealt) == whole
             trace = run(ReferenceGreedy(), inst, ArrivalOrder(tuple(ids)))
             assert not any(s.decision.accepted for s in trace.steps if s.edge_id in rejected)
             rejected_at_all += bool(rejected)
@@ -795,8 +800,8 @@ class TestDealtEdges:
             trace = run(ReferenceGreedy(), inst, ArrivalOrder(order))
             assert not trace.steps[order.index(3)].decision.accepted
             dealt = [eid for eid in order if eid != 3]
-            whole = _play(gftp(), prepared, inst.actual, order)
-            assert _play(gftp(), prepared, inst.actual, dealt) == whole
+            whole = _played(gftp(), inst, order)
+            assert _played(gftp(), inst, dealt) == whole
 
     def test_an_edge_at_its_bottleneck_is_dealt_and_swapped_in(self):
         inst = _square_with_a_chord(F(1))

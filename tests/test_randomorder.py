@@ -36,9 +36,10 @@ from wmst import (
     eta,
 )
 from wmst import Decision, FollowPredictions, GreedyFollowPredictions, NotSpanning
-from wmst import checks, cli, randomorder
+from wmst import checks, cli, engine, randomorder
 from wmst.cli import FAMILIES
 from wmst.graphs import PreparedInstance
+from wmst.engine import _play
 from wmst.io import save_instance
 from wmst.randomorder import estimate
 
@@ -88,6 +89,23 @@ def drawn_orders(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(randomorder, "_shuffles", counted)
     return drawn
+
+
+def dealt_games(monkeypatch) -> SimpleNamespace:
+    """Record every game ``randomorder`` plays: the ids of the edges it is
+    dealt, in order, to ``dealt``, and its cost, once played, to ``costs``."""
+    games = SimpleNamespace(dealt=[], costs=[])
+
+    def spied(alg, prepared, actual, edges, *args, **kwargs):
+        edges = list(edges)
+        games.dealt.append([edge.id for edge in edges])
+        accepted, total = play(alg, prepared, actual, edges, *args, **kwargs)
+        games.costs.append(F(total, prepared.scale))
+        return accepted, total
+
+    play = randomorder._play
+    monkeypatch.setattr(randomorder, "_play", spied)
+    return games
 
 
 def pin_cpus(monkeypatch, cpus: int | None) -> None:
@@ -179,7 +197,7 @@ N20_VALUES = {
 def enumerated(factory, inst: WmstInstance) -> Fraction:
     """The expectation from playing every one of the ``m!`` orders, every edge of each."""
     prepared = inst.prepared
-    orders, count = permutations(range(inst.m)), math.factorial(inst.m)
+    orders, count = permutations(inst.graph.edges), math.factorial(inst.m)
     d, total, _ = randomorder._cost_sums(factory, type(factory()), prepared, orders, count, None)
     return F(total, count * d)
 
@@ -314,7 +332,7 @@ class TestMemoisedExpectation:
 
         made = []
         start = gftp()
-        start._start(inst.prepared)
+        start._start(inst.prepared, gftp()._deal(inst.prepared))  # past the inert edges
         exact_expectation(factory, inst)
         [player] = made
         assert player._stamp > 0  # it made cycle queries
@@ -394,22 +412,41 @@ class TestMemoisedExpectation:
     )
     def test_memo_faults_as_in_a_run(self, enumerations, monkeypatch, accepts, message):
         # a built-in gftp never faults, so the memo has no fault to raise: a
-        # faulting gftp is a subclass, which the memo hands to enumeration
+        # faulting gftp is a subclass, which the memo hands to enumeration and
+        # Monte Carlo deals every edge.  On the triangle every edge is
+        # contested; on the pendant gftp's deal holds none, three inert edges
+        # and edge 2, rejected, so a subclass started from it would not fault
         class AcceptsOnly(GreedyFollowPredictions):
             def reveal(self, edge, weight):
                 return Decision.accept() if edge.id in accepts else Decision.reject()
 
         entered = []
         monkeypatch.setattr(randomorder, "_completion_sum", lambda *args: entered.append(args))
-        inst = triangle()
-        with pytest.raises(NotSpanning) as in_a_run:
-            run_cost(AcceptsOnly(), inst, range(inst.m))
-        with pytest.raises(NotSpanning) as in_the_estimate:
-            exact_expectation(AcceptsOnly, inst)
-        assert str(in_the_estimate.value) == str(in_a_run.value)
-        assert message in str(in_a_run.value)
-        assert enumerations == [inst.m]
+        pin_cpus(monkeypatch, 2)
+        sizes = serial_pools(monkeypatch)
+        pendant = WmstInstance(Graph.from_pairs(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
+                               (F(1), F(1), F(5), F(1)), (F(1), F(2), F(5), F(3)))
+        deal = gftp()._deal(pendant.prepared)
+        assert (deal.contested, sorted(deal.inert)) == ([], [0, 1, 3])
+        for inst in (triangle(), pendant):
+            games = dealt_games(monkeypatch)
+            with pytest.raises(NotSpanning) as in_a_run:
+                run_cost(AcceptsOnly(), inst, range(inst.m))
+            with pytest.raises(NotSpanning) as in_the_estimate:
+                exact_expectation(AcceptsOnly, inst)
+            assert str(in_the_estimate.value) == str(in_a_run.value)
+            for workers in (1, 2):
+                with pytest.raises(NotSpanning) as in_a_trial:
+                    mc_estimate(AcceptsOnly, inst, trials=10, seed=0, workers=workers)
+                assert str(in_a_trial.value) == str(in_a_run.value)
+            assert message in str(in_a_run.value)
+            # each estimate faulted in its first game, dealt every edge
+            assert [sorted(ids) for ids in games.dealt] == [list(range(inst.m))] * 3
+            assert games.costs == []
+            monkeypatch.setattr(randomorder, "_play", _play)
+        assert enumerations == [3, 4]
         assert entered == []
+        assert sizes == [2, 2]
 
     def test_memo_matches_the_straightforward_player(self, enumerations, deadline):
         # enumerating the reference takes about 7 times as long as enumerating
@@ -433,12 +470,14 @@ class TestMemoisedExpectation:
         played = 0
         for inst in instances:
             prepared = inst.prepared
-            dealt = randomorder._dealt(gftp(), prepared)
-            if dealt is None:
+            rejected = set(gftp()._rejected(prepared))
+            if not rejected:
                 continue
             revealed = set()
             value = exact_expectation(gftp, inst)
-            assert revealed == {eid for eid in range(inst.m) if dealt[eid]}
+            # the live edges, less the inert ones the deal accepted unrevealed
+            live = set(range(inst.m)) - rejected
+            assert revealed == live - set(gftp()._deal(prepared).inert)
             assert value == enumerated(gftp, inst)
             played += 1
         assert played >= 50
@@ -516,7 +555,7 @@ class TestContestedEdges:
     def test_matches_the_live_edge_memo(self, enumerations, deadline):
         played = inert = 0
         for inst in _differential_instances():
-            contested, left_out = randomorder._contested(inst.prepared)
+            contested, left_out = gftp()._contested(inst.prepared)
             assert exact_expectation(gftp, inst) == reference_memo.expectation(inst)
             played += 1
             inert += bool(left_out) and bool(contested)
@@ -527,12 +566,12 @@ class TestContestedEdges:
         # every ro-lb edge lies on a cycle of a live edge; a tree graph has none
         for spokes in (1, 4, 7):
             prepared = gen_ro_lb(2, F(1, 2), spokes).prepared
-            assert randomorder._contested(prepared) == (list(range(2 * spokes + 1)), [])
+            assert gftp()._contested(prepared) == (list(range(2 * spokes + 1)), [])
         tree = next(_edge_cases())
         prepared = tree.prepared
-        assert randomorder._contested(prepared) == ([], list(prepared.tree_by_prediction))
+        assert gftp()._contested(prepared) == ([], list(prepared.tree_by_prediction))
 
-    def test_inert_edges_are_revealed_once_and_handed_back(self, monkeypatch, deadline):
+    def test_inert_edges_start_accepted_and_are_never_revealed(self, monkeypatch, deadline):
         def recorded(player, edge, weight):
             revealed.append(edge.id)
             return reveal(player, edge, weight)
@@ -542,22 +581,33 @@ class TestContestedEdges:
         played = 0
         for inst in _differential_instances():
             prepared = inst.prepared
-            contested, inert = randomorder._contested(prepared)
-            player, start = gftp(), gftp()
-            player._start(prepared)
-            start._start(prepared)
+            deal = gftp()._deal(prepared)
+            contested, inert = deal.contested, deal.inert
+            # the deal's start is the state the inert reveals leave, with the
+            # pointer moved on to the first candidate
             revealed = []
-            randomorder._completion_sum(player, prepared, contested, inert)
-            assert revealed[:len(inert)] == inert
-            assert set(revealed[len(inert):]) == set(contested)
-            assert (player._head, player._candidate) == (start._head, start._candidate)
+            walked, dealt = gftp(), gftp()
+            walked._start(prepared)
+            for eid in inert:
+                assert walked.reveal(inst.graph.edges[eid], prepared.actual_scaled[eid]).accepted
+            dealt._start(prepared, deal)
+            assert walked._candidate == dealt._candidate
+            assert walked._parent_edge == dealt._parent_edge and walked._parent == dealt._parent
+            heaviest, head = prepared.tree_by_prediction, dealt._head
+            assert not any(dealt._candidate[eid] for eid in heaviest[:head])
+            assert head == len(heaviest) or dealt._candidate[heaviest[head]]
+            # the memo reveals only the contested edges and hands the player back
+            revealed = []
+            randomorder._completion_sum(dealt, prepared, deal)
+            assert set(revealed) == set(contested)
+            assert (dealt._head, dealt._candidate) == (deal.head, deal.candidate)
             played += bool(inert) and bool(contested)
         assert played >= 120
 
     def test_many_inert_and_undealt_edges(self, enumerations, deadline):
         # m = 373 with 13 contested and 48 inert edges; 312 are never dealt
         inst = random_instance(60, F(1, 5), F(1, 20), 23)
-        contested, inert = randomorder._contested(inst.prepared)
+        contested, inert = gftp()._contested(inst.prepared)
         assert (inst.m, len(contested), len(inert)) == (373, 13, 48)
         assert exact_expectation(gftp, inst) == F(25280969, 3932160)
         assert enumerations == []
@@ -573,11 +623,89 @@ class TestContestedEdges:
         entered = []
         monkeypatch.setattr(randomorder, "_completion_sum", lambda *args: entered.append(args))
         inst = random_instance(20, F(1, 5), F(1, 4), 11)  # m = 45
-        contested, _ = randomorder._contested(inst.prepared)
+        contested, _ = gftp()._contested(inst.prepared)
         assert len(contested) == randomorder.EXACT_CONTESTED_LIMIT + 1
         with pytest.raises(TooLarge, match="16 contested edges"):
             exact_expectation(gftp, inst)
         assert entered == [] and enumerations == []
+
+
+def _dealt_corpus():
+    """Instances for the dealt trials: every fourth differential instance and
+    two mc-random ones, most with inert and rejected edges; ro-lb, with
+    neither; and a K4 past ``SCALE_BITS``, whose weights stay Fractions."""
+    yield from islice(_differential_instances(), 0, None, 4)
+    yield random_instance(60, F(1, 5), F(1, 4), 2)
+    yield random_instance(60, F(1, 5), F(1, 4), 3)
+    for spokes in (1, 4):
+        yield gen_ro_lb(2, F(1, 2), spokes)
+    yield _wide_coprime_instance(4, base=50)
+
+
+class TestDealtTrials:
+    """A ``gftp`` trial is dealt only its contested edges, from the deal's start,
+    and costs what its whole shuffle costs; a subclass is dealt every edge."""
+
+    def test_each_trial_costs_what_its_whole_shuffle_costs(self, monkeypatch, deadline):
+        trials = 8
+        kinds = {"inert and rejected": 0, "neither": 0, "fractions": 0}
+        for seed, inst in enumerate(_dealt_corpus()):
+            prepared = inst.prepared
+            deal = gftp()._deal(prepared)
+            rng = pyrandom.Random(seed)
+            ids = list(range(inst.m))
+            shuffles, whole = [], []
+            for _ in range(trials):
+                rng.shuffle(ids)
+                shuffles.append(list(ids))
+                whole.append(run_cost(gftp(), inst, ids))
+            contested = set(deal.contested)
+            for factory in (gftp, NamedGreedy):
+                games = dealt_games(monkeypatch)
+                mc_estimate(factory, inst, trials=trials, seed=seed, workers=1)
+                monkeypatch.setattr(randomorder, "_play", _play)
+                assert games.costs == whole
+                if factory is gftp:
+                    # the contested edges of each shuffle, in its order
+                    dealt = [[eid for eid in order if eid in contested] for order in shuffles]
+                else:
+                    dealt = shuffles
+                assert games.dealt == dealt
+            rejected = gftp()._rejected(prepared)
+            kinds["inert and rejected"] += bool(deal.inert) and bool(rejected)
+            kinds["neither"] += not deal.inert and not rejected
+            kinds["fractions"] += prepared.scale == 1
+        assert kinds["inert and rejected"] >= 80 and kinds["neither"] >= 5
+        assert kinds["fractions"] == 1
+
+    def test_worker_count_does_not_change_an_estimate_with_inert_edges(self, monkeypatch):
+        # both workers fork after the parent builds the deal, and the second
+        # starts mid-stream
+        inst = random_instance(60, F(1, 5), F(1, 4), 3)
+        deal = gftp()._deal(inst.prepared)
+        assert len(deal.inert) == 21 and len(gftp()._rejected(inst.prepared)) == 278
+        pin_cpus(monkeypatch, 2)
+        one, two = (mc_estimate(gftp, inst, trials=41, seed=9, workers=w) for w in (1, 2))
+        assert one == two
+        assert inst.prepared.deal is deal
+
+    def test_the_deal_is_built_once_per_preparation(self, monkeypatch):
+        built = []
+        init = engine._Deal.__init__
+
+        def counted(self, prepared):
+            built.append(prepared)
+            init(self, prepared)
+
+        monkeypatch.setattr(engine._Deal, "__init__", counted)
+        inst = random_instance(20, F(1, 5), F(1, 4), 1)
+        mc_estimate(NamedGreedy, inst, trials=4, seed=0)
+        mc_estimate(ftp, inst, trials=4, seed=0)
+        assert built == [] and inst.prepared.deal is None
+        for seed in range(3):
+            mc_estimate(gftp, inst, trials=4, seed=seed)
+        exact_expectation(gftp, inst)
+        assert built == [inst.prepared]
 
 
 class TestMonteCarlo:
@@ -770,18 +898,21 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("factory", [gftp, lambda: gftp()], ids=["gftp", "lambda"])
     def test_automatic_worker_count_counts_dealt_reveals(self, monkeypatch, factory):
-        # 352 edges, 74 of them live for gftp: 1000 trials deal 74,000 reveals,
-        # one worker's worth, though 352,000 would be seven
+        # 352 edges, 74 of them live for gftp and 53 of those contested: 1500
+        # trials deal 79,500 reveals, one worker's worth, though the live edges
+        # would be 111,000 reveals, two workers, and every edge 528,000, ten
         inst = random_instance(60, F(1, 5), F(1, 4), 3)
         dead = gftp()._rejected(inst.prepared)
-        assert (inst.m, inst.m - len(dead)) == (352, 74)
+        contested, inert = gftp()._contested(inst.prepared)
+        assert (inst.m, inst.m - len(dead), len(contested), len(inert)) == (352, 74, 53, 21)
+        assert inst.prepared.deal is None  # built by the estimate below
         pin_cpus(monkeypatch, 2)
         sizes = serial_pools(monkeypatch)
         named = []
         rejected = GreedyFollowPredictions._rejected
         monkeypatch.setattr(GreedyFollowPredictions, "_rejected",
                             staticmethod(lambda prepared: named.append(1) or rejected(prepared)))
-        mc_estimate(factory, inst, trials=1000, seed=0)
+        mc_estimate(factory, inst, trials=1500, seed=0)
         # sized from the player the factory makes, so a wrapper is sized like gftp,
         # and the edges it sizes by are the ones its trials are dealt
         assert sizes == []
@@ -836,9 +967,10 @@ class TestOrderStream:
     def test_same_orders_as_repeated_random_shuffle(self, m):
         for seed in self.SEEDS:
             expected = self.shuffled(m, seed, 60)
-            assert [ids.copy() for ids in islice(randomorder._shuffles(m, seed), 60)] == expected
+            stream = randomorder._shuffles(range(m), seed)
+            assert [ids.copy() for ids in islice(stream, 60)] == expected
             # a worker's chunk starts mid-stream, as ``_mc_chunk`` slices it
-            chunk = islice(randomorder._shuffles(m, seed), 23, 51)
+            chunk = islice(randomorder._shuffles(range(m), seed), 23, 51)
             assert [ids.copy() for ids in chunk] == expected[23:51]
 
     @pytest.mark.parametrize("m", [0, 1, 2, 41])
