@@ -367,21 +367,35 @@ class GreedyFollowPredictions(OnlineAlgorithm):
         """The contested edges, by id, and the inert tree edges, heaviest prediction first.
 
         An edge off the predicted tree is contested when it is live, not named
-        by ``_rejected``; an edge of the predicted tree when it lies on a live
-        off-tree edge's predicted-tree path, and inert otherwise.  By induction
-        over swaps, the working-tree path of a contested edge off the working
-        tree stays inside the contested edges, so no cycle query climbs an
-        inert edge and none is evicted: it is accepted whenever it arrives,
-        and its arrival changes no other decision (the pointer only skips
-        edges that are no candidates, and a reveal above the candidate it
-        names is rejected by the climb too).  The edges ``_rejected`` names
-        are rejected whenever they arrive, without a change of state.  So in
-        any order of all the edges, the contested edges are decided as in
-        their relative order alone, played from the state in which every
-        inert edge has arrived (``_Deal``), and the cost is theirs plus the
-        inert weight.  Each live off-tree edge's path is climbed once, in O(n).
+        by ``_rejected``.  An edge of the predicted tree is inert when it lies
+        on no live off-tree edge's predicted-tree path, or when its scaled
+        prediction is below ``mu``, the least scaled true weight of the live
+        edges and the tree edges on their paths, its own included; the other
+        tree edges are contested.
+
+        The edges ``_rejected`` names are rejected whenever they arrive,
+        without a change of state, and an edge on the working tree is
+        accepted, so only a live edge or a tree edge evicted earlier can
+        evict.  By induction over swaps, the working-tree path of such an
+        edge stays inside the live edges' paths, so no cycle query climbs a
+        tree edge on none of them, and none of those is evicted.  A tree edge
+        ``e`` predicting below ``mu`` is climbed but never evicted: at the
+        first eviction of such an edge, the edge that evicts is live or a
+        tree edge of the paths evicted earlier, so it weighs at least ``mu``,
+        while an eviction needs a weight at most ``pred[e] < mu``.  So an
+        inert edge is accepted whenever it arrives, and its arrival, which
+        clears its own flag, changes no other decision.  A climb that would
+        pick an unseen ``e`` as ``e_max`` rejects with or without it, since
+        the revealed weight is at least ``mu``, and a climb that would not
+        picks the same edge.  The pointer only skips edges that are no
+        candidates, and a reveal above the candidate it names is rejected by
+        the climb too.  So in any order of all the edges, the contested edges
+        are decided as in their relative order alone, played from the state
+        in which every inert edge has arrived (``_Deal``), and the cost is
+        theirs plus the inert weight.  Each live off-tree edge's path is
+        climbed once, in O(n).
         """
-        tree = prepared.tree
+        tree, pred, actual = prepared.tree, prepared.predicted_scaled, prepared.actual_scaled
         parent, parent_edge, depth = prepared.rooted
         us, vs = prepared.us, prepared.vs
         m = prepared.graph.m
@@ -397,8 +411,14 @@ class GreedyFollowPredictions(OnlineAlgorithm):
                     a, b = b, a
                 contested[parent_edge[a]] = 1
                 a = parent[a]
+        on_paths = [eid for eid in range(m) if contested[eid]]
+        if on_paths:
+            mu = min(actual[eid] for eid in on_paths)
+            for eid in tree:
+                if pred[eid] < mu:
+                    contested[eid] = 0
         inert = [eid for eid in prepared.tree_by_prediction if not contested[eid]]
-        return [eid for eid in range(m) if contested[eid]], inert
+        return [eid for eid in on_paths if contested[eid]], inert
 
     @staticmethod
     def _deal(prepared: PreparedInstance) -> "_Deal":
@@ -424,7 +444,9 @@ class GreedyFollowPredictions(OnlineAlgorithm):
         plain tree accept (``_ACCEPT``) or if ``eid`` is off the predicted
         tree, and 0 for a predicted-tree edge revealed off the working tree,
         which was evicted.  A swapped-out edge was an unseen working-tree
-        edge, so its flag was 1.
+        edge, so its flag was 1.  A player started from a ``_Deal`` also
+        holds its inert edges at flag 0, as arrived; none is ever revealed
+        or evicted there, so none is set back.
         """
         self._head, parent, parent_edge = saved
         self._candidate[eid] = 1 if decision is _ACCEPT or eid not in self._tree else 0
@@ -450,8 +472,12 @@ class _Deal:
     ``tree_by_prediction`` that are no candidates, which a reveal would skip
     before it reads one; ``joined``, the union-find of ``_play`` with the
     inert edges joined; and ``inert_weight``, their scaled sum.  An inert
-    arrival changes nothing else: a working-tree edge is accepted with no
-    cycle query.  A Monte Carlo trial and the exact memo start from here.
+    arrival changes nothing else: an inert edge stays on the working tree,
+    where it is accepted with no cycle query.  Those inert edges that lie on
+    a contested edge's path are climbed from here on, but with their flags
+    cleared they are never candidates, which changes no decision
+    (``GreedyFollowPredictions._contested``).  A Monte Carlo trial and the
+    exact memo start from here.
     """
 
     __slots__ = ("contested", "inert", "items", "candidate", "head", "joined", "inert_weight")

@@ -4,9 +4,11 @@ Estimates the expected cost of an online player over uniformly random
 arrival orders, by Monte Carlo sampling or exactly.  Each estimate makes
 one player first, and its type decides how the estimate is played: ``ftp``
 accepts exactly its predicted tree, so its estimate is the cost of one
-game.  ``gftp`` is dealt only its contested edges, those that can change
-its state or another decision, from the state its other edges leave, both
-built once per preparation: a Monte Carlo trial plays only them, and its
+game.  ``gftp`` is dealt only its contested edges, the live edges off its
+predicted tree and the tree edges on their paths that it might evict, from
+the state its other edges leave, both built once per preparation: a tree
+edge predicting below every contested true weight is never evicted, so it
+is not dealt.  A Monte Carlo trial plays only the contested edges, and its
 exact expectation is a memoised recursion over the states their orders
 pass through, refused past ``EXACT_CONTESTED_LIMIT`` of them whatever the
 edge count.  Any other player, a subclass of either included, plays every
@@ -47,18 +49,20 @@ AlgFactory = Callable[[], "OnlineAlgorithm"]
 EXACT_EDGE_LIMIT = 9
 
 # The most contested edges (``_contested``) the exact gftp memo walks,
-# whatever the edge count.  At 15 the slowest instances measured on a shared
-# 2-CPU Xeon took 3.3 s and 80 MB (random_instance(8, 1/2, 3, 2), 394k
-# states) and 2.0 s and 30 MB (gen_ro_lb(2, 1/2, 7)).
+# whatever the edge count.  At 15, the slowest of 36 random instances
+# measured on a shared 2-CPU Xeon (random_instance(n, p, q, s) for n = 8-30,
+# p = 1/5, 1/3, 1/2, q = 1/4, 1, 3, s < 40) took 3.9-4.3 s and 64 MB
+# (random_instance(30, 1/5, 3, 4), m = 83), and gen_ro_lb(2, 1/2, 7) 1.1 s
+# and 30 MB.
 EXACT_CONTESTED_LIMIT = 15
 
 LN2 = math.log(2.0)
 
 # Reveals dealt (trials * edges dealt per trial: gftp's contested edges, every
 # edge to any other player) that pay for a forked worker.  On a shared 2-CPU
-# Xeon, gftp on random_instance(60, 1/5, 1/4, s), s = 2, 3, 8, 10 (53-72
-# contested edges), won with two workers from 50,000 dealt reveals on all four
-# (1.08x-1.33x), and by 1.24x-1.62x at 100,000.
+# Xeon, gftp on random_instance(60, 1/5, 1/4, s), s = 2, 3, 8, 10 (39-55
+# dealt edges), won with two workers from 50,000 dealt reveals on all four
+# (1.12x-1.25x, best of 7), and by 1.19x-1.33x at 100,000.
 REVEALS_PER_WORKER = 50_000
 
 
@@ -284,7 +288,9 @@ def exact_expectation(alg_factory: AlgFactory, instance: WmstInstance) -> Fracti
     and any other player, their subclasses too, plays all ``m!`` orders
     through ``_cost_sums``.  Leaving out the other edges changes no value:
     the edges ``_rejected`` names are rejected in every order, the inert
-    tree edges accepted in every order, neither changes another decision
+    tree edges, on no live edge's path or predicting below every contested
+    true weight, are never evicted and so accepted in every order, and
+    neither changes another decision
     (``GreedyFollowPredictions._contested``), so an order's cost depends
     only on the relative order of the contested edges, and a uniform order
     of all ``m`` edges orders them uniformly.  ``gftp`` is refused past

@@ -475,15 +475,29 @@ def test_ro_exact_refuses_a_trials_column_too_long_to_write(tmp_path, capsys):
 
 
 def test_ro_exact_past_the_contested_budget_exits_two(tmp_path, capsys, deadline):
-    # m = 45 with 16 contested edges, one past the budget
+    # m = 42 with 16 contested edges, one past the budget
     path = tmp_path / "r20.json"
-    save_instance(random_instance(20, F(1, 5), F(1, 4), 11), path)
+    save_instance(random_instance(20, F(1, 5), F(1, 4), 39), path)
     start = time.perf_counter()
     code = main(["ro", "gftp", str(path), "--exact"])
     assert time.perf_counter() - start < 1
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert err == "error: 16 contested edges means 16! orders; the limit for gftp is 15\n"
+
+
+def test_ro_exact_leaves_out_tree_edges_that_predict_below_every_contested_weight(
+    tmp_path, capsys, deadline
+):
+    # m = 45: 16 tree edges and live edges on their paths, 5 of the tree
+    # edges predicting below every true weight among them, so 11 contested
+    path = tmp_path / "r20.json"
+    save_instance(random_instance(20, F(1, 5), F(1, 4), 11), path)
+    code, text = run_cli(capsys, "ro", "gftp", str(path), "--exact")
+    assert code == 0
+    assert "# exact mean = 593329/98304" in text
+    row = _parse_csv(text)[0]
+    assert (row["mean"], row["trials"]) == ("593329/98304", str(math.factorial(45)))
 
 
 @pytest.mark.parametrize(

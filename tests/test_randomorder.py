@@ -38,7 +38,7 @@ from wmst import (
 from wmst import Decision, FollowPredictions, GreedyFollowPredictions, NotSpanning
 from wmst import checks, cli, engine, randomorder
 from wmst.cli import FAMILIES
-from wmst.graphs import PreparedInstance
+from wmst.graphs import PreparedInstance, SpanningTree
 from wmst.engine import _play
 from wmst.io import save_instance
 from wmst.randomorder import estimate
@@ -549,17 +549,30 @@ def _live_count(inst: WmstInstance) -> int:
     return inst.m - len(gftp()._rejected(inst.prepared))
 
 
+def _inert_on_live_paths(prepared: PreparedInstance) -> set[int]:
+    """The inert tree edges that lie on a live edge's predicted-tree path:
+    those left out for predicting below every contested true weight."""
+    tree = SpanningTree(prepared.graph, prepared.tree)
+    rejected = set(gftp()._rejected(prepared))
+    live = [eid for eid in range(prepared.graph.m) if eid not in prepared.tree | rejected]
+    on_paths = {e for eid in live for e in tree.path_ids(prepared.us[eid], prepared.vs[eid])}
+    return on_paths & set(gftp()._contested(prepared)[1])
+
+
 class TestContestedEdges:
-    """The memo walks only the contested edges and reveals the inert ones once."""
+    """The memo walks only the contested edges and never reveals the inert ones."""
 
     def test_matches_the_live_edge_memo(self, enumerations, deadline):
-        played = inert = 0
+        played = inert = below = 0
         for inst in _differential_instances():
             contested, left_out = gftp()._contested(inst.prepared)
             assert exact_expectation(gftp, inst) == reference_memo.expectation(inst)
             played += 1
             inert += bool(left_out) and bool(contested)
+            below += bool(_inert_on_live_paths(inst.prepared))
         assert played >= 470 and inert >= 120  # both inert and contested edges
+        # a tree edge on a live path left out, predicting below every contested weight
+        assert below >= 100
         assert enumerations == []
 
     def test_contested_edges_of_ro_lb_and_a_tree(self):
@@ -570,6 +583,24 @@ class TestContestedEdges:
         tree = next(_edge_cases())
         prepared = tree.prepared
         assert gftp()._contested(prepared) == ([], list(prepared.tree_by_prediction))
+
+    @pytest.mark.parametrize(
+        "weight, contested, inert",
+        [(F(1), [0, 1, 2], []), (F(2), [0, 1, 2], []), (F(3), [0, 2], [1])],
+    )
+    def test_a_tree_edge_is_left_out_only_below_every_contested_weight(
+        self, enumerations, weight, contested, inert
+    ):
+        # edge 2, at 5/2, evicts edge 0, which predicts 3; revealed later at
+        # ``weight``, edge 0 evicts edge 1, which predicts 2, unless it weighs
+        # more than 2: edge 1 predicts below edge 2's weight in every case
+        graph = Graph.from_pairs(3, [(0, 1), (1, 2), (0, 2)])
+        inst = WmstInstance(graph, (F(3), F(2), F(4)), (weight, F(5), F(5, 2)))
+        assert gftp()._contested(inst.prepared) == (contested, inert)
+        swapped = run(gftp(), inst, ArrivalOrder((2, 0, 1))).steps[1].decision.swapped_out
+        assert swapped == (None if inert else 1)
+        assert exact_expectation(gftp, inst) == enumerated(gftp, inst)
+        assert enumerations == []
 
     def test_inert_edges_start_accepted_and_are_never_revealed(self, monkeypatch, deadline):
         def recorded(player, edge, weight):
@@ -622,7 +653,7 @@ class TestContestedEdges:
     def test_guard_refuses_past_the_contested_budget(self, enumerations, monkeypatch):
         entered = []
         monkeypatch.setattr(randomorder, "_completion_sum", lambda *args: entered.append(args))
-        inst = random_instance(20, F(1, 5), F(1, 4), 11)  # m = 45
+        inst = random_instance(20, F(1, 5), F(1, 4), 39)  # m = 42
         contested, _ = gftp()._contested(inst.prepared)
         assert len(contested) == randomorder.EXACT_CONTESTED_LIMIT + 1
         with pytest.raises(TooLarge, match="16 contested edges"):
@@ -637,7 +668,7 @@ def _dealt_corpus():
     yield from islice(_differential_instances(), 0, None, 4)
     yield random_instance(60, F(1, 5), F(1, 4), 2)
     yield random_instance(60, F(1, 5), F(1, 4), 3)
-    for spokes in (1, 4):
+    for spokes in (1, 2, 4):
         yield gen_ro_lb(2, F(1, 2), spokes)
     yield _wide_coprime_instance(4, base=50)
 
@@ -648,7 +679,7 @@ class TestDealtTrials:
 
     def test_each_trial_costs_what_its_whole_shuffle_costs(self, monkeypatch, deadline):
         trials = 8
-        kinds = {"inert and rejected": 0, "neither": 0, "fractions": 0}
+        kinds = {"inert and rejected": 0, "neither": 0, "below": 0, "fractions": 0}
         for seed, inst in enumerate(_dealt_corpus()):
             prepared = inst.prepared
             deal = gftp()._deal(prepared)
@@ -674,8 +705,10 @@ class TestDealtTrials:
             rejected = gftp()._rejected(prepared)
             kinds["inert and rejected"] += bool(deal.inert) and bool(rejected)
             kinds["neither"] += not deal.inert and not rejected
+            kinds["below"] += bool(_inert_on_live_paths(prepared))
             kinds["fractions"] += prepared.scale == 1
         assert kinds["inert and rejected"] >= 80 and kinds["neither"] >= 5
+        assert kinds["below"] >= 20
         assert kinds["fractions"] == 1
 
     def test_worker_count_does_not_change_an_estimate_with_inert_edges(self, monkeypatch):
@@ -683,7 +716,7 @@ class TestDealtTrials:
         # starts mid-stream
         inst = random_instance(60, F(1, 5), F(1, 4), 3)
         deal = gftp()._deal(inst.prepared)
-        assert len(deal.inert) == 21 and len(gftp()._rejected(inst.prepared)) == 278
+        assert len(deal.inert) == 35 and len(gftp()._rejected(inst.prepared)) == 278
         pin_cpus(monkeypatch, 2)
         one, two = (mc_estimate(gftp, inst, trials=41, seed=9, workers=w) for w in (1, 2))
         assert one == two
@@ -898,24 +931,26 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("factory", [gftp, lambda: gftp()], ids=["gftp", "lambda"])
     def test_automatic_worker_count_counts_dealt_reveals(self, monkeypatch, factory):
-        # 352 edges, 74 of them live for gftp and 53 of those contested: 1500
-        # trials deal 79,500 reveals, one worker's worth, though the live edges
-        # would be 111,000 reveals, two workers, and every edge 528,000, ten
+        # 352 edges, 74 of them live for gftp and 39 of those contested: 2900
+        # trials deal 113,100 reveals, two workers' worth, though the live edges
+        # would be 214,600 reveals, four workers, and every edge 1,020,800, all
+        # eight CPUs; the 53 contested before tree edges below every contested
+        # weight were left out would be 153,700, three workers
         inst = random_instance(60, F(1, 5), F(1, 4), 3)
         dead = gftp()._rejected(inst.prepared)
         contested, inert = gftp()._contested(inst.prepared)
-        assert (inst.m, inst.m - len(dead), len(contested), len(inert)) == (352, 74, 53, 21)
+        assert (inst.m, inst.m - len(dead), len(contested), len(inert)) == (352, 74, 39, 35)
         assert inst.prepared.deal is None  # built by the estimate below
-        pin_cpus(monkeypatch, 2)
+        pin_cpus(monkeypatch, 8)
         sizes = serial_pools(monkeypatch)
         named = []
         rejected = GreedyFollowPredictions._rejected
         monkeypatch.setattr(GreedyFollowPredictions, "_rejected",
                             staticmethod(lambda prepared: named.append(1) or rejected(prepared)))
-        mc_estimate(factory, inst, trials=1500, seed=0)
+        mc_estimate(factory, inst, trials=2900, seed=0)
         # sized from the player the factory makes, so a wrapper is sized like gftp,
         # and the edges it sizes by are the ones its trials are dealt
-        assert sizes == []
+        assert sizes == [2]
         assert named == [1]
 
     def test_mean_and_std_error_are_those_of_the_exact_sample(self):
