@@ -73,8 +73,10 @@ def _shuffles(items: Iterable, seed: int):
     These are the draws ``Random(seed).shuffle`` makes, so the stream is the
     one repeated ``Random(seed).shuffle`` calls give; what is saved is the
     method call and the bit length that ``shuffle`` pays per position.  The
-    draws depend only on the length, so any list of ``m`` items is permuted
-    as ``range(m)`` is: the item at position ``p`` goes where id ``p`` goes.
+    draws depend only on the length, so a list of ``k`` items is permuted as
+    ``range(k)`` is, and a list of fewer than two draws nothing.  Monte
+    Carlo shuffles the edges of the graph, or for an exact ``gftp`` its
+    contested edges alone (``_Deal``).
     """
     getrandbits = random.Random(seed).getrandbits
     items = list(items)
@@ -337,7 +339,8 @@ class GreedyFollowPredictions(OnlineAlgorithm):
         prediction and the heaviest tree prediction, so a weight above either
         is rejected unclimbed.  Otherwise the path is climbed from the deeper
         endpoint, and the edge is live at the first path edge that predicts at
-        least its weight.
+        least its weight.  ``_contested`` tells the live edges in its own
+        climb of their paths; this is the reference the tests check it with.
         """
         tree, pred, actual = prepared.tree, prepared.predicted_scaled, prepared.actual_scaled
         top = pred[prepared.tree_by_prediction[0]]
@@ -392,25 +395,34 @@ class GreedyFollowPredictions(OnlineAlgorithm):
         the climb too.  So in any order of all the edges, the contested edges
         are decided as in their relative order alone, played from the state
         in which every inert edge has arrived (``_Deal``), and the cost is
-        theirs plus the inert weight.  Each live off-tree edge's path is
-        climbed once, in O(n).
+        theirs plus the inert weight.  An off-tree edge that ``_rejected``'s
+        unclimbed tests pass has its path climbed once, in O(n): it is live
+        when a path edge predicts at least its weight, and then every path
+        edge is on a live path.
         """
         tree, pred, actual = prepared.tree, prepared.predicted_scaled, prepared.actual_scaled
+        top = pred[prepared.tree_by_prediction[0]]
         parent, parent_edge, depth = prepared.rooted
         us, vs = prepared.us, prepared.vs
         m = prepared.graph.m
-        rejected = set(GreedyFollowPredictions._rejected(prepared))
         contested = [0] * m
         for eid in range(m):
-            if eid in tree or eid in rejected:
+            if eid in tree:
                 continue
-            contested[eid] = 1
+            weight = actual[eid]
+            if weight > pred[eid] or weight > top:
+                continue
             a, b = us[eid], vs[eid]
+            path = []
             while a != b:
                 if depth[a] < depth[b]:
                     a, b = b, a
-                contested[parent_edge[a]] = 1
+                path.append(parent_edge[a])
                 a = parent[a]
+            if any(pred[e] >= weight for e in path):
+                contested[eid] = 1
+                for e in path:
+                    contested[e] = 1
         on_paths = [eid for eid in range(m) if contested[eid]]
         if on_paths:
             mu = min(actual[eid] for eid in on_paths)
@@ -462,12 +474,10 @@ class GreedyFollowPredictions(OnlineAlgorithm):
 class _Deal:
     """What an exact ``gftp`` is dealt on one preparation, and where it starts.
 
-    ``contested`` and ``inert`` are the ids of ``_contested``.  ``items``
-    holds the ``Edge`` at each contested id and None at every other id:
-    ``_shuffles`` permutes it with the draws that permute ``range(m)``, so
-    ``filter(None, items)`` is a trial's order of all the edges with only
-    the contested ones left.  The rest is the state once every inert edge
-    has arrived and been accepted: ``candidate``, the player's flags with
+    ``contested`` and ``inert`` are the ids of ``_contested``, and ``edges``
+    the contested ``Edge``s in id order, the list a Monte Carlo trial
+    shuffles and plays as it comes.  The rest is the state once every inert
+    edge has arrived and been accepted: ``candidate``, the player's flags with
     the inert ones cleared; ``head``, its pointer past the leading edges of
     ``tree_by_prediction`` that are no candidates, which a reveal would skip
     before it reads one; ``joined``, the union-find of ``_play`` with the
@@ -480,14 +490,12 @@ class _Deal:
     exact memo start from here.
     """
 
-    __slots__ = ("contested", "inert", "items", "candidate", "head", "joined", "inert_weight")
+    __slots__ = ("contested", "inert", "edges", "candidate", "head", "joined", "inert_weight")
 
     def __init__(self, prepared: PreparedInstance):
         graph = prepared.graph
         self.contested, self.inert = GreedyFollowPredictions._contested(prepared)
-        self.items = [None] * graph.m
-        for eid in self.contested:
-            self.items[eid] = graph.edges[eid]
+        self.edges = [graph.edges[eid] for eid in self.contested]
         self.candidate = [1] * graph.m
         self.joined = _UnionFind(graph.n)
         for eid in self.inert:

@@ -8,12 +8,14 @@ game.  ``gftp`` is dealt only its contested edges, the live edges off its
 predicted tree and the tree edges on their paths that it might evict, from
 the state its other edges leave, both built once per preparation: a tree
 edge predicting below every contested true weight is never evicted, so it
-is not dealt.  A Monte Carlo trial plays only the contested edges, and its
-exact expectation is a memoised recursion over the states their orders
-pass through, refused past ``EXACT_CONTESTED_LIMIT`` of them whatever the
-edge count.  Any other player, a subclass of either included, plays every
-order whole, and its exact expectation, like ``ftp``'s, is refused past
-``EXACT_EDGE_LIMIT`` edges.  Reports compare the measured ratio against
+is not dealt.  A Monte Carlo trial shuffles and plays only the contested
+edges: an order's cost depends only on their relative order, which a
+uniform order of all the edges leaves uniform.  Its exact expectation is a
+memoised recursion over the states their orders pass through, refused
+past ``EXACT_CONTESTED_LIMIT`` of them whatever the edge count.  Any other
+player, a subclass of either included, plays every order whole, and its
+exact expectation, like ``ftp``'s, is refused past ``EXACT_EDGE_LIMIT``
+edges.  Reports compare the measured ratio against
 three reference curves in the normalized error: ``1 + e``,
 ``1 + (1 + ln 2) e`` and ``1 + 2e``.
 """
@@ -62,7 +64,8 @@ LN2 = math.log(2.0)
 # edge to any other player) that pay for a forked worker.  On a shared 2-CPU
 # Xeon, gftp on random_instance(60, 1/5, 1/4, s), s = 2, 3, 8, 10 (39-55
 # dealt edges), won with two workers from 50,000 dealt reveals on all four
-# (1.12x-1.25x, best of 7), and by 1.19x-1.33x at 100,000.
+# (1.33x-1.41x, best of 7), and by 1.44x-1.57x at 100,000; at 25,000 it
+# read 0.78x-1.11x.
 REVEALS_PER_WORKER = 50_000
 
 
@@ -138,9 +141,9 @@ def _cost_sums(
     """``d`` and the sums of ``d * cost`` and of its square over ``trials`` trials.
 
     Trial ``t`` makes a player with ``factory``, refused unless of type
-    ``kind``, and plays the edges of the ``t``-th order of the iterator
-    ``orders`` that are not None: every edge, or with a ``deal`` (an exact
-    ``gftp``) its contested ones, from the state its inert ones leave.
+    ``kind``, and plays the ``t``-th order of the iterator ``orders``: of
+    every edge, or with a ``deal`` (an exact ``gftp``) of its contested ones,
+    from the state its inert ones leave.
     Every trial starts its player from the one ``prepared``, and ``_play``
     returns the cost on ``d = prepared.scale``: an int, or past
     ``SCALE_BITS`` a Fraction on scale 1.  Fraction costs are added as
@@ -151,14 +154,14 @@ def _cost_sums(
     actual = prepared.actual
     total = total_sq = 0
     lcm = 1  # the denominator of the sums, and its square that of the squares
-    for items in islice(orders, trials):
+    for edges in islice(orders, trials):
         alg = factory()
         if type(alg) is not kind:
             raise BadParameter(
                 f"the factory must make one type of player, made "
                 f"{kind.__name__} and {type(alg).__name__}"
             )
-        cost = _play(alg, prepared, actual, filter(None, items), deal=deal)[1]
+        cost = _play(alg, prepared, actual, edges, deal=deal)[1]
         if type(cost) is Fraction:
             den = cost.denominator
             grow = den // math.gcd(lcm, den)
@@ -188,9 +191,9 @@ def _one_game(alg: OnlineAlgorithm, prepared: PreparedInstance) -> Fraction | No
 
 def _mc_chunk(job: tuple, start: int, stop: int) -> tuple[int, int, int]:
     factory, kind, prepared, deal, seed = job
-    items = prepared.graph.edges if deal is None else deal.items
+    edges = prepared.graph.edges if deal is None else deal.edges
     # the shuffles before trial ``start`` are drawn unplayed
-    orders = islice(_shuffles(items, seed), start, None)
+    orders = islice(_shuffles(edges, seed), start, None)
     return _cost_sums(factory, kind, prepared, orders, stop - start, deal)
 
 
@@ -223,11 +226,16 @@ def mc_estimate(
     estimate is the cost of one game (``_one_game``), with no trial played.
     Trial ``t`` of any other player runs a fresh player on the ``t``-th
     Fisher-Yates shuffle of one seeded stream (``_shuffles``); ``seed`` must
-    be non-negative, since ``Random(-s)`` seeds like ``Random(s)``.  A
-    trial of ``gftp`` itself is dealt only the contested edges of that
-    shuffle, from the state its inert edges leave, both kept with the
-    preparation (``_Deal``), and costs what the whole shuffle would; any
-    other player is dealt every edge.  Every trial starts from
+    be non-negative, since ``Random(-s)`` seeds like ``Random(s)``.  For
+    ``gftp`` itself the stream shuffles only its contested edges, in id
+    order at the start, and a trial plays its shuffle from the state the
+    inert edges leave, both kept with the preparation (``_Deal``).  It costs
+    what any order of all the edges that orders the contested ones so would
+    cost (``GreedyFollowPredictions._contested``), and the relative order of
+    the contested edges in a uniform order of all ``m`` is uniform, so the
+    trials sample the cost of a uniform order.  Any other player, a subclass
+    of ``gftp`` too, is dealt a shuffle of every edge, in id order at the
+    start.  Every trial starts from
     ``instance.prepared``, built by the first estimate, run or error measure
     on the instance and kept with it, which also gives the optimum and the
     error, and run costs are summed exactly.  The workers, forked

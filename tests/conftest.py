@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import signal
 from fractions import Fraction
@@ -9,7 +10,16 @@ from itertools import product
 
 import pytest
 
-from wmst import Decision, Graph, OnlineAlgorithm, WmstInstance, mst, random_instance, tree_cycle
+from wmst import (
+    Decision,
+    GreedyFollowPredictions,
+    Graph,
+    OnlineAlgorithm,
+    WmstInstance,
+    mst,
+    random_instance,
+    tree_cycle,
+)
 from wmst.graphs import SpanningTree
 
 
@@ -35,6 +45,49 @@ def triangle() -> WmstInstance:
         (Fraction(2), Fraction(3), Fraction(2)),
         (Fraction(1), Fraction(1), Fraction(2)),
     )
+
+
+def shuffles(ids, seed: int, count: int) -> list[list[int]]:
+    """The first ``count`` orders of ``ids`` that repeated ``Random(seed).shuffle`` calls give.
+
+    ``mc_estimate`` deals trial ``t`` of ``gftp`` the ``t``-th of its
+    contested ids, and trial ``t`` of any other player the ``t``-th of
+    ``range(m)``.
+    """
+    rng = random.Random(seed)
+    ids = list(ids)
+    out = []
+    for _ in range(count):
+        rng.shuffle(ids)
+        out.append(ids.copy())
+    return out
+
+
+def embedded(m: int, dealt: list[int], placement: int) -> list[int]:
+    """An order of all ``m`` ids that orders the ids of ``dealt`` as it does.
+
+    The other ids take their places in the ``Random(placement)`` shuffle of
+    ``range(m)``, and the ids of ``dealt`` fill the rest in turn.
+    """
+    ids = shuffles(range(m), placement, 1)[0]
+    kept, fill = set(dealt), iter(dealt)
+    return [next(fill) if eid in kept else eid for eid in ids]
+
+
+def gftp_orders(inst: WmstInstance, seed: int, count: int) -> list[list[int]]:
+    """Orders of all the edges of ``inst`` as ``mc_estimate(gftp, inst, count, seed)``'s
+    trials play them: the ``t``-th orders the contested ids as the ``t``-th
+    shuffle of them does, and is ``embedded`` at placement ``t``."""
+    contested = GreedyFollowPredictions._contested(inst.prepared)[0]
+    return [embedded(inst.m, ids, t) for t, ids in enumerate(shuffles(contested, seed, count))]
+
+
+def sample_statistics(costs: list[Fraction]) -> tuple[float, float]:
+    """The mean and standard error that ``mc_estimate`` reports for trials costing ``costs``."""
+    trials = len(costs)
+    mean = sum(costs, Fraction(0)) / trials
+    variance = sum(((c - mean) ** 2 for c in costs), Fraction(0)) / max(trials - 1, 1)
+    return float(mean), math.sqrt(variance / trials)
 
 
 def mst_pairs(count: int, top: int):

@@ -42,7 +42,7 @@ from wmst import checks, engine
 from wmst.cli import FAMILIES
 from wmst.engine import _play
 
-from conftest import SlowSwapPlayer, triangle
+from conftest import SlowSwapPlayer, gftp_orders, sample_statistics, shuffles, triangle
 from reference_gftp import GreedyFollowPredictions as ReferenceGreedy
 import reference_checker
 
@@ -668,8 +668,12 @@ class TestAgainstReference:
             player = subclass()
             assert run(player, inst, order) == run(ReferenceGreedy(), inst, order)
             assert player.set_up
+        # a subclass is dealt shuffles of every edge, and plays as the reference
         inst = random_instance(30, F(1, 4), F(1, 3), 5)
-        assert mc_estimate(subclass, inst, 40, 7) == mc_estimate(gftp, inst, 40, 7)
+        orders = shuffles(range(inst.m), 7, 40)
+        costs = [run(ReferenceGreedy(), inst, ArrivalOrder(tuple(ids))).cost for ids in orders]
+        est = mc_estimate(subclass, inst, 40, 7)
+        assert (est.mean_cost, est.std_error) == sample_statistics(costs)
 
 
 def _tie_heavy_instances():
@@ -719,16 +723,14 @@ def _played(alg, inst: WmstInstance, ids) -> tuple[list[int], int | Fraction]:
 
 
 def _assert_mc_plays_like_the_reference(inst: WmstInstance, trials: int, seed: int) -> None:
-    """``mc_estimate``'s mean is that of the reference player on the same shuffles,
-    which reach exactly two distinct costs."""
-    rng = random.Random(seed)
-    ids, costs = list(range(inst.m)), []
-    for _ in range(trials):
-        rng.shuffle(ids)
-        costs.append(run(ReferenceGreedy(), inst, ArrivalOrder(tuple(ids))).cost)
+    """``mc_estimate``'s mean is that of the reference player on orders of all the
+    edges that order the contested ones as its trials are dealt, which reach
+    exactly two distinct costs."""
+    orders = gftp_orders(inst, seed, trials)
+    costs = [run(ReferenceGreedy(), inst, ArrivalOrder(tuple(ids))).cost for ids in orders]
     assert len(set(costs)) == 2
-    mean = sum(costs, F(0)) / trials
-    assert mc_estimate(gftp, inst, trials, seed).mean_cost == float(mean)
+    est = mc_estimate(gftp, inst, trials, seed)
+    assert (est.mean_cost, est.std_error) == sample_statistics(costs)
 
 
 class TestDealtEdges:

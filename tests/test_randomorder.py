@@ -43,7 +43,16 @@ from wmst.engine import _play
 from wmst.io import save_instance
 from wmst.randomorder import estimate
 
-from conftest import RejectFirstThenGreedy, SlowSwapPlayer, small_exact_instances, triangle
+from conftest import (
+    RejectFirstThenGreedy,
+    SlowSwapPlayer,
+    embedded,
+    gftp_orders,
+    sample_statistics,
+    shuffles,
+    small_exact_instances,
+    triangle,
+)
 from reference_gftp import GreedyFollowPredictions as ReferenceGreedy
 import reference_memo
 
@@ -373,7 +382,12 @@ class TestMemoisedExpectation:
         inst = random_instance(4, F(1), F(3), seed=5)
         order = ArrivalOrder.shuffled(inst.m, 3)
         assert run(NamedGreedy(), inst, order) == run(gftp(), inst, order)
-        assert mc_estimate(NamedGreedy, inst, 30, 2) == mc_estimate(gftp, inst, 30, 2)
+        # the subclass is dealt shuffles of every edge, gftp of its contested ones
+        for factory, orders in ((NamedGreedy, shuffles(range(inst.m), 2, 30)),
+                                (gftp, gftp_orders(inst, 2, 30))):
+            costs = [run(ReferenceGreedy(), inst, ArrivalOrder(tuple(ids))).cost for ids in orders]
+            est = mc_estimate(factory, inst, 30, 2)
+            assert (est.mean_cost, est.std_error) == sample_statistics(costs)
         assert exact_expectation(NamedGreedy, inst) == exact_expectation(gftp, inst)
         assert set(set_up) == {NamedGreedy}  # gftp itself starts from the preparation
         assert enumerations == [inst.m]
@@ -559,8 +573,26 @@ def _inert_on_live_paths(prepared: PreparedInstance) -> set[int]:
     return on_paths & set(gftp()._contested(prepared)[1])
 
 
+def _contested_reference(inst: WmstInstance) -> tuple[list[int], list[int]]:
+    """``_contested`` from ``_rejected`` and ``SpanningTree.path_ids``, on Fraction weights."""
+    prepared = inst.prepared
+    tree = SpanningTree(inst.graph, prepared.tree)
+    rejected = set(gftp()._rejected(prepared))
+    live = [eid for eid in range(inst.m) if eid not in prepared.tree | rejected]
+    on_paths = set(live).union(*(tree.path_ids(prepared.us[e], prepared.vs[e]) for e in live))
+    if on_paths:
+        mu = min(inst.actual[eid] for eid in on_paths)
+        on_paths -= {eid for eid in prepared.tree if inst.predicted[eid] < mu}
+    inert = [eid for eid in prepared.tree_by_prediction if eid not in on_paths]
+    return sorted(on_paths), inert
+
+
 class TestContestedEdges:
     """The memo walks only the contested edges and never reveals the inert ones."""
+
+    def test_one_climb_per_edge_names_what_the_rejected_edges_and_paths_name(self, deadline):
+        for inst in _dealt_corpus():
+            assert gftp()._contested(inst.prepared) == _contested_reference(inst)
 
     def test_matches_the_live_edge_memo(self, enumerations, deadline):
         played = inert = below = 0
@@ -674,34 +706,33 @@ def _dealt_corpus():
 
 
 class TestDealtTrials:
-    """A ``gftp`` trial is dealt only its contested edges, from the deal's start,
-    and costs what its whole shuffle costs; a subclass is dealt every edge."""
+    """A ``gftp`` trial is dealt a shuffle of its contested edges alone, from the
+    deal's start, and costs what any order of all the edges that orders them so
+    costs; a subclass is dealt a shuffle of every edge."""
 
     def test_each_trial_costs_what_its_whole_shuffle_costs(self, monkeypatch, deadline):
-        trials = 8
+        # trial t of gftp is dealt the t-th shuffle of its contested ids, and
+        # costs what orders of all the edges that order those ids so cost,
+        # wherever the others go; a subclass is dealt the t-th shuffle of all ids
+        trials, placements = 8, 3
         kinds = {"inert and rejected": 0, "neither": 0, "below": 0, "fractions": 0}
         for seed, inst in enumerate(_dealt_corpus()):
             prepared = inst.prepared
             deal = gftp()._deal(prepared)
-            rng = pyrandom.Random(seed)
-            ids = list(range(inst.m))
-            shuffles, whole = [], []
-            for _ in range(trials):
-                rng.shuffle(ids)
-                shuffles.append(list(ids))
-                whole.append(run_cost(gftp(), inst, ids))
-            contested = set(deal.contested)
-            for factory in (gftp, NamedGreedy):
+            dealt = shuffles(deal.contested, seed, trials)
+            whole = shuffles(range(inst.m), seed, trials)
+            costs = {}
+            for factory, orders in ((gftp, dealt), (NamedGreedy, whole)):
                 games = dealt_games(monkeypatch)
                 mc_estimate(factory, inst, trials=trials, seed=seed, workers=1)
                 monkeypatch.setattr(randomorder, "_play", _play)
-                assert games.costs == whole
-                if factory is gftp:
-                    # the contested edges of each shuffle, in its order
-                    dealt = [[eid for eid in order if eid in contested] for order in shuffles]
-                else:
-                    dealt = shuffles
-                assert games.dealt == dealt
+                assert games.dealt == orders
+                costs[factory] = games.costs
+            assert costs[NamedGreedy] == [run_cost(gftp(), inst, ids) for ids in whole]
+            for t, ids in enumerate(dealt):
+                for placement in range(t * placements, (t + 1) * placements):
+                    full = embedded(inst.m, ids, placement)
+                    assert run_cost(gftp(), inst, full) == costs[gftp][t]
             rejected = gftp()._rejected(prepared)
             kinds["inert and rejected"] += bool(deal.inert) and bool(rejected)
             kinds["neither"] += not deal.inert and not rejected
@@ -740,6 +771,73 @@ class TestDealtTrials:
         exact_expectation(gftp, inst)
         assert built == [inst.prepared]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_gftp_shuffles_its_contested_edges_and_a_subclass_every_edge(
+        self, monkeypatch, workers
+    ):
+        inst = random_instance(60, F(1, 5), F(1, 4), 3)
+        contested = gftp()._contested(inst.prepared)[0]
+        assert (inst.m, len(contested)) == (352, 39)
+        pin_cpus(monkeypatch, 2)
+        serial_pools(monkeypatch)
+        shuffled = []
+        stream = randomorder._shuffles
+
+        def spied(edges, seed):
+            shuffled.append([edge.id for edge in edges])
+            return stream(edges, seed)
+
+        monkeypatch.setattr(randomorder, "_shuffles", spied)
+        for factory in (gftp, NamedGreedy):
+            mc_estimate(factory, inst, trials=10, seed=4, workers=workers)
+        # one stream per chunk, of the contested edges in id order, or of all
+        assert shuffled == [contested] * workers + [list(range(inst.m))] * workers
+
+    def test_all_contested_families_estimate_as_a_subclass_does(self):
+        # every edge is contested, in id order, so gftp shuffles the very list
+        # a subclass shuffles
+        instances = [gen_ro_lb(k, delta, spokes)
+                     for k, delta, spokes in ((2, F(1, 2), 1), (4, F(1, 2), 20), (3, F(1, 3), 6))]
+        instances += [FAMILIES["ftp-lb"].build(k=k, l=l)[0] for k, l in ((F(2), 1), (F(7, 2), 5))]
+        for seed, inst in enumerate(instances):
+            assert gftp()._contested(inst.prepared) == (list(range(inst.m)), [])
+            gftp_est = mc_estimate(gftp, inst, trials=300, seed=seed)
+            assert gftp_est == mc_estimate(NamedGreedy, inst, trials=300, seed=seed)
+            assert gftp_est.std_error > 0
+
+    def test_a_deal_without_contested_edges_costs_its_inert_weight_and_draws_nothing(
+        self, monkeypatch
+    ):
+        draws = []
+
+        class Counted(pyrandom.Random):
+            def getrandbits(self, k):
+                draws.append(k)
+                return super().getrandbits(k)
+
+        monkeypatch.setattr(engine, "random", SimpleNamespace(Random=Counted))
+        for inst in _edge_cases():  # a tree graph and a single edge
+            assert gftp()._contested(inst.prepared)[0] == []
+            est = mc_estimate(gftp, inst, trials=25, seed=3)
+            assert (est.mean_cost, est.std_error) == (float(sum(inst.actual)), 0.0)
+        assert draws == []
+        mc_estimate(gftp, gen_ro_lb(2, F(1, 2), 1), trials=1, seed=3)
+        assert len(draws) >= 2  # the spy sees the draws of a deal with three edges
+
+    def test_monte_carlo_lies_within_four_standard_errors_of_the_exact_mean(self, deadline):
+        # instances with inert, rejected and 3-12 contested edges; a correct
+        # estimator lands farther than 4 standard errors out about once in
+        # 16,000 checks (normal approximation), so each of these twelve fixed
+        # checks fails only on a biased stream or trial
+        for seed in (1, 2, 3, 5, 7, 8):
+            inst = random_instance(20, F(1, 5), F(1, 4), seed)
+            contested, inert = gftp()._contested(inst.prepared)
+            assert 3 <= len(contested) <= 12 and inert and gftp()._rejected(inst.prepared)
+            exact = float(exact_expectation(gftp, inst))
+            for factory, trials in ((gftp, 4000), (NamedGreedy, 1000)):
+                est = mc_estimate(factory, inst, trials=trials, seed=seed, workers=1)
+                assert abs(est.mean_cost - exact) <= 4 * est.std_error
+
 
 class TestMonteCarlo:
     def test_single_trial_equals_that_run(self):
@@ -754,7 +852,8 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("factory", [ftp, gftp])
     def test_single_trial_with_fixed_rejections_equals_that_run(self, factory):
         # ftp rejects every edge off its tree and plays one game in id order;
-        # gftp is dealt each shuffle without the edges it always rejects
+        # gftp is dealt a shuffle of its contested edges alone, and costs what
+        # an order of all the edges that orders them so costs
         inst = random_instance(30, F(1, 4), F(1, 4), 5)
         prepared = inst.prepared
         assert len(prepared.tree) < inst.m
@@ -762,8 +861,10 @@ class TestMonteCarlo:
             assert gftp()._rejected(prepared)  # so trials are dealt
         for seed in range(5):
             est = mc_estimate(factory, inst, trials=1, seed=seed)
-            ids = list(range(inst.m))
-            pyrandom.Random(seed).shuffle(ids)
+            if factory is gftp:
+                ids = gftp_orders(inst, seed, 1)[0]
+            else:
+                ids = shuffles(range(inst.m), seed, 1)[0]
             assert est.mean_cost == float(run_cost(factory(), inst, ids))
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -944,9 +1045,9 @@ class TestMonteCarlo:
         pin_cpus(monkeypatch, 8)
         sizes = serial_pools(monkeypatch)
         named = []
-        rejected = GreedyFollowPredictions._rejected
-        monkeypatch.setattr(GreedyFollowPredictions, "_rejected",
-                            staticmethod(lambda prepared: named.append(1) or rejected(prepared)))
+        contested = GreedyFollowPredictions._contested
+        monkeypatch.setattr(GreedyFollowPredictions, "_contested",
+                            staticmethod(lambda prepared: named.append(1) or contested(prepared)))
         mc_estimate(factory, inst, trials=2900, seed=0)
         # sized from the player the factory makes, so a wrapper is sized like gftp,
         # and the edges it sizes by are the ones its trials are dealt
@@ -956,18 +1057,10 @@ class TestMonteCarlo:
     def test_mean_and_std_error_are_those_of_the_exact_sample(self):
         inst = gen_ro_lb(3, F(1, 3), 3)
         trials, seed = 300, 21
-        rng = pyrandom.Random(seed)
-        ids = list(range(inst.m))
-        costs = []
-        for _ in range(trials):
-            rng.shuffle(ids)
-            costs.append(run_cost(gftp(), inst, ids))
-        mean = sum(costs, F(0)) / trials
-        variance = sum(((c - mean) ** 2 for c in costs), F(0)) / (trials - 1)
-        assert variance > 0
+        costs = [run_cost(gftp(), inst, ids) for ids in shuffles(range(inst.m), seed, trials)]
         est = mc_estimate(gftp, inst, trials=trials, seed=seed)
-        assert est.mean_cost == float(mean)
-        assert est.std_error == math.sqrt(variance / trials)
+        assert est.std_error > 0
+        assert (est.mean_cost, est.std_error) == sample_statistics(costs)
 
     def test_trials_guard(self):
         inst = gen_ro_lb(2, F(1, 2), 1)
@@ -988,20 +1081,10 @@ class TestOrderStream:
 
     SEEDS = (0, 5, 2**62 + 7, 10**25)
 
-    @staticmethod
-    def shuffled(m: int, seed: int, count: int) -> list[list[int]]:
-        rng = pyrandom.Random(seed)
-        ids = list(range(m))
-        out = []
-        for _ in range(count):
-            rng.shuffle(ids)
-            out.append(ids.copy())
-        return out
-
     @pytest.mark.parametrize("m", [1, 2, 3, 41, 352])
     def test_same_orders_as_repeated_random_shuffle(self, m):
         for seed in self.SEEDS:
-            expected = self.shuffled(m, seed, 60)
+            expected = shuffles(range(m), seed, 60)
             stream = randomorder._shuffles(range(m), seed)
             assert [ids.copy() for ids in islice(stream, 60)] == expected
             # a worker's chunk starts mid-stream, as ``_mc_chunk`` slices it
@@ -1011,7 +1094,7 @@ class TestOrderStream:
     @pytest.mark.parametrize("m", [0, 1, 2, 41])
     def test_a_shuffled_order_is_the_first_of_the_stream(self, m):
         for seed in self.SEEDS:
-            assert list(ArrivalOrder.shuffled(m, seed)) == self.shuffled(m, seed, 1)[0]
+            assert list(ArrivalOrder.shuffled(m, seed)) == shuffles(range(m), seed, 1)[0]
 
 
 class TestHarmonicBound:
@@ -1139,16 +1222,11 @@ def test_large_coprime_denominators_keep_memory_small_and_results_exact(case):
         # k6 peaks near 0.33 MB; scaling its 30 weights to ints on one common
         # denominator of 256,000 bits would peak above 2 MB
         assert peak < 1_000_000
-        rng = pyrandom.Random(seed)
-        ids = list(range(inst.m))
-        costs = []
-        for _ in range(trials):
-            rng.shuffle(ids)
-            costs.append(run(reference(), inst, ArrivalOrder(tuple(ids))).cost)
-        mean = sum(costs, F(0)) / trials
-        variance = sum(((c - mean) ** 2 for c in costs), F(0)) / (trials - 1)
-        assert est.mean_cost == float(mean)
-        assert est.std_error == math.sqrt(variance / trials)
+        # gftp is dealt shuffles of its contested edges; ftp costs its one game
+        # in every order
+        orders = gftp_orders(inst, seed, trials)
+        costs = [run(reference(), inst, ArrivalOrder(tuple(ids))).cost for ids in orders]
+        assert (est.mean_cost, est.std_error) == sample_statistics(costs)
 
 
 def test_a_re_import_frees_the_previous_package():
