@@ -3,10 +3,13 @@
 The engine replays an instance against an online algorithm: true weights
 arrive one edge at a time, the algorithm answers each with an irrevocable
 accept or reject, and the accepted set must end as a spanning tree.  Every
-execution of one order (``run``, ``run_cost`` and the adaptive games) goes
-through one reveal loop, which raises ``NotSpanning`` at the offending
-reveal; the memoised exact expectation in ``randomorder`` walks all orders
-at once in place on one ``gftp``, which never faults.  Two players
+execution of a whole order (``run``, ``run_cost``, the adaptive games and
+an opaque player's trials) goes through one reveal loop, ``_play``, which
+raises ``NotSpanning`` at the offending reveal.  A Monte Carlo trial of an
+exact ``gftp`` is played from its deal by one fused loop,
+``GreedyFollowPredictions._play_deal``, that writes ``reveal`` out inline
+and faults alike; the memoised exact expectation in ``randomorder`` walks
+all orders at once in place on one ``gftp``, which never faults.  Two players
 are provided: one that commits to the predicted-weight tree, and a greedy
 variant that swaps revealed bargains in for unseen tree edges.  Any other
 player, a subclass of either included, is set up through ``initialize``.
@@ -269,6 +272,12 @@ class GreedyFollowPredictions(OnlineAlgorithm):
         self._candidate = [1] * graph.m if deal is None else deal.candidate.copy()
 
     def reveal(self, edge: Edge, weight: Fraction) -> Decision:
+        """Decide one edge by the swap rule, on the scaled weights of ``_start``.
+
+        The rule is written out again in ``_play_deal``'s loop for Monte
+        Carlo trials; ``test_the_fused_trial_plays_as_reveal_does`` plays
+        both on the same deals and compares them.
+        """
         eid, a, b = edge.id, edge.u, edge.v
         candidate = self._candidate
         candidate[eid] = 0
@@ -328,6 +337,92 @@ class GreedyFollowPredictions(OnlineAlgorithm):
             x, up, up_edge = old_up, x, old_edge
         candidate[best] = 0  # evicted: the pointer may now pass it
         return _swap(best)
+
+    def _play_deal(
+        self, prepared: PreparedInstance, deal: "_Deal", edges: Iterable[Edge]
+    ) -> int | Fraction:
+        """Play ``edges``, contested ones, from ``deal``'s start; return the scaled cost.
+
+        One Monte Carlo trial of an exact ``gftp``: ``reveal``'s rule written
+        out in a single loop over the dealt edges, with no call and no
+        ``Decision`` per edge.  The union-find starts from ``deal.joined``,
+        its two path-halving finds run inline, and the accepted weight is
+        summed on ``prepared.scale``, starting from the inert weight.  It
+        raises the ``NotSpanning`` that ``_play`` would: at an accept that
+        closes a cycle, or at the end if too few edges were accepted, and it
+        leaves the player in the state ``reveal`` calls would.  The swap rule
+        is written here and in ``reveal``, kept apart so that neither pays a
+        call per climb; ``test_the_fused_trial_plays_as_reveal_does`` plays
+        both on the same deals and compares the costs and the final states.
+        """
+        self._start(prepared, deal)
+        candidate, pred, heaviest = self._candidate, self._pred, self._heaviest
+        parent, parent_edge, mark = self._parent, self._parent_edge, self._mark
+        head, stamp, end = self._head, self._stamp, len(heaviest)
+        weights = prepared.actual_scaled
+        joined = deal.joined.parent.copy()
+        total, accepted = deal.inert_weight, len(deal.inert)
+        for edge in edges:
+            eid, a, b = edge.id, edge.u, edge.v
+            candidate[eid] = 0
+            weight = weights[eid]
+            if parent_edge[a] != eid and parent_edge[b] != eid:  # off the working tree
+                if weight > pred[eid]:
+                    continue
+                while head < end and not candidate[heaviest[head]]:
+                    head += 1
+                if head == end or weight > pred[heaviest[head]]:
+                    continue
+                stamp += 1
+                x = a
+                while x >= 0:
+                    mark[x] = stamp
+                    x = parent[x]
+                best = cut = -1
+                best_pred = None
+                x = b
+                while mark[x] != stamp:
+                    e = parent_edge[x]
+                    if candidate[e]:
+                        p = pred[e]
+                        if best < 0 or p > best_pred or (p == best_pred and e < best):
+                            best, best_pred, cut = e, p, x
+                    x = parent[x]
+                lca, below_b = x, best >= 0
+                x = a
+                while x != lca:
+                    e = parent_edge[x]
+                    if candidate[e]:
+                        p = pred[e]
+                        if best < 0 or p > best_pred or (p == best_pred and e < best):
+                            best, best_pred, cut = e, p, x
+                            below_b = False
+                    x = parent[x]
+                if best < 0 or weight > best_pred:
+                    continue
+                x, up, up_edge = (b, a, eid) if below_b else (a, b, eid)
+                while True:
+                    old_up, old_edge = parent[x], parent_edge[x]
+                    parent[x], parent_edge[x] = up, up_edge
+                    if x == cut:
+                        break
+                    x, up, up_edge = old_up, x, old_edge
+                candidate[best] = 0
+            while joined[a] != a:
+                joined[a] = a = joined[joined[a]]
+            while joined[b] != b:
+                joined[b] = b = joined[joined[b]]
+            if a == b:
+                self._head, self._stamp = head, stamp
+                raise NotSpanning("accepted edges contain a cycle")
+            joined[b] = a
+            accepted += 1
+            total += weight
+        self._head, self._stamp = head, stamp
+        n = prepared.graph.n
+        if accepted != n - 1:
+            raise NotSpanning(f"accepted {accepted} edges, a spanning tree needs {n - 1}")
+        return total
 
     @staticmethod
     def _rejected(prepared: PreparedInstance) -> list[int]:
@@ -480,14 +575,16 @@ class _Deal:
     edge has arrived and been accepted: ``candidate``, the player's flags with
     the inert ones cleared; ``head``, its pointer past the leading edges of
     ``tree_by_prediction`` that are no candidates, which a reveal would skip
-    before it reads one; ``joined``, the union-find of ``_play`` with the
-    inert edges joined; and ``inert_weight``, their scaled sum.  An inert
+    before it reads one; ``joined``, a union-find of the vertices with the
+    inert edges joined, whose parent list each trial copies; and
+    ``inert_weight``, their scaled sum.  An inert
     arrival changes nothing else: an inert edge stays on the working tree,
     where it is accepted with no cycle query.  Those inert edges that lie on
     a contested edge's path are climbed from here on, but with their flags
     cleared they are never candidates, which changes no decision
-    (``GreedyFollowPredictions._contested``).  A Monte Carlo trial and the
-    exact memo start from here.
+    (``GreedyFollowPredictions._contested``).  A Monte Carlo trial
+    (``GreedyFollowPredictions._play_deal``) and the exact memo start from
+    here.
     """
 
     __slots__ = ("contested", "inert", "edges", "candidate", "head", "joined", "inert_weight")
@@ -531,39 +628,31 @@ def _play(
     edges: Iterable[Edge],
     steps: list[TraceStep] | None = None,
     checked: bool = False,
-    deal: _Deal | None = None,
 ) -> tuple[list[int], int | Fraction]:
-    """The one reveal loop: every execution of one order goes through it.
+    """The one reveal loop for whole orders: runs, games and opaque players' trials.
 
     Reads ``actual[eid]`` only once edge ``eid`` has been drawn from
     ``edges``, so an adaptive opponent may fix weights as the loop runs (its
     ``prepared`` then has no true weights).  A built-in player is started
     from ``prepared`` and shown its scaled weights, any other player gets
-    ``initialize`` and Fractions.  With a ``deal``, given only with an exact
-    ``gftp``, the game starts once the inert edges have arrived: the player,
-    the union-find, the accepted ids and the total start from the deal, and
-    ``edges`` are the contested edges alone.  Records to ``steps`` if given
-    and runs the invariant checks if ``checked``.  Returns the accepted ids,
-    in arrival order after the deal's inert ones, and their total weight on
-    ``prepared.scale``: an int sum where the true weights are scaled ints,
-    which the caller divides by the scale once.
+    ``initialize`` and Fractions.  Records to ``steps`` if given and runs
+    the invariant checks if ``checked``.  Returns the accepted ids, in
+    arrival order, and their total weight on ``prepared.scale``: an int sum
+    where the true weights are scaled ints, which the caller divides by the
+    scale once.  A Monte Carlo trial of an exact ``gftp`` is played from its
+    deal by ``GreedyFollowPredictions._play_deal`` instead.
     """
     graph = prepared.graph
     summed = actual if prepared.actual_scaled is None else prepared.actual_scaled
     built_in = type(alg) in _BUILT_IN
-    if not built_in:
-        alg.initialize(graph, prepared.predicted)
-    elif deal is None:
+    if built_in:
         alg._start(prepared)
     else:
-        alg._start(prepared, deal)
+        alg.initialize(graph, prepared.predicted)
     shown = summed if built_in else actual
     checker = _InvariantChecker(alg, prepared, actual, summed) if checked else None
     reveal = alg.reveal
-    if deal is None:
-        union, accepted, total = _UnionFind(graph.n).union, [], 0
-    else:
-        union, accepted, total = deal.joined.copy().union, deal.inert.copy(), deal.inert_weight
+    union, accepted, total = _UnionFind(graph.n).union, [], 0
     for edge in edges:
         eid = edge.id
         if checker is not None:

@@ -72,12 +72,6 @@ class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
 
-    def copy(self) -> "_UnionFind":
-        """A union-find of the same sets, which the unions of either leave out of the other."""
-        joined = object.__new__(_UnionFind)
-        joined.parent = self.parent.copy()
-        return joined
-
     def union(self, a: int, b: int) -> bool:
         """Join the sets of ``a`` and ``b``, under ``a``'s root; False if already one."""
         parent = self.parent

@@ -14,10 +14,9 @@ uniform order of all the edges leaves uniform.  Its exact expectation is a
 memoised recursion over the states their orders pass through, refused
 past ``EXACT_CONTESTED_LIMIT`` of them whatever the edge count.  Any other
 player, a subclass of either included, plays every order whole, and its
-exact expectation, like ``ftp``'s, is refused past ``EXACT_EDGE_LIMIT``
-edges.  Reports compare the measured ratio against
-three reference curves in the normalized error: ``1 + e``,
-``1 + (1 + ln 2) e`` and ``1 + 2e``.
+exact expectation is refused past ``EXACT_EDGE_LIMIT`` edges.  Reports
+compare the measured ratio against three reference curves in the
+normalized error: ``1 + e``, ``1 + (1 + ln 2) e`` and ``1 + 2e``.
 """
 
 from __future__ import annotations
@@ -63,9 +62,9 @@ LN2 = math.log(2.0)
 # Reveals dealt (trials * edges dealt per trial: gftp's contested edges, every
 # edge to any other player) that pay for a forked worker.  On a shared 2-CPU
 # Xeon, gftp on random_instance(60, 1/5, 1/4, s), s = 2, 3, 8, 10 (39-55
-# dealt edges), won with two workers from 50,000 dealt reveals on all four
-# (1.33x-1.41x, best of 7), and by 1.44x-1.57x at 100,000; at 25,000 it
-# read 0.78x-1.11x.
+# dealt edges), best of 7, three rounds of the four: two workers won in 10
+# of 12 readings at 50,000 dealt reveals (0.90x-1.47x) and in 11 of 12 at
+# 100,000 (1.00x-2.08x), but in 4 of 12 at 25,000 (0.67x-1.10x).
 REVEALS_PER_WORKER = 50_000
 
 
@@ -142,11 +141,12 @@ def _cost_sums(
 
     Trial ``t`` makes a player with ``factory``, refused unless of type
     ``kind``, and plays the ``t``-th order of the iterator ``orders``: of
-    every edge, or with a ``deal`` (an exact ``gftp``) of its contested ones,
-    from the state its inert ones leave.
-    Every trial starts its player from the one ``prepared``, and ``_play``
-    returns the cost on ``d = prepared.scale``: an int, or past
-    ``SCALE_BITS`` a Fraction on scale 1.  Fraction costs are added as
+    every edge through ``_play``, or with a ``deal`` (an exact ``gftp``) of
+    its contested ones, from the state its inert ones leave, through the
+    player's fused loop ``_play_deal``.  Every trial starts its player from
+    the one ``prepared``, and either loop returns the cost on
+    ``d = prepared.scale``: an int, or past ``SCALE_BITS`` a Fraction on
+    scale 1.  Fraction costs are added as
     numerators over the lcm of the cost denominators seen so far, and their
     squares over its square, so each addition is an int one; the two sums
     are reduced to Fractions once, at the end.
@@ -161,7 +161,10 @@ def _cost_sums(
                 f"the factory must make one type of player, made "
                 f"{kind.__name__} and {type(alg).__name__}"
             )
-        cost = _play(alg, prepared, actual, edges, deal=deal)[1]
+        if deal is None:
+            cost = _play(alg, prepared, actual, edges)[1]
+        else:
+            cost = alg._play_deal(prepared, deal, edges)
         if type(cost) is Fraction:
             den = cost.denominator
             grow = den // math.gcd(lcm, den)
@@ -229,7 +232,8 @@ def mc_estimate(
     be non-negative, since ``Random(-s)`` seeds like ``Random(s)``.  For
     ``gftp`` itself the stream shuffles only its contested edges, in id
     order at the start, and a trial plays its shuffle from the state the
-    inert edges leave, both kept with the preparation (``_Deal``).  It costs
+    inert edges leave, both kept with the preparation (``_Deal``), in one
+    fused loop (``GreedyFollowPredictions._play_deal``).  It costs
     what any order of all the edges that orders the contested ones so would
     cost (``GreedyFollowPredictions._contested``), and the relative order of
     the contested edges in a uniform order of all ``m`` is uniform, so the
@@ -302,10 +306,10 @@ def exact_expectation(alg_factory: AlgFactory, instance: WmstInstance) -> Fracti
     (``GreedyFollowPredictions._contested``), so an order's cost depends
     only on the relative order of the contested edges, and a uniform order
     of all ``m`` edges orders them uniformly.  ``gftp`` is refused past
-    ``EXACT_CONTESTED_LIMIT`` contested edges, whatever ``m``; every other
-    player past ``EXACT_EDGE_LIMIT`` edges.  The games are played from
-    ``instance.prepared``, which :func:`estimate` then reads for the row's
-    optimum and error without building another.
+    ``EXACT_CONTESTED_LIMIT`` contested edges and ``ftp`` never, whatever
+    ``m``; every other player past ``EXACT_EDGE_LIMIT`` edges.  The games
+    are played from ``instance.prepared``, which :func:`estimate` then
+    reads for the row's optimum and error without building another.
     """
     prepared = instance.prepared
     m = instance.m
@@ -321,11 +325,11 @@ def exact_expectation(alg_factory: AlgFactory, instance: WmstInstance) -> Fracti
         alg._start(prepared, deal)
         d, total = _completion_sum(alg, prepared, deal)
         return Fraction(total, math.factorial(width) * d)
-    if m > EXACT_EDGE_LIMIT:
-        raise TooLarge(f"{m} edges means {m}! orders; the limit is {EXACT_EDGE_LIMIT}")
     cost = _one_game(alg, prepared)
     if cost is not None:
         return cost
+    if m > EXACT_EDGE_LIMIT:
+        raise TooLarge(f"{m} edges means {m}! orders; the limit is {EXACT_EDGE_LIMIT}")
     orders = permutations(prepared.graph.edges)
     d, total, _ = _cost_sums(alg_factory, type(alg), prepared, orders, math.factorial(m), None)
     return Fraction(total, math.factorial(m) * d)

@@ -27,13 +27,16 @@ from wmst import (
     WmstInstance,
     checks,
     cli,
+    ftp,
     random_instance,
     randomorder,
+    run_cost,
     validate_instance,
 )
 from wmst.adversaries import FAMILY_EDGE_LIMIT
 from wmst.cli import CSV_COLUMNS, main
 from wmst.io import load_instance, load_order, save_instance
+from wmst.rationals import format_fraction
 
 F = Fraction
 
@@ -469,6 +472,22 @@ def test_ro_exact_refuses_a_trials_column_too_long_to_write(tmp_path, capsys):
     assert code == 0
     assert _parse_csv(text)[0]["trials"] == str(math.factorial(1558))
     code = main(["ro", "gftp", _path_file(tmp_path, 1559), "--exact"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "error: 1559 edges: the trials column would hold 1559!, more than 4300 digits\n"
+
+
+def test_ro_exact_ftp_answers_past_the_edge_limit_up_to_the_trials_column(tmp_path, capsys):
+    # K5 has m = 10, one past the enumeration limit: ftp plays one game
+    path = tmp_path / "k5.json"
+    inst = random_instance(5, F(1), F(0), seed=0)
+    save_instance(inst, path)
+    code, text = run_cli(capsys, "ro", "ftp", str(path), "--exact")
+    assert code == 0
+    row = _parse_csv(text)[0]
+    cost = run_cost(ftp(), inst, range(inst.m))
+    assert (row["mean"], row["trials"]) == (format_fraction(cost), str(math.factorial(10)))
+    code = main(["ro", "ftp", _path_file(tmp_path, 1559), "--exact"])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert err == "error: 1559 edges: the trials column would hold 1559!, more than 4300 digits\n"

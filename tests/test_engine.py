@@ -120,8 +120,10 @@ class TestGreedyFollowPredictions:
         engine._swap.cache_clear()
         monkeypatch.setattr(Decision, "__init__", counted)
         inst = gen_ro_lb(4, F(1, 2), 20)
-        mc_estimate(gftp, inst, trials=500, seed=3, workers=1)
-        # about ten swaps a trial, and a swap evicts one of the 21 tree edges
+        # Monte Carlo trials build no decisions, so whole seeded orders are run
+        for ids in shuffles(range(inst.m), 3, 500):
+            run_cost(gftp(), inst, ids)
+        # about ten swaps an order, and a swap evicts one of the 21 tree edges
         assert 0 < len(built) == len(set(built)) <= inst.n - 1 == 21
 
     def test_the_swap_cache_is_bounded_and_holds_no_player(self):

@@ -38,7 +38,7 @@ from wmst import (
 from wmst import Decision, FollowPredictions, GreedyFollowPredictions, NotSpanning
 from wmst import checks, cli, engine, randomorder
 from wmst.cli import FAMILIES
-from wmst.graphs import PreparedInstance, SpanningTree
+from wmst.graphs import PreparedInstance, SpanningTree, _UnionFind
 from wmst.engine import _play
 from wmst.io import save_instance
 from wmst.randomorder import estimate
@@ -57,6 +57,8 @@ from reference_gftp import GreedyFollowPredictions as ReferenceGreedy
 import reference_memo
 
 F = Fraction
+
+_play_deal = GreedyFollowPredictions._play_deal  # unspied, for ``dealt_games``
 
 
 def serial_pools(monkeypatch) -> list[int]:
@@ -102,18 +104,30 @@ def drawn_orders(monkeypatch) -> list[int]:
 
 def dealt_games(monkeypatch) -> SimpleNamespace:
     """Record every game ``randomorder`` plays: the ids of the edges it is
-    dealt, in order, to ``dealt``, and its cost, once played, to ``costs``."""
+    dealt, in order, to ``dealt``, and its cost, once played, to ``costs``.
+
+    Whole orders go through ``_play`` and an exact ``gftp``'s trials through
+    ``GreedyFollowPredictions._play_deal``, so both are spied on; each spy
+    wraps the unspied function, so a second call starts a new record.
+    """
     games = SimpleNamespace(dealt=[], costs=[])
 
-    def spied(alg, prepared, actual, edges, *args, **kwargs):
+    def played(alg, prepared, actual, edges, *args, **kwargs):
         edges = list(edges)
         games.dealt.append([edge.id for edge in edges])
-        accepted, total = play(alg, prepared, actual, edges, *args, **kwargs)
+        accepted, total = _play(alg, prepared, actual, edges, *args, **kwargs)
         games.costs.append(F(total, prepared.scale))
         return accepted, total
 
-    play = randomorder._play
-    monkeypatch.setattr(randomorder, "_play", spied)
+    def dealt(alg, prepared, deal, edges):
+        edges = list(edges)
+        games.dealt.append([edge.id for edge in edges])
+        total = _play_deal(alg, prepared, deal, edges)
+        games.costs.append(F(total, prepared.scale))
+        return total
+
+    monkeypatch.setattr(randomorder, "_play", played)
+    monkeypatch.setattr(GreedyFollowPredictions, "_play_deal", dealt)
     return games
 
 
@@ -157,10 +171,11 @@ class TestExactExpectation:
         opt = tree_cost(mst(inst.graph, inst.actual), inst.actual)
         assert exact_expectation(gftp, inst) == opt
 
-    def test_guard_refuses_ten_edges(self):
+    def test_follower_answers_past_the_edge_limit(self):
+        # ftp costs its one game in every order, so no m! orders are walked
         inst = random_instance(5, F(1), F(0), seed=0)  # complete K5, m=10
-        with pytest.raises(TooLarge):
-            exact_expectation(ftp, inst)
+        assert inst.m > randomorder.EXACT_EDGE_LIMIT
+        assert exact_expectation(ftp, inst) == run_cost(ftp(), inst, range(inst.m))
 
     def test_guard_refuses_an_opaque_gftp_at_ten_edges(self, enumerations):
         inst = random_instance(5, F(1), F(0), seed=0)  # complete K5, m=10
@@ -457,7 +472,6 @@ class TestMemoisedExpectation:
             # each estimate faulted in its first game, dealt every edge
             assert [sorted(ids) for ids in games.dealt] == [list(range(inst.m))] * 3
             assert games.costs == []
-            monkeypatch.setattr(randomorder, "_play", _play)
         assert enumerations == [3, 4]
         assert entered == []
         assert sizes == [2, 2]
@@ -725,7 +739,6 @@ class TestDealtTrials:
             for factory, orders in ((gftp, dealt), (NamedGreedy, whole)):
                 games = dealt_games(monkeypatch)
                 mc_estimate(factory, inst, trials=trials, seed=seed, workers=1)
-                monkeypatch.setattr(randomorder, "_play", _play)
                 assert games.dealt == orders
                 costs[factory] = games.costs
             assert costs[NamedGreedy] == [run_cost(gftp(), inst, ids) for ids in whole]
@@ -837,6 +850,89 @@ class TestDealtTrials:
             for factory, trials in ((gftp, 4000), (NamedGreedy, 1000)):
                 est = mc_estimate(factory, inst, trials=trials, seed=seed, workers=1)
                 assert abs(est.mean_cost - exact) <= 4 * est.std_error
+
+
+def _revealed_from_the_deal(inst: WmstInstance, deal, ids) -> tuple[GreedyFollowPredictions, int]:
+    """A ``gftp`` started from ``deal`` and shown the edges ``ids`` by ``reveal``,
+    and the number of swaps it made: the reference for ``_play_deal``."""
+    prepared = inst.prepared
+    player, swaps = gftp(), 0
+    player._start(prepared, deal)
+    for eid in ids:
+        decision = player.reveal(inst.graph.edges[eid], prepared.actual_scaled[eid])
+        swaps += decision.swapped_out is not None
+    return player, swaps
+
+
+def _tied_instances():
+    """Random graphs whose predictions and true weights are drawn from 1-3, so
+    that cycle edges tie in prediction and revealed weights tie with them."""
+    for seed in range(100):
+        graph = random_instance(5 + seed % 6, F(1, 2), F(0), seed).graph
+        rng = pyrandom.Random(seed)
+        predicted, actual = ([F(rng.randint(1, 3)) for _ in range(graph.m)] for _ in range(2))
+        yield WmstInstance(graph, tuple(predicted), tuple(actual))
+
+
+def _with(deal, **changes):
+    """A copy of ``deal`` with the slots named in ``changes`` replaced."""
+    copy = object.__new__(engine._Deal)
+    for name in engine._Deal.__slots__:
+        setattr(copy, name, changes.get(name, getattr(deal, name)))
+    return copy
+
+
+class TestFusedTrial:
+    """``_play_deal`` writes ``reveal``'s rule out in one loop; it must play as
+    ``reveal`` does from the same deal start and fault as ``_play`` does."""
+
+    def test_the_fused_trial_plays_as_reveal_does(self, deadline):
+        played = swapped = 0
+        corpus = [
+            *_dealt_corpus(),
+            *_differential_instances(),
+            *(gen_ro_lb(2, F(1, 2), spokes) for spokes in range(1, 5)),
+            *_tied_instances(),
+        ]
+        for seed, inst in enumerate(corpus):
+            prepared = inst.prepared
+            deal = gftp()._deal(prepared)
+            inert = [inst.graph.edges[eid] for eid in deal.inert]
+            for ids in shuffles(deal.contested, seed, 4):
+                edges = [inst.graph.edges[eid] for eid in ids]
+                fused = gftp()
+                cost = fused._play_deal(prepared, deal, edges)
+                # _play reveals the inert edges first, which leave the deal's start
+                assert cost == _play(gftp(), prepared, inst.actual, inert + edges)[1]
+                revealed, swaps = _revealed_from_the_deal(inst, deal, ids)
+                for state in ("_parent", "_parent_edge", "_candidate", "_head"):
+                    assert getattr(fused, state) == getattr(revealed, state), state
+                played += 1
+                swapped += bool(swaps)
+        assert played >= 2000 and swapped >= 500
+
+    def test_a_deal_that_already_joins_an_accepted_edge_faults(self):
+        inst = gen_ro_lb(2, F(1, 2), 3)
+        prepared = inst.prepared
+        deal = gftp()._deal(prepared)
+        edge = inst.graph.edges[next(iter(prepared.tree))]  # a tree edge is accepted first
+        joined = _UnionFind(inst.n)
+        joined.parent = deal.joined.parent.copy()
+        joined.union(edge.u, edge.v)
+        rest = [inst.graph.edges[eid] for eid in deal.contested if eid != edge.id]
+        with pytest.raises(NotSpanning, match="accepted edges contain a cycle"):
+            gftp()._play_deal(prepared, _with(deal, joined=joined), [edge, *rest])
+        assert gftp()._play_deal(prepared, deal, [edge, *rest]) == run_cost(
+            gftp(), inst, [edge.id, *(e.id for e in rest)]
+        ) * prepared.scale
+
+    def test_a_deal_missing_an_inert_edge_faults(self):
+        inst = random_instance(60, F(1, 5), F(1, 4), 3)
+        prepared = inst.prepared
+        deal = gftp()._deal(prepared)
+        edges = [inst.graph.edges[eid] for eid in deal.contested]
+        with pytest.raises(NotSpanning, match="accepted 58 edges, a spanning tree needs 59"):
+            gftp()._play_deal(prepared, _with(deal, inert=deal.inert[1:]), edges)
 
 
 class TestMonteCarlo:
