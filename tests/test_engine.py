@@ -158,15 +158,21 @@ class TestGreedyFollowPredictions:
 
     @staticmethod
     def drive(inst: WmstInstance, order) -> tuple[list[Decision], list[bool]]:
-        """Each decision, and whether the reveal climbed the tree to make it."""
+        """Each decision, and whether the reveal climbed the tree to make it.
+
+        A reveal off the working tree climbs exactly when its weight is at
+        most its own prediction.
+        """
         prepared = inst.prepared
         alg = gftp()
         alg._start(prepared)
         decisions, climbed = [], []
         for eid in order:
+            off_tree = eid not in alg.working_tree_ids()
             stamp = alg._stamp  # a cycle query takes the next stamp
             decisions.append(alg.reveal(inst.graph.edges[eid], prepared.actual_scaled[eid]))
             climbed.append(alg._stamp != stamp)
+            assert climbed[-1] == (off_tree and inst.actual[eid] <= inst.predicted[eid])
         trace = run(gftp(), inst, ArrivalOrder(tuple(order)))
         assert trace == run(ReferenceGreedy(), inst, ArrivalOrder(tuple(order)))
         assert [step.decision for step in trace.steps] == decisions
@@ -178,24 +184,26 @@ class TestGreedyFollowPredictions:
         order = [3, 5, 4, 1, 2, 0]
         decisions, climbed = self.drive(self.path_with_chords((10, 5, 1, 10, 30, 30)), order)
         assert decisions[0] == Decision(True, swapped_out=0) and climbed[0]
-        # a hair above that prediction is rejected without a cycle query
+        # a hair above that prediction is at most the chord's own, so the
+        # cycle query runs and rejects it
         decisions, climbed = self.drive(
             self.path_with_chords((10, 5, 1, F(10001, 1000), 30, 30)), order
         )
-        assert decisions[0] == Decision(False) and not climbed[0]
+        assert decisions[0] == Decision(False) and climbed[0]
 
     def test_the_bound_passes_an_evicted_heaviest_edge(self):
         order = [3, 5, 4, 1, 2, 0]
         decisions, climbed = self.drive(self.path_with_chords((10, 5, 1, 2, 5, 7)), order)
         assert decisions == [
             Decision(True, swapped_out=0),  # evicts the heaviest tree edge
-            Decision(False),  # 7 is above edge 1's 5, now the heaviest unseen
-            Decision(True, swapped_out=1),  # 5 equals it, on the cycle
+            Decision(False),  # 7 is above edge 2's 1, the one unseen edge on its cycle
+            Decision(True, swapped_out=1),  # 5 equals edge 1's prediction, on the cycle
             Decision(False),  # evicted edge 1 is revealed off the tree
             Decision(True),
             Decision(False),  # no unseen tree edge is left
         ]
-        assert climbed == [True, False, True, False, False, False]
+        # every off-tree reveal is at most its own prediction, so each climbs
+        assert climbed == [True, True, True, True, False, True]
 
     def test_all_spokes_swap_when_cheap_side_first(self):
         # reveal each cheap spoke edge before its expensive sibling: every
@@ -857,15 +865,13 @@ class TestUndo:
             player._start(prepared)
             order = ArrivalOrder.shuffled(inst.m, seed).edge_ids
             for step, next_id in enumerate(order):
-                full = (player._head, list(player._candidate),
-                        list(player._parent), list(player._parent_edge))
+                full = (list(player._candidate), list(player._parent), list(player._parent_edge))
                 for eid in order[step:]:
                     saved = player._saved()
                     decision = player.reveal(edges[eid], scaled[eid])
-                    kind = _undo_kind(full[1][eid], decision)
+                    kind = _undo_kind(full[0][eid], decision)
                     kinds[kind] += 1
                     player._undo(eid, decision, saved)
-                    assert (player._head, player._candidate,
-                            player._parent, player._parent_edge) == full, kind
+                    assert (player._candidate, player._parent, player._parent_edge) == full, kind
                 player.reveal(edges[next_id], scaled[next_id])
         assert len(kinds) == 5 and min(kinds.values()) >= 50, kinds

@@ -352,7 +352,7 @@ class TestMemoisedExpectation:
             return made[-1]
 
         def state(player):
-            return player._parent_edge, player._parent, bytes(player._candidate), player._head
+            return player._parent_edge, player._parent, bytes(player._candidate)
 
         made = []
         start = gftp()
@@ -660,8 +660,7 @@ class TestContestedEdges:
             prepared = inst.prepared
             deal = gftp()._deal(prepared)
             contested, inert = deal.contested, deal.inert
-            # the deal's start is the state the inert reveals leave, with the
-            # pointer moved on to the first candidate
+            # the deal's start is the state the inert reveals leave
             revealed = []
             walked, dealt = gftp(), gftp()
             walked._start(prepared)
@@ -670,14 +669,11 @@ class TestContestedEdges:
             dealt._start(prepared, deal)
             assert walked._candidate == dealt._candidate
             assert walked._parent_edge == dealt._parent_edge and walked._parent == dealt._parent
-            heaviest, head = prepared.tree_by_prediction, dealt._head
-            assert not any(dealt._candidate[eid] for eid in heaviest[:head])
-            assert head == len(heaviest) or dealt._candidate[heaviest[head]]
             # the memo reveals only the contested edges and hands the player back
             revealed = []
             randomorder._completion_sum(dealt, prepared, deal)
             assert set(revealed) == set(contested)
-            assert (dealt._head, dealt._candidate) == (deal.head, deal.candidate)
+            assert dealt._candidate == deal.candidate
             played += bool(inert) and bool(contested)
         assert played >= 120
 
@@ -905,7 +901,7 @@ class TestFusedTrial:
                 # _play reveals the inert edges first, which leave the deal's start
                 assert cost == _play(gftp(), prepared, inst.actual, inert + edges)[1]
                 revealed, swaps = _revealed_from_the_deal(inst, deal, ids)
-                for state in ("_parent", "_parent_edge", "_candidate", "_head"):
+                for state in ("_parent", "_parent_edge", "_candidate", "_stamp"):
                     assert getattr(fused, state) == getattr(revealed, state), state
                 played += 1
                 swapped += bool(swaps)
