@@ -8,11 +8,13 @@ an opaque player's trials) goes through one reveal loop, ``_play``, which
 raises ``NotSpanning`` at the offending reveal.  A Monte Carlo trial of an
 exact ``gftp`` is played from its deal by one fused loop,
 ``GreedyFollowPredictions._play_deal``, that writes ``reveal`` out inline
-and faults alike; the memoised exact expectation in ``randomorder`` walks
-all orders at once in place on one ``gftp``, which never faults.  Two players
-are provided: one that commits to the predicted-weight tree, and a greedy
-variant that swaps revealed bargains in for unseen tree edges.  Any other
-player, a subclass of either included, is set up through ``initialize``.
+and faults alike, on the predicted tree with its inert edges contracted;
+the memoised exact expectation in ``randomorder`` walks all orders at once
+in place on one ``gftp`` started from the same deal, which never faults.
+Two players are provided: one that commits to the predicted-weight tree,
+and a greedy variant that swaps revealed bargains in for unseen tree edges.
+Any other player, a subclass of either included, is set up through
+``initialize``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .graphs import (
     SpanningTree,
     Weights,
     WmstInstance,
+    _root,
     _UnionFind,
     is_plain_int,
 )
@@ -42,7 +45,7 @@ from .rationals import format_fraction
 class Decision:
     """An irrevocable accept/reject, optionally naming a swapped-out edge.
 
-    Frozen and compared by value, so ``accept`` shares one per evicted id (``_swap``).
+    Frozen and compared by value, so ``accept`` shares one per evicted edge (``_swap``).
     """
 
     accepted: bool
@@ -61,9 +64,14 @@ _ACCEPT = Decision(True)
 _REJECT = Decision(False)
 
 
-@lru_cache(maxsize=4096)  # a game evicts at most n - 1 ids: all fit up to 4097 vertices
+# a game evicts at most n - 1 tree edges: all fit up to 4097 vertices
+@lru_cache(maxsize=4096)
 def _swap(evicted: int) -> Decision:
-    """The accept that swaps out ``evicted``, built once while it stays cached."""
+    """The accept that swaps out ``evicted``, built once while it stays cached.
+
+    ``evicted`` is an edge id, or for a player started from a ``_Deal`` a
+    position in its contracted tree, so one cache holds both kinds.
+    """
     return Decision(True, evicted)
 
 
@@ -229,7 +237,11 @@ class GreedyFollowPredictions(OnlineAlgorithm):
     the predicted MST rooted at vertex 0, as parent and parent-edge arrays,
     and the predictions on the preparation's scale, which ``reveal``'s
     weights share.  ``initialize`` builds a preparation without true
-    weights, so its scale is 1 and the predictions stay Fractions.
+    weights, so its scale is 1 and the predictions stay Fractions.  From a
+    ``_Deal`` it copies, in O(L' + n'), that tree with its inert edges
+    contracted: the player then plays over the ``n'`` components and the
+    ``L'`` contested edges, each named by its position in ``deal.edges``,
+    and its decisions and swaps name positions, not ids.
 
     The unseen edges of the working tree are the predicted tree's edges that
     are neither revealed nor evicted.  A revealed weight at most its own
@@ -252,19 +264,29 @@ class GreedyFollowPredictions(OnlineAlgorithm):
         self._start(PreparedInstance(graph, predicted))
 
     def _start(self, prepared: PreparedInstance, deal: "_Deal | None" = None) -> None:
-        """Copy the start state from ``prepared``, or from its ``deal`` past the inert edges."""
-        graph = prepared.graph
-        parent, parent_edge, _ = prepared.rooted
+        """Copy the start state from ``prepared`` in O(n), or from its ``deal`` in O(L' + n').
+
+        From a deal the player starts as if every inert edge had arrived,
+        on the contracted tree, whose vertices are components and whose
+        edges are positions (``_Deal``).
+        """
+        if deal is None:
+            parent, parent_edge, _ = prepared.rooted
+            self._pred, self._tree = prepared.predicted_scaled, prepared.tree
+            flags = prepared.graph.m
+        else:
+            parent, parent_edge = deal.parent, deal.parent_edge
+            self._pred, self._tree = deal.pred, deal.tree
+            flags = len(deal.edges)
+        # ``_tree`` is the start tree, by which ``_undo`` tells an evicted edge
         self._parent = parent.copy()
         self._parent_edge = parent_edge.copy()
-        self._mark, self._stamp = [0] * graph.n, 0  # the last cycle query's stamp
-        self._pred = prepared.predicted_scaled
-        self._tree = prepared.tree  # ``_undo`` tells an evicted edge by it
+        self._mark, self._stamp = [0] * len(parent), 0  # the last cycle query's stamp
         # 1 until the edge is revealed or evicted; on the working tree's
         # edges, 1 marks the unseen ones, which a swap may evict.  A list of
         # ints, not a bytearray: CPython 3.11 specialises list subscripts,
         # and the reveal loop reads a flag per cycle edge
-        self._candidate = [1] * graph.m if deal is None else deal.candidate.copy()
+        self._candidate = [1] * flags
 
     def reveal(self, edge: Edge, weight: Fraction) -> Decision:
         """Decide one edge by the swap rule, on the scaled weights of ``_start``.
@@ -327,28 +349,31 @@ class GreedyFollowPredictions(OnlineAlgorithm):
     def _play_deal(
         self, prepared: PreparedInstance, deal: "_Deal", edges: Iterable[Edge]
     ) -> int | Fraction:
-        """Play ``edges``, contested ones, from ``deal``'s start; return the scaled cost.
+        """Play ``edges``, an order of ``deal.edges``, from its start; return the scaled cost.
 
         One Monte Carlo trial of an exact ``gftp``: ``reveal``'s rule written
         out in a single loop over the dealt edges, with no call and no
-        ``Decision`` per edge.  The union-find starts from ``deal.joined``,
-        its two path-halving finds run inline, and the accepted weight is
-        summed on ``prepared.scale``, starting from the inert weight.  It
-        raises the ``NotSpanning`` that ``_play`` would: at an accept that
-        closes a cycle, or at the end if too few edges were accepted, and it
-        leaves the player in the state ``reveal`` calls would.  The swap rule
-        is written here and in ``reveal``: one per-climb method called from
-        both ran these trials at 0.91x the speed on ``gen_ro_lb(4, 1/2, 20)``
-        and 0.96x on ``random_instance(60, 1/5, 1/4, s)`` (in-process A/B,
-        shared 2-CPU Xeon, Python 3.11).
+        ``Decision`` per edge, on the contracted tree, with the true weights
+        by position from ``deal.weights``.  The union-find over the
+        components starts from ``deal.forest``, all singletons, its two
+        path-halving finds run inline, and the accepted weight is summed on
+        ``prepared.scale``, starting from the inert weight.  It raises the
+        ``NotSpanning`` that ``_play`` would: at an accept that closes a
+        cycle, or at the end if the inert and accepted edges fall short of
+        ``n - 1``, and it leaves the player in the state ``reveal`` calls
+        would.  The swap rule is written here and in ``reveal``: one
+        per-climb method called from both ran these trials at 0.91x the speed
+        on ``gen_ro_lb(4, 1/2, 20)`` and 0.96x on
+        ``random_instance(60, 1/5, 1/4, s)`` (in-process A/B, shared 2-CPU
+        Xeon, Python 3.11).
         ``test_the_fused_trial_plays_as_reveal_does`` plays both on the same
         deals and compares the costs and the final states.
         """
         self._start(prepared, deal)
         candidate, pred, stamp = self._candidate, self._pred, self._stamp
         parent, parent_edge, mark = self._parent, self._parent_edge, self._mark
-        weights = prepared.actual_scaled
-        joined = deal.joined.parent.copy()
+        weights = deal.weights
+        joined = deal.forest.copy()
         total, accepted = deal.inert_weight, len(deal.inert)
         for edge in edges:
             eid, a, b = edge.id, edge.u, edge.v
@@ -517,7 +542,7 @@ class GreedyFollowPredictions(OnlineAlgorithm):
         return prepared.deal
 
     def _saved(self) -> tuple:
-        """The state ``_undo`` restores: both parent arrays, in O(n).
+        """The state ``_undo`` restores: both parent arrays, in O(n), or O(n') from a ``_Deal``.
 
         The candidate flags are not copied.  A reveal changes at most two of
         them, and ``_undo`` works out both from the decision.
@@ -533,9 +558,9 @@ class GreedyFollowPredictions(OnlineAlgorithm):
         plain tree accept (``_ACCEPT``) or if ``eid`` is off the predicted
         tree, and 0 for a predicted-tree edge revealed off the working tree,
         which was evicted.  A swapped-out edge was an unseen working-tree
-        edge, so its flag was 1.  A player started from a ``_Deal`` also
-        holds its inert edges at flag 0, as arrived; none is ever revealed
-        or evicted there, so none is set back.
+        edge, so its flag was 1.  For a player started from a ``_Deal``,
+        ``eid`` and the swapped-out edge are positions and the predicted
+        tree is ``deal.tree``; its inert edges are contracted, never held.
         """
         parent, parent_edge = saved
         self._candidate[eid] = 1 if decision is _ACCEPT or eid not in self._tree else 0
@@ -549,35 +574,59 @@ class GreedyFollowPredictions(OnlineAlgorithm):
 
 
 class _Deal:
-    """What an exact ``gftp`` is dealt on one preparation, and where it starts.
+    """What an exact ``gftp`` is dealt on one preparation, on the predicted
+    tree with its inert edges contracted, and where it starts.
 
-    ``contested`` and ``inert`` are the ids of ``_contested``, and ``edges``
-    the contested ``Edge``s in id order, the list a Monte Carlo trial
-    shuffles and plays as it comes.  The rest is the state once every inert
-    edge has arrived and been accepted: ``candidate``, the player's flags with
-    the inert ones cleared; ``joined``, a union-find of the vertices with the
-    inert edges joined, whose parent list each trial copies; and
-    ``inert_weight``, their scaled sum.  An inert arrival changes nothing
-    else: an inert edge stays on the working tree, where it is accepted with
-    no cycle query.  Those inert edges that lie on a contested edge's path
-    are climbed from here on, but with their flags cleared they are never
-    candidates, which changes no decision
-    (``GreedyFollowPredictions._contested``).  A Monte Carlo trial
+    ``contested`` and ``inert`` are the ids of ``_contested``.  The inert
+    edges are joined into components, numbered in the order of their least
+    vertex, so vertex 0's component is 0, the root; ``forest`` is the
+    union-find of the ``n'`` components, each its own set, whose parent list
+    each trial copies.  Position ``p`` is the contested edge
+    ``contested[p]``, and ``edges[p]`` is ``Edge(p, cu, cv)`` on the
+    components of its endpoints: the list, in id order, that a Monte Carlo
+    trial shuffles and plays as it comes.  ``pred`` and ``weights`` are the
+    scaled prediction and true weight by position, ``tree`` the positions on
+    the predicted tree, and ``parent`` and ``parent_edge`` that tree of
+    contested edges rooted at component 0.  ``inert_weight`` is the scaled
+    sum of the inert edges.
+
+    This is the state once every inert edge has arrived and been accepted,
+    with those edges contracted.  An inert edge stays on the working tree,
+    where it is accepted with no cycle query, and it is never a candidate
+    (``GreedyFollowPredictions._contested``), so a cycle query on the full
+    tree and on the contracted one see the same unseen contested edges, in
+    the same order of prediction and id, and make the same decision; a
+    contested edge's endpoints lie in two components, since its path holds
+    a contested tree edge.  A Monte Carlo trial
     (``GreedyFollowPredictions._play_deal``) and the exact memo start from
-    here.
+    here, in O(L' + n').
     """
 
-    __slots__ = ("contested", "inert", "edges", "candidate", "joined", "inert_weight")
+    __slots__ = (
+        "contested", "inert", "edges", "pred", "weights", "tree",
+        "parent", "parent_edge", "forest", "inert_weight",
+    )
 
     def __init__(self, prepared: PreparedInstance):
-        graph = prepared.graph
         self.contested, self.inert = GreedyFollowPredictions._contested(prepared)
-        self.edges = [graph.edges[eid] for eid in self.contested]
-        self.candidate = [1] * graph.m
-        self.joined = _UnionFind(graph.n)
+        us, vs, n = prepared.us, prepared.vs, prepared.graph.n
+        joined = _UnionFind(n)
         for eid in self.inert:
-            self.candidate[eid] = 0
-            self.joined.union(prepared.us[eid], prepared.vs[eid])
+            joined.union(us[eid], vs[eid])
+        roots, numbers, component = joined.parent, {}, [0] * n
+        for x in range(n):
+            root = x
+            while roots[root] != root:
+                root = roots[root]
+            component[x] = numbers.setdefault(root, len(numbers))
+        self.edges = [
+            Edge(p, component[us[eid]], component[vs[eid]]) for p, eid in enumerate(self.contested)
+        ]
+        self.pred = [prepared.predicted_scaled[eid] for eid in self.contested]
+        self.weights = [prepared.actual_scaled[eid] for eid in self.contested]
+        self.tree = frozenset(p for p, eid in enumerate(self.contested) if eid in prepared.tree)
+        self.parent, self.parent_edge, _ = _root(len(numbers), self.edges, self.tree)
+        self.forest = list(range(len(numbers)))
         self.inert_weight = sum(prepared.actual_scaled[eid] for eid in self.inert)
 
 

@@ -166,7 +166,7 @@ class SpanningTree:
     @cached_property
     def rooted(self) -> tuple[list[int], list[int], list[int]]:
         """``(parent, parent_edge, depth)`` of the tree rooted at vertex 0 (see ``_root``)."""
-        return _root(self.graph, self.edge_ids)
+        return _root(self.graph.n, self.graph.edges, self.edge_ids)
 
     def path_ids(self, a: int, b: int) -> list[int]:
         """Edge ids of the unique a-b path, ordered from a to b.
@@ -195,13 +195,15 @@ class SpanningTree:
         return [edges[eid] for eid in self.path_ids(a, b)]
 
 
-def _root(graph: Graph, ids: Iterable[int]) -> tuple[list[int], list[int], list[int]]:
-    """``(parent, parent_edge, depth)`` of the tree on edges ``ids`` rooted at vertex 0.
+def _root(
+    n: int, edges: Sequence[Edge], ids: Iterable[int]
+) -> tuple[list[int], list[int], list[int]]:
+    """``(parent, parent_edge, depth)`` of the tree on ``edges[i]``, ``i`` in ``ids``, rooted at 0.
 
-    The one rooting walk, behind ``SpanningTree`` and ``PreparedInstance``;
-    the root has parent and parent edge -1.  It reads only the tree's edges.
+    The one rooting walk, behind ``SpanningTree``, ``PreparedInstance`` and
+    ``engine._Deal``'s contracted tree, over the vertices ``0..n-1``; the
+    root has parent and parent edge -1.  It reads only the tree's edges.
     """
-    n, edges = graph.n, graph.edges
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for eid in ids:
         edge = edges[eid]
@@ -400,7 +402,7 @@ class PreparedInstance:
     @cached_property
     def rooted(self) -> tuple[list[int], list[int], list[int]]:
         """``(parent, parent_edge, depth)`` of the tree rooted at vertex 0 (see ``_root``)."""
-        return _root(self.graph, self.tree)
+        return _root(self.graph.n, self.graph.edges, self.tree)
 
     @cached_property
     def opt(self) -> Fraction:

@@ -8,11 +8,13 @@ game.  ``gftp`` is dealt only its contested edges, the live edges off its
 predicted tree and the tree edges on their paths that it might evict, from
 the state its other edges leave, both built once per preparation: a tree
 edge predicting below every contested true weight is never evicted, so it
-is not dealt.  A Monte Carlo trial shuffles and plays only the contested
-edges: an order's cost depends only on their relative order, which a
-uniform order of all the edges leaves uniform.  Its exact expectation is a
-memoised recursion over the states their orders pass through, refused
-past ``EXACT_CONTESTED_LIMIT`` of them whatever the edge count.  Any other
+is not dealt.  It plays them on its predicted tree with the inert tree
+edges contracted, so a trial's start and climbs pass over none of them.  A
+Monte Carlo trial shuffles and plays only the contested edges: an order's
+cost depends only on their relative order, which a uniform order of all
+the edges leaves uniform.  Its exact expectation is a memoised recursion
+over the states their orders pass through, refused past
+``EXACT_CONTESTED_LIMIT`` of them whatever the edge count.  Any other
 player, a subclass of either included, plays every order whole, and its
 exact expectation is refused past ``EXACT_EDGE_LIMIT`` edges.  Reports
 compare the measured ratio against three reference curves in the
@@ -61,10 +63,11 @@ LN2 = math.log(2.0)
 
 # Reveals dealt (trials * edges dealt per trial: gftp's contested edges, every
 # edge to any other player) that pay for a forked worker.  On a shared 2-CPU
-# Xeon, gftp on random_instance(60, 1/5, 1/4, s), s = 2, 3, 8, 10 (39-55
-# dealt edges), best of 7, three rounds of the four: two workers won in 10
-# of 12 readings at 50,000 dealt reveals (0.90x-1.47x) and in 11 of 12 at
-# 100,000 (1.00x-2.08x), but in 4 of 12 at 25,000 (0.67x-1.10x).
+# Xeon (Python 3.11), gftp on random_instance(60, 1/5, 1/4, s), s = 2, 3, 8,
+# 10 (39-55 dealt edges, played on the contracted tree): nine alternating
+# repeats, each side timed over repeated calls for at least 0.5 s, serial
+# time over two workers' time, medians by instance: 0.80-0.98x at 25,000
+# dealt reveals, 1.05-1.16x at 50,000 and 1.18-1.39x at 100,000.
 REVEALS_PER_WORKER = 50_000
 
 
@@ -233,9 +236,11 @@ def mc_estimate(
     ``gftp`` itself the stream shuffles only its contested edges, in id
     order at the start, and a trial plays its shuffle from the state the
     inert edges leave, both kept with the preparation (``_Deal``), in one
-    fused loop (``GreedyFollowPredictions._play_deal``).  It costs
-    what any order of all the edges that orders the contested ones so would
-    cost (``GreedyFollowPredictions._contested``), and the relative order of
+    fused loop (``GreedyFollowPredictions._play_deal``) on the predicted
+    tree with the inert edges contracted, so a trial starts in O(L' + n')
+    for its ``L'`` contested edges and ``n'`` components, whatever ``m``.
+    It costs what any order of all the edges that orders the contested ones
+    so would cost (``GreedyFollowPredictions._contested``), and the relative order of
     the contested edges in a uniform order of all ``m`` is uniform, so the
     trials sample the cost of a uniform order.  Any other player, a subclass
     of ``gftp`` too, is dealt a shuffle of every edge, in id order at the
@@ -342,14 +347,16 @@ def _completion_sum(
 
     ``player`` is a ``gftp`` started from ``deal``, as if every inert edge
     had arrived and been accepted: a legal start, since no decision depends
-    on when they arrive (``GreedyFollowPredictions._contested``).  Their
-    weight is added once per order.  The ``L'`` contested edges are walked
+    on when they arrive (``GreedyFollowPredictions._contested``).  It plays
+    on the deal's contracted tree, where the inert edges are contracted and
+    each contested edge is named by its position.  The inert weight is
+    added once per order.  The ``L'`` contested edges are walked
     as a tree of states, each held once, since once a set of
     edges is unseen every order of them is equally likely.  A state is one
     int, the unseen contested edges shifted above the working tree's
-    contested edges, each a mask whose bit ``i`` is the edge ``contested[i]``:
-    an edge ``_rejected`` names never joins the tree and an inert one never
-    leaves it, so the mask names the tree, which with the unseen edges
+    contested edges, each a mask whose bit ``p`` is the edge at position
+    ``p``: an edge ``_rejected`` names never joins the tree and an inert one
+    never leaves it, so the mask names the tree, which with the unseen edges
     fixes every later decision.  With ``k`` edges unseen, a state's sum
     ``S`` over the ``k!`` orders of the rest is, over each unseen ``e``
     revealed next, the weight of ``e`` if accepted times ``(k-1)!``, plus
@@ -358,14 +365,9 @@ def _completion_sum(
     that state is summed, so the player is handed back as it started.  The
     sum is on ``d = prepared.scale``.
     """
-    edges = prepared.graph.edges
-    scaled = prepared.actual_scaled  # as ``_play`` shows a built-in player and sums
-    contested = deal.contested
-    width = len(contested)
-    bits = [0] * prepared.graph.m
-    for i, eid in enumerate(contested):
-        bits[eid] = 1 << i
-    dealt = [(bits[eid], eid, edges[eid], scaled[eid]) for eid in contested]
+    width = len(deal.edges)
+    # the scaled weights ``_play`` would show a built-in player and sum
+    dealt = [(1 << edge.id, edge, weight) for edge, weight in zip(deal.edges, deal.weights)]
     factorials = [math.factorial(k) for k in range(width)]
     memo: dict[int, int | Fraction] = {}
 
@@ -376,7 +378,7 @@ def _completion_sum(
         later = factorials[unseen.bit_count() - 1]  # orders of the edges after the next
         saved = player._saved()
         total = 0
-        for bit, eid, edge, weight in dealt:
+        for bit, edge, weight in dealt:
             if not unseen & bit:
                 continue
             decision = player.reveal(edge, weight)
@@ -384,17 +386,17 @@ def _completion_sum(
             if decision.accepted:
                 total += weight * later
                 if decision.swapped_out is not None:
-                    after ^= bit | bits[decision.swapped_out]
+                    after ^= bit | 1 << decision.swapped_out
             rest_unseen = unseen ^ bit
             key = rest_unseen << width | after
             rest = memo.get(key)
             if rest is None:
                 rest = memo[key] = completions(rest_unseen, after)
-            player._undo(eid, decision, saved)
+            player._undo(edge.id, decision, saved)
             total += rest
         return total
 
-    total = completions((1 << width) - 1, sum(bits[eid] for eid in prepared.tree))
+    total = completions((1 << width) - 1, sum(1 << p for p in deal.tree))
     # the closure refers to itself; unlinked, it and the memo are freed now,
     # not left to the cyclic garbage collector
     del completions

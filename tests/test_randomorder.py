@@ -108,7 +108,9 @@ def dealt_games(monkeypatch) -> SimpleNamespace:
 
     Whole orders go through ``_play`` and an exact ``gftp``'s trials through
     ``GreedyFollowPredictions._play_deal``, so both are spied on; each spy
-    wraps the unspied function, so a second call starts a new record.
+    wraps the unspied function, so a second call starts a new record.  A
+    trial's edges are positions in its deal, recorded as the ids
+    ``deal.contested`` maps them to.
     """
     games = SimpleNamespace(dealt=[], costs=[])
 
@@ -121,7 +123,7 @@ def dealt_games(monkeypatch) -> SimpleNamespace:
 
     def dealt(alg, prepared, deal, edges):
         edges = list(edges)
-        games.dealt.append([edge.id for edge in edges])
+        games.dealt.append([deal.contested[edge.id] for edge in edges])
         total = _play_deal(alg, prepared, deal, edges)
         games.costs.append(F(total, prepared.scale))
         return total
@@ -453,8 +455,7 @@ class TestMemoisedExpectation:
         monkeypatch.setattr(randomorder, "_completion_sum", lambda *args: entered.append(args))
         pin_cpus(monkeypatch, 2)
         sizes = serial_pools(monkeypatch)
-        pendant = WmstInstance(Graph.from_pairs(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
-                               (F(1), F(1), F(5), F(1)), (F(1), F(2), F(5), F(3)))
+        pendant = _pendant()
         deal = gftp()._deal(pendant.prepared)
         assert (deal.contested, sorted(deal.inert)) == ([], [0, 1, 3])
         for inst in (triangle(), pendant):
@@ -503,9 +504,11 @@ class TestMemoisedExpectation:
                 continue
             revealed = set()
             value = exact_expectation(gftp, inst)
-            # the live edges, less the inert ones the deal accepted unrevealed
+            # the live edges, less the inert ones the deal accepted unrevealed;
+            # the memo reveals positions, mapped to ids by the deal
+            deal = gftp()._deal(prepared)
             live = set(range(inst.m)) - rejected
-            assert revealed == live - set(gftp()._deal(prepared).inert)
+            assert {deal.contested[p] for p in revealed} == live - set(deal.inert)
             assert value == enumerated(gftp, inst)
             played += 1
         assert played >= 50
@@ -653,6 +656,9 @@ class TestContestedEdges:
             revealed.append(edge.id)
             return reveal(player, edge, weight)
 
+        def state(player):
+            return player._candidate, player._parent, player._parent_edge
+
         reveal = GreedyFollowPredictions.reveal
         monkeypatch.setattr(GreedyFollowPredictions, "reveal", recorded)
         played = 0
@@ -660,20 +666,25 @@ class TestContestedEdges:
             prepared = inst.prepared
             deal = gftp()._deal(prepared)
             contested, inert = deal.contested, deal.inert
-            # the deal's start is the state the inert reveals leave
+            # the deal's start is the state the inert reveals leave, with the
+            # inert edges contracted: the same tree and flags, read by id
             revealed = []
             walked, dealt = gftp(), gftp()
             walked._start(prepared)
             for eid in inert:
                 assert walked.reveal(inst.graph.edges[eid], prepared.actual_scaled[eid]).accepted
             dealt._start(prepared, deal)
-            assert walked._candidate == dealt._candidate
-            assert walked._parent_edge == dealt._parent_edge and walked._parent == dealt._parent
+            tree = {contested[p] for p in dealt.working_tree_ids()}
+            assert tree | set(inert) == walked.working_tree_ids()
+            assert [walked._candidate[eid] for eid in contested] == dealt._candidate
+            assert not any(walked._candidate[eid] for eid in inert)
             # the memo reveals only the contested edges and hands the player back
             revealed = []
             randomorder._completion_sum(dealt, prepared, deal)
-            assert set(revealed) == set(contested)
-            assert dealt._candidate == deal.candidate
+            assert {contested[p] for p in revealed} == set(contested)
+            fresh = gftp()
+            fresh._start(prepared, deal)
+            assert state(dealt) == state(fresh)
             played += bool(inert) and bool(contested)
         assert played >= 120
 
@@ -799,7 +810,10 @@ class TestDealtTrials:
         monkeypatch.setattr(randomorder, "_shuffles", spied)
         for factory in (gftp, NamedGreedy):
             mc_estimate(factory, inst, trials=10, seed=4, workers=workers)
-        # one stream per chunk, of the contested edges in id order, or of all
+        # one stream per chunk, of the contested edges in id order, or of all;
+        # gftp's are the deal's positions, mapped to ids
+        ids = inst.prepared.deal.contested
+        shuffled[:workers] = [[ids[p] for p in positions] for positions in shuffled[:workers]]
         assert shuffled == [contested] * workers + [list(range(inst.m))] * workers
 
     def test_all_contested_families_estimate_as_a_subclass_does(self):
@@ -848,16 +862,22 @@ class TestDealtTrials:
                 assert abs(est.mean_cost - exact) <= 4 * est.std_error
 
 
-def _revealed_from_the_deal(inst: WmstInstance, deal, ids) -> tuple[GreedyFollowPredictions, int]:
-    """A ``gftp`` started from ``deal`` and shown the edges ``ids`` by ``reveal``,
+def _revealed_from_the_deal(prepared, deal, edges) -> tuple[GreedyFollowPredictions, int]:
+    """A ``gftp`` started from ``deal`` and shown its ``edges`` by ``reveal``,
     and the number of swaps it made: the reference for ``_play_deal``."""
-    prepared = inst.prepared
     player, swaps = gftp(), 0
     player._start(prepared, deal)
-    for eid in ids:
-        decision = player.reveal(inst.graph.edges[eid], prepared.actual_scaled[eid])
+    for edge in edges:
+        decision = player.reveal(edge, deal.weights[edge.id])
         swaps += decision.swapped_out is not None
     return player, swaps
+
+
+def _pendant() -> WmstInstance:
+    """A triangle with a pendant edge, where ``gftp``'s deal holds no contested
+    edge: edges 0, 1 and 3 are inert and edge 2 is rejected in every order."""
+    return WmstInstance(Graph.from_pairs(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
+                        (F(1), F(1), F(5), F(1)), (F(1), F(2), F(5), F(3)))
 
 
 def _tied_instances():
@@ -894,41 +914,64 @@ class TestFusedTrial:
             prepared = inst.prepared
             deal = gftp()._deal(prepared)
             inert = [inst.graph.edges[eid] for eid in deal.inert]
-            for ids in shuffles(deal.contested, seed, 4):
-                edges = [inst.graph.edges[eid] for eid in ids]
+            for edges in shuffles(deal.edges, seed, 4):
                 fused = gftp()
                 cost = fused._play_deal(prepared, deal, edges)
                 # _play reveals the inert edges first, which leave the deal's start
-                assert cost == _play(gftp(), prepared, inst.actual, inert + edges)[1]
-                revealed, swaps = _revealed_from_the_deal(inst, deal, ids)
+                whole = [inst.graph.edges[deal.contested[edge.id]] for edge in edges]
+                assert cost == _play(gftp(), prepared, inst.actual, inert + whole)[1]
+                revealed, swaps = _revealed_from_the_deal(prepared, deal, edges)
                 for state in ("_parent", "_parent_edge", "_candidate", "_stamp"):
                     assert getattr(fused, state) == getattr(revealed, state), state
                 played += 1
                 swapped += bool(swaps)
         assert played >= 2000 and swapped >= 500
 
+    def test_the_contracted_tree_maps_to_the_full_tree(self, deadline):
+        # a trial's final tree, its positions mapped to ids and the inert edges
+        # added, is the tree of a player on the full predicted tree shown the
+        # inert edges and then the same shuffle
+        corpus = [*_dealt_corpus(), random_instance(60, F(1, 5), F(1, 20), 23), _pendant()]
+        shapes = set()
+        for seed, inst in enumerate(corpus):
+            prepared = inst.prepared
+            deal = gftp()._deal(prepared)
+            shapes.add((len(deal.contested), len(deal.inert)))
+            inert = [inst.graph.edges[eid] for eid in deal.inert]
+            for edges in shuffles(deal.edges, seed, 4):
+                fused = gftp()
+                fused._play_deal(prepared, deal, edges)
+                full = gftp()
+                full._start(prepared)
+                for edge in inert + [inst.graph.edges[deal.contested[e.id]] for e in edges]:
+                    full.reveal(edge, prepared.actual_scaled[edge.id])
+                mapped = {deal.contested[p] for p in fused.working_tree_ids()}
+                assert mapped | set(deal.inert) == full.working_tree_ids()
+        assert any(inert == 0 < contested for contested, inert in shapes)  # ro-lb
+        assert (13, 48) in shapes  # mostly inert
+        assert (0, 3) in shapes  # no contested edge: the pendant
+
     def test_a_deal_that_already_joins_an_accepted_edge_faults(self):
         inst = gen_ro_lb(2, F(1, 2), 3)
         prepared = inst.prepared
         deal = gftp()._deal(prepared)
-        edge = inst.graph.edges[next(iter(prepared.tree))]  # a tree edge is accepted first
-        joined = _UnionFind(inst.n)
-        joined.parent = deal.joined.parent.copy()
+        edge = deal.edges[next(iter(deal.tree))]  # a tree edge is accepted first
+        joined = _UnionFind(0)
+        joined.parent = deal.forest.copy()  # the components, one set each
         joined.union(edge.u, edge.v)
-        rest = [inst.graph.edges[eid] for eid in deal.contested if eid != edge.id]
+        rest = [e for e in deal.edges if e is not edge]
         with pytest.raises(NotSpanning, match="accepted edges contain a cycle"):
-            gftp()._play_deal(prepared, _with(deal, joined=joined), [edge, *rest])
+            gftp()._play_deal(prepared, _with(deal, forest=joined.parent), [edge, *rest])
         assert gftp()._play_deal(prepared, deal, [edge, *rest]) == run_cost(
-            gftp(), inst, [edge.id, *(e.id for e in rest)]
+            gftp(), inst, [deal.contested[e.id] for e in (edge, *rest)]
         ) * prepared.scale
 
     def test_a_deal_missing_an_inert_edge_faults(self):
         inst = random_instance(60, F(1, 5), F(1, 4), 3)
         prepared = inst.prepared
         deal = gftp()._deal(prepared)
-        edges = [inst.graph.edges[eid] for eid in deal.contested]
         with pytest.raises(NotSpanning, match="accepted 58 edges, a spanning tree needs 59"):
-            gftp()._play_deal(prepared, _with(deal, inert=deal.inert[1:]), edges)
+            gftp()._play_deal(prepared, _with(deal, inert=deal.inert[1:]), deal.edges)
 
 
 class TestMonteCarlo:
