@@ -140,8 +140,8 @@ class SpanningTree:
     """An edge subset forming a spanning tree, with path queries.
 
     The edge set is validated on construction (``NotSpanning`` otherwise).
-    Path queries climb ``rooted``, the tree rooted at vertex 0, which is
-    computed on first use by the walk that also roots ``PreparedInstance``.
+    Path queries walk ``rooted``, the tree rooted at vertex 0 by ``_root`` on
+    first use, with ``_path_ids``.
     """
 
     graph: Graph
@@ -169,25 +169,11 @@ class SpanningTree:
         return _root(self.graph.n, self.graph.edges, self.edge_ids)
 
     def path_ids(self, a: int, b: int) -> list[int]:
-        """Edge ids of the unique a-b path, ordered from a to b.
-
-        Climbs the deeper endpoint until both meet at their lowest common
-        ancestor; at equal depths, distinct endpoints are both below it.
-        """
+        """Edge ids of the unique a-b path, ordered from a to b (see ``_path_ids``)."""
         n = self.graph.n
         if not (0 <= a < n and 0 <= b < n):
             raise BadParameter(f"path endpoints {a} and {b} must be vertices 0..{n - 1}")
-        parent, parent_edge, depth = self.rooted
-        up: list[int] = []
-        down: list[int] = []  # b's side, listed upward
-        while a != b:
-            if depth[a] >= depth[b]:
-                up.append(parent_edge[a])
-                a = parent[a]
-            else:
-                down.append(parent_edge[b])
-                b = parent[b]
-        return up + down[::-1]
+        return _path_ids(self.rooted, a, b)
 
     def tree_path(self, a: int, b: int) -> list[Edge]:
         """The edges of the unique a-b path, ordered from a to b."""
@@ -220,6 +206,26 @@ def _root(
                 parent[y], parent_edge[y], depth[y] = x, eid, depth[x] + 1
                 stack.append(y)
     return parent, parent_edge, depth
+
+
+def _path_ids(rooted: tuple[list[int], list[int], list[int]], a: int, b: int) -> list[int]:
+    """Edge ids of the a-b path in the tree ``rooted`` by ``_root``, ordered from a to b.
+
+    The one path walk, behind ``SpanningTree.path_ids`` and ``engine``'s
+    ``_contested``.  It climbs the deeper endpoint until both meet at their
+    lowest common ancestor; at equal depths, distinct endpoints are both below it.
+    """
+    parent, parent_edge, depth = rooted
+    up: list[int] = []
+    down: list[int] = []  # b's side, listed upward
+    while a != b:
+        if depth[a] >= depth[b]:
+            up.append(parent_edge[a])
+            a = parent[a]
+        else:
+            down.append(parent_edge[b])
+            b = parent[b]
+    return up + down[::-1]
 
 
 @dataclass(frozen=True)

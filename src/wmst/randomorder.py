@@ -304,7 +304,7 @@ def exact_expectation(alg_factory: AlgFactory, instance: WmstInstance) -> Fracti
     ``L'`` contested edges, from the state its inert edges leave (``_Deal``),
     and any other player, their subclasses too, plays all ``m!`` orders
     through ``_cost_sums``.  Leaving out the other edges changes no value:
-    the edges ``_rejected`` names are rejected in every order, the inert
+    the dead off-tree edges are rejected in every order, the inert
     tree edges, on no live edge's path or predicting below every contested
     true weight, are never evicted and so accepted in every order, and
     neither changes another decision
@@ -355,7 +355,7 @@ def _completion_sum(
     edges is unseen every order of them is equally likely.  A state is one
     int, the unseen contested edges shifted above the working tree's
     contested edges, each a mask whose bit ``p`` is the edge at position
-    ``p``: an edge ``_rejected`` names never joins the tree and an inert one
+    ``p``: a dead off-tree edge never joins the tree and an inert one
     never leaves it, so the mask names the tree, which with the unseen edges
     fixes every later decision.  With ``k`` edges unseen, a state's sum
     ``S`` over the ``k!`` orders of the rest is, over each unseen ``e``

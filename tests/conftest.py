@@ -20,7 +20,7 @@ from wmst import (
     random_instance,
     tree_cycle,
 )
-from wmst.graphs import SpanningTree
+from wmst.graphs import PreparedInstance, SpanningTree
 
 
 @pytest.fixture
@@ -80,6 +80,28 @@ def gftp_orders(inst: WmstInstance, seed: int, count: int) -> list[list[int]]:
     shuffle of them does, and is ``embedded`` at placement ``t``."""
     contested = GreedyFollowPredictions._contested(inst.prepared)[0]
     return [embedded(inst.m, ids, t) for t, ids in enumerate(shuffles(contested, seed, count))]
+
+
+def cycle_bottlenecks(prepared: PreparedInstance) -> dict[int, Fraction]:
+    """Each edge off the predicted tree, by id, and its cycle bottleneck: the
+    largest prediction on its path in the predicted tree, on Fractions."""
+    tree = SpanningTree(prepared.graph, prepared.tree)
+    predicted = prepared.predicted
+    return {
+        edge.id: max(predicted[eid] for eid in tree.path_ids(edge.u, edge.v))
+        for edge in prepared.graph.edges
+        if edge.id not in tree
+    }
+
+
+def dead_edges(prepared: PreparedInstance) -> list[int]:
+    """The edges ``gftp`` rejects in every order, changing nothing, by their
+    definition: off the predicted tree, with true weight above their cycle
+    bottleneck (``cycle_bottlenecks``)."""
+    return [
+        eid for eid, bottleneck in cycle_bottlenecks(prepared).items()
+        if prepared.actual[eid] > bottleneck
+    ]
 
 
 def sample_statistics(costs: list[Fraction]) -> tuple[float, float]:

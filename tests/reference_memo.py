@@ -1,10 +1,10 @@
 """The exact ``gftp`` memo as it was before it left out the inert tree edges.
 
 Kept as the slow reference the contested-edge memo is compared against.  It
-deals every live edge, those ``_rejected`` does not name, inert tree edges
-included, and keys each state on the unseen live edges and the player's
-tree, as the tuple of its parent-edge array.  The sum is over the ``L!``
-orders of the ``L`` live edges.
+deals every live edge, those ``conftest.dead_edges`` does not name, inert
+tree edges included, and keys each state on the unseen live edges and the
+player's tree, as the tuple of its parent-edge array.  The sum is over the
+``L!`` orders of the ``L`` live edges.
 """
 
 from __future__ import annotations
@@ -14,13 +14,15 @@ from fractions import Fraction
 
 from wmst import GreedyFollowPredictions, WmstInstance
 
+from conftest import dead_edges
+
 
 def expectation(instance: WmstInstance) -> Fraction:
     """``gftp``'s expected cost over all orders, by the live-edge memo."""
     prepared = instance.prepared
     player = GreedyFollowPredictions()
-    rejected = set(player._rejected(prepared))
-    live = [eid for eid in range(instance.m) if eid not in rejected]
+    dead = set(dead_edges(prepared))
+    live = [eid for eid in range(instance.m) if eid not in dead]
     player._start(prepared)
     edges = prepared.graph.edges
     scaled = prepared.actual_scaled

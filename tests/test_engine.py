@@ -22,7 +22,6 @@ from wmst import (
     InvariantViolation,
     NotSpanning,
     OnlineAlgorithm,
-    SpanningTree,
     WmstInstance,
     error_report,
     ftp,
@@ -42,7 +41,15 @@ from wmst import checks, engine
 from wmst.cli import FAMILIES
 from wmst.engine import _play
 
-from conftest import SlowSwapPlayer, gftp_orders, sample_statistics, shuffles, triangle
+from conftest import (
+    SlowSwapPlayer,
+    cycle_bottlenecks,
+    dead_edges,
+    gftp_orders,
+    sample_statistics,
+    shuffles,
+    triangle,
+)
 from reference_gftp import GreedyFollowPredictions as ReferenceGreedy
 import reference_checker
 
@@ -710,12 +717,6 @@ def _dealt_cases():
     yield from _deep_cases()
 
 
-def _bottleneck(inst: WmstInstance, tree: SpanningTree, eid: int) -> Fraction:
-    """The largest prediction on the tree path between the endpoints of edge ``eid``."""
-    edge = inst.graph.edges[eid]
-    return max(inst.predicted[e] for e in tree.path_ids(edge.u, edge.v))
-
-
 def _square_with_a_chord(chord: Fraction) -> WmstInstance:
     """Edge 3 closes the path 0-1-2 of edges 0 and 1, which predict 1 each.
 
@@ -744,8 +745,8 @@ def _assert_mc_plays_like_the_reference(inst: WmstInstance, trials: int, seed: i
 
 
 class TestDealtEdges:
-    """The edges ``gftp._rejected`` names are rejected in every order, changing
-    nothing; ``ftp`` costs in every order what it costs in id order."""
+    """The dead edges (``conftest.dead_edges``) are rejected in every order,
+    changing nothing; ``ftp`` costs in every order what it costs in id order."""
 
     def test_rejected_edges_are_those_above_their_cycle_bottleneck(self):
         previous = None
@@ -754,14 +755,12 @@ class TestDealtEdges:
                 continue
             previous = inst
             prepared = inst.prepared
-            tree = SpanningTree(inst.graph, prepared.tree)
-            off_tree = [eid for eid in range(inst.m) if eid not in tree]
-            rejected = gftp()._rejected(prepared)
-            assert rejected == [
-                eid for eid in off_tree if inst.actual[eid] > _bottleneck(inst, tree, eid)
-            ]
+            off_tree = [eid for eid in range(inst.m) if eid not in prepared.tree]
+            contested = set(gftp()._contested(prepared)[0])
+            rejected = [eid for eid in off_tree if eid not in contested]
+            assert rejected == dead_edges(prepared)
             # the looser bound of an edge's own and the heaviest tree prediction
-            top = max(inst.predicted[eid] for eid in tree.edge_ids)
+            top = max(inst.predicted[eid] for eid in prepared.tree)
             loose = {eid for eid in off_tree if inst.actual[eid] > min(inst.predicted[eid], top)}
             assert loose <= set(rejected)
 
@@ -771,7 +770,7 @@ class TestDealtEdges:
             prepared = inst.prepared
             one_game = _played(ftp(), inst, range(inst.m))[1]
             assert _played(ftp(), inst, ids)[1] == one_game
-            rejected = set(gftp()._rejected(prepared))
+            rejected = set(dead_edges(prepared))
             dealt = [eid for eid in ids if eid not in rejected]
             whole = _played(gftp(), inst, ids)
             assert _played(gftp(), inst, dealt) == whole
@@ -783,9 +782,9 @@ class TestDealtEdges:
             at_the_bound += any(
                 inst.actual[eid] == min(inst.predicted[eid], top) for eid in off_tree
             )
-            tree = SpanningTree(inst.graph, prepared.tree)
             at_the_bottleneck += any(
-                inst.actual[eid] == _bottleneck(inst, tree, eid) for eid in off_tree
+                inst.actual[eid] == bottleneck
+                for eid, bottleneck in cycle_bottlenecks(prepared).items()
             )
         assert rejected_at_all > 1000 and at_the_bound > 100 and at_the_bottleneck > 100
 
@@ -796,7 +795,7 @@ class TestDealtEdges:
         inst = WmstInstance(graph, (F(1), F(2), F(2)), (F(1), F(5), F(2)))
         prepared = inst.prepared
         assert prepared.tree == {0, 1}
-        assert gftp()._rejected(prepared) == []
+        assert dead_edges(prepared) == []
         trace = run(gftp(), inst, ArrivalOrder((2, 0, 1)))
         assert trace.steps[0].decision == Decision.accept(swapped_out=1)
         assert trace.cost == 3
@@ -807,7 +806,7 @@ class TestDealtEdges:
         prepared = inst.prepared
         assert prepared.tree == {0, 1, 2}
         assert inst.actual[3] < min(inst.predicted[3], inst.predicted[2])  # dealt by that bound
-        assert gftp()._rejected(prepared) == [3]
+        assert dead_edges(prepared) == [3]
         for order in permutations(range(inst.m)):
             trace = run(ReferenceGreedy(), inst, ArrivalOrder(order))
             assert not trace.steps[order.index(3)].decision.accepted
@@ -818,7 +817,7 @@ class TestDealtEdges:
     def test_an_edge_at_its_bottleneck_is_dealt_and_swapped_in(self):
         inst = _square_with_a_chord(F(1))
         prepared = inst.prepared
-        assert gftp()._rejected(prepared) == []
+        assert dead_edges(prepared) == []
         # edges 0 and 1 tie at the bottleneck, and the smaller id is evicted
         trace = run(gftp(), inst, ArrivalOrder((3, 0, 1, 2)))
         assert trace.steps[0].decision == Decision.accept(swapped_out=0)

@@ -1,10 +1,12 @@
 """Core graph types, MST routines and the brute-force oracle."""
 
+import ast
 import dataclasses
 import math
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,7 @@ from wmst import (
     tree_cycle,
     validate_instance,
 )
+import wmst
 from wmst import checks
 from wmst.exceptions import InstanceError
 from wmst.graphs import SCALE_BITS, PreparedInstance, _UnionFind
@@ -441,6 +444,28 @@ class TestTreePathIds:
                     assert x in (u, v)
                     x = v if x == u else u
                 assert x == b
+
+    def test_only_the_rooting_and_path_walks_and_the_checker_read_depths(self):
+        """Within ``wmst``, only ``_root``, ``_path_ids`` and the checker's two
+        scans subscript ``depth``: every other path climb goes through ``_path_ids``."""
+        def read(node, scope: str) -> None:
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                scope = f"{scope}.{node.name}"
+            elif (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                  and node.value.id == "depth"):
+                readers.add(scope)
+            for child in ast.iter_child_nodes(node):
+                read(child, scope)
+
+        readers = set()
+        for source in Path(wmst.__file__).parent.glob("*.py"):
+            read(ast.parse(source.read_text(encoding="utf-8")), source.stem)
+        assert readers == {
+            "graphs._root",
+            "graphs._path_ids",
+            "engine._InvariantChecker.before_reveal",
+            "engine._InvariantChecker.after_reveal",
+        }
 
 
 class TestTreeCycle:

@@ -46,6 +46,7 @@ from wmst.randomorder import estimate
 from conftest import (
     RejectFirstThenGreedy,
     SlowSwapPlayer,
+    dead_edges,
     embedded,
     gftp_orders,
     sample_statistics,
@@ -482,7 +483,7 @@ class TestMemoisedExpectation:
         # gftp; the K4 past SCALE_BITS plays the memo on Fraction weights
         instances = [*small_exact_instances(20), _wide_coprime_instance(4, base=50)]
         assert instances[-1].prepared.scale == 1
-        rejected = [gftp()._rejected(inst.prepared) for inst in instances]
+        rejected = [dead_edges(inst.prepared) for inst in instances]
         assert sum(map(bool, rejected)) >= 10 and rejected[-1]  # edges the memo never deals
         for inst in instances:
             assert exact_expectation(gftp, inst) == exact_expectation(ReferenceGreedy, inst)
@@ -499,7 +500,7 @@ class TestMemoisedExpectation:
         played = 0
         for inst in instances:
             prepared = inst.prepared
-            rejected = set(gftp()._rejected(prepared))
+            rejected = set(dead_edges(prepared))
             if not rejected:
                 continue
             revealed = set()
@@ -519,7 +520,7 @@ class TestMemoisedExpectation:
         ro_lb = gen_ro_lb(2, F(1, 2), 3)
         rnd = random_instance(5, F(4, 5), F(1, 4), 2)
         assert (ro_lb.m, rnd.m) == (7, 8)
-        assert len(gftp()._rejected(rnd.prepared)) == 3
+        assert len(dead_edges(rnd.prepared)) == 3
         assert exact_expectation(gftp, ro_lb) == F(19, 2)
         assert exact_expectation(ftp, ro_lb) == F(31, 2)
         assert exact_expectation(gftp, rnd) == F(84693, 65536)
@@ -577,24 +578,24 @@ def _differential_instances():
 
 
 def _live_count(inst: WmstInstance) -> int:
-    return inst.m - len(gftp()._rejected(inst.prepared))
+    return inst.m - len(dead_edges(inst.prepared))
 
 
 def _inert_on_live_paths(prepared: PreparedInstance) -> set[int]:
     """The inert tree edges that lie on a live edge's predicted-tree path:
     those left out for predicting below every contested true weight."""
     tree = SpanningTree(prepared.graph, prepared.tree)
-    rejected = set(gftp()._rejected(prepared))
+    rejected = set(dead_edges(prepared))
     live = [eid for eid in range(prepared.graph.m) if eid not in prepared.tree | rejected]
     on_paths = {e for eid in live for e in tree.path_ids(prepared.us[eid], prepared.vs[eid])}
     return on_paths & set(gftp()._contested(prepared)[1])
 
 
 def _contested_reference(inst: WmstInstance) -> tuple[list[int], list[int]]:
-    """``_contested`` from ``_rejected`` and ``SpanningTree.path_ids``, on Fraction weights."""
+    """``_contested`` from ``dead_edges`` and ``SpanningTree.path_ids``, on Fraction weights."""
     prepared = inst.prepared
     tree = SpanningTree(inst.graph, prepared.tree)
-    rejected = set(gftp()._rejected(prepared))
+    rejected = set(dead_edges(prepared))
     live = [eid for eid in range(inst.m) if eid not in prepared.tree | rejected]
     on_paths = set(live).union(*(tree.path_ids(prepared.us[e], prepared.vs[e]) for e in live))
     if on_paths:
@@ -753,7 +754,7 @@ class TestDealtTrials:
                 for placement in range(t * placements, (t + 1) * placements):
                     full = embedded(inst.m, ids, placement)
                     assert run_cost(gftp(), inst, full) == costs[gftp][t]
-            rejected = gftp()._rejected(prepared)
+            rejected = dead_edges(prepared)
             kinds["inert and rejected"] += bool(deal.inert) and bool(rejected)
             kinds["neither"] += not deal.inert and not rejected
             kinds["below"] += bool(_inert_on_live_paths(prepared))
@@ -767,7 +768,7 @@ class TestDealtTrials:
         # starts mid-stream
         inst = random_instance(60, F(1, 5), F(1, 4), 3)
         deal = gftp()._deal(inst.prepared)
-        assert len(deal.inert) == 35 and len(gftp()._rejected(inst.prepared)) == 278
+        assert len(deal.inert) == 35 and len(dead_edges(inst.prepared)) == 278
         pin_cpus(monkeypatch, 2)
         one, two = (mc_estimate(gftp, inst, trials=41, seed=9, workers=w) for w in (1, 2))
         assert one == two
@@ -855,7 +856,7 @@ class TestDealtTrials:
         for seed in (1, 2, 3, 5, 7, 8):
             inst = random_instance(20, F(1, 5), F(1, 4), seed)
             contested, inert = gftp()._contested(inst.prepared)
-            assert 3 <= len(contested) <= 12 and inert and gftp()._rejected(inst.prepared)
+            assert 3 <= len(contested) <= 12 and inert and dead_edges(inst.prepared)
             exact = float(exact_expectation(gftp, inst))
             for factory, trials in ((gftp, 4000), (NamedGreedy, 1000)):
                 est = mc_estimate(factory, inst, trials=trials, seed=seed, workers=1)
@@ -993,7 +994,7 @@ class TestMonteCarlo:
         prepared = inst.prepared
         assert len(prepared.tree) < inst.m
         if factory is gftp:
-            assert gftp()._rejected(prepared)  # so trials are dealt
+            assert dead_edges(prepared)  # so trials are dealt
         for seed in range(5):
             est = mc_estimate(factory, inst, trials=1, seed=seed)
             if factory is gftp:
@@ -1173,7 +1174,7 @@ class TestMonteCarlo:
         # eight CPUs; the 53 contested before tree edges below every contested
         # weight were left out would be 153,700, three workers
         inst = random_instance(60, F(1, 5), F(1, 4), 3)
-        dead = gftp()._rejected(inst.prepared)
+        dead = dead_edges(inst.prepared)
         contested, inert = gftp()._contested(inst.prepared)
         assert (inst.m, inst.m - len(dead), len(contested), len(inert)) == (352, 74, 39, 35)
         assert inst.prepared.deal is None  # built by the estimate below
