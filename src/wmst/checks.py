@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .adversaries import gen_ftp_lb, random_instance
+from .adversaries import gen_ftp_lb
 from .engine import ALGORITHMS, ArrivalOrder, ftp, run, run_cost
 from .exceptions import InvariantViolation, WmstError
 from .graphs import (
@@ -33,25 +33,6 @@ HARMONIC_LIMIT = 1 + Fraction(693_147, 1_000_000)
 
 # A run to check: an instance and the order of its edge ids.
 Run = tuple[WmstInstance, Sequence[int]]
-
-FUZZ_MAX_N = 7
-ORDERS_PER_INSTANCE = 4
-
-
-def fuzz_instance(index: int) -> WmstInstance:
-    """Deterministic rotation through sizes, densities and noise levels."""
-    n = 4 + index % (FUZZ_MAX_N - 3)
-    prob = (Fraction(3, 5), Fraction(4, 5))[index % 2]
-    noise = (Fraction(0), Fraction(1, 4), Fraction(1), Fraction(3))[index % 4]
-    return random_instance(n, prob, noise, seed=index)
-
-
-def fuzz_pairs(count: int) -> Iterator[Run]:
-    """``count`` (instance, order ids) pairs, ``ORDERS_PER_INSTANCE`` shuffled orders each."""
-    for index in range(count):
-        if index % ORDERS_PER_INSTANCE == 0:
-            instance = fuzz_instance(index // ORDERS_PER_INSTANCE)
-        yield instance, ArrivalOrder.shuffled(instance.m, index).edge_ids
 
 
 def mst_matches_oracle(instances: Iterable[WmstInstance]) -> None:

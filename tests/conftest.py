@@ -1,4 +1,7 @@
-"""Shared builders and reference opponents for the test suite."""
+"""Fixtures, reference opponents and the definitions the tests check against.
+
+The instances and orders the tests play are in ``corpus.py``.
+"""
 
 from __future__ import annotations
 
@@ -6,18 +9,15 @@ import math
 import random
 import signal
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
 from wmst import (
     Decision,
     GreedyFollowPredictions,
-    Graph,
     OnlineAlgorithm,
     WmstInstance,
     mst,
-    random_instance,
     tree_cycle,
 )
 from wmst.graphs import PreparedInstance, SpanningTree
@@ -35,16 +35,6 @@ def deadline():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
-
-
-def triangle() -> WmstInstance:
-    """Three vertices, predictions (2, 3, 2), true weights (1, 1, 2)."""
-    graph = Graph.from_pairs(3, [(0, 1), (1, 2), (0, 2)])
-    return WmstInstance(
-        graph,
-        (Fraction(2), Fraction(3), Fraction(2)),
-        (Fraction(1), Fraction(1), Fraction(2)),
-    )
 
 
 def shuffles(ids, seed: int, count: int) -> list[list[int]]:
@@ -110,38 +100,6 @@ def sample_statistics(costs: list[Fraction]) -> tuple[float, float]:
     mean = sum(costs, Fraction(0)) / trials
     variance = sum(((c - mean) ** 2 for c in costs), Fraction(0)) / max(trials - 1, 1)
     return float(mean), math.sqrt(variance / trials)
-
-
-def mst_pairs(count: int, top: int):
-    """Every ordered pair among four MSTs of each of ``count`` random graphs.
-
-    The trees are taken under the predictions, the true weights and two
-    random integer weightings in ``1..top``.
-    """
-    for seed in range(count):
-        inst = random_instance(3 + seed % 5, Fraction(7, 10), Fraction(1, 2), seed=seed)
-        graph = inst.graph
-        rng = random.Random(seed)
-        trees = [mst(graph, inst.predicted), mst(graph, inst.actual)]
-        for _ in range(2):
-            trees.append(mst(graph, tuple(Fraction(rng.randint(1, top)) for _ in range(graph.m))))
-        yield from product(trees, repeat=2)
-
-
-def small_exact_instances(count: int):
-    """The first ``count`` random instances with at most 7 edges, over a rotation of sizes."""
-    produced = 0
-    seed = 0
-    while produced < count:
-        n = (3, 4, 5)[seed % 3]
-        prob = (Fraction(1), Fraction(7, 10), Fraction(1, 2))[seed % 3]
-        noise = (Fraction(1, 4), Fraction(1), Fraction(3))[seed % 3]
-        inst = random_instance(n, prob, noise, seed=seed)
-        seed += 1
-        if inst.m > 7:  # keep enumeration desk-scale; limit is 9
-            continue
-        produced += 1
-        yield inst
 
 
 class RejectFirstThenGreedy(OnlineAlgorithm):

@@ -25,14 +25,14 @@ from wmst import (
     gftp,
     mc_estimate,
     mst,
-    random_instance,
     run,
     run_cost,
     tree_cost,
 )
 from wmst import checks
 
-from conftest import RejectFirstThenGreedy, mst_pairs, small_exact_instances
+from conftest import RejectFirstThenGreedy
+import corpus
 
 F = Fraction
 
@@ -129,7 +129,7 @@ def test_07_expected_cost_within_ln2_budget():
     # ln 2 is replaced by the safe over-approximation 0.6932 so the bound
     # stays a rational
     factor = 1 + F(6_932, 10_000)
-    for inst in small_exact_instances(500):
+    for inst in corpus.small_exact():
         opt = tree_cost(mst(inst.graph, inst.actual), inst.actual)
         mean = exact_expectation(gftp, inst)
         assert mean <= opt + factor * eta(inst)
@@ -137,18 +137,15 @@ def test_07_expected_cost_within_ln2_budget():
 
 
 def test_08_cost_bounds_on_fuzzed_pairs():
-    checks.cost_bounds(checks.fuzz_pairs(10_000))
+    checks.cost_bounds(corpus.fuzz_pairs())
     _report(8, "cost bounds hold on 10^4 fuzzed (instance, order) pairs")
 
 
 def test_09_error_measure_monotone_and_lipschitz():
-    # 10^4 correction steps: chains of corrections never increase the error
-    steps = 0
-    seed = 0
-    while steps < 10_000:
-        inst = random_instance(3 + seed % 3, F(7, 10), (F(1, 4), F(1), F(3))[seed % 3], seed)
-        seed += 1
-        rng = pyrandom.Random(seed)
+    # 10^4 correction steps, 20 from each of the first 500 instances: chains
+    # of corrections never increase the error
+    for seed, inst in enumerate(corpus.eta_oracle()[:500]):
+        rng = pyrandom.Random(seed + 1)
         current = inst
         for _ in range(20):
             before = eta(current)
@@ -158,14 +155,10 @@ def test_09_error_measure_monotone_and_lipschitz():
                     predicted[eid] = current.actual[eid]
             current = current.with_predictions(predicted)
             assert eta(current) <= before
-            steps += 1
 
     # 10^4 fuzzed instances: the error dominates the optimum gap, with both
     # optima from the exhaustive oracle
-    for index in range(10_000):
-        inst = random_instance(
-            3 + index % 3, F(7, 10), (F(1, 4), F(1), F(3))[index % 3], seed=index
-        )
+    for inst in corpus.eta_oracle():
         opt_pred, _ = brute_force_mst(inst.graph, inst.predicted)
         opt_act, _ = brute_force_mst(inst.graph, inst.actual)
         assert abs(opt_pred - opt_act) <= eta(inst)
@@ -180,17 +173,15 @@ def test_10_harmonic_bound_growth_and_limit():
 
 
 def test_11_oracle_equivalence_and_exchange_checks():
-    checks.mst_matches_oracle(
-        random_instance(3 + seed % 5, F(3, 5), F(1, 2), seed=seed) for seed in range(1000)
-    )
-    checks.exchange_witnesses_pair_cycles(mst_pairs(100, top=64))
+    checks.mst_matches_oracle(corpus.mst_oracle())
+    checks.exchange_witnesses_pair_cycles(corpus.tree_pairs(64))
     _report(11, "oracle equivalence and exchange-witness cycle checks")
 
 
 def test_12_checked_mode_fuzz_campaign():
     # the criterion-8 campaign again, with the runtime invariant checks on;
     # any violation raises InvariantViolation and fails the test
-    checks.checked_runs_agree(checks.fuzz_pairs(10_000))
+    checks.checked_runs_agree(corpus.fuzz_pairs())
 
     # exhaustive micro-campaign on the random-order family
     inst = gen_ro_lb(2, F(1, 2), 1)

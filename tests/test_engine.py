@@ -1,18 +1,16 @@
 """Online execution: the two players, the replay engine, checked mode."""
 
-import random
 import weakref
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from itertools import islice, permutations
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wmst import (
-    ALGORITHMS,
     ArrivalOrder,
     BadParameter,
     Decision,
@@ -23,7 +21,6 @@ from wmst import (
     NotSpanning,
     OnlineAlgorithm,
     WmstInstance,
-    error_report,
     ftp,
     gen_eta2_game,
     gen_ftp_lb,
@@ -38,7 +35,6 @@ from wmst import (
     tree_cost,
 )
 from wmst import checks, engine
-from wmst.cli import FAMILIES
 from wmst.engine import _play
 
 from conftest import (
@@ -48,8 +44,8 @@ from conftest import (
     gftp_orders,
     sample_statistics,
     shuffles,
-    triangle,
 )
+import corpus
 from reference_gftp import GreedyFollowPredictions as ReferenceGreedy
 import reference_checker
 
@@ -75,14 +71,14 @@ class TestArrivalOrder:
                 ArrivalOrder(ids)
 
     def test_wrong_length_rejected_by_run(self):
-        inst = triangle()
+        inst = corpus.triangle()
         with pytest.raises(BadParameter):
             run(ftp(), inst, ArrivalOrder((0, 1)))
 
 
 class TestFollowPredictions:
     def test_triangle_any_order(self):
-        inst = triangle()
+        inst = corpus.triangle()
         for order in permutations(range(3)):
             trace = run(ftp(), inst, ArrivalOrder(order))
             assert trace.accepted == frozenset({0, 2})
@@ -104,7 +100,7 @@ class TestGreedyFollowPredictions:
     def test_hand_simulated_swap(self):
         # revealing the mispredicted cheap edge first evicts the unseen
         # equal-prediction tree edge with the smaller id
-        inst = triangle()
+        inst = corpus.triangle()
         trace = run(gftp(), inst, ArrivalOrder((1, 2, 0)))
         assert trace.accepted == frozenset({1, 2})
         assert trace.cost == 3
@@ -112,7 +108,7 @@ class TestGreedyFollowPredictions:
         assert trace.steps[2].decision == Decision(False)
 
     def test_trace_text_golden(self):
-        inst = triangle()
+        inst = corpus.triangle()
         trace = run(gftp(), inst, ArrivalOrder((1, 2, 0)))
         assert trace.to_text() == "1 1/1 ACCEPT SWAP=0\n2 2/1 ACCEPT\n0 1/1 REJECT\n"
 
@@ -141,7 +137,7 @@ class TestGreedyFollowPredictions:
         assert Decision.accept(swapped_out=0) is Decision.accept(swapped_out=0)
         # it keys on ids alone, so a swapping player is freed once its game ends
         player = gftp()
-        trace = run(player, triangle(), ArrivalOrder((1, 2, 0)))
+        trace = run(player, corpus.triangle(), ArrivalOrder((1, 2, 0)))
         assert trace.steps[0].decision is Decision.accept(swapped_out=0)
         freed = weakref.ref(player)
         del player
@@ -150,7 +146,7 @@ class TestGreedyFollowPredictions:
     def test_swap_comparison_is_non_strict(self):
         # a revealed weight exactly equal to the best unseen prediction
         # still triggers the swap
-        graph = triangle().graph
+        graph = corpus.triangle().graph
         inst = WmstInstance(graph, (F(2), F(3), F(2)), (F(1), F(2), F(2)))
         trace = run(gftp(), inst, ArrivalOrder((1, 2, 0)))
         assert trace.steps[0].decision == Decision(True, swapped_out=0)
@@ -344,7 +340,7 @@ def _not_spanning_messages(player) -> list[str]:
     messages = []
     for execute in (run, run_cost):
         with pytest.raises(NotSpanning) as excinfo:
-            execute(player(), triangle(), ArrivalOrder.identity(3))
+            execute(player(), corpus.triangle(), ArrivalOrder.identity(3))
         messages.append(str(excinfo.value))
     return messages
 
@@ -379,16 +375,9 @@ class RejectAll(OnlineAlgorithm):
         return Decision.reject()
 
 
-def _shuffled_cases(count: int, noise: Fraction):
-    """Random instances on 4..7 vertices, each with an order shuffled by its seed."""
-    for seed in range(count):
-        inst = random_instance(4 + seed % 4, F(3, 5), noise, seed=seed)
-        yield inst, ArrivalOrder.shuffled(inst.m, seed).edge_ids
-
-
 class TestCheckedMode:
     def test_fuzz_campaign_has_no_violations(self):
-        checks.checked_runs_agree(_shuffled_cases(150, F(1)))
+        checks.checked_runs_agree(corpus.spread(F(1))[:150])
 
     def test_perfect_predictions_hold_vacuously(self):
         inst = random_instance(6, F(1, 2), F(0), seed=9)
@@ -449,7 +438,7 @@ def _ftp_lb_reversed():
 
 
 def _triangle_chord_first():
-    return triangle(), ArrivalOrder((2, 0, 1))
+    return corpus.triangle(), ArrivalOrder((2, 0, 1))
 
 
 def _square_rejection_first():
@@ -535,23 +524,9 @@ def _checked_outcome(player, inst, order):
         return type(error), str(error)
 
 
-def _checker_fuzz_cases():
-    """Seeded random instances, every fifth past ``SCALE_BITS``, with two shuffled orders each."""
-    for seed in range(150):
-        inst = random_instance(4 + seed % 9, F(1, 2), (F(0), F(1, 4), F(1, 2), F(2))[seed % 4],
-                               seed=seed)
-        if seed % 5 == 4:
-            predicted = list(inst.predicted)
-            predicted[0] += F(1, 3**400)
-            predicted[-1] += F(1, 5**300)
-            inst = inst.with_predictions(predicted)
-        for salt in range(2):
-            yield inst, ArrivalOrder.shuffled(inst.m, 1000 * seed + salt)
-
-
 def test_checker_agrees_with_the_reference(monkeypatch, deadline):
     players = [SwaplessTracker, MaxTreeFollower, EmptyTreeFollower, EvictsTheLightest, ftp, gftp]
-    cases = list(_checker_fuzz_cases())
+    cases = [(inst, ArrivalOrder(ids)) for inst, ids in corpus.checker_fuzz()]
     with monkeypatch.context() as patch:
         patch.setattr(engine, "_InvariantChecker", _ReferenceChecker)
         expected = [_checked_outcome(p, inst, order) for p in players for inst, order in cases]
@@ -588,46 +563,9 @@ def test_a_violation_the_reference_passes_is_raised(monkeypatch, player, case, r
 
 class TestCostBounds:
     def test_both_players_within_two_eta(self):
-        checks.cost_bounds(_shuffled_cases(100, F(2)))
-
-    def test_swapper_never_beats_predicted_budget(self):
-        # the swap rule only replaces an edge when the newcomer's true
-        # weight undercuts the replaced prediction
-        for inst, ids in _shuffled_cases(100, F(2)):
-            tree = mst(inst.graph, inst.predicted)
-            budget = tree_cost(tree, inst.predicted) + error_report(inst).eta
-            assert run_cost(gftp(), inst, ids) <= budget
-
-
-def _family_instances():
-    """Every ``cli.FAMILIES`` family at a few sizes, games played by both players."""
-    grids = {
-        "ftp-lb": [dict(k=F(2), l=1), dict(k=F(3), l=4), dict(k=F(5, 2), l=7)],
-        "ro-lb": [dict(k=F(2), delta=F(1, 2), l=1), dict(k=F(4), delta=F(1, 3), l=6)],
-        "general-lb": [dict(k=k, l=l, alg=a) for k, l in ((2, 1), (3, 2)) for a in ALGORITHMS],
-        "eta2": [dict(k=k, big_k=10 * k, alg=a) for k in (2, 5) for a in ALGORITHMS],
-        "random": [dict(n=n, edge_prob=F(1, 3), noise=F(1, 2), seed=s)
-                   for n, s in ((8, 1), (20, 2), (40, 3))],
-    }
-    assert set(grids) == set(FAMILIES)
-    for family, grid in grids.items():
-        for params in grid:
-            yield FAMILIES[family].build(**params)[0]
-
-
-def _orders(inst, count: int):
-    yield ArrivalOrder.identity(inst.m)
-    yield ArrivalOrder(tuple(reversed(range(inst.m))))
-    for seed in range(count):
-        yield ArrivalOrder.shuffled(inst.m, seed)
-
-
-def _deep_cases():
-    """Instances shaped like the benchmark's mc-random ones: deep trees, many swaps."""
-    for seed in (1, 2, 3):
-        inst = random_instance(60, F(1, 5), F(1, 4), seed)
-        for order in _orders(inst, 4):
-            yield inst, order.edge_ids
+        # and gftp within pred-OPT + eta: the swap rule only replaces an edge
+        # when the newcomer's true weight undercuts the replaced prediction
+        checks.cost_bounds(corpus.spread(F(2))[:100])
 
 
 class _InitializeSubclass(GreedyFollowPredictions):
@@ -641,16 +579,9 @@ class _InitializeSubclass(GreedyFollowPredictions):
 class TestAgainstReference:
     """The prepared-instance ``gftp`` plays exactly like the reference player."""
 
-    def test_traces_on_the_fuzz_corpus(self):
-        for inst, ids in checks.fuzz_pairs(10_000):
-            order = ArrivalOrder(tuple(ids))
-            assert run(gftp(), inst, order) == run(ReferenceGreedy(), inst, order)
-
-    def test_traces_on_every_family_and_deep_trees(self):
-        cases = [(inst, order.edge_ids) for inst in _family_instances()
-                 for order in _orders(inst, 6)]
-        for inst, ids in cases + list(_deep_cases()):
-            order = ArrivalOrder(tuple(ids))
+    def test_traces_on_the_dealt_orders(self):
+        for inst, ids in corpus.dealt_pairs():
+            order = ArrivalOrder(ids)
             assert run(gftp(), inst, order) == run(ReferenceGreedy(), inst, order)
 
     def test_games_play_and_replay_alike(self):
@@ -664,7 +595,7 @@ class TestAgainstReference:
 
     def test_public_contract_keeps_the_working_tree(self):
         # as bench/run.py drives it: initialize, then reveal with Fraction weights
-        cases = list(islice(checks.fuzz_pairs(2_000), 0, None, 5)) + list(_deep_cases())
+        cases = corpus.fuzz_pairs()[:2_000:5] + corpus.with_orders(corpus.deep(), 4)
         for inst, ids in cases:
             players = [gftp(), ReferenceGreedy()]
             for player in players:
@@ -678,7 +609,7 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("subclass", [_InitializeSubclass])
     def test_subclasses_set_up_their_way_and_play_alike(self, subclass):
-        cases = list(islice(checks.fuzz_pairs(1_000), 0, None, 5)) + list(_deep_cases())
+        cases = corpus.fuzz_pairs()[:1_000:5] + corpus.with_orders(corpus.deep(), 4)
         assert any(inst.prepared.scale > 1 for inst, _ in cases)
         for inst, ids in cases:
             order = ArrivalOrder(tuple(ids))
@@ -691,30 +622,6 @@ class TestAgainstReference:
         costs = [run(ReferenceGreedy(), inst, ArrivalOrder(tuple(ids))).cost for ids in orders]
         est = mc_estimate(subclass, inst, 40, 7)
         assert (est.mean_cost, est.std_error) == sample_statistics(costs)
-
-
-def _tie_heavy_instances():
-    """Instances full of equal weights, where a strict bound and a loose one differ."""
-    for n in (3, 4, 5):
-        graph = Graph.from_pairs(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-        for true in (1, 2, 3):  # below, at and above the one prediction
-            yield WmstInstance(graph, (F(2),) * graph.m, (F(true),) * graph.m)
-    for seed in range(40):
-        graph = random_instance(4 + seed % 3, F(7, 10), F(0), seed).graph
-        rng = random.Random(seed)
-        predicted, actual = ([F(rng.randint(1, 3)) for _ in range(graph.m)] for _ in range(2))
-        yield WmstInstance(graph, tuple(predicted), tuple(actual))
-    for k, spokes in ((2, 1), (3, 3), (F(5, 2), 4)):
-        yield gen_ftp_lb(k, spokes)[0]
-
-
-def _dealt_cases():
-    """The corpora the dealt orders are checked on, as (instance, order ids)."""
-    yield from checks.fuzz_pairs(10_000)
-    for inst in [*_family_instances(), *_tie_heavy_instances()]:
-        for order in _orders(inst, 6):
-            yield inst, order.edge_ids
-    yield from _deep_cases()
 
 
 def _square_with_a_chord(chord: Fraction) -> WmstInstance:
@@ -749,11 +656,9 @@ class TestDealtEdges:
     changing nothing; ``ftp`` costs in every order what it costs in id order."""
 
     def test_rejected_edges_are_those_above_their_cycle_bottleneck(self):
-        previous = None
-        for inst, _ in _dealt_cases():
-            if inst is previous:  # the corpora list each instance with several orders
-                continue
-            previous = inst
+        # the instances of the dealt orders
+        instances = corpus.fuzz_instances() + corpus.families() + corpus.tie_heavy()
+        for inst in instances + corpus.deep():
             prepared = inst.prepared
             off_tree = [eid for eid in range(inst.m) if eid not in prepared.tree]
             contested = set(gftp()._contested(prepared)[0])
@@ -766,7 +671,7 @@ class TestDealtEdges:
 
     def test_dealt_orders_play_like_whole_orders(self):
         rejected_at_all = at_the_bound = at_the_bottleneck = 0
-        for inst, ids in _dealt_cases():
+        for inst, ids in corpus.dealt_pairs():
             prepared = inst.prepared
             one_game = _played(ftp(), inst, range(inst.m))[1]
             assert _played(ftp(), inst, ids)[1] == one_game
@@ -825,22 +730,6 @@ class TestDealtEdges:
         _assert_mc_plays_like_the_reference(inst, trials=12, seed=1)
 
 
-def _undo_cases():
-    """Random graphs with independent integer predictions and true weights, then
-    ``random_instance``'s noisy ones, each with a seeded order.
-
-    Independent weights make many evicted edges that come back at a bargain
-    and are swapped in again.
-    """
-    for seed in range(60):
-        graph = random_instance(5 + seed % 6, F(2, 5), F(0), seed).graph
-        rng = random.Random(seed)
-        predicted, actual = ([F(rng.randint(1, 20)) for _ in range(graph.m)] for _ in range(2))
-        yield WmstInstance(graph, tuple(predicted), tuple(actual)), seed
-    for seed in range(30):
-        yield random_instance(5 + seed % 6, F(3, 5), F(3), seed), seed
-
-
 def _undo_kind(untouched: int, decision: Decision) -> str:
     """The kind of a decision, told apart by the revealed edge's flag before the reveal."""
     if decision.swapped_out is not None:
@@ -857,12 +746,11 @@ class TestUndo:
         # at each state of a seeded order, as the exact memo does, every unseen
         # edge is revealed and taken back; then the order's next edge is revealed
         kinds = Counter()
-        for inst, seed in _undo_cases():
+        for inst, order in corpus.undo():
             prepared = inst.prepared
             edges, scaled = inst.graph.edges, prepared.actual_scaled
             player = gftp()
             player._start(prepared)
-            order = ArrivalOrder.shuffled(inst.m, seed).edge_ids
             for step, next_id in enumerate(order):
                 full = (list(player._candidate), list(player._parent), list(player._parent_edge))
                 for eid in order[step:]:

@@ -34,8 +34,6 @@ from wmst import (
     exact_expectation,
     exchange_witness,
     ftp,
-    gen_ftp_lb,
-    gen_ro_lb,
     gftp,
     mc_estimate,
     mst,
@@ -52,7 +50,7 @@ from wmst.exceptions import InstanceError
 from wmst.graphs import SCALE_BITS, PreparedInstance, _UnionFind
 from wmst.randomorder import estimate
 
-from conftest import mst_pairs, triangle
+import corpus
 
 F = Fraction
 
@@ -146,7 +144,7 @@ class TestValidateInstance:
 
 class TestMst:
     def test_triangle_under_predictions(self):
-        inst = triangle()
+        inst = corpus.triangle()
         tree = mst(inst.graph, inst.predicted)
         assert tree.edge_ids == frozenset({0, 2})
         assert tree_cost(tree, inst.predicted) == 4
@@ -154,7 +152,7 @@ class TestMst:
         assert cost == 4 and oracle_tree.edge_ids == tree.edge_ids
 
     def test_triangle_under_actuals(self):
-        inst = triangle()
+        inst = corpus.triangle()
         tree = mst(inst.graph, inst.actual)
         assert tree.edge_ids == frozenset({0, 1})
         assert tree_cost(tree, inst.actual) == 2
@@ -183,14 +181,14 @@ class TestMst:
         )
 
     def test_short_weight_map_rejected(self):
-        inst = triangle()
+        inst = corpus.triangle()
         with pytest.raises(MissingWeight):
             mst(inst.graph, inst.predicted[:2])
 
 
 class TestSpanningTree:
     def test_wrong_size_rejected(self):
-        graph = triangle().graph
+        graph = corpus.triangle().graph
         with pytest.raises(NotSpanning):
             SpanningTree(graph, frozenset({0}))
 
@@ -232,21 +230,6 @@ def _separated_without(pairs, skip: int, a: int, b: int, n: int) -> bool:
         if eid != skip:
             parent[find(u)] = find(v)
     return find(a) != find(b)
-
-
-def _complete_graph(n: int) -> Graph:
-    return Graph.from_pairs(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def _tie_heavy_instances():
-    """Hub-spoke families, whose spoke predictions all tie, and all-equal weights."""
-    for k, l in ((2, 1), (3, 4), (F(5, 2), 9)):
-        yield gen_ftp_lb(k, l)[0]
-        yield gen_ro_lb(k, F(1, 3), l)
-    for n in (2, 5, 9):
-        graph = _complete_graph(n)
-        yield WmstInstance(graph, (F(1),) * graph.m, (F(1),) * graph.m)
-        yield WmstInstance(graph, (F(3, 7),) * graph.m, (F(5, 2),) * graph.m)
 
 
 class TestUnionFind:
@@ -324,14 +307,13 @@ class TestPreparedInstance:
             assert x == 0
 
     def test_matches_fractions_on_fuzz_and_tie_heavy_instances(self):
-        corpus = [checks.fuzz_instance(index) for index in range(300)]
         # predictions in thirds and true weights in sevenths, none of them whole
-        graph = _complete_graph(6)
+        graph = corpus.complete_graph(6)
         thirds = tuple(F(3 * (e % 4) + 1 + e % 2, 3) for e in range(graph.m))
         sevenths = tuple(F(7 * (e % 3) + 1 + e % 6, 7) for e in range(graph.m))
-        corpus.append(WmstInstance(graph, thirds, sevenths))
-        assert corpus[-1].prepared.scale == 21
-        for inst in corpus + list(_tie_heavy_instances()):
+        fractional = WmstInstance(graph, thirds, sevenths)
+        assert fractional.prepared.scale == 21
+        for inst in [*corpus.fuzz_instances()[:300], fractional, *corpus.tie_heavy()]:
             prepared = inst.prepared
             assert all(isinstance(w, int) for w in prepared.predicted_scaled)
             self.assert_exact(inst, prepared)
@@ -340,7 +322,7 @@ class TestPreparedInstance:
         # 2^600 + 1 and 2^600 + 3 are odd and differ by 2, so coprime: the lcm
         # of the denominators needs 1201 bits
         a, b = 2**600 + 1, 2**600 + 3
-        graph = _complete_graph(4)
+        graph = corpus.complete_graph(4)
         predicted = tuple(F(a + e, a) for e in range(graph.m))
         actual = tuple(F(b + 7 - e, b) for e in range(graph.m))
         inst = WmstInstance(graph, predicted, actual)
@@ -358,9 +340,7 @@ class TestPreparedInstance:
         assert prepared.tree == mst(inst.graph, inst.predicted).edge_ids
 
     def test_tree_by_prediction_lists_the_tree_heaviest_first(self):
-        for inst in [checks.fuzz_instance(index) for index in range(100)] + list(
-            _tie_heavy_instances()
-        ):
+        for inst in corpus.fuzz_instances()[:100] + corpus.tie_heavy():
             prepared = inst.prepared
             ids = prepared.tree_by_prediction
             assert sorted(ids) == sorted(prepared.tree)
@@ -470,7 +450,7 @@ class TestTreePathIds:
 
 class TestTreeCycle:
     def test_triangle_cycle(self):
-        inst = triangle()
+        inst = corpus.triangle()
         tree = SpanningTree(inst.graph, frozenset({0, 2}))
         cycle = tree_cycle(tree, inst.graph.edges[1])
         assert [e.id for e in cycle] == [0, 2]
@@ -488,7 +468,7 @@ class TestTreeCycle:
         assert [e.id for e in cycle] == [1, 2, 3]
 
     def test_tree_edge_rejected(self):
-        inst = triangle()
+        inst = corpus.triangle()
         tree = SpanningTree(inst.graph, frozenset({0, 2}))
         with pytest.raises(EdgeInTree):
             tree_cycle(tree, inst.graph.edges[0])
@@ -496,21 +476,21 @@ class TestTreeCycle:
 
 class TestExchangeWitness:
     def test_triangle_witness(self):
-        graph = triangle().graph
+        graph = corpus.triangle().graph
         t1 = SpanningTree(graph, frozenset({0, 1}))
         t2 = SpanningTree(graph, frozenset({1, 2}))
         assert exchange_witness(t1, t2, graph.edges[0]).id == 2
         checks.exchange_witnesses_pair_cycles([(t1, t2)])
 
     def test_precondition_enforced(self):
-        graph = triangle().graph
+        graph = corpus.triangle().graph
         t1 = SpanningTree(graph, frozenset({0, 1}))
         t2 = SpanningTree(graph, frozenset({0, 2}))
         with pytest.raises(BadParameter):
             exchange_witness(t1, t2, graph.edges[0])  # shared edge
 
     def test_random_tree_pairs(self):
-        checks.exchange_witnesses_pair_cycles(mst_pairs(100, top=100))
+        checks.exchange_witnesses_pair_cycles(corpus.tree_pairs(100))
 
 
 class TestBruteForce:
@@ -535,8 +515,7 @@ class TestBruteForce:
 
 class TestTreeExchangeProperty:
     def test_cycle_edges_are_replaceable(self):
-        for seed in range(120):
-            inst = random_instance(3 + seed % 5, F(3, 5), F(1, 2), seed=seed)
+        for inst in corpus.mst_oracle()[:120]:
             graph = inst.graph
             tree = mst(graph, inst.actual)
             for edge in graph.edges:

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wmst import Graph, WmstInstance, checks, parse_fraction
-from wmst.cli import FAMILIES
+from wmst import parse_fraction
 from wmst.io import dumps_instance, instance_to_payload
 
+import corpus
 import reference_rationals
 
 F = Fraction
@@ -50,23 +50,7 @@ def test_parse_matches_the_reference(text):
     assert outcome(parse_fraction, text) == outcome(reference_rationals.parse_fraction, text)
 
 
-def _family_instances():
-    build = {name: family.build for name, family in FAMILIES.items()}
-    yield build["ftp-lb"](k=F(7, 2), l=3)[0]
-    yield build["ro-lb"](k=F(2), delta=F(1, 2), l=3)[0]
-    yield build["random"](n=6, edge_prob=F(1, 2), noise=F(1, 4), seed=3)[0]
-    for alg in ("ftp", "gftp"):
-        yield build["general-lb"](k=2, l=2, alg=alg)[0]
-        yield build["eta2"](k=3, big_k=30, alg=alg)[0]
-
-
-def _writer_cases():
-    yield from (checks.fuzz_instance(index) for index in range(120))
-    yield from _family_instances()
-    yield WmstInstance(Graph.from_pairs(2, [(0, 1)]), (F(3),), (F(5, 3),))
-
-
 def test_writer_matches_json_dumps():
-    for inst in _writer_cases():
+    for inst in [*corpus.fuzz_instances()[:120], *corpus.families(), *corpus.edge_cases()]:
         reference = json.dumps(instance_to_payload(inst), indent=2) + "\n"
         assert dumps_instance(inst) == reference

@@ -18,13 +18,13 @@ from wmst import (
     random_instance,
 )
 
-from conftest import triangle
+import corpus
 
 F = Fraction
 
 
 def test_triangle_values():
-    inst = triangle()
+    inst = corpus.triangle()
     assert eta1(inst) == 3  # |2-1| + |3-1| + |2-2|
     assert eta(inst) == 3  # top-2 of {1, 2, 0}
     assert eta2(inst) == 2  # max-map MST costs 4, min-map MST costs 2
@@ -53,8 +53,7 @@ def test_hub_spoke_family_values():
 
 
 def test_eta_bounded_by_eta1():
-    for seed in range(200):
-        inst = random_instance(4 + seed % 4, F(3, 5), F(1, 2), seed=seed)
+    for inst, _ in corpus.spread(F(1, 2)):
         nonzero = sum(1 for p, a in zip(inst.predicted, inst.actual) if p != a)
         if nonzero <= inst.n - 1:
             assert eta(inst) == eta1(inst)
@@ -79,8 +78,7 @@ def test_tree_graph_measures_coincide():
 
 
 def test_eta2_nonnegative():
-    for seed in range(200):
-        inst = random_instance(4 + seed % 4, F(3, 5), F(2), seed=seed)
+    for inst, _ in corpus.spread(F(2)):
         assert eta2(inst) >= 0
 
 
@@ -120,8 +118,7 @@ def _relabeled(inst: WmstInstance, order: list[int]) -> WmstInstance:
 
 
 def test_measures_are_permutation_invariant():
-    for seed in range(60):
-        inst = random_instance(4 + seed % 4, F(3, 5), F(1, 2), seed=seed)
+    for seed, (inst, _) in enumerate(corpus.spread(F(1, 2))[:60]):
         order = list(range(inst.m))
         pyrandom.Random(seed).shuffle(order)
         other = _relabeled(inst, order)

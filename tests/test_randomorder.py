@@ -1,5 +1,6 @@
 """Random-order lab: exact enumeration, Monte Carlo, harmonic bound."""
 
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -51,9 +52,8 @@ from conftest import (
     gftp_orders,
     sample_statistics,
     shuffles,
-    small_exact_instances,
-    triangle,
 )
+import corpus
 from reference_gftp import GreedyFollowPredictions as ReferenceGreedy
 import reference_memo
 
@@ -242,35 +242,6 @@ def enumerations(monkeypatch) -> list[int]:
     return calls
 
 
-def _family_instances():
-    """``cli.FAMILIES`` instances with at most 9 edges, both games against both players.
-
-    Of the two hub-spoke families at 9 edges only ``ro-lb`` is here: each
-    instance at 9 edges takes about 8 s to enumerate for the two players.
-    """
-    build = {name: family.build for name, family in FAMILIES.items()}
-    for l in (1, 2, 3):
-        yield build["ftp-lb"](k=F(2), l=l)[0]
-        yield build["ftp-lb"](k=F(7, 2), l=l)[0]
-    for l in (1, 2, 3, 4):
-        yield build["ro-lb"](k=F(2), delta=F(1, 2), l=l)[0]
-    yield build["ro-lb"](k=F(3), delta=F(1, 3), l=2)[0]
-    for alg in ("ftp", "gftp"):
-        yield build["general-lb"](k=2, l=1, alg=alg)[0]
-        for k in (2, 5):
-            yield build["eta2"](k=k, big_k=10 * k, alg=alg)[0]
-    for n, seed in ((2, 0), (3, 1), (4, 2), (5, 3)):
-        yield build["random"](n=n, edge_prob=F(1, 2), noise=F(1, 4), seed=seed)[0]
-
-
-def _edge_cases():
-    """A tree graph, where every edge must be accepted, and a single edge."""
-    path = Graph.from_pairs(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
-    yield WmstInstance(path, (F(4), F(1), F(9), F(2)), (F(2), F(3, 2), F(2), F(7)))
-    edge = Graph.from_pairs(2, [(0, 1)])
-    yield WmstInstance(edge, (F(3),), (F(5, 3),))
-
-
 class SwapsAfterAnEvenStart(GreedyFollowPredictions):
     """``gftp`` that takes bargains at face value only if its first edge had an even id.
 
@@ -311,27 +282,27 @@ class TestMemoisedExpectation:
         assert enumerations == []
 
     def test_acceptance_seven_instances(self, enumerations, deadline):
-        self.assert_memo_matches(small_exact_instances(500), enumerations)
+        self.assert_memo_matches(corpus.small_exact(), enumerations)
 
     def test_fuzz_instances_up_to_eight_edges(self, enumerations, deadline):
-        # the instances of checks.fuzz_pairs(200), four orders each
-        corpus = (checks.fuzz_instance(index) for index in range(50))
-        self.assert_memo_matches((inst for inst in corpus if inst.m <= 8), enumerations)
+        # the instances of the first 200 fuzz pairs, four orders each
+        instances = corpus.fuzz_instances()[:50]
+        self.assert_memo_matches([inst for inst in instances if inst.m <= 8], enumerations)
 
     def test_family_instances_up_to_nine_edges(self, enumerations, deadline):
-        instances = list(_family_instances())
+        instances = corpus.exact_families()
         assert max(inst.m for inst in instances) == randomorder.EXACT_EDGE_LIMIT
         self.assert_memo_matches(instances, enumerations)
 
     def test_tree_graph_and_single_edge(self, enumerations):
-        for inst in _edge_cases():
+        for inst in corpus.edge_cases():
             opt = tree_cost(mst(inst.graph, inst.actual), inst.actual)
             assert exact_expectation(gftp, inst) == exact_expectation(ftp, inst) == opt
-        self.assert_memo_matches(_edge_cases(), enumerations)
+        self.assert_memo_matches(corpus.edge_cases(), enumerations)
 
     def test_common_denominator_past_scale_bits(self, enumerations):
         # m = 6: twelve pairwise coprime denominators of 65 digits, 2600 bits together
-        inst = _wide_coprime_instance(4, base=50)
+        inst = corpus.wide_coprime(4, base=50)
         assert inst.prepared.scale == 1
         self.assert_memo_matches([inst], enumerations)
 
@@ -378,7 +349,7 @@ class TestMemoisedExpectation:
             assert exact_expectation(factory, inst) != exact_expectation(gftp, inst)
 
     def test_follower_plays_one_game(self, enumerations, monkeypatch):
-        instances = list(small_exact_instances(500))
+        instances = corpus.small_exact()
         expected = [enumerated(NamedFollower, inst) for inst in instances]
         memo = []
         monkeypatch.setattr(randomorder, "_completion_sum", lambda *args: memo.append(args))
@@ -423,7 +394,7 @@ class TestMemoisedExpectation:
         monkeypatch.setattr(FollowPredictions, "reveal", reveal)
         pin_cpus(monkeypatch, 2)
         sizes = serial_pools(monkeypatch)
-        inst = triangle()
+        inst = corpus.triangle()
         with pytest.raises(NotSpanning) as in_a_run:
             run_cost(ftp(), inst, range(inst.m))
         with pytest.raises(NotSpanning) as in_the_memo:
@@ -456,10 +427,10 @@ class TestMemoisedExpectation:
         monkeypatch.setattr(randomorder, "_completion_sum", lambda *args: entered.append(args))
         pin_cpus(monkeypatch, 2)
         sizes = serial_pools(monkeypatch)
-        pendant = _pendant()
+        pendant = corpus.pendant()
         deal = gftp()._deal(pendant.prepared)
         assert (deal.contested, sorted(deal.inert)) == ([], [0, 1, 3])
-        for inst in (triangle(), pendant):
+        for inst in (corpus.triangle(), pendant):
             games = dealt_games(monkeypatch)
             with pytest.raises(NotSpanning) as in_a_run:
                 run_cost(AcceptsOnly(), inst, range(inst.m))
@@ -481,7 +452,7 @@ class TestMemoisedExpectation:
     def test_memo_matches_the_straightforward_player(self, enumerations, deadline):
         # enumerating the reference takes about 7 times as long as enumerating
         # gftp; the K4 past SCALE_BITS plays the memo on Fraction weights
-        instances = [*small_exact_instances(20), _wide_coprime_instance(4, base=50)]
+        instances = [*corpus.small_exact()[:20], corpus.wide_coprime(4, base=50)]
         assert instances[-1].prepared.scale == 1
         rejected = [dead_edges(inst.prepared) for inst in instances]
         assert sum(map(bool, rejected)) >= 10 and rejected[-1]  # edges the memo never deals
@@ -496,7 +467,7 @@ class TestMemoisedExpectation:
 
         reveal = GreedyFollowPredictions.reveal
         monkeypatch.setattr(GreedyFollowPredictions, "reveal", recorded)
-        instances = [*small_exact_instances(100), _wide_coprime_instance(4, base=50)]
+        instances = [*corpus.small_exact()[:100], corpus.wide_coprime(4, base=50)]
         played = 0
         for inst in instances:
             prepared = inst.prepared
@@ -555,32 +526,6 @@ class TestMemoisedExpectation:
         assert len(prepared) == 1
 
 
-def _differential_instances():
-    """Seeded random instances whose live-edge memo stays small, most with inert edges.
-
-    440 instances over n = 4-7, four densities and four noises, each with at
-    most 12 live edges, then 30 on n = 10 with at most 13.
-    """
-    seed = produced = 0
-    while produced < 440:
-        n = 4 + seed % 4
-        prob = (F(1, 2), F(3, 5), F(4, 5), F(1))[seed // 4 % 4]
-        noise = (F(0), F(1, 4), F(1), F(3))[seed // 16 % 4]
-        inst = random_instance(n, prob, noise, seed)
-        seed += 1
-        if _live_count(inst) <= 12:
-            produced += 1
-            yield inst
-    for seed in range(40):
-        inst = random_instance(10, F(1, 2), F(1, 4), seed)
-        if _live_count(inst) <= 13:
-            yield inst
-
-
-def _live_count(inst: WmstInstance) -> int:
-    return inst.m - len(dead_edges(inst.prepared))
-
-
 def _inert_on_live_paths(prepared: PreparedInstance) -> set[int]:
     """The inert tree edges that lie on a live edge's predicted-tree path:
     those left out for predicting below every contested true weight."""
@@ -609,12 +554,12 @@ class TestContestedEdges:
     """The memo walks only the contested edges and never reveals the inert ones."""
 
     def test_one_climb_per_edge_names_what_the_rejected_edges_and_paths_name(self, deadline):
-        for inst in _dealt_corpus():
+        for inst in corpus.dealt():
             assert gftp()._contested(inst.prepared) == _contested_reference(inst)
 
     def test_matches_the_live_edge_memo(self, enumerations, deadline):
         played = inert = below = 0
-        for inst in _differential_instances():
+        for inst in corpus.differential():
             contested, left_out = gftp()._contested(inst.prepared)
             assert exact_expectation(gftp, inst) == reference_memo.expectation(inst)
             played += 1
@@ -630,7 +575,7 @@ class TestContestedEdges:
         for spokes in (1, 4, 7):
             prepared = gen_ro_lb(2, F(1, 2), spokes).prepared
             assert gftp()._contested(prepared) == (list(range(2 * spokes + 1)), [])
-        tree = next(_edge_cases())
+        tree = corpus.edge_cases()[0]
         prepared = tree.prepared
         assert gftp()._contested(prepared) == ([], list(prepared.tree_by_prediction))
 
@@ -663,7 +608,7 @@ class TestContestedEdges:
         reveal = GreedyFollowPredictions.reveal
         monkeypatch.setattr(GreedyFollowPredictions, "reveal", recorded)
         played = 0
-        for inst in _differential_instances():
+        for inst in corpus.differential():
             prepared = inst.prepared
             deal = gftp()._deal(prepared)
             contested, inert = deal.contested, deal.inert
@@ -715,18 +660,6 @@ class TestContestedEdges:
         assert entered == [] and enumerations == []
 
 
-def _dealt_corpus():
-    """Instances for the dealt trials: every fourth differential instance and
-    two mc-random ones, most with inert and rejected edges; ro-lb, with
-    neither; and a K4 past ``SCALE_BITS``, whose weights stay Fractions."""
-    yield from islice(_differential_instances(), 0, None, 4)
-    yield random_instance(60, F(1, 5), F(1, 4), 2)
-    yield random_instance(60, F(1, 5), F(1, 4), 3)
-    for spokes in (1, 2, 4):
-        yield gen_ro_lb(2, F(1, 2), spokes)
-    yield _wide_coprime_instance(4, base=50)
-
-
 class TestDealtTrials:
     """A ``gftp`` trial is dealt a shuffle of its contested edges alone, from the
     deal's start, and costs what any order of all the edges that orders them so
@@ -738,7 +671,7 @@ class TestDealtTrials:
         # wherever the others go; a subclass is dealt the t-th shuffle of all ids
         trials, placements = 8, 3
         kinds = {"inert and rejected": 0, "neither": 0, "below": 0, "fractions": 0}
-        for seed, inst in enumerate(_dealt_corpus()):
+        for seed, inst in enumerate(corpus.dealt()):
             prepared = inst.prepared
             deal = gftp()._deal(prepared)
             dealt = shuffles(deal.contested, seed, trials)
@@ -840,7 +773,7 @@ class TestDealtTrials:
                 return super().getrandbits(k)
 
         monkeypatch.setattr(engine, "random", SimpleNamespace(Random=Counted))
-        for inst in _edge_cases():  # a tree graph and a single edge
+        for inst in corpus.edge_cases():  # a tree graph and a single edge
             assert gftp()._contested(inst.prepared)[0] == []
             est = mc_estimate(gftp, inst, trials=25, seed=3)
             assert (est.mean_cost, est.std_error) == (float(sum(inst.actual)), 0.0)
@@ -874,23 +807,6 @@ def _revealed_from_the_deal(prepared, deal, edges) -> tuple[GreedyFollowPredicti
     return player, swaps
 
 
-def _pendant() -> WmstInstance:
-    """A triangle with a pendant edge, where ``gftp``'s deal holds no contested
-    edge: edges 0, 1 and 3 are inert and edge 2 is rejected in every order."""
-    return WmstInstance(Graph.from_pairs(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
-                        (F(1), F(1), F(5), F(1)), (F(1), F(2), F(5), F(3)))
-
-
-def _tied_instances():
-    """Random graphs whose predictions and true weights are drawn from 1-3, so
-    that cycle edges tie in prediction and revealed weights tie with them."""
-    for seed in range(100):
-        graph = random_instance(5 + seed % 6, F(1, 2), F(0), seed).graph
-        rng = pyrandom.Random(seed)
-        predicted, actual = ([F(rng.randint(1, 3)) for _ in range(graph.m)] for _ in range(2))
-        yield WmstInstance(graph, tuple(predicted), tuple(actual))
-
-
 def _with(deal, **changes):
     """A copy of ``deal`` with the slots named in ``changes`` replaced."""
     copy = object.__new__(engine._Deal)
@@ -905,13 +821,13 @@ class TestFusedTrial:
 
     def test_the_fused_trial_plays_as_reveal_does(self, deadline):
         played = swapped = 0
-        corpus = [
-            *_dealt_corpus(),
-            *_differential_instances(),
+        instances = [
+            *corpus.dealt(),
+            *corpus.differential(),
             *(gen_ro_lb(2, F(1, 2), spokes) for spokes in range(1, 5)),
-            *_tied_instances(),
+            *corpus.tie_heavy(),
         ]
-        for seed, inst in enumerate(corpus):
+        for seed, inst in enumerate(instances):
             prepared = inst.prepared
             deal = gftp()._deal(prepared)
             inert = [inst.graph.edges[eid] for eid in deal.inert]
@@ -932,9 +848,9 @@ class TestFusedTrial:
         # a trial's final tree, its positions mapped to ids and the inert edges
         # added, is the tree of a player on the full predicted tree shown the
         # inert edges and then the same shuffle
-        corpus = [*_dealt_corpus(), random_instance(60, F(1, 5), F(1, 20), 23), _pendant()]
+        instances = [*corpus.dealt(), random_instance(60, F(1, 5), F(1, 20), 23), corpus.pendant()]
         shapes = set()
-        for seed, inst in enumerate(corpus):
+        for seed, inst in enumerate(instances):
             prepared = inst.prepared
             deal = gftp()._deal(prepared)
             shapes.add((len(deal.contested), len(deal.inert)))
@@ -1069,13 +985,10 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_follower_estimates_like_an_opaque_follower(self, monkeypatch, workers):
-        pairs = checks.fuzz_pairs(10_000)
-        corpus = [inst for inst, _ in islice(pairs, 0, None, checks.ORDERS_PER_INSTANCE)]
-        corpus += _family_instances()
-        corpus += [random_instance(60, F(1, 5), F(1, 4), seed) for seed in (1, 2, 3)]
+        instances = corpus.fuzz_instances() + corpus.families() + corpus.deep()
         pin_cpus(monkeypatch, 2)
         serial_pools(monkeypatch)
-        for seed, inst in enumerate(corpus):
+        for seed, inst in enumerate(instances):
             est = mc_estimate(ftp, inst, trials=5, seed=seed, workers=workers)
             assert est == mc_estimate(NamedFollower, inst, trials=5, seed=seed, workers=workers)
 
@@ -1105,7 +1018,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize(
         "make, trials",
-        [(lambda: gen_ro_lb(2, F(1, 2), 4), 401), (lambda: _wide_coprime_instance(6), 7)],
+        [(lambda: gen_ro_lb(2, F(1, 2), 4), 401), (lambda: corpus.wide_coprime(6), 7)],
         ids=["ro-lb", "past-scale-bits"],
     )
     def test_estimate_does_not_depend_on_the_worker_count(self, monkeypatch, make, trials):
@@ -1314,39 +1227,9 @@ class TestExpectationOnSpokes:
         assert abs(est.mean_cost - expected) <= 3 * est.std_error
 
 
-def _coprime_denominators(count: int, base: int = 1000) -> list[int]:
-    """``count`` pairwise coprime denominators ``k * base! + 1``, of 2568 digits by default.
-
-    A common divisor of two of them divides their difference, a multiple of
-    base! by at most ``count - 1 < base``, so it divides base! and then 1.
-    """
-    assert count < base
-    factorial = math.factorial(base)
-    return [k * factorial + 1 for k in range(1, count + 1)]
-
-
-def _wide_coprime_instance(n: int, base: int = 1000) -> WmstInstance:
-    """The complete graph on ``n`` vertices, each of its 2m weights over its own denominator."""
-    graph = Graph.from_pairs(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-    dens = _coprime_denominators(2 * graph.m, base)
-    rng = pyrandom.Random(n)
-    predicted = tuple(rng.randint(1, 5) + F(1, d) for d in dens[: graph.m])
-    actual = tuple(rng.randint(1, 5) + F(1, d) for d in dens[graph.m :])
-    return WmstInstance(graph, predicted, actual)
-
-
-def _large_denominator_instances():
-    # the 2501-digit triangle of test_cli: the optimum's denominator has 5002 digits
-    a, b = int("3" * 2500 + "1"), int("7" * 2500 + "3")
-    weights = (F(a + 1, a), F(b + 1, b), F(3))
-    yield Graph.from_pairs(3, [(0, 1), (1, 2), (0, 2)]), weights, weights
-    wide = _wide_coprime_instance(6)  # m = 15: 30 denominators, 256,000 bits together
-    yield wide.graph, wide.predicted, wide.actual
-
-
-@pytest.mark.parametrize("case", list(_large_denominator_instances()), ids=["triangle", "k6"])
+@pytest.mark.parametrize("case", corpus.large_denominator(), ids=["triangle", "k6"])
 def test_large_coprime_denominators_keep_memory_small_and_results_exact(case):
-    inst = WmstInstance(*case)
+    inst = dataclasses.replace(case)  # an unprepared copy, so its preparation is traced
     trials, seed = 6, 8
     for factory, reference in ((gftp, ReferenceGreedy), (ftp, ftp)):
         tracemalloc.start()
