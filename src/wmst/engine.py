@@ -436,7 +436,7 @@ class GreedyFollowPredictions(OnlineAlgorithm):
 
     @staticmethod
     def _contested(prepared: PreparedInstance) -> tuple[list[int], list[int]]:
-        """The contested edges, by id, and the inert tree edges, heaviest prediction first.
+        """The contested edges and the inert tree edges, each in id order.
 
         An edge off the predicted tree is contested when it is live: when its
         true weight is at most its cycle bottleneck, the largest prediction on
@@ -469,7 +469,7 @@ class GreedyFollowPredictions(OnlineAlgorithm):
         ``graphs._path_ids``.
         """
         tree, pred, actual = prepared.tree, prepared.predicted_scaled, prepared.actual_scaled
-        top = pred[prepared.tree_by_prediction[0]]
+        top = max(pred[eid] for eid in tree)
         rooted, us, vs = prepared.rooted, prepared.us, prepared.vs
         m = prepared.graph.m
         contested = [0] * m
@@ -492,7 +492,7 @@ class GreedyFollowPredictions(OnlineAlgorithm):
             for eid in tree:
                 if pred[eid] < mu:
                     contested[eid] = 0
-        inert = [eid for eid in prepared.tree_by_prediction if not contested[eid]]
+        inert = sorted(eid for eid in tree if not contested[eid])
         return [eid for eid in on_paths if contested[eid]], inert
 
     @staticmethod

@@ -1,6 +1,9 @@
-"""Fixtures, reference opponents and the definitions the tests check against.
+"""Fixtures, an opponent for the games and the definitions the tests check against.
 
-The instances and orders the tests play are in ``corpus.py``.
+``predicted_paths`` is the one walk of the predicted tree's paths: the cycle
+bottlenecks, the dead edges and the live edges' paths are all read from it.
+The one reference ``gftp`` is ``reference_gftp.py``, and the instances and
+orders the tests play are in ``corpus.py``.
 """
 
 from __future__ import annotations
@@ -12,14 +15,8 @@ from fractions import Fraction
 
 import pytest
 
-from wmst import (
-    Decision,
-    GreedyFollowPredictions,
-    OnlineAlgorithm,
-    WmstInstance,
-    mst,
-    tree_cycle,
-)
+from wmst import Decision, GreedyFollowPredictions, OnlineAlgorithm, RoEstimate, WmstInstance
+from wmst import run_cost
 from wmst.graphs import PreparedInstance, SpanningTree
 
 
@@ -72,15 +69,24 @@ def gftp_orders(inst: WmstInstance, seed: int, count: int) -> list[list[int]]:
     return [embedded(inst.m, ids, t) for t, ids in enumerate(shuffles(contested, seed, count))]
 
 
+def predicted_paths(prepared: PreparedInstance) -> dict[int, list[int]]:
+    """Each edge off the predicted tree, by id, and the ids of its path in the
+    predicted tree, from ``SpanningTree.path_ids``: the one walk of those
+    paths that every definition here reads."""
+    tree = SpanningTree(prepared.graph, prepared.tree)
+    return {
+        edge.id: tree.path_ids(edge.u, edge.v)
+        for edge in prepared.graph.edges
+        if edge.id not in tree
+    }
+
+
 def cycle_bottlenecks(prepared: PreparedInstance) -> dict[int, Fraction]:
     """Each edge off the predicted tree, by id, and its cycle bottleneck: the
     largest prediction on its path in the predicted tree, on Fractions."""
-    tree = SpanningTree(prepared.graph, prepared.tree)
     predicted = prepared.predicted
     return {
-        edge.id: max(predicted[eid] for eid in tree.path_ids(edge.u, edge.v))
-        for edge in prepared.graph.edges
-        if edge.id not in tree
+        eid: max(predicted[e] for e in path) for eid, path in predicted_paths(prepared).items()
     }
 
 
@@ -94,12 +100,17 @@ def dead_edges(prepared: PreparedInstance) -> list[int]:
     ]
 
 
-def sample_statistics(costs: list[Fraction]) -> tuple[float, float]:
-    """The mean and standard error that ``mc_estimate`` reports for trials costing ``costs``."""
+def assert_estimates_the_sample(
+    est: RoEstimate, factory, inst: WmstInstance, orders
+) -> list[Fraction]:
+    """Assert that ``est`` reports the mean and standard error of the costs
+    that players of ``factory`` reach on ``orders`` of ``inst``; returns those costs."""
+    costs = [run_cost(factory(), inst, ids) for ids in orders]
     trials = len(costs)
     mean = sum(costs, Fraction(0)) / trials
     variance = sum(((c - mean) ** 2 for c in costs), Fraction(0)) / max(trials - 1, 1)
-    return float(mean), math.sqrt(variance / trials)
+    assert (est.mean_cost, est.std_error) == (float(mean), math.sqrt(variance / trials))
+    return costs
 
 
 class RejectFirstThenGreedy(OnlineAlgorithm):
@@ -130,39 +141,3 @@ class RejectFirstThenGreedy(OnlineAlgorithm):
             return Decision.reject()
         self._parent[rv] = ru
         return Decision.accept()
-
-
-class SlowSwapPlayer(OnlineAlgorithm):
-    """Reference swapper rebuilt from the public tree queries each step.
-
-    No incremental bookkeeping: the cycle, the unseen filter and the
-    eviction choice are recomputed from scratch, so any divergence from the
-    production player points at its caching.
-    """
-
-    def initialize(self, graph, predicted):
-        self._graph = graph
-        self._pred = predicted
-        self._tree = set(mst(graph, predicted).edge_ids)
-        self._seen = set()
-
-    def reveal(self, edge, weight):
-        self._seen.add(edge.id)
-        if edge.id in self._tree:
-            return Decision.accept()
-        snapshot = SpanningTree(self._graph, frozenset(self._tree))
-        unseen_cycle = [
-            e.id for e in tree_cycle(snapshot, edge) if e.id not in self._seen
-        ]
-        if not unseen_cycle:
-            return Decision.reject()
-        if weight > max(self._pred[eid] for eid in unseen_cycle):
-            return Decision.reject()
-        evict = self._evict(unseen_cycle)
-        self._tree.discard(evict)
-        self._tree.add(edge.id)
-        return Decision.accept(swapped_out=evict)
-
-    def _evict(self, unseen_cycle: list[int]) -> int:
-        """The unseen cycle edge of largest prediction, ties to the smaller id."""
-        return max(unseen_cycle, key=lambda eid: (self._pred[eid], -eid))

@@ -20,6 +20,10 @@ size and contents.
 - ``eta_oracle``, ``mst_oracle`` and ``tree_pairs(top)``: for the
   brute-force oracle and the exchange witnesses.
 
+``differential`` filters by ``conftest.dead_edges``, read from the one walk
+of the predicted tree's paths (``conftest.predicted_paths``); the one
+reference ``gftp`` the corpora are played against is ``reference_gftp.py``.
+
 A cached instance keeps its ``prepared`` and ``prepared.deal``.  So a test
 that counts calls of ``PreparedInstance.__init__``, ``_Deal.__init__`` or
 ``_contested``, that asserts ``prepared.deal is None``, or that measures the

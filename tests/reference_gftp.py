@@ -54,8 +54,7 @@ class GreedyFollowPredictions(OnlineAlgorithm):
         evict = self._heaviest_unseen_on_cycle(edge.u, edge.v)
         if evict < 0 or weight > self._pred[evict]:
             return _REJECT
-        self._swap(evict, edge)
-        return Decision.accept(swapped_out=evict)
+        return Decision.accept(swapped_out=self._swap(evict, edge))
 
     def _heaviest_unseen_on_cycle(self, a: int, b: int) -> int:
         """Unseen tree edge with maximal prediction on the a-b tree path.
@@ -74,9 +73,11 @@ class GreedyFollowPredictions(OnlineAlgorithm):
                     best, best_pred = eid, p
         return best
 
-    def _swap(self, evict: int, incoming: Edge) -> None:
+    def _swap(self, evict: int, incoming: Edge) -> int:
+        """Put ``incoming`` on the tree in place of ``evict``; returns the evicted id."""
         self._tree = SpanningTree(self._graph, self._tree.edge_ids - {evict} | {incoming.id})
         self._unseen_in_tree -= 1  # the evicted edge was unseen by construction
+        return evict
 
     def working_tree_ids(self) -> frozenset[int]:
         return self._tree.edge_ids

@@ -37,14 +37,8 @@ from wmst import (
 from wmst import checks, engine
 from wmst.engine import _play
 
-from conftest import (
-    SlowSwapPlayer,
-    cycle_bottlenecks,
-    dead_edges,
-    gftp_orders,
-    sample_statistics,
-    shuffles,
-)
+from conftest import assert_estimates_the_sample, cycle_bottlenecks, dead_edges, gftp_orders
+from conftest import shuffles
 import corpus
 from reference_gftp import GreedyFollowPredictions as ReferenceGreedy
 import reference_checker
@@ -253,15 +247,6 @@ class TestGreedyFollowPredictions:
                 assert accepted == alg.working_tree_ids() - unseen
 
 
-def test_swapper_matches_slow_reference():
-    for seed in range(400):
-        inst = random_instance(4 + seed % 4, F(3, 5), (F(0), F(1, 4), F(1), F(3))[seed % 4], seed=seed)
-        order = ArrivalOrder.shuffled(inst.m, seed + 7)
-        fast = run(gftp(), inst, order)
-        slow = run(SlowSwapPlayer(), inst, order)
-        assert fast == slow
-
-
 class TestRunEngine:
     def test_tree_graph_forces_all_accepts(self):
         graph = Graph.from_pairs(4, [(0, 1), (1, 2), (2, 3)])
@@ -410,19 +395,16 @@ class MaxTreeFollower(FollowPredictions):
         self._tree = mst(graph, [-p for p in predicted]).edge_ids
 
 
-class EvictsTheLightest(SlowSwapPlayer):
+class EvictsTheLightest(ReferenceGreedy):
     """Takes a bargain as gftp does, but evicts the lightest unseen cycle edge.
 
     The heavier edge it keeps can then sit on an earlier rejection's cycle.
     """
 
-    tracks_swaps = True
-
-    def _evict(self, unseen_cycle):
-        return min(unseen_cycle, key=lambda eid: (self._pred[eid], eid))
-
-    def working_tree_ids(self):
-        return frozenset(self._tree)
+    def _swap(self, evict, incoming):
+        cycle = self._tree.path_ids(incoming.u, incoming.v)
+        unseen = [eid for eid in cycle if self._unseen[eid]]
+        return super()._swap(min(unseen, key=lambda eid: (self._pred[eid], eid)), incoming)
 
 
 class EmptyTreeFollower(FollowPredictions):
@@ -577,12 +559,8 @@ class _InitializeSubclass(GreedyFollowPredictions):
 
 
 class TestAgainstReference:
-    """The prepared-instance ``gftp`` plays exactly like the reference player."""
-
-    def test_traces_on_the_dealt_orders(self):
-        for inst, ids in corpus.dealt_pairs():
-            order = ArrivalOrder(ids)
-            assert run(gftp(), inst, order) == run(ReferenceGreedy(), inst, order)
+    """The prepared-instance ``gftp`` plays exactly like the reference player
+    (on the dealt orders, in ``TestDealtEdges``)."""
 
     def test_games_play_and_replay_alike(self):
         games = [(gen_general_lb_game, k, l) for k, l in ((2, 1), (3, 3), (5, 2))]
@@ -618,10 +596,8 @@ class TestAgainstReference:
             assert player.set_up
         # a subclass is dealt shuffles of every edge, and plays as the reference
         inst = random_instance(30, F(1, 4), F(1, 3), 5)
-        orders = shuffles(range(inst.m), 7, 40)
-        costs = [run(ReferenceGreedy(), inst, ArrivalOrder(tuple(ids))).cost for ids in orders]
         est = mc_estimate(subclass, inst, 40, 7)
-        assert (est.mean_cost, est.std_error) == sample_statistics(costs)
+        assert_estimates_the_sample(est, ReferenceGreedy, inst, shuffles(range(inst.m), 7, 40))
 
 
 def _square_with_a_chord(chord: Fraction) -> WmstInstance:
@@ -644,16 +620,15 @@ def _assert_mc_plays_like_the_reference(inst: WmstInstance, trials: int, seed: i
     """``mc_estimate``'s mean is that of the reference player on orders of all the
     edges that order the contested ones as its trials are dealt, which reach
     exactly two distinct costs."""
-    orders = gftp_orders(inst, seed, trials)
-    costs = [run(ReferenceGreedy(), inst, ArrivalOrder(tuple(ids))).cost for ids in orders]
-    assert len(set(costs)) == 2
     est = mc_estimate(gftp, inst, trials, seed)
-    assert (est.mean_cost, est.std_error) == sample_statistics(costs)
+    costs = assert_estimates_the_sample(est, ReferenceGreedy, inst, gftp_orders(inst, seed, trials))
+    assert len(set(costs)) == 2
 
 
 class TestDealtEdges:
     """The dead edges (``conftest.dead_edges``) are rejected in every order,
-    changing nothing; ``ftp`` costs in every order what it costs in id order."""
+    changing nothing; ``ftp`` costs in every order what it costs in id order;
+    ``gftp`` traces every dealt order as the reference player does."""
 
     def test_rejected_edges_are_those_above_their_cycle_bottleneck(self):
         # the instances of the dealt orders
@@ -679,7 +654,8 @@ class TestDealtEdges:
             dealt = [eid for eid in ids if eid not in rejected]
             whole = _played(gftp(), inst, ids)
             assert _played(gftp(), inst, dealt) == whole
-            trace = run(ReferenceGreedy(), inst, ArrivalOrder(tuple(ids)))
+            trace = run(ReferenceGreedy(), inst, ArrivalOrder(ids))
+            assert run(gftp(), inst, ArrivalOrder(ids)) == trace
             assert not any(s.decision.accepted for s in trace.steps if s.edge_id in rejected)
             rejected_at_all += bool(rejected)
             top = max(inst.predicted[eid] for eid in prepared.tree)

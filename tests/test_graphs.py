@@ -339,14 +339,6 @@ class TestPreparedInstance:
         assert prepared.scale == 1 and prepared.actual_scaled is None
         assert prepared.tree == mst(inst.graph, inst.predicted).edge_ids
 
-    def test_tree_by_prediction_lists_the_tree_heaviest_first(self):
-        for inst in corpus.fuzz_instances()[:100] + corpus.tie_heavy():
-            prepared = inst.prepared
-            ids = prepared.tree_by_prediction
-            assert sorted(ids) == sorted(prepared.tree)
-            keys = [(-inst.predicted[eid], -eid) for eid in ids]
-            assert keys == sorted(keys)
-
 
 class TestInstancePreparation:
     """``WmstInstance.prepared``: one preparation per instance, never shared with another."""

@@ -39,18 +39,18 @@ from wmst import (
 from wmst import Decision, FollowPredictions, GreedyFollowPredictions, NotSpanning
 from wmst import checks, cli, engine, randomorder
 from wmst.cli import FAMILIES
-from wmst.graphs import PreparedInstance, SpanningTree, _UnionFind
+from wmst.graphs import PreparedInstance, _UnionFind
 from wmst.engine import _play
 from wmst.io import save_instance
 from wmst.randomorder import estimate
 
 from conftest import (
     RejectFirstThenGreedy,
-    SlowSwapPlayer,
+    assert_estimates_the_sample,
     dead_edges,
     embedded,
     gftp_orders,
-    sample_statistics,
+    predicted_paths,
     shuffles,
 )
 import corpus
@@ -338,7 +338,7 @@ class TestMemoisedExpectation:
 
     @pytest.mark.parametrize(
         "factory",
-        [RejectFirstThenGreedy, SlowSwapPlayer, SwapsAfterAnEvenStart],
+        [RejectFirstThenGreedy, ReferenceGreedy, SwapsAfterAnEvenStart],
         ids=["reject-first", "slow-swap", "gftp-subclass"],
     )
     def test_players_without_a_key_enumerate(self, enumerations, factory):
@@ -349,11 +349,11 @@ class TestMemoisedExpectation:
             assert exact_expectation(factory, inst) != exact_expectation(gftp, inst)
 
     def test_follower_plays_one_game(self, enumerations, monkeypatch):
-        instances = corpus.small_exact()
-        expected = [enumerated(NamedFollower, inst) for inst in instances]
+        # test_acceptance_seven_instances asserts that this is the mean over every order
         memo = []
         monkeypatch.setattr(randomorder, "_completion_sum", lambda *args: memo.append(args))
-        assert [exact_expectation(ftp, inst) for inst in instances] == expected
+        for inst in corpus.small_exact():
+            assert exact_expectation(ftp, inst) == run_cost(ftp(), inst, range(inst.m))
         assert memo == []
         assert enumerations == []
 
@@ -374,9 +374,8 @@ class TestMemoisedExpectation:
         # the subclass is dealt shuffles of every edge, gftp of its contested ones
         for factory, orders in ((NamedGreedy, shuffles(range(inst.m), 2, 30)),
                                 (gftp, gftp_orders(inst, 2, 30))):
-            costs = [run(ReferenceGreedy(), inst, ArrivalOrder(tuple(ids))).cost for ids in orders]
             est = mc_estimate(factory, inst, 30, 2)
-            assert (est.mean_cost, est.std_error) == sample_statistics(costs)
+            assert_estimates_the_sample(est, ReferenceGreedy, inst, orders)
         assert exact_expectation(NamedGreedy, inst) == exact_expectation(gftp, inst)
         assert set(set_up) == {NamedGreedy}  # gftp itself starts from the preparation
         assert enumerations == [inst.m]
@@ -475,13 +474,12 @@ class TestMemoisedExpectation:
             if not rejected:
                 continue
             revealed = set()
-            value = exact_expectation(gftp, inst)
+            exact_expectation(gftp, inst)
             # the live edges, less the inert ones the deal accepted unrevealed;
             # the memo reveals positions, mapped to ids by the deal
             deal = gftp()._deal(prepared)
             live = set(range(inst.m)) - rejected
             assert {deal.contested[p] for p in revealed} == live - set(deal.inert)
-            assert value == enumerated(gftp, inst)
             played += 1
         assert played >= 50
 
@@ -526,28 +524,28 @@ class TestMemoisedExpectation:
         assert len(prepared) == 1
 
 
+def _live_paths(prepared: PreparedInstance) -> dict[int, list[int]]:
+    """Each live edge, one off the predicted tree that ``dead_edges`` does not
+    name, by id, and its predicted-tree path (``predicted_paths``)."""
+    dead = set(dead_edges(prepared))
+    return {eid: path for eid, path in predicted_paths(prepared).items() if eid not in dead}
+
+
 def _inert_on_live_paths(prepared: PreparedInstance) -> set[int]:
     """The inert tree edges that lie on a live edge's predicted-tree path:
     those left out for predicting below every contested true weight."""
-    tree = SpanningTree(prepared.graph, prepared.tree)
-    rejected = set(dead_edges(prepared))
-    live = [eid for eid in range(prepared.graph.m) if eid not in prepared.tree | rejected]
-    on_paths = {e for eid in live for e in tree.path_ids(prepared.us[eid], prepared.vs[eid])}
-    return on_paths & set(gftp()._contested(prepared)[1])
+    return set().union(*_live_paths(prepared).values()) & set(gftp()._contested(prepared)[1])
 
 
 def _contested_reference(inst: WmstInstance) -> tuple[list[int], list[int]]:
-    """``_contested`` from ``dead_edges`` and ``SpanningTree.path_ids``, on Fraction weights."""
+    """``_contested`` from ``dead_edges`` and ``predicted_paths``, on Fraction weights."""
     prepared = inst.prepared
-    tree = SpanningTree(inst.graph, prepared.tree)
-    rejected = set(dead_edges(prepared))
-    live = [eid for eid in range(inst.m) if eid not in prepared.tree | rejected]
-    on_paths = set(live).union(*(tree.path_ids(prepared.us[e], prepared.vs[e]) for e in live))
+    live = _live_paths(prepared)
+    on_paths = set(live).union(*live.values())
     if on_paths:
         mu = min(inst.actual[eid] for eid in on_paths)
         on_paths -= {eid for eid in prepared.tree if inst.predicted[eid] < mu}
-    inert = [eid for eid in prepared.tree_by_prediction if eid not in on_paths]
-    return sorted(on_paths), inert
+    return sorted(on_paths), sorted(prepared.tree - on_paths)
 
 
 class TestContestedEdges:
@@ -577,7 +575,7 @@ class TestContestedEdges:
             assert gftp()._contested(prepared) == (list(range(2 * spokes + 1)), [])
         tree = corpus.edge_cases()[0]
         prepared = tree.prepared
-        assert gftp()._contested(prepared) == ([], list(prepared.tree_by_prediction))
+        assert gftp()._contested(prepared) == ([], sorted(prepared.tree))
 
     @pytest.mark.parametrize(
         "weight, contested, inert",
@@ -1106,10 +1104,9 @@ class TestMonteCarlo:
     def test_mean_and_std_error_are_those_of_the_exact_sample(self):
         inst = gen_ro_lb(3, F(1, 3), 3)
         trials, seed = 300, 21
-        costs = [run_cost(gftp(), inst, ids) for ids in shuffles(range(inst.m), seed, trials)]
         est = mc_estimate(gftp, inst, trials=trials, seed=seed)
         assert est.std_error > 0
-        assert (est.mean_cost, est.std_error) == sample_statistics(costs)
+        assert_estimates_the_sample(est, gftp, inst, shuffles(range(inst.m), seed, trials))
 
     def test_trials_guard(self):
         inst = gen_ro_lb(2, F(1, 2), 1)
@@ -1243,9 +1240,7 @@ def test_large_coprime_denominators_keep_memory_small_and_results_exact(case):
         assert peak < 1_000_000
         # gftp is dealt shuffles of its contested edges; ftp costs its one game
         # in every order
-        orders = gftp_orders(inst, seed, trials)
-        costs = [run(reference(), inst, ArrivalOrder(tuple(ids))).cost for ids in orders]
-        assert (est.mean_cost, est.std_error) == sample_statistics(costs)
+        assert_estimates_the_sample(est, reference, inst, gftp_orders(inst, seed, trials))
 
 
 def test_a_re_import_frees_the_previous_package():
