@@ -13,6 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import starmap
 
 from .engine import ArrivalOrder, OnlineAlgorithm, RunTrace, TraceStep, _play
 from .exceptions import BadParameter, TooLarge
@@ -30,15 +31,15 @@ RANDOM_VERTEX_LIMIT = 2000
 RANDOM_ATTEMPTS = 100_000
 
 # Candidate pairs drawn over all attempts, so a refusal ends within seconds: 5
-# attempts at 2000 vertices, 2.4 s on a shared 2-CPU Xeon (Python 3.11).
+# attempts at 2000 vertices, 0.5 to 0.9 s on a shared 2-CPU Xeon (Python 3.11).
 RANDOM_PAIR_DRAWS = 10_000_000
 
 # The most edges a family may have, so that one command stays under 512 MB.
 # Peak RSS of one in-process command grows linearly in the edges (Python 3.11,
-# Linux): `gen general-lb`, the costliest family, 101 MB at 100,003 edges,
-# 180 MB at 200,003 and 339 MB at 399,999; `gen ro-lb` 71 MB and 124 MB at
+# Linux): `gen general-lb`, the costliest family, 97 MB at 100,003 edges,
+# 169 MB at 200,003 and 317 MB at 399,999; `gen ro-lb` 59 MB and 100 MB at
 # 100,001 and 200,001; and `sweep general-lb`, which plays a game per player
-# and frees each before the next, 196 MB at 250,003 edges and 307 MB at 399,999.
+# and frees each before the next, 183 MB at 250,003 edges and 285 MB at 399,999.
 FAMILY_EDGE_LIMIT = 400_000
 
 
@@ -229,6 +230,57 @@ def random_instance(n: int, edge_prob, noise_scale, seed: int) -> WmstInstance:
     count ``C(n, 2) * edge_prob`` exceeds ``FAMILY_EDGE_LIMIT`` are refused
     before any draw.  At most ``RANDOM_ATTEMPTS`` graphs are drawn, and no
     more than ``RANDOM_PAIR_DRAWS`` candidate pairs in all.
+
+    Every draw is ``getrandbits`` called inline, as ``Random._randbelow``
+    calls it for ``randrange(den)`` per candidate pair and ``randint`` per
+    weight: ``k`` bits for a range of ``width`` values, ``k`` the bit length
+    of ``width``, drawn again while at least ``width``.  So the instance is
+    the one those calls draw; the method calls are what is saved.
+    """
+    num, den, half_span, attempts = _random_parameters(n, edge_prob, noise_scale, seed)
+    getrandbits = random.Random(seed).getrandbits
+    bits = den.bit_length()  # a denominator of 1 still draws one bit a pair
+    for _ in range(attempts):
+        pairs = []
+        for u in range(n):
+            for v in range(u + 1, n):
+                r = getrandbits(bits)
+                while r >= den:
+                    r = getrandbits(bits)
+                if r < num:
+                    pairs.append((u, v))
+        if len(pairs) >= n - 1 and _connected(n, pairs):
+            break
+    else:
+        raise BadParameter("edge_prob too small to produce a connected graph")
+    graph = Graph.from_pairs(n, pairs)
+    # grid numerators: randint(1, WEIGHT_GRID) for the true weight a, and its
+    # prediction a + randint(-half_span, half_span) clamped to the floor 1
+    grid_bits, noise_width = WEIGHT_GRID.bit_length(), 2 * half_span + 1
+    noise_bits = noise_width.bit_length()
+    actual, predicted = [], []
+    for _ in range(graph.m):
+        a = getrandbits(grid_bits)
+        while a >= WEIGHT_GRID:
+            a = getrandbits(grid_bits)
+        b = a = a + 1
+        if half_span:
+            r = getrandbits(noise_bits)
+            while r >= noise_width:
+                r = getrandbits(noise_bits)
+            b = a + r - half_span
+            if b < 1:
+                b = 1
+        actual.append(Fraction(a, WEIGHT_GRID))
+        predicted.append(Fraction(b, WEIGHT_GRID))
+    return WmstInstance(graph, tuple(predicted), tuple(actual))
+
+
+def _random_parameters(n: int, edge_prob, noise_scale, seed: int) -> tuple[int, int, int, int]:
+    """``random_instance``'s parameter checks, in order, before any draw.
+
+    Returns ``edge_prob``'s numerator and denominator, the noise half-span
+    in grid steps and the number of attempts.
     """
     if seed < 0:
         raise BadParameter(f"seed must be non-negative, got {seed}")
@@ -261,36 +313,8 @@ def random_instance(n: int, edge_prob, noise_scale, seed: int) -> WmstInstance:
     log2_p = math.log2(num) - math.log2(den)
     if math.log2(attempts) + log_comb / math.log(2) + (n - 1) * log2_p < -64:
         raise BadParameter(f"edge_prob {edge_prob} is too small to connect {n} vertices")
-    rng = random.Random(seed)
-    for _ in range(attempts):
-        pairs = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if rng.randrange(den) < num
-        ]
-        if len(pairs) >= n - 1 and _connected(n, pairs):
-            break
-    else:
-        raise BadParameter("edge_prob too small to produce a connected graph")
-    graph = Graph.from_pairs(n, pairs)
-    half_span = int(noise_scale * WEIGHT_GRID)
-    randint = rng.randint
-    actual = []
-    predicted = []
-    for _ in range(graph.m):
-        # grid numerators: the true weight a, its prediction b clamped to the floor 1
-        a = randint(1, WEIGHT_GRID)
-        b = a + randint(-half_span, half_span) if half_span else a
-        actual.append(Fraction(a, WEIGHT_GRID))
-        predicted.append(Fraction(max(b, 1), WEIGHT_GRID))
-    return WmstInstance(graph, tuple(predicted), tuple(actual))
+    return num, den, int(noise_scale * WEIGHT_GRID), attempts
 
 
 def _connected(n: int, pairs: list[tuple[int, int]]) -> bool:
-    uf = _UnionFind(n)
-    components = n
-    for u, v in pairs:
-        if uf.union(u, v):
-            components -= 1
-    return components == 1
+    return sum(starmap(_UnionFind(n).union, pairs)) == n - 1  # a join per spanning-tree edge

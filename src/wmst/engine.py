@@ -3,14 +3,15 @@
 The engine replays an instance against an online algorithm: true weights
 arrive one edge at a time, the algorithm answers each with an irrevocable
 accept or reject, and the accepted set must end as a spanning tree.  Every
-execution of a whole order (``run``, ``run_cost``, the adaptive games and
-an opaque player's trials) goes through one reveal loop, ``_play``, which
-raises ``NotSpanning`` at the offending reveal.  A Monte Carlo trial of an
-exact ``gftp`` is played from its deal by one fused loop,
-``GreedyFollowPredictions._play_deal``, that writes ``reveal`` out inline
-and faults alike, on the predicted tree with its inert edges contracted;
-the memoised exact expectation in ``randomorder`` walks all orders at once
-in place on one ``gftp`` started from the same deal, which never faults.
+other execution of a whole order (``run``, ``run_cost``, the adaptive games
+and an opaque player's trials) goes through one reveal loop, ``_play``,
+which raises ``NotSpanning`` at the offending reveal.  A Monte Carlo trial
+of an exact ``gftp``, and its ``run_cost`` of a permutation, are played
+from its deal by one fused loop, ``GreedyFollowPredictions._play_deal``,
+that writes ``reveal`` out inline and faults alike, on the predicted tree
+with its inert edges contracted; the memoised exact expectation in
+``randomorder`` walks all orders at once in place on one ``gftp`` started
+from the same deal, which never faults.
 Two players are provided: one that commits to the predicted-weight tree,
 and a greedy variant that swaps revealed bargains in for unseen tree edges.
 Any other player, a subclass of either included, is set up through
@@ -549,7 +550,9 @@ class _Deal:
     scaled prediction and true weight by position, ``tree`` the positions on
     the predicted tree, and ``parent`` and ``parent_edge`` that tree of
     contested edges rooted at component 0.  ``inert_weight`` is the scaled
-    sum of the inert edges.
+    sum of the inert edges, and ``by_id[eid]`` is ``edges[p]`` for the
+    contested ``eid``, None for any other edge, so that :func:`run_cost` can
+    keep the contested edges of a whole order.
 
     This is the state once every inert edge has arrived and been accepted,
     with those edges contracted.  An inert edge stays on the working tree,
@@ -565,7 +568,7 @@ class _Deal:
 
     __slots__ = (
         "contested", "inert", "edges", "pred", "weights", "tree",
-        "parent", "parent_edge", "forest", "inert_weight",
+        "parent", "parent_edge", "forest", "inert_weight", "by_id",
     )
 
     def __init__(self, prepared: PreparedInstance):
@@ -589,6 +592,9 @@ class _Deal:
         self.parent, self.parent_edge, _ = _root(len(numbers), self.edges, self.tree)
         self.forest = list(range(len(numbers)))
         self.inert_weight = sum(prepared.actual_scaled[eid] for eid in self.inert)
+        self.by_id = [None] * prepared.graph.m
+        for eid, edge in zip(self.contested, self.edges):
+            self.by_id[eid] = edge
 
 
 def ftp() -> OnlineAlgorithm:
@@ -686,9 +692,22 @@ def run_cost(alg: OnlineAlgorithm, instance: WmstInstance, order_ids: Sequence[i
     """Cost-only form of :func:`run` for bulk experiments.
 
     The same reveal loop with no trace and no checks, raising the same
-    ``NotSpanning``; trusts ``order_ids`` to be a permutation of the edge ids.
+    ``NotSpanning``.  An exact ``gftp`` given a permutation of the edge ids
+    plays only its contested edges, in their order, from its deal (built on
+    first use) through ``GreedyFollowPredictions._play_deal``, as a Monte
+    Carlo trial does: the other edges change no decision and add the inert
+    weight (``GreedyFollowPredictions._contested``).  Any other order, and
+    any other player, goes through ``_play``.
     """
     prepared = instance.prepared
+    if type(alg) is GreedyFollowPredictions:
+        order_ids, m = list(order_ids), instance.m
+        # a permutation? Only ints are hashed and compared, so no id raises here
+        if (len(order_ids) == m and set(map(type, order_ids)) == {int}
+                and set(order_ids) == set(range(m))):
+            deal = alg._deal(prepared)
+            dealt = filter(None, map(deal.by_id.__getitem__, order_ids))  # drop the Nones
+            return Fraction(alg._play_deal(prepared, deal, dealt), prepared.scale)
     edges = map(instance.graph.edges.__getitem__, order_ids)
     return Fraction(_play(alg, prepared, instance.actual, edges)[1], prepared.scale)
 

@@ -54,7 +54,7 @@ def is_plain_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """An undirected edge with a dense id and two distinct endpoints."""
 
@@ -65,7 +65,8 @@ class Edge:
 
 class _UnionFind:
     """The one union-find, with path halving: ``union`` runs the finds of ``a``
-    and then ``b`` inline, one call instead of three on every accept and Kruskal step."""
+    and then ``b`` inline, one call instead of three on every accept and Kruskal step.
+    ``Graph``'s check and ``_play_deal`` write ``union`` out in their loops."""
 
     __slots__ = ("parent",)
 
@@ -93,31 +94,38 @@ class Graph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        if self.n < 2:
-            raise InstanceError(f"need at least 2 vertices, got {self.n}")
-        if len(self.edges) < self.n - 1:
-            raise DisconnectedGraph(
-                f"{len(self.edges)} edges cannot connect {self.n} vertices"
-            )
+        n, edges = self.n, self.edges
+        if n < 2:
+            raise InstanceError(f"need at least 2 vertices, got {n}")
+        if len(edges) < n - 1:
+            raise DisconnectedGraph(f"{len(edges)} edges cannot connect {n} vertices")
+        # one pass: each pair keyed as the int u * n + v with u < v, and the union inline
         seen_pairs = set()
-        uf = _UnionFind(self.n)
-        components = self.n
-        for position, edge in enumerate(self.edges):
+        parent = list(range(n))
+        components = n
+        for position, edge in enumerate(edges):
             if edge.id != position:
                 raise InstanceError(
                     f"edge ids must be dense and in order: position {position} has id {edge.id}"
                 )
-            if not (is_plain_int(edge.u) and is_plain_int(edge.v)):
+            u, v = edge.u, edge.v
+            if not ((type(u) is int or is_plain_int(u)) and (type(v) is int or is_plain_int(v))):
                 raise InstanceError(f"edge {edge.id} endpoints must be integers")
-            if not (0 <= edge.u < self.n and 0 <= edge.v < self.n):
+            if not (0 <= u < n and 0 <= v < n):
                 raise InstanceError(f"edge {edge.id} endpoint out of range")
-            if edge.u == edge.v:
-                raise SelfLoop(f"edge {edge.id} joins vertex {edge.u} to itself")
-            pair = (edge.u, edge.v) if edge.u < edge.v else (edge.v, edge.u)
-            if pair in seen_pairs:
+            if u == v:
+                raise SelfLoop(f"edge {edge.id} joins vertex {u} to itself")
+            key = u * n + v if u < v else v * n + u
+            if key in seen_pairs:
+                pair = (u, v) if u < v else (v, u)
                 raise DuplicateEdge(f"edge {edge.id} duplicates endpoint pair {pair}")
-            seen_pairs.add(pair)
-            if uf.union(edge.u, edge.v):
+            seen_pairs.add(key)
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[v] = u
                 components -= 1
         if components != 1:
             raise DisconnectedGraph(f"graph has {components} connected components")
@@ -237,23 +245,23 @@ class WmstInstance:
     actual: tuple[Fraction, ...]
 
     def __post_init__(self):
+        m = self.graph.m
         for name in ("predicted", "actual"):
-            values = tuple(w if type(w) is Fraction else ensure_fraction(w, name)
-                           for w in getattr(self, name))
-            if len(values) != self.graph.m:
-                raise MissingWeight(
-                    f"{name} map covers {len(values)} of {self.graph.m} edges"
-                )
-            for eid, value in enumerate(values):
-                num, den = value.numerator, value.denominator
+            values = getattr(self, name)
+            if type(values) is not tuple or not set(map(type, values)) <= {Fraction}:
+                values = tuple(w if type(w) is Fraction else ensure_fraction(w, name)
+                               for w in values)
+                object.__setattr__(self, name, values)
+            if len(values) != m:
+                raise MissingWeight(f"{name} map covers {len(values)} of {m} edges")
+            for eid, (num, den) in enumerate(map(Fraction.as_integer_ratio, values)):
                 if num <= 0:  # a Fraction's denominator is positive
-                    raise NonpositiveWeight(f"{name} weight of edge {eid} is {value}")
+                    raise NonpositiveWeight(f"{name} weight of edge {eid} is {values[eid]}")
                 if abs(num.bit_length() - den.bit_length()) > WEIGHT_BITS:
                     raise InstanceError(
                         f"{name} weight of edge {eid} lies outside "
                         f"[2^-{WEIGHT_BITS}, 2^{WEIGHT_BITS}]"
                     )
-            object.__setattr__(self, name, values)
 
     @property
     def n(self) -> int:
@@ -296,14 +304,14 @@ def validate_instance(raw) -> WmstInstance:
         raise InstanceError("vertex count must be an integer")
     if not isinstance(entries, list):
         raise InstanceError("edges must be a list")
-    pairs: list[tuple[int, int]] = []
+    edges: list[Edge] = []
     predicted: list[Fraction] = []
     actual: list[Fraction] = []
     for index, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise InstanceError(f"edge {index} must be an object")
         try:
-            pairs.append((entry["u"], entry["v"]))
+            edges.append(Edge(index, entry["u"], entry["v"]))
         except KeyError as exc:
             raise InstanceError(f"edge {index} missing endpoint {exc}") from None
         for key, store in (("predicted", predicted), ("actual", actual)):
@@ -312,8 +320,7 @@ def validate_instance(raw) -> WmstInstance:
             weight = entry[key]  # a str, the file form, needs no name for its messages
             store.append(parse_fraction(weight) if type(weight) is str
                          else ensure_fraction(weight, f"edge {index} {key}"))
-    graph = Graph.from_pairs(n, pairs)
-    return WmstInstance(graph, tuple(predicted), tuple(actual))
+    return WmstInstance(Graph(n, tuple(edges)), tuple(predicted), tuple(actual))
 
 
 def mst(graph: Graph, weights: Weights) -> SpanningTree:

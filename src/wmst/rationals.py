@@ -24,8 +24,10 @@ def parse_fraction(text: str | int | Fraction) -> Fraction:
     """Parse ``"a/b"``, an integer literal, or a decimal literal, exactly.
 
     A numerator or denominator of more than ``MAX_DIGITS`` digits is refused.
-    The canonical ``num/den`` of ASCII digits is read with two ``int`` calls;
-    other text, with a sign, a space or a non-ASCII digit, goes to ``Fraction``.
+    The canonical ``num/den`` of ASCII digits is read with two ``int`` calls,
+    and needs no digit count when both digit strings are at most ``MAX_DIGITS``
+    long; other text, with a sign, a space or a non-ASCII digit, goes to
+    ``Fraction``.
     """
     canonical = False
     if type(text) is str:
@@ -38,6 +40,8 @@ def parse_fraction(text: str | int | Fraction) -> Fraction:
     try:
         if canonical:
             value = Fraction(int(num), int(den))
+            if len(num) <= MAX_DIGITS and len(den) <= MAX_DIGITS:
+                return value  # both below 10**MAX_DIGITS, and reducing only shrinks them
         else:
             literal = str(text).strip()
             exponent = literal.lower().partition("e")[2]

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import pytest
 
-from wmst import Decision, GreedyFollowPredictions, OnlineAlgorithm, RoEstimate, WmstInstance
-from wmst import run_cost
+from wmst import ArrivalOrder, Decision, GreedyFollowPredictions, OnlineAlgorithm, RoEstimate
+from wmst import WmstInstance, run
 from wmst.graphs import PreparedInstance, SpanningTree
 
 
@@ -100,12 +100,23 @@ def dead_edges(prepared: PreparedInstance) -> list[int]:
     ]
 
 
+def outcome(call, *args):
+    """What ``call(*args)`` makes: its type and value, or its exception's type and message."""
+    try:
+        value = call(*args)
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+    return type(value), value
+
+
 def assert_estimates_the_sample(
     est: RoEstimate, factory, inst: WmstInstance, orders
 ) -> list[Fraction]:
     """Assert that ``est`` reports the mean and standard error of the costs
-    that players of ``factory`` reach on ``orders`` of ``inst``; returns those costs."""
-    costs = [run_cost(factory(), inst, ids) for ids in orders]
+    that players of ``factory`` reach on ``orders`` of ``inst``; returns those costs.
+
+    Each order is played whole by ``run``, edge by edge, not from a deal."""
+    costs = [run(factory(), inst, ArrivalOrder(tuple(ids))).cost for ids in orders]
     trials = len(costs)
     mean = sum(costs, Fraction(0)) / trials
     variance = sum(((c - mean) ** 2 for c in costs), Fraction(0)) / max(trials - 1, 1)

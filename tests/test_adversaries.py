@@ -3,6 +3,7 @@
 import hashlib
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -30,6 +31,7 @@ from wmst.io import dumps_instance
 
 from conftest import RejectFirstThenGreedy
 import corpus
+import reference_generator
 
 F = Fraction
 
@@ -255,16 +257,46 @@ class TestRandomInstance:
         # connect, so nearly every attempt fails; each draws 19,900 pairs
         class CountingRandom(adversaries.random.Random):
             def randrange(self, *args):
-                draws.append(1)
+                draws["randrange"] += 1
                 return super().randrange(*args)
 
-        draws = []
+            def getrandbits(self, k):
+                draws["getrandbits"] += 1
+                return super().getrandbits(k)
+
         monkeypatch.setattr(adversaries.random, "Random", CountingRandom)
         monkeypatch.setattr(adversaries, "RANDOM_PAIR_DRAWS", 100_000)
         refused = "^edge_prob too small to produce a connected graph$"
-        with pytest.raises(BadParameter, match=refused):
-            random_instance(200, F(1, 100), F(0), seed=1)
-        assert len(draws) == 5 * 19_900
+        counts = []
+        for generate in (reference_generator.random_instance, random_instance):
+            draws = {"randrange": 0, "getrandbits": 0}
+            with pytest.raises(BadParameter, match=refused):
+                generate(200, F(1, 100), F(0), seed=1)
+            counts.append(draws)
+        reference, production = counts
+        assert reference["randrange"] == 5 * 19_900  # one randrange(100) a pair
+        assert production["getrandbits"] == reference["getrandbits"] > 5 * 19_900
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 11])
+    def test_draws_what_randrange_and_randint_draw(self, n):
+        # edge_prob 1 still draws a bit per pair, noise 0 and 1/10**6 (under one
+        # grid step) draw no noise, and noise 1 and 3 push predictions off the grid
+        for edge_prob, noise, seed in product(
+            (F(1), F(1, 2), F(1, 3), F(2, 7)), (F(0), F(1, 10**6), F(1, 4), F(1), F(3)), range(3)
+        ):
+            params = (n, edge_prob, noise, seed)
+            assert dumps_instance(random_instance(*params)) == dumps_instance(
+                reference_generator.random_instance(*params)
+            ), params
+
+    def test_refuses_after_the_draws_the_reference_makes(self, monkeypatch):
+        monkeypatch.setattr(adversaries, "RANDOM_PAIR_DRAWS", 40_000)  # two attempts
+        outcomes = []
+        for generate in (reference_generator.random_instance, random_instance):
+            with pytest.raises(BadParameter) as excinfo:
+                generate(200, F(1, 100), F(1, 4), seed=2)
+            outcomes.append(str(excinfo.value))
+        assert outcomes == ["edge_prob too small to produce a connected graph"] * 2
 
     def test_complete_graphs_past_the_edge_limit_are_refused_undrawn(self):
         tracemalloc.start()

@@ -4,7 +4,7 @@ import weakref
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from itertools import permutations
+from itertools import groupby, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +38,7 @@ from wmst import checks, engine
 from wmst.engine import _play
 
 from conftest import assert_estimates_the_sample, cycle_bottlenecks, dead_edges, gftp_orders
-from conftest import shuffles
+from conftest import outcome, shuffles
 import corpus
 from reference_gftp import GreedyFollowPredictions as ReferenceGreedy
 import reference_checker
@@ -117,9 +117,9 @@ class TestGreedyFollowPredictions:
         engine._swap.cache_clear()
         monkeypatch.setattr(Decision, "__init__", counted)
         inst = gen_ro_lb(4, F(1, 2), 20)
-        # Monte Carlo trials build no decisions, so whole seeded orders are run
+        # Monte Carlo trials and run_cost build no decisions, so whole seeded orders are run
         for ids in shuffles(range(inst.m), 3, 500):
-            run_cost(gftp(), inst, ids)
+            run(gftp(), inst, ArrivalOrder(tuple(ids)))
         # about ten swaps an order, and a swap evicts one of the 21 tree edges
         assert 0 < len(built) == len(set(built)) <= inst.n - 1 == 21
 
@@ -272,6 +272,41 @@ class TestRunEngine:
                 assert run_cost(factory(), inst, order.edge_ids) == run(
                     factory(), inst, order
                 ).cost
+
+    def test_gftp_run_cost_plays_the_deal_and_costs_what_run_does(self, monkeypatch):
+        # the deal's instances have inert and dead edges, ro-lb neither, and a
+        # K4 past SCALE_BITS keeps Fractions; each order is whole
+        orders = [(inst, ids) for seed, inst in enumerate(corpus.dealt())
+                  for ids in shuffles(range(inst.m), seed, 3)]
+        costs = [run(gftp(), inst, ArrivalOrder(tuple(ids))).cost for inst, ids in orders]
+        played = []
+        monkeypatch.setattr(engine, "_play", lambda *args: played.append(args))
+        assert [run_cost(gftp(), inst, ids) for inst, ids in orders] == costs
+        assert played == []
+
+    def test_gftp_run_cost_of_a_non_permutation_is_played_whole(self):
+        # an order that is not a permutation of the ids gets what the whole
+        # reveal loop makes of it: its cost or its fault
+        inst = random_instance(30, F(1, 4), F(1, 4), 5)
+        assert dead_edges(inst.prepared)
+        ids = shuffles(range(inst.m), 7, 1)[0]
+        last, inert = inst.m - 1, gftp()._deal(inst.prepared).inert[0]
+        orders = [
+            ids[:-1], ids + ids[:1], ids[:-1] + ids[:1],
+            [eid for eid in ids if eid != inert], ids + [inert],
+            [-1 if eid == last else eid for eid in ids],
+            [inst.m if eid == last else eid for eid in ids],
+            [True if eid == 1 else eid for eid in ids],
+            [1.0 if eid == 1 else eid for eid in ids],
+            ["1" if eid == 1 else eid for eid in ids],
+            [[1] if eid == 1 else eid for eid in ids],
+        ]
+        for order in orders:
+            edges = map(inst.graph.edges.__getitem__, order)
+            whole = outcome(_play, gftp(), inst.prepared, inst.actual, edges)
+            if type(whole[1]) is tuple:
+                whole = (F, F(whole[1][1], inst.prepared.scale))
+            assert outcome(run_cost, gftp(), inst, order) == whole
 
     def test_rejecting_everything_is_caught(self):
         message = "accepted 0 edges, a spanning tree needs 2"
@@ -646,27 +681,31 @@ class TestDealtEdges:
 
     def test_dealt_orders_play_like_whole_orders(self):
         rejected_at_all = at_the_bound = at_the_bottleneck = 0
-        for inst, ids in corpus.dealt_pairs():
+        # the pairs of one instance are consecutive: its own work is done once
+        for _, pairs in groupby(corpus.dealt_pairs(), key=lambda pair: id(pair[0])):
+            pairs = list(pairs)
+            inst = pairs[0][0]
             prepared = inst.prepared
             one_game = _played(ftp(), inst, range(inst.m))[1]
-            assert _played(ftp(), inst, ids)[1] == one_game
             rejected = set(dead_edges(prepared))
-            dealt = [eid for eid in ids if eid not in rejected]
-            whole = _played(gftp(), inst, ids)
-            assert _played(gftp(), inst, dealt) == whole
-            trace = run(ReferenceGreedy(), inst, ArrivalOrder(ids))
-            assert run(gftp(), inst, ArrivalOrder(ids)) == trace
-            assert not any(s.decision.accepted for s in trace.steps if s.edge_id in rejected)
-            rejected_at_all += bool(rejected)
             top = max(inst.predicted[eid] for eid in prepared.tree)
             off_tree = [eid for eid in range(inst.m) if eid not in prepared.tree]
-            at_the_bound += any(
-                inst.actual[eid] == min(inst.predicted[eid], top) for eid in off_tree
-            )
-            at_the_bottleneck += any(
+            on_bound = any(inst.actual[eid] == min(inst.predicted[eid], top) for eid in off_tree)
+            on_bottleneck = any(
                 inst.actual[eid] == bottleneck
                 for eid, bottleneck in cycle_bottlenecks(prepared).items()
             )
+            for _, ids in pairs:
+                assert _played(ftp(), inst, ids)[1] == one_game
+                dealt = [eid for eid in ids if eid not in rejected]
+                whole = _played(gftp(), inst, ids)
+                assert _played(gftp(), inst, dealt) == whole
+                trace = run(ReferenceGreedy(), inst, ArrivalOrder(ids))
+                assert run(gftp(), inst, ArrivalOrder(ids)) == trace
+                assert not any(s.decision.accepted for s in trace.steps if s.edge_id in rejected)
+            rejected_at_all += bool(rejected) * len(pairs)
+            at_the_bound += on_bound * len(pairs)
+            at_the_bottleneck += on_bottleneck * len(pairs)
         assert rejected_at_all > 1000 and at_the_bound > 100 and at_the_bottleneck > 100
 
     def test_an_edge_at_its_own_prediction_is_dealt_and_swapped_in(self):

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import enum
 import math
 import random
 import tracemalloc
@@ -126,6 +127,41 @@ class TestValidateInstance:
         payload["edges"][0]["predicted"] = "0.5"
         inst = validate_instance(payload)
         assert inst.predicted[0] == F(1, 2)
+
+    @pytest.mark.parametrize(
+        "edit, error, message",
+        [
+            ({(1, "actual"): "x/", (2, "actual"): "x/"}, BadParameter,
+             "not an exact rational: 'x/'"),
+            ({(1, "actual"): "0/1", (2, "actual"): "0/1"}, NonpositiveWeight,
+             "actual weight of edge 1 is 0"),
+            ({(1, "predicted"): 0.5, (2, "predicted"): 0.5}, BadParameter,
+             "edge 1 predicted must be an exact rational, got float"),
+            ({(0, "actual"): "0" * 4300 + "7/3"}, BadParameter, "not an exact rational"),
+            ({(0, "actual"): "7/" + "0" * 4300 + "3"}, BadParameter, "not an exact rational"),
+            ({(0, "u"): True}, InstanceError, "edge 0 endpoints must be integers"),
+            ({(2, "u"): 1, (2, "v"): 0}, DuplicateEdge, "edge 2 duplicates endpoint pair (0, 1)"),
+        ],
+        ids=["repeated-malformed", "repeated-zero", "repeated-float", "long-numerator",
+             "long-denominator", "bool-endpoint", "reversed-duplicate"],
+    )
+    def test_messages_name_the_first_faulty_edge(self, edit, error, message):
+        payload = triangle_payload()
+        for (index, key), value in edit.items():
+            payload["edges"][index][key] = value
+        with pytest.raises(error) as excinfo:
+            validate_instance(payload)
+        assert str(excinfo.value).startswith(message)
+
+    def test_an_int_enum_endpoint_is_an_int(self):
+        class Vertex(enum.IntEnum):
+            ZERO = 0
+
+        payload = triangle_payload()
+        payload["edges"][0]["u"] = Vertex.ZERO
+        inst = validate_instance(payload)
+        assert inst == validate_instance(triangle_payload())
+        assert inst.graph.edges[0].u is Vertex.ZERO
 
     def test_sparse_huge_vertex_count_fails_before_allocating(self):
         payload = {

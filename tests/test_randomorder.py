@@ -229,6 +229,12 @@ def enumerated(factory, inst: WmstInstance) -> Fraction:
     return F(total, count * d)
 
 
+def whole_cost(inst: WmstInstance, ids) -> Fraction:
+    """What ``gftp`` pays on the order ``ids`` played edge by edge by ``run``,
+    the reference for a trial and for ``run_cost``, which play from the deal."""
+    return run(gftp(), inst, ArrivalOrder(tuple(ids))).cost
+
+
 @pytest.fixture
 def enumerations(monkeypatch) -> list[int]:
     """The edge counts ``exact_expectation`` enumerated every order of, one per call."""
@@ -680,11 +686,11 @@ class TestDealtTrials:
                 mc_estimate(factory, inst, trials=trials, seed=seed, workers=1)
                 assert games.dealt == orders
                 costs[factory] = games.costs
-            assert costs[NamedGreedy] == [run_cost(gftp(), inst, ids) for ids in whole]
+            assert costs[NamedGreedy] == [whole_cost(inst, ids) for ids in whole]
             for t, ids in enumerate(dealt):
                 for placement in range(t * placements, (t + 1) * placements):
                     full = embedded(inst.m, ids, placement)
-                    assert run_cost(gftp(), inst, full) == costs[gftp][t]
+                    assert whole_cost(inst, full) == costs[gftp][t]
             rejected = dead_edges(prepared)
             kinds["inert and rejected"] += bool(deal.inert) and bool(rejected)
             kinds["neither"] += not deal.inert and not rejected
@@ -877,8 +883,8 @@ class TestFusedTrial:
         rest = [e for e in deal.edges if e is not edge]
         with pytest.raises(NotSpanning, match="accepted edges contain a cycle"):
             gftp()._play_deal(prepared, _with(deal, forest=joined.parent), [edge, *rest])
-        assert gftp()._play_deal(prepared, deal, [edge, *rest]) == run_cost(
-            gftp(), inst, [deal.contested[e.id] for e in (edge, *rest)]
+        assert gftp()._play_deal(prepared, deal, [edge, *rest]) == whole_cost(
+            inst, [deal.contested[e.id] for e in (edge, *rest)]
         ) * prepared.scale
 
     def test_a_deal_missing_an_inert_edge_faults(self):
@@ -896,7 +902,7 @@ class TestMonteCarlo:
         est = mc_estimate(gftp, inst, trials=1, seed=seed)
         ids = list(range(inst.m))
         pyrandom.Random(seed).shuffle(ids)
-        assert est.mean_cost == float(run_cost(gftp(), inst, ids))
+        assert est.mean_cost == float(whole_cost(inst, ids))
         assert est.std_error == 0.0
 
     @pytest.mark.parametrize("factory", [ftp, gftp])
@@ -915,7 +921,7 @@ class TestMonteCarlo:
                 ids = gftp_orders(inst, seed, 1)[0]
             else:
                 ids = shuffles(range(inst.m), seed, 1)[0]
-            assert est.mean_cost == float(run_cost(factory(), inst, ids))
+            assert est.mean_cost == float(run(factory(), inst, ArrivalOrder(tuple(ids))).cost)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
